@@ -2,7 +2,8 @@
 
 Stdlib only: nothing here imports qtwist, so the library under test sees only
 the generated strings.  ``write_inputs(workload, seed, directory)``
-writes ``inputs.json`` (and, for cli-batch, one file per seeded config);
+writes ``inputs.jsonl``, one job per line (and, for cli-batch, one file per
+seeded config);
 the same workload and seed give byte-identical files.
 
 Units are handled here as ``(Fraction, {name: exponent})`` pairs and rendered
@@ -271,12 +272,16 @@ def seeded_cli_config(name, rng):
     return config
 
 
+def _compact(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def _dump(path, data):
-    path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+    path.write_text(_compact(data) + "\n")
 
 
 def write_inputs(workload, seed, directory):
-    """Write the inputs of one run into `directory` as ``inputs.json``, a list of jobs.
+    """Write the inputs of one run into `directory` as ``inputs.jsonl``, one job per line.
 
     A cli-batch job is the golden corpus plus its own seeded config of each
     golden shape, in a seeded order; its cases name golden configs relative
@@ -306,4 +311,4 @@ def write_inputs(workload, seed, directory):
             jobs.append(cases)
     else:
         raise ValueError(f"unknown workload {workload!r}")
-    _dump(directory / "inputs.json", jobs)
+    (directory / "inputs.jsonl").write_text("".join(_compact(job) + "\n" for job in jobs))

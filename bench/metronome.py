@@ -11,7 +11,7 @@ when the machine changes speed:
   parser   building argparse parsers with subcommands and parsing an argv,
            which is most of what the CLI does besides the library work.
 run.py weighs the parts by where each workload spends its time.  Do not edit
-the slice: its cost defines the reference speed that R_NOMINAL in run.py is
+the slice: its cost defines the reference speed that PART_NOMINAL in run.py is
 frozen against.
 
 Protocol: one line "slice" on stdin -> one line "LIBRARY_SECONDS PARSER_SECONDS".

@@ -7,13 +7,13 @@ parent directory's parent.  The driver writes the seeded inputs
 (inputs.py), starts a metronome process (metronome.py) and a fresh worker
 process (worker.py), and alternates them: a reference slice, one job step, a
 reference slice, ...  Only one of them computes at a time.  Each timed
-interval t is reported at reference speed, t * R_NOMINAL / R_now, where R_now
-is the mean duration of the slices just before and after it and R_NOMINAL the
+interval t is reported at reference speed, t * R_nominal / R_now, where R_now
+is the mean duration of the slices just before and after it and R_nominal the
 frozen nominal slice duration: on a machine running fast right now the
 slices are short, and t is scaled up accordingly.  A slice has a library
-part and an argparse part (see metronome.py); its duration is measured in
-units of the nominal duration of each part, weighted by REFERENCE_MIX, so
-R_NOMINAL is 1.
+part and an argparse part (see metronome.py); each part's duration is
+measured in units of its frozen nominal duration (PART_NOMINAL) and the
+parts are weighted by REFERENCE_MIX, so R_nominal is 1.
 
 --trace 0 prints the end-to-end metrics, --trace 1 the per-layer metrics of a
 traced run (spans.py).  Diagnostics come first; the last line of stdout is
@@ -46,7 +46,6 @@ WORKLOADS = ("segre-verify", "segre-kernel", "cli-batch", "cocycle-tables")
 #: Nominal seconds of the library and the parser part of a reference slice,
 #: which define "reference speed".  Frozen: the same on every commit compared.
 PART_NOMINAL = (0.0085, 0.0075)
-R_NOMINAL = 1.0
 #: Weights of the two slice parts per workload, after where the workload spends
 #: its time: cli-batch spends 56% of it in argparse (building the parser and
 #: parsing argv), which speeds up less than the library work when the machine
@@ -82,9 +81,10 @@ class BenchError(Exception):
     """The run could not be made (exit code 2, no result line)."""
 
 
-def reference_factor(before, after, nominal=R_NOMINAL):
-    """R_nominal / R_now for an interval between slices of `before` and `after` seconds."""
-    return nominal / ((before + after) / 2.0)
+def reference_factor(before, after):
+    """R_nominal / R_now for an interval between slices of `before` and `after`
+    nominal durations (R_nominal is 1 in these units)."""
+    return 2.0 / (before + after)
 
 
 class Child:
@@ -92,6 +92,10 @@ class Child:
 
     def __init__(self, argv):
         env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
+        # Set-up is timed with qtwist's bytecode cached, as an installed package
+        # has it; the untimed primer writes it.  Without this, an inherited
+        # PYTHONDONTWRITEBYTECODE would make every import compile the source.
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         self.proc = subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=env, text=True,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 

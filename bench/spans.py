@@ -7,13 +7,14 @@ while no job is active.  During a job, a call that crosses into another
 layer opens a span (name, start, end, parent, job id); a call inside the
 same layer only counts.  A layer's self time is its spans' time minus the
 time of the spans they contain.  Spans are kept in memory, up to
-``span_limit``, and written out by ``write()``.
+``SPAN_LIMIT``, and written out by ``write()``.  Every count is of calls the
+wrappers see; a counter also learns the wrapped callable that made the call,
+so work done on behalf of one caller can be counted apart.
 """
 
 from __future__ import annotations
 
 import json
-from math import comb
 from time import perf_counter
 
 import qtwist
@@ -22,32 +23,34 @@ from run import PER_LAYER_COUNTS
 
 MODULES = (qtwist, scalars, monoids, cocycles, algebras, segre, cli)
 COUNTS = PER_LAYER_COUNTS + ("segre.image_hits",)
+SPAN_LIMIT = 20_000
+#: Vectors a monoids enumeration delivers straight to one of these callers
+#: also count as the caller's metric: kernel_basis makes one column of each.
+DELIVERED = {"segre.kernel_basis": "segre.kernel_columns"}
 
 
 def _one(metric):
-    def count(tracer, args, kwargs, result):
+    def count(tracer, caller, args, kwargs, result):
         tracer.counts[metric] += 1
     return count
 
 
-def _table_pairs(tracer, args, kwargs, result):
+def _table_pairs(tracer, caller, args, kwargs, result):
     tracer.counts["cocycles.table_pairs"] += len(args[0].table)
 
 
-def _triples(tracer, args, kwargs, result):
-    # A passing exhaustive check visits every triple with |x|+|y|+|z| <= D.
-    if result:
-        table = args[0]
-        tracer.counts["cocycles.triples_checked"] += comb(3 * table.rank + table.degree_bound,
-                                                          table.degree_bound)
+def _comparison(tracer, caller, args, kwargs, result):
+    # The exhaustive check compares the two sides of the identity once per triple.
+    if caller == "cocycles.verify_cocycle_equation":
+        tracer.counts["cocycles.triples_checked"] += 1
 
 
-def _term_pairs(tracer, args, kwargs, result):
+def _term_pairs(tracer, caller, args, kwargs, result):
     tracer.counts["algebras.multiplies"] += 1
     tracer.counts["algebras.term_pairs"] += len(args[1].terms) * len(args[2].terms)
 
 
-def _image(tracer, args, kwargs, result):
+def _image(tracer, caller, args, kwargs, result):
     phi, u = args
     tracer.counts["segre.image_calls"] += 1
     seen = tracer.images.setdefault(id(phi), (phi, set()))[1]
@@ -57,18 +60,15 @@ def _image(tracer, args, kwargs, result):
         seen.add(u)
 
 
-def _pairs_checked(tracer, args, kwargs, result):
+def _pairs_checked(tracer, caller, args, kwargs, result):
     tracer.counts["segre.pairs_checked"] += result.pairs_checked
 
 
-def _kernel(tracer, args, kwargs, result):
-    segre_map, degree = args[0], args[1]
-    rank = segre_map.homomorphism.source.rank
-    tracer.counts["segre.kernel_columns"] += comb(rank + degree - 1, degree)
+def _kernel(tracer, caller, args, kwargs, result):
     tracer.counts["segre.kernel_dim"] += len(result)
 
 
-def _cli_main(tracer, args, kwargs, result):
+def _cli_main(tracer, caller, args, kwargs, result):
     tracer.counts["cli.invocations"] += 1
     out = kwargs.get("out", args[1] if len(args) > 1 else None)
     if out is not None:
@@ -88,7 +88,7 @@ _LOOKUP = _one("cocycles.table_lookups")
 LAYERS = {
     "scalars": {
         "UnitScalar.__mul__": _UNIT, "UnitScalar.__truediv__": _UNIT, "UnitScalar.inv": _UNIT,
-        "UnitScalar.__pow__": _UNIT, "UnitScalar.__neg__": _UNIT,
+        "UnitScalar.__pow__": _UNIT, "UnitScalar.__neg__": _UNIT, "UnitScalar.__eq__": _comparison,
         "LaurentPolynomial.__add__": _POLY, "LaurentPolynomial.__sub__": _POLY,
         "LaurentPolynomial.__mul__": _POLY, "LaurentPolynomial.__neg__": _POLY,
         "LaurentPolynomial.scaled": _POLY,
@@ -116,7 +116,7 @@ LAYERS = {
         "FunctionOnMonoid.to_json": None,
         "canonical_from_antisym": None, "antisymmetrize": None, "cohomologous": None,
         "yamazaki_factorize": None, "yamazaki_reconstruct": None, "pullback": None,
-        "coboundary": None, "verify_cocycle_equation": _triples, "trivialize_rank1": None,
+        "coboundary": None, "verify_cocycle_equation": None, "trivialize_rank1": None,
         "yamazaki_trivialize": None, "symmetric_trivializer": None,
     },
     "algebras": {
@@ -140,10 +140,9 @@ JOB = "job"
 class Tracer:
     """Spans and counts of the jobs run while installed; see the module docstring."""
 
-    def __init__(self, span_limit=20_000):
-        self.span_limit = span_limit
+    def __init__(self):
         self.job = None
-        self.stack, self.spans, self.patches = [], [], []
+        self.stack, self.callers, self.spans, self.patches = [], [], [], []
         self.dropped = self.next_id = 0
         self.counts, self.self_time, self.images = {}, {}, {}
         self.job_start = 0.0
@@ -157,6 +156,7 @@ class Tracer:
         self.self_time = dict.fromkeys(LAYERS, 0.0)
         self.images = {}
         self.stack = [[JOB, 0.0, self._new_id()]]
+        self.callers = [JOB]
         self.job_start = perf_counter()
 
     def end(self):
@@ -174,7 +174,7 @@ class Tracer:
         return self.next_id
 
     def _log(self, span_id, name, start, end, parent):
-        if len(self.spans) < self.span_limit:
+        if len(self.spans) < SPAN_LIMIT:
             self.spans.append((span_id, name, start, end, parent, self.job))
         else:
             self.dropped += 1
@@ -210,12 +210,17 @@ class Tracer:
         def wrapper(*args, **kwargs):
             if tracer.job is None:
                 return fn(*args, **kwargs)
-            if tracer.stack[-1][0] == layer:
-                result = fn(*args, **kwargs)
-            else:
-                result = tracer.span(layer, name, fn, args, kwargs)
+            caller = tracer.callers[-1]
+            tracer.callers.append(name)
+            try:
+                if tracer.stack[-1][0] == layer:
+                    result = fn(*args, **kwargs)
+                else:
+                    result = tracer.span(layer, name, fn, args, kwargs)
+            finally:
+                tracer.callers.pop()
             if counter is not None:
-                counter(tracer, args, kwargs, result)
+                counter(tracer, caller, args, kwargs, result)
             return result
 
         return wrapper
@@ -228,17 +233,21 @@ class Tracer:
             gen = fn(*args, **kwargs)
             if tracer.job is None or tracer.stack[-1][0] == layer:
                 return gen
-            return tracer._iterate(layer, name, gen, metric)
+            metrics = [metric]
+            if tracer.callers[-1] in DELIVERED:
+                metrics.append(DELIVERED[tracer.callers[-1]])
+            return tracer._iterate(layer, name, gen, metrics)
 
         return wrapper
 
-    def _iterate(self, layer, name, gen, metric):
+    def _iterate(self, layer, name, gen, metrics):
         while True:
             try:
                 item = self.span(layer, name, next, (gen,), {})
             except StopIteration:
                 return
-            self.counts[metric] += 1
+            for metric in metrics:
+                self.counts[metric] += 1
             yield item
 
     def install(self):

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -102,16 +103,17 @@ def test_generator_is_deterministic(tmp_path):
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
-        assert (first / "inputs.json").read_bytes() != (other / "inputs.json").read_bytes()
+        assert (first / "inputs.jsonl").read_bytes() != (other / "inputs.jsonl").read_bytes()
 
 
 def test_normalization_arithmetic():
-    # slices of the nominal length leave an interval unchanged
-    assert run.reference_factor(0.016, 0.016, nominal=0.016) == 1.0
+    # slice durations are in nominal units: slices of the nominal length leave
+    # an interval unchanged
+    assert run.reference_factor(1.0, 1.0) == 1.0
     # a machine running at half speed: slices take twice as long, times count half
-    assert run.reference_factor(0.032, 0.032, nominal=0.016) == 0.5
+    assert run.reference_factor(2.0, 2.0) == 0.5
     # R_now is the mean of the two bracketing slices
-    assert run.reference_factor(0.008, 0.024, nominal=0.016) == 1.0
+    assert run.reference_factor(0.5, 1.5) == 1.0
 
     class Metronome:
         def __init__(self, slices):
@@ -143,6 +145,9 @@ def test_traced_counts_repeat_exactly(traced_runs):
         assert first["metrics"][name]["value"] == second["metrics"][name]["value"], name
     assert first["metrics"]["segre.kernel_dim"]["value"] == sum(
         oracles.segre_kernel_dim(2, 2, d) for d in inputs.KERNEL_DEGREES)
+    # one column per source monomial of each degree, in N = 9 variables
+    assert first["metrics"]["segre.kernel_columns"]["value"] == sum(
+        comb(9 + d - 1, d) for d in inputs.KERNEL_DEGREES)
 
 
 def test_printed_names_match_benchmark_json(traced_runs):

@@ -132,6 +132,23 @@ class CocycleTables:
                                             [match1, match2])
 
 
+def peak_rss_kb():
+    """The peak resident set of this process's own address space, in KiB.
+
+    ru_maxrss is not that on Linux: it keeps the peak of the address space
+    the process was forked with, the parent's, across exec.  VmHWM starts
+    afresh at exec.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 WORKLOADS = {"segre-verify": SegreVerify, "segre-kernel": SegreKernel,
              "cli-batch": CliBatch, "cocycle-tables": CocycleTables}
 
@@ -140,7 +157,10 @@ class Worker:
     def __init__(self, workload, directory, channel):
         cls = WORKLOADS[workload]
         self.runner = cls(directory) if cls is CliBatch else cls()
-        self.jobs = json.loads((directory / "inputs.json").read_text())
+        # Jobs stay JSON text until their turn, so the pool adds little to peak RSS.
+        with open(directory / "inputs.jsonl") as fh:
+            self.jobs = list(fh)
+        self.job = None
         self.channel = channel
         self.tracer = None
         self.tracing = False
@@ -152,11 +172,12 @@ class Worker:
         self.channel.flush()
 
     def step(self, job_id, i):
-        job = self.jobs[job_id % len(self.jobs)]
         if i == 0:
+            self.job = json.loads(self.jobs[job_id % len(self.jobs)])
             self.results, self.error = [], None
             if self.tracing:
                 self.tracer.begin(job_id)
+        job = self.job
         start = time.perf_counter()
         try:
             result = self.runner.step(job, i)
@@ -193,8 +214,7 @@ class Worker:
             elif request["op"] == "finish":
                 if self.tracer is not None:
                     self.tracer.write(spans_path)
-                rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                self.send({"peak_rss_mb": rss_kb / 1024})
+                self.send({"peak_rss_mb": peak_rss_kb() / 1024})
                 return
             else:
                 raise SystemExit(f"worker: unknown request {request!r}")
