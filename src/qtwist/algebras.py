@@ -324,22 +324,13 @@ class DiagonalScaling:
 
     def inverse(self):
         h = self.scale
-        return DiagonalScaling(self.target, self.source,
-                               ClosedFormInverse(h))
-
-
-class ClosedFormInverse:
-    __slots__ = ("_h",)
-
-    def __init__(self, h):
-        self._h = h
-
-    def __call__(self, u):
-        return self._h(u).inv()
+        return DiagonalScaling(self.target, self.source, lambda u: h(u).inv())
 
 
 @dataclass(frozen=True)
 class MultiplicativityReport:
+    """Outcome of an exact multiplicativity check on sampled element pairs."""
+
     passed: bool
     pairs_checked: int
     seed: int

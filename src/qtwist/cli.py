@@ -165,8 +165,11 @@ def _element_from(config, key, algebra, declared):
 
 
 def _specialization_from(config, declared, overrides):
+    spec = config.get("specialization", {})
+    if not isinstance(spec, dict):
+        raise InputError('"specialization" must be an object mapping parameter names to rationals')
     values = {}
-    for name, text in config.get("specialization", {}).items():
+    for name, text in spec.items():
         values[name] = _parse_rational(name, text)
     for name, text in overrides or []:
         values[name] = _parse_rational(name, text)
@@ -181,16 +184,25 @@ def _parse_rational(name, text):
         raise InputError(f"bad rational for parameter {name!r}: {exc}") from None
 
 
+def _config_int(config, key, default, minimum=None):
+    value = config.get(key, default)
+    try:
+        value = int(value)
+    except (TypeError, ValueError):
+        raise InputError(f'"{key}" must be an integer, got {value!r}') from None
+    if minimum is not None and value < minimum:
+        raise InputError(f'"{key}" must be >= {minimum}, got {value}')
+    return value
+
+
 def _seed(args, config):
-    return args.seed if args.seed is not None else int(config.get("seed", 0))
+    return args.seed if args.seed is not None else _config_int(config, "seed", 0)
 
 
 def _samples(args, config, default=100):
-    return args.samples if args.samples is not None else int(config.get("samples", default))
-
-
-def _matrix_json(obj):
-    return obj.to_json()
+    if args.samples is not None:
+        config = {"samples": args.samples}
+    return _config_int(config, "samples", default, minimum=0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +257,7 @@ def cmd_cocycle_antisym(args, config):
     declared = _declared_parameters(config)
     mu = _cocycle_from(config, declared)
     beta = cocycles.antisymmetrize(mu)
-    return _report("cocycle.antisym", "report", {"antisymmetrization": _matrix_json(beta)})
+    return _report("cocycle.antisym", "report", {"antisymmetrization": beta.to_json()})
 
 
 def cmd_cocycle_factorize(args, config):
@@ -257,9 +269,9 @@ def cmd_cocycle_factorize(args, config):
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return _report("cocycle.factorize", "report", {
-        "left": _matrix_json(left),
-        "right": _matrix_json(right),
-        "pairing": _matrix_json(alpha),
+        "left": left.to_json(),
+        "right": right.to_json(),
+        "pairing": alpha.to_json(),
         "factorizable": alpha.is_trivial(),
     })
 
@@ -274,7 +286,7 @@ def cmd_cocycle_reconstruct(args, config):
         mu = cocycles.yamazaki_reconstruct(left, right, alpha)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return _report("cocycle.reconstruct", "report", {"cocycle": _matrix_json(mu)})
+    return _report("cocycle.reconstruct", "report", {"cocycle": mu.to_json()})
 
 
 def cmd_cocycle_pullback(args, config):
@@ -299,7 +311,7 @@ def cmd_cocycle_pullback(args, config):
         pulled = cocycles.pullback(mu, f)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return _report("cocycle.pullback", "report", {"cocycle": _matrix_json(pulled)})
+    return _report("cocycle.pullback", "report", {"cocycle": pulled.to_json()})
 
 
 def cmd_cocycle_trivialize(args, config):
@@ -308,7 +320,7 @@ def cmd_cocycle_trivialize(args, config):
         table = _table_from(config, declared)
     else:
         mu = _cocycle_from(config, declared)
-        bound = int(config.get("degree_bound", cocycles.DEFAULT_DEGREE_BOUND))
+        bound = _config_int(config, "degree_bound", cocycles.DEFAULT_DEGREE_BOUND, minimum=0)
         table = TruncatedCocycle.truncate(mu, bound)
     try:
         if "split" in config:
@@ -373,8 +385,8 @@ def cmd_algebra_twist(args, config):
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return _report("algebra.twist", "report", {
-        "cocycle": _matrix_json(twisted.cocycle),
-        "deformation_matrix": _matrix_json(algebras.deformation_matrix(twisted)),
+        "cocycle": twisted.cocycle.to_json(),
+        "deformation_matrix": algebras.deformation_matrix(twisted).to_json(),
     })
 
 
@@ -396,7 +408,7 @@ def cmd_segre_build(args, config):
               for name, w in zip(smap.source.generator_names, f.generator_images)]
     payload = smap.to_json()
     payload.update({
-        "source_cocycle": _matrix_json(smap.source.cocycle),
+        "source_cocycle": smap.source.cocycle.to_json(),
         "source_generators": list(smap.source.generator_names),
         "target_generators": list(smap.target.generator_names),
         "images": images,
@@ -421,7 +433,7 @@ def cmd_segre_matrix(args, config):
     declared = _declared_parameters(config)
     smap = _segre_map_from(args, config, declared)
     g = segre.source_deformation_matrix(smap)
-    return _report("segre.matrix", "report", {"deformation_matrix": _matrix_json(g)})
+    return _report("segre.matrix", "report", {"deformation_matrix": g.to_json()})
 
 
 def cmd_segre_kronecker(args, config):
@@ -429,24 +441,24 @@ def cmd_segre_kronecker(args, config):
     q = _antisym_from(config, declared, "q")
     qprime = _antisym_from(config, declared, "qprime")
     return _report("segre.kronecker", "report",
-                   {"kronecker": _matrix_json(segre.kronecker(q, qprime))})
+                   {"kronecker": segre.kronecker(q, qprime).to_json()})
 
 
 def cmd_segre_kernel(args, config):
     declared = _declared_parameters(config)
     smap = _segre_map_from(args, config, declared)
-    degree = args.degree if args.degree is not None else config.get("degree")
-    if degree is None:
+    if args.degree is None and "degree" not in config:
         raise InputError("kernel probe needs --degree N (or a config degree)")
+    degree = args.degree if args.degree is not None else _config_int(config, "degree", None)
     values = _specialization_from(config, declared, args.set)
     try:
-        basis = segre.kernel_basis(smap, int(degree), values)
+        basis = segre.kernel_basis(smap, degree, values)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return _report("segre.kernel", "report", {
         "n": smap.n,
         "m": smap.m,
-        "degree": int(degree),
+        "degree": degree,
         "specialization": {name: str(v) for name, v in sorted(values.items())},
         "dimension": len(basis),
         "basis": [algebras.render_element(x) for x in basis],
@@ -527,6 +539,8 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
+        if not isinstance(config, dict):
+            raise InputError(f"config must be an object of keys, got a JSON {type(config).__name__}")
         report = args.handler(args, config)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,40 @@ def _matrix_from_json(data):
     return [[parse_unit(s) for s in row] for row in data]
 
 
+def _unit_power(pairs):
+    """prod a^e over (unit a, integer e) pairs, collected into one coefficient and exponent map."""
+    coeff = Fraction(1)
+    exps = {}
+    for a, e in pairs:
+        if not e:
+            continue
+        if a.coeff != 1:
+            coeff *= a.coeff ** e
+        for name, k in a.exps:
+            exps[name] = exps.get(name, 0) + k * e
+    return UnitScalar(coeff, exps)
+
+
+def _bilinear_unit(matrix, u, v):
+    """The bilinear form prod_{i,j} M_ij^(u_i v_j)."""
+    right = [(j, vj) for j, vj in enumerate(v.entries) if vj]
+    return _unit_power((row[j], ui * vj)
+                       for row, ui in zip(matrix, u.entries) if ui for j, vj in right)
+
+
+def _quadratic_unit(matrix, u, linear=()):
+    """prod_k M_kk^C(u_k, 2) * prod_{k<l} M_kl^(u_k u_l) * prod_k linear_k^(u_k).
+
+    The quadratic part is the coefficient picked up by collecting the ordered
+    product prod_k w_k^(u_k) into one basis monomial, where M_kl = mu(w_k, w_l).
+    """
+    sup = [(k, uk) for k, uk in enumerate(u.entries) if uk]
+    pairs = [(matrix[k][l], uk * (uk - 1) // 2 if k == l else uk * ul)
+             for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:]]
+    pairs.extend(zip(linear, u.entries))
+    return _unit_power(pairs)
+
+
 class BimultiplicativeCocycle:
     """Total cocycle on N^rank determined by a square unit matrix."""
 
@@ -96,19 +130,7 @@ class BimultiplicativeCocycle:
         """mu(u, v) = prod A[i][j]^(u_i v_j); exact."""
         if u.rank != self.rank or v.rank != self.rank:
             raise ValueError(f"rank mismatch: cocycle has rank {self.rank}, got {u.rank}, {v.rank}")
-        coeff = Fraction(1)
-        exps = {}
-        for i in u.support():
-            ui = u[i]
-            row = self.matrix[i]
-            for j in v.support():
-                a = row[j]
-                e = ui * v[j]
-                if a.coeff != 1:
-                    coeff *= a.coeff ** e
-                for name, k in a.exps:
-                    exps[name] = exps.get(name, 0) + k * e
-        return UnitScalar(coeff, exps)
+        return _bilinear_unit(self.matrix, u, v)
 
     def __mul__(self, other):
         if not isinstance(other, BimultiplicativeCocycle):
@@ -221,11 +243,7 @@ class Pairing:
         """alpha(u, v) = prod alpha[i][j]^(u_i v_j) for u in N^a, v in N^b."""
         if u.rank != self.left_rank or v.rank != self.right_rank:
             raise ValueError("rank mismatch in pairing evaluation")
-        value = UnitScalar.one()
-        for i in u.support():
-            for j in v.support():
-                value = value * self.matrix[i][j] ** (u[i] * v[j])
-        return value
+        return _bilinear_unit(self.matrix, u, v)
 
     def is_trivial(self):
         return all(a.is_one() for row in self.matrix for a in row)
@@ -600,14 +618,6 @@ def symmetric_trivializer(c):
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
     def h(u):
-        value = UnitScalar.one()
-        sup = u.support()
-        for pos, i in enumerate(sup):
-            ui = u[i]
-            if ui >= 2:
-                value = value * matrix[i][i] ** (-(ui * (ui - 1) // 2))
-            for j in sup[pos + 1:]:
-                value = value * matrix[i][j] ** (-(ui * u[j]))
-        return value
+        return _quadratic_unit(matrix, u).inv()
 
     return ClosedFormFunction(n, h)

@@ -13,10 +13,11 @@ product of two quantum projective spaces.  When the ambient cocycle
 factorizes, the source deformation matrix is the Kronecker product of the two
 factor matrices.
 
-The kernel probe is a degree-bounded brute force: it specializes all
-parameters to nonzero rationals, assembles the exact rational matrix of the
-map on degree-d monomials, and returns a nullspace basis (exact Gaussian
-elimination over Q).
+The map sends every basis monomial to a unit times one basis monomial, so
+its degree-d kernel splits over the fibers of the grading morphism: each
+fiber contributes the binomials e_u - (c_u / c_u0) e_u0 against its first
+monomial u0.  The kernel probe specializes the parameters to nonzero
+rationals and returns these binomials, with no linear algebra.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from fractions import Fraction
 
 from .algebras import (
     AlgebraElement,
+    MultiplicativityReport,
     TwistedMonoidAlgebra,
     random_element,
     render_element,
@@ -34,48 +36,19 @@ from .algebras import (
 from .cocycles import (
     AntisymmetricMatrix,
     BimultiplicativeCocycle,
+    _quadratic_unit,
     antisymmetrize,
     pullback,
 )
 from .monoids import ExponentVector, ProductSplit, segre_morphism, vectors_of_degree
-from .scalars import LaurentPolynomial, UnitScalar
-
-
-def _collect_unit(pair_value, u):
-    """Coefficient of the ordered product prod_k w_k^{u_k} in a twisted algebra.
-
-    Collecting the ordered sequence left to right picks up mu(w_k, w_k) once per
-    unordered pair inside a block and mu(w_k, w_l) once per cross pair k < l:
-
-        prod_k mu(w_k, w_k)^C(u_k, 2) * prod_{k<l} mu(w_k, w_l)^(u_k u_l)
-    """
-    coeff = Fraction(1)
-    exps = {}
-    sup = u.support()
-    for pos, k in enumerate(sup):
-        uk = u[k]
-        if uk >= 2:
-            a = pair_value(k, k)
-            e = uk * (uk - 1) // 2
-            if a.coeff != 1:
-                coeff *= a.coeff ** e
-            for name, x in a.exps:
-                exps[name] = exps.get(name, 0) + x * e
-        for l in sup[pos + 1:]:
-            a = pair_value(k, l)
-            e = uk * u[l]
-            if a.coeff != 1:
-                coeff *= a.coeff ** e
-            for name, x in a.exps:
-                exps[name] = exps.get(name, 0) + x * e
-    return UnitScalar(coeff, exps)
+from .scalars import LaurentPolynomial
 
 
 class GradedHomomorphism:
     """Algebra map given by generator images, compatible with a monoid morphism."""
 
     __slots__ = ("source", "target", "monoid_morphism", "generator_images",
-                 "_image_units", "_image_degrees", "_pair_table", "_cache")
+                 "_image_units", "_ratio", "_cache")
 
     def __init__(self, source, target, monoid_morphism, generator_images):
         f = monoid_morphism
@@ -105,10 +78,10 @@ class GradedHomomorphism:
         self.monoid_morphism = f
         self.generator_images = images
         self._image_units = tuple(units)
-        self._image_degrees = tuple(degrees)
-        # pairwise cocycle values of the image degrees, computed once
-        self._pair_table = tuple(
-            tuple(target.cocycle.evaluate(dk, dl) for dl in degrees) for dk in degrees)
+        # cocycle values of the image degrees over the source cocycle, entrywise
+        self._ratio = tuple(
+            tuple(target.cocycle.evaluate(dk, dl) / a for dl, a in zip(degrees, row))
+            for dk, row in zip(degrees, source.cocycle.matrix))
         self._cache = {}
 
     def image_of_basis(self, u):
@@ -116,16 +89,7 @@ class GradedHomomorphism:
         got = self._cache.get(u)
         if got is not None:
             return got
-        source_matrix = self.source.cocycle.matrix
-        pair_table = self._pair_table
-        c_src = _collect_unit(lambda k, l: source_matrix[k][l], u)
-        c_img = _collect_unit(lambda k, l: pair_table[k][l], u)
-        for k in u.support():
-            uk = u[k]
-            unit_k = self._image_units[k]
-            if not unit_k.is_one():
-                c_img = c_img * unit_k ** uk
-        value = (c_img / c_src, self.monoid_morphism(u))
+        value = (_quadratic_unit(self._ratio, u, self._image_units), self.monoid_morphism(u))
         self._cache[u] = value
         return value
 
@@ -146,17 +110,7 @@ class GradedHomomorphism:
         return self.apply(x)
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
-    """Outcome of an exact multiplicativity check on sampled element pairs."""
-
-    passed: bool
-    pairs_checked: int
-    seed: int
-    counterexample: tuple | None = None
-
-    def __bool__(self):
-        return self.passed
+HomomorphismReport = MultiplicativityReport
 
 
 def verify_homomorphism(phi, samples=100, seed=0):
@@ -267,56 +221,17 @@ def kronecker(q, qprime):
     return AntisymmetricMatrix(rows)
 
 
-def _rational_nullspace(matrix, ncols):
-    """Nullspace basis of an exact rational matrix (rows of length ncols).
-
-    Full reduced row echelon form; one basis vector per free column, with a 1
-    in the free position.  Deterministic.
-    """
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        scale = m[r][c]
-        if scale != 1:
-            m[r] = [x / scale for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for c in range(ncols):
-        if c in pivot_of_col:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for p, row in pivot_of_col.items():
-            vec[p] = -m[row][c]
-        basis.append(vec)
-    return basis
-
-
 def kernel_basis(segre_map, degree, specialization):
     """Exact degree-d kernel of the map after specializing all parameters to Q.
 
-    Enumerates the source basis monomials of total degree `degree`, maps each
-    through the homomorphism, specializes the unit coefficients, and returns a
-    nullspace basis of the resulting rational matrix lifted back to source
-    elements.  Every returned element is verified to map to zero exactly at
-    the given specialization.
+    The map sends each source monomial e_u to a unit c_u times the single
+    target monomial of degree f(u), so the kernel is the direct sum over the
+    fibers of f.  Enumerating the degree-d monomials in order, the first
+    monomial u0 of each fiber is kept and every later u in it contributes the
+    binomial e_u - (c_u / c_u0) e_u0, with the units specialized.  This is the
+    reduced-row-echelon nullspace basis of the map's matrix in that column
+    order.  Every returned element is verified to map to zero exactly at the
+    given specialization.
     """
     if degree < 1:
         raise ValueError("kernel degree must be >= 1")
@@ -332,25 +247,18 @@ def kernel_basis(segre_map, degree, specialization):
     if missing:
         raise ValueError(f"no value assigned to parameters: {', '.join(missing)}")
 
-    columns = list(vectors_of_degree(phi.source.rank, degree))
-    images = []
-    row_index = {}
-    for u in columns:
-        c, w = phi.image_of_basis(u)
-        images.append((c.specialize(assignment), w))
-        if w not in row_index:
-            row_index[w] = len(row_index)
-    matrix = [[Fraction(0)] * len(columns) for _ in range(len(row_index))]
-    for col, (value, w) in enumerate(images):
-        matrix[row_index[w]][col] = value
-
+    first = {}
     basis = []
-    for vec in _rational_nullspace(matrix, len(columns)):
-        terms = {u: LaurentPolynomial.from_rational(c)
-                 for u, c in zip(columns, vec) if c != 0}
-        element = AlgebraElement(phi.source, terms)
-        image = phi(element)
-        for p in image.terms.values():
+    for u in vectors_of_degree(phi.source.rank, degree):
+        c, w = phi.image_of_basis(u)
+        c = c.specialize(assignment)
+        if w not in first:
+            first[w] = (u, c)
+            continue
+        u0, c0 = first[w]
+        element = AlgebraElement(phi.source, {u0: LaurentPolynomial.from_rational(-c / c0),
+                                              u: LaurentPolynomial.one()})
+        for p in phi(element).terms.values():
             if p.specialize(assignment) != 0:
                 raise AssertionError(f"kernel element {render_element(element)} does not map to zero")
         basis.append(element)

@@ -133,6 +133,39 @@ def test_kernel_zero_specialization_is_input_error():
     assert code == 2
 
 
+def _config_with(name, **changes):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg.update(changes)
+    return cfg
+
+
+# (argv tail, config, text the error message must contain)
+BAD_INPUTS = [
+    (["cocycle", "check"], [], "object"),
+    (["cocycle", "check"], _config_with("cocycle_check", seed="abc"), '"seed"'),
+    (["cocycle", "trivialize"], {"parameters": [], "cocycle": [["2"]], "degree_bound": "x"},
+     '"degree_bound"'),
+    (["cocycle", "trivialize"], {"parameters": [], "cocycle": [["2"]], "degree_bound": -1},
+     '"degree_bound"'),
+    (["segre", "kernel", "--degree", "2"], _config_with("segre_kernel", specialization=[1]),
+     '"specialization"'),
+    (["cocycle", "check"], _config_with("cocycle_check", samples=-5), '"samples"'),
+    (["cocycle", "check", "--samples", "-5"], _config_with("cocycle_check"), '"samples"'),
+]
+
+
+@pytest.mark.parametrize("tail,config,message", BAD_INPUTS,
+                         ids=["list-config", "seed", "degree-bound", "negative-degree-bound",
+                              "specialization",
+                              "samples-key", "samples-flag"])
+def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, output = run_cli(tail + ["--config", str(path), "--json"])
+    assert (code, output) == (2, "")
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["cocycle", "frobnicate"])

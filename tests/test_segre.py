@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from qtwist import (
     BimultiplicativeCocycle,
     ExponentVector,
     GradedHomomorphism,
+    LaurentPolynomial,
     MonoidMorphism,
     Pairing,
     TwistedMonoidAlgebra,
@@ -20,6 +22,7 @@ from qtwist import (
     random_element,
     segre_morphism,
     source_deformation_matrix,
+    vectors_of_degree,
     verify_homomorphism,
     yamazaki_reconstruct,
 )
@@ -287,6 +290,34 @@ def test_kernel_quantum_dimension_matches_classical_grid():
     params = sorted(s.ambient_cocycle.parameters())
     values = {name: rand_nonzero_rational(rng) for name in params}
     assert len(kernel_basis(s, 2, values)) == minors_count(2, 2)
+
+
+@pytest.mark.parametrize("n,m,seed", [(1, 2, 114), (2, 2, 115)])
+def test_degree3_kernel_is_fiberwise_binomials(n, m, seed):
+    # degree 3 gives fibers of up to 6 monomials; each later monomial u of a
+    # fiber pairs with the fiber's first monomial u0 as e_u - r e_u0
+    rng = random.Random(seed)
+    s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+    values = {name: rand_nonzero_rational(rng) for name in sorted(s.ambient_cocycle.parameters())}
+    phi = s.homomorphism
+    first, expected = {}, []
+    for u in vectors_of_degree(s.source.rank, 3):
+        u0 = first.setdefault(s.morphism(u), u)
+        if u0 != u:
+            expected.append((u0, u))
+    assert max(Counter(u0 for u0, _ in expected).values()) > 1
+    basis = kernel_basis(s, 3, values)
+    big = (n + 1) * (m + 1)
+    assert len(basis) == math.comb(big + 2, 3) - math.comb(n + 3, 3) * math.comb(m + 3, 3)
+    assert len(basis) == len(expected)
+    for element, (u0, u) in zip(basis, expected):
+        assert set(element.terms) == {u0, u}
+        assert element.coefficient(u) == LaurentPolynomial.one()
+        (key, minus_r), = element.coefficient(u0).terms.items()
+        assert key == () and minus_r != 0
+        image_u = phi(s.source.basis_element(u)).coefficient(s.morphism(u)).specialize(values)
+        image_u0 = phi(s.source.basis_element(u0)).coefficient(s.morphism(u)).specialize(values)
+        assert -minus_r == image_u / image_u0
 
 
 def test_segre_map_json_roundtrip():
