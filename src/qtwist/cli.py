@@ -12,10 +12,12 @@ carries the counterexample), 2 for input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import algebras, cocycles, segre
 from .cocycles import (
@@ -33,7 +35,7 @@ class InputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config parsing: one parser per key, run in table order before the handler
 # ---------------------------------------------------------------------------
 
 
@@ -60,11 +62,11 @@ def _load_config(path):
         raise InputError(f"malformed JSON config: {exc}") from None
 
 
-def _declared_parameters(config):
-    names = config.get("parameters", [])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise InputError('"parameters" must be a list of names')
-    return set(names)
+class _Config(dict):
+    """Parsed config keys; reading an absent key is the missing-key input error."""
+
+    def __missing__(self, key):
+        raise InputError(f'config is missing required key "{key}"')
 
 
 def _check_declared(used, declared, context):
@@ -73,140 +75,159 @@ def _check_declared(used, declared, context):
         raise InputError(f"undeclared parameters in {context}: {', '.join(undeclared)}")
 
 
-def _require(config, key):
-    if key not in config:
-        raise InputError(f'config is missing required key "{key}"')
-    return config[key]
-
-
-def _parse_unit_matrix(data, context):
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise InputError(f"{context} must be a 2-D array of unit literals")
-    for row in data:
-        for entry in row:
-            if not isinstance(entry, str):
-                raise InputError(f"{context} entries must be unit literal strings, got {entry!r}")
+@contextlib.contextmanager
+def _rejected_as(context, errors=(ValueError,)):
+    """Turn the library's rejection of an input into an InputError naming `context`."""
     try:
-        return [[parse_unit(entry) for entry in row] for row in data]
-    except ValueError as exc:
-        raise InputError(f"bad unit literal in {context}: {exc}") from None
+        yield
+    except errors as exc:
+        raise InputError(f"bad {context}: {exc}") from None
 
 
-def _cocycle_from(config, declared, key="cocycle"):
-    mat = _parse_unit_matrix(_require(config, key), f'"{key}"')
-    try:
-        mu = BimultiplicativeCocycle(mat)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f'bad "{key}" matrix: {exc}') from None
-    _check_declared(mu.parameters(), declared, f'"{key}"')
-    return mu
-
-
-def _antisym_from(config, declared, key):
-    mat = _parse_unit_matrix(_require(config, key), f'"{key}"')
-    try:
-        q = AntisymmetricMatrix(mat)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f'bad "{key}" matrix: {exc}') from None
-    used = {name for row in q.matrix for a in row for name in a.parameters()}
-    _check_declared(used, declared, f'"{key}"')
-    return q
-
-
-def _split_from(config):
-    data = _require(config, "split")
-    if (not isinstance(data, list) or len(data) != 2
-            or not all(isinstance(x, int) for x in data)):
-        raise InputError('"split" must be a pair of positive integers [a, b]')
-    try:
-        return ProductSplit(data[0], data[1])
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _table_from(config, declared):
-    data = _require(config, "table")
-    rank = _require(config, "rank")
-    bound = _require(config, "degree_bound")
-    try:
-        table = TruncatedCocycle.from_json(rank, bound, data)
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise InputError(f'bad "table": {exc}') from None
-    used = set()
-    for value in table.table.values():
-        used |= value.parameters()
-    _check_declared(used, declared, '"table"')
-    return table
-
-
-def _algebra_from(config, declared):
-    data = _require(config, "algebra")
-    if not isinstance(data, dict):
-        raise InputError('"algebra" must be an object')
-    if "cocycle" in data:
-        mu = _cocycle_from(data, declared)
-    elif "antisym" in data:
-        mu = cocycles.canonical_from_antisym(_antisym_from(data, declared, "antisym"))
-    else:
-        raise InputError('"algebra" needs a "cocycle" or "antisym" matrix')
-    names = data.get("generators")
-    try:
-        return algebras.TwistedMonoidAlgebra(mu, names)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _element_from(config, key, algebra, declared):
-    text = _require(config, key)
-    try:
-        return algebras.parse_element(algebra, text, parameters=declared)
-    except ValueError as exc:
-        raise InputError(f'bad element "{key}": {exc}') from None
-
-
-def _specialization_from(config, declared, overrides):
-    spec = config.get("specialization", {})
-    if not isinstance(spec, dict):
-        raise InputError('"specialization" must be an object mapping parameter names to rationals')
-    values = {}
-    for name, text in spec.items():
-        values[name] = _parse_rational(name, text)
-    for name, text in overrides or []:
-        values[name] = _parse_rational(name, text)
-    _check_declared(set(values), declared, "specialization")
-    return values
-
-
-def _parse_rational(name, text):
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational for parameter {name!r}: {exc}") from None
-
-
-def _config_int(config, key, default, minimum=None):
-    value = config.get(key, default)
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise InputError(f'"{key}" must be an integer, got {value!r}') from None
+def _int(key, value, parsed=None, minimum=None):
+    # bool is a subclass of int, and a float would be truncated: neither is a JSON integer
+    if type(value) is not int:
+        raise InputError(f'"{key}" must be an integer, got {value!r}')
     if minimum is not None and value < minimum:
         raise InputError(f'"{key}" must be >= {minimum}, got {value}')
     return value
 
 
-def _seed(args, config):
-    return args.seed if args.seed is not None else _config_int(config, "seed", 0)
+def _int_pair(key, value):
+    if not isinstance(value, list) or len(value) != 2:
+        raise InputError(f'"{key}" must be a pair of positive integers, got {value!r}')
+    return [_int(key, x, minimum=1) for x in value]
 
 
-def _samples(args, config, default=100):
-    if args.samples is not None:
-        config = {"samples": args.samples}
-    return _config_int(config, "samples", default, minimum=0)
+def _names(key, value):
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise InputError(f'"{key}" must be a list of names')
+    return value
+
+
+def _unit_matrix(cls):
+    """Parser of a nonempty 2-D array of unit literals into `cls`, over declared parameters."""
+
+    def parse(key, value, parsed):
+        if not isinstance(value, list) or not value or not all(
+                isinstance(row, list) and row and all(isinstance(e, str) for e in row)
+                for row in value):
+            raise InputError(f'"{key}" must be a nonempty 2-D array of unit literal strings')
+        with _rejected_as(f'"{key}" matrix', (ValueError, TypeError)):
+            rows = [[parse_unit(entry) for entry in row] for row in value]
+            matrix = cls(rows)
+        _check_declared({name for row in rows for a in row for name in a.parameters()},
+                        parsed["parameters"], f'"{key}"')
+        return matrix
+
+    return parse
+
+
+_cocycle = _unit_matrix(BimultiplicativeCocycle)
+_antisym = _unit_matrix(AntisymmetricMatrix)
+
+
+def _table(key, value, parsed):
+    with _rejected_as(f'"{key}"', (ValueError, TypeError, KeyError, AttributeError)):
+        table = TruncatedCocycle.from_json(parsed["rank"], parsed["degree_bound"], value)
+    _check_declared({name for entry in table.table.values() for name in entry.parameters()},
+                    parsed["parameters"], f'"{key}"')
+    return table
+
+
+def _split(key, value, parsed):
+    split = ProductSplit(*_int_pair(key, value))
+    rank = parsed["table"].rank if "table" in parsed else parsed["cocycle"].rank
+    if split.rank != rank:
+        raise InputError(f'"{key}" rank {split.rank} does not match cocycle rank {rank}')
+    return split
+
+
+def _morphism(key, value, parsed):
+    with _rejected_as(f'"{key}"', (ValueError, TypeError)):
+        images = [ExponentVector(_int(key, e, minimum=0) for e in w) for w in value]
+        return MonoidMorphism(len(images), parsed["cocycle"].rank, images)
+
+
+def _algebra(key, value, parsed):
+    if not isinstance(value, dict):
+        raise InputError(f'"{key}" must be an object')
+    if "cocycle" in value:
+        mu = _cocycle("cocycle", value["cocycle"], parsed)
+    elif "antisym" in value:
+        mu = cocycles.canonical_from_antisym(_antisym("antisym", value["antisym"], parsed))
+    else:
+        raise InputError(f'"{key}" needs a "cocycle" or "antisym" matrix')
+    names = value.get("generators")
+    if names is not None:
+        _names("generators", names)
+    with _rejected_as('"generators"'):
+        return algebras.TwistedMonoidAlgebra(mu, names)
+
+
+def _element(key, value, parsed):
+    if not isinstance(value, str):
+        raise InputError(f'"{key}" must be an element literal string, got {value!r}')
+    with _rejected_as(f'element "{key}"'):
+        return algebras.parse_element(parsed["algebra"], value, parameters=parsed["parameters"])
+
+
+def _specialization(key, value, parsed):
+    if not isinstance(value, dict):
+        raise InputError(f'"{key}" must be an object mapping parameter names to rationals')
+    with _rejected_as(f'rational in "{key}"', (ValueError, ZeroDivisionError)):
+        values = {name: Fraction(str(text)) for name, text in value.items()}
+    _check_declared(set(values), parsed["parameters"], f'"{key}"')
+    return values
+
+
+#: Every config key and its parser ``(key, value, parsed) -> object``.  Keys
+#: are parsed in this order, so a parser may read the keys above it.
+_KEYS = {
+    "parameters": lambda key, value, parsed: frozenset(_names(key, value)),
+    "n": partial(_int, minimum=1),
+    "m": partial(_int, minimum=1),
+    "rank": partial(_int, minimum=1),
+    "degree_bound": partial(_int, minimum=0),
+    "degree": partial(_int, minimum=1),
+    "samples": partial(_int, minimum=0),
+    "seed": _int,
+    "cocycle": _cocycle,
+    "left": _cocycle,
+    "right": _cocycle,
+    "twist": _cocycle,
+    "pairing": _unit_matrix(Pairing),
+    "q": _antisym,
+    "qprime": _antisym,
+    "table": _table,
+    "split": _split,
+    "segre": lambda key, value, parsed: segre_morphism(*_int_pair(key, value)),
+    "morphism": _morphism,
+    "algebra": _algebra,
+    "x": _element,
+    "y": _element,
+    "specialization": _specialization,
+}
+
+
+def _parse_config(config, args):
+    """Parse the keys the subcommand reads; a given flag replaces its key, each --set one entry."""
+    flags = {key: value for key, value in vars(args).items() if key in _FLAGS and value is not None}
+    if "specialization" in flags and isinstance(config.get("specialization", {}), dict):
+        flags["specialization"] = {**config.get("specialization", {}), **dict(flags["specialization"])}
+    config.update(flags)
+    unknown = sorted(set(config) - set(args.keys))
+    if unknown:
+        raise InputError(f'unknown config key "{unknown[0]}" for this subcommand')
+    parsed = _Config(parameters=frozenset())
+    for key, parse in _KEYS.items():
+        if key in config:
+            parsed[key] = parse(key, config[key], parsed)
+    return parsed
 
 
 # ---------------------------------------------------------------------------
-# Handlers (each returns the report dict; "fail" status maps to exit code 1)
+# Handlers (each takes the parsed config; a "fail" report maps to exit code 1)
 # ---------------------------------------------------------------------------
 
 
@@ -221,10 +242,9 @@ def _random_dense_vector(rng, rank, max_entry=5):
     return ExponentVector([rng.randint(0, max_entry) for _ in range(rank)])
 
 
-def cmd_cocycle_check(args, config):
-    declared = _declared_parameters(config)
+def cmd_cocycle_check(config):
     if "table" in config:
-        table = _table_from(config, declared)
+        table = config["table"]
         check = cocycles.verify_cocycle_equation(table)
         payload = {"rank": table.rank, "degree_bound": table.degree_bound, "exhaustive": True}
         if check:
@@ -236,9 +256,9 @@ def cmd_cocycle_check(args, config):
             x, y, z = check.counterexample
             detail = {"triple": [x.to_json(), y.to_json(), z.to_json()]}
         return _report("cocycle.check", "fail", payload, detail)
-    mu = _cocycle_from(config, declared)
-    rng = random.Random(_seed(args, config))
-    samples = _samples(args, config)
+    mu = config["cocycle"]
+    rng = random.Random(config.get("seed", 0))
+    samples = config.get("samples", 100)
     for _ in range(samples):
         x = _random_dense_vector(rng, mu.rank)
         y = _random_dense_vector(rng, mu.rank)
@@ -253,21 +273,13 @@ def cmd_cocycle_check(args, config):
                    {"rank": mu.rank, "samples": samples, "exhaustive": False})
 
 
-def cmd_cocycle_antisym(args, config):
-    declared = _declared_parameters(config)
-    mu = _cocycle_from(config, declared)
-    beta = cocycles.antisymmetrize(mu)
+def cmd_cocycle_antisym(config):
+    beta = cocycles.antisymmetrize(config["cocycle"])
     return _report("cocycle.antisym", "report", {"antisymmetrization": beta.to_json()})
 
 
-def cmd_cocycle_factorize(args, config):
-    declared = _declared_parameters(config)
-    mu = _cocycle_from(config, declared)
-    split = _split_from(config)
-    try:
-        left, right, alpha = cocycles.yamazaki_factorize(mu, split)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def cmd_cocycle_factorize(config):
+    left, right, alpha = cocycles.yamazaki_factorize(config["cocycle"], config["split"])
     return _report("cocycle.factorize", "report", {
         "left": left.to_json(),
         "right": right.to_json(),
@@ -276,55 +288,28 @@ def cmd_cocycle_factorize(args, config):
     })
 
 
-def cmd_cocycle_reconstruct(args, config):
-    declared = _declared_parameters(config)
-    left = _cocycle_from(config, declared, "left")
-    right = _cocycle_from(config, declared, "right")
-    pairing_mat = _parse_unit_matrix(_require(config, "pairing"), '"pairing"')
-    try:
-        alpha = Pairing(pairing_mat)
-        mu = cocycles.yamazaki_reconstruct(left, right, alpha)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def cmd_cocycle_reconstruct(config):
+    with _rejected_as('"pairing"'):
+        mu = cocycles.yamazaki_reconstruct(config["left"], config["right"], config["pairing"])
     return _report("cocycle.reconstruct", "report", {"cocycle": mu.to_json()})
 
 
-def cmd_cocycle_pullback(args, config):
-    declared = _declared_parameters(config)
-    mu = _cocycle_from(config, declared)
-    if "segre" in config:
-        nm = config["segre"]
-        if not (isinstance(nm, list) and len(nm) == 2):
-            raise InputError('"segre" must be [n, m]')
-        try:
-            f = segre_morphism(nm[0], nm[1])
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    else:
-        data = _require(config, "morphism")
-        try:
-            images = [ExponentVector(row) for row in data]
-            f = MonoidMorphism(len(images), mu.rank, images)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f'bad "morphism": {exc}') from None
-    try:
-        pulled = cocycles.pullback(mu, f)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def cmd_cocycle_pullback(config):
+    f = config["segre"] if "segre" in config else config["morphism"]
+    with _rejected_as('"cocycle"'):
+        pulled = cocycles.pullback(config["cocycle"], f)
     return _report("cocycle.pullback", "report", {"cocycle": pulled.to_json()})
 
 
-def cmd_cocycle_trivialize(args, config):
-    declared = _declared_parameters(config)
+def cmd_cocycle_trivialize(config):
     if "table" in config:
-        table = _table_from(config, declared)
+        table = config["table"]
     else:
-        mu = _cocycle_from(config, declared)
-        bound = _config_int(config, "degree_bound", cocycles.DEFAULT_DEGREE_BOUND, minimum=0)
-        table = TruncatedCocycle.truncate(mu, bound)
+        bound = config.get("degree_bound", cocycles.DEFAULT_DEGREE_BOUND)
+        table = TruncatedCocycle.truncate(config["cocycle"], bound)
     try:
         if "split" in config:
-            h = cocycles.yamazaki_trivialize(table, _split_from(config))
+            h = cocycles.yamazaki_trivialize(table, config["split"])
         elif table.rank == 1:
             h = cocycles.trivialize_rank1(table)
         else:
@@ -343,21 +328,16 @@ def cmd_cocycle_trivialize(args, config):
     })
 
 
-def cmd_algebra_mul(args, config):
-    declared = _declared_parameters(config)
-    algebra = _algebra_from(config, declared)
-    x = _element_from(config, "x", algebra, declared)
-    y = _element_from(config, "y", algebra, declared)
-    product = x * y
+def cmd_algebra_mul(config):
+    product = config["x"] * config["y"]
     return _report("algebra.mul", "report", {
         "product": algebras.render_element(product),
         "terms": product.to_json(),
     })
 
 
-def cmd_algebra_relations(args, config):
-    declared = _declared_parameters(config)
-    algebra = _algebra_from(config, declared)
+def cmd_algebra_relations(config):
+    algebra = config["algebra"]
     beta = algebras.deformation_matrix(algebra)
     names = algebra.generator_names
     relations = []
@@ -376,33 +356,22 @@ def cmd_algebra_relations(args, config):
     })
 
 
-def cmd_algebra_twist(args, config):
-    declared = _declared_parameters(config)
-    algebra = _algebra_from(config, declared)
-    nu = _cocycle_from(config, declared, "twist")
-    try:
-        twisted = algebras.twist_by(algebra, nu)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def cmd_algebra_twist(config):
+    with _rejected_as('"twist"'):
+        twisted = algebras.twist_by(config["algebra"], config["twist"])
     return _report("algebra.twist", "report", {
         "cocycle": twisted.cocycle.to_json(),
         "deformation_matrix": algebras.deformation_matrix(twisted).to_json(),
     })
 
 
-def _segre_map_from(args, config, declared):
-    n = _require(config, "n")
-    m = _require(config, "m")
-    mu = _cocycle_from(config, declared)
-    try:
-        return segre.build_quantum_segre(n, m, mu)
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from None
+def _segre_map_from(config):
+    with _rejected_as('"cocycle"'):
+        return segre.build_quantum_segre(config["n"], config["m"], config["cocycle"])
 
 
-def cmd_segre_build(args, config):
-    declared = _declared_parameters(config)
-    smap = _segre_map_from(args, config, declared)
+def cmd_segre_build(config):
+    smap = _segre_map_from(config)
     f = smap.morphism
     images = [{"generator": name, "degree": w.to_json()}
               for name, w in zip(smap.source.generator_names, f.generator_images)]
@@ -416,12 +385,11 @@ def cmd_segre_build(args, config):
     return _report("segre.build", "report", payload)
 
 
-def cmd_segre_verify(args, config):
-    declared = _declared_parameters(config)
-    smap = _segre_map_from(args, config, declared)
+def cmd_segre_verify(config):
+    smap = _segre_map_from(config)
     report = segre.verify_homomorphism(smap.homomorphism,
-                                       samples=_samples(args, config),
-                                       seed=_seed(args, config))
+                                       samples=config.get("samples", 100),
+                                       seed=config.get("seed", 0))
     payload = {"n": smap.n, "m": smap.m, "pass": report.passed,
                "pairs_checked": report.pairs_checked, "seed": report.seed}
     if report.passed:
@@ -429,36 +397,25 @@ def cmd_segre_verify(args, config):
     return _report("segre.verify", "fail", payload, {"pair": list(report.counterexample)})
 
 
-def cmd_segre_matrix(args, config):
-    declared = _declared_parameters(config)
-    smap = _segre_map_from(args, config, declared)
-    g = segre.source_deformation_matrix(smap)
+def cmd_segre_matrix(config):
+    g = segre.source_deformation_matrix(_segre_map_from(config))
     return _report("segre.matrix", "report", {"deformation_matrix": g.to_json()})
 
 
-def cmd_segre_kronecker(args, config):
-    declared = _declared_parameters(config)
-    q = _antisym_from(config, declared, "q")
-    qprime = _antisym_from(config, declared, "qprime")
+def cmd_segre_kronecker(config):
     return _report("segre.kronecker", "report",
-                   {"kronecker": segre.kronecker(q, qprime).to_json()})
+                   {"kronecker": segre.kronecker(config["q"], config["qprime"]).to_json()})
 
 
-def cmd_segre_kernel(args, config):
-    declared = _declared_parameters(config)
-    smap = _segre_map_from(args, config, declared)
-    if args.degree is None and "degree" not in config:
-        raise InputError("kernel probe needs --degree N (or a config degree)")
-    degree = args.degree if args.degree is not None else _config_int(config, "degree", None)
-    values = _specialization_from(config, declared, args.set)
-    try:
-        basis = segre.kernel_basis(smap, degree, values)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def cmd_segre_kernel(config):
+    smap = _segre_map_from(config)
+    values = config.get("specialization", {})
+    with _rejected_as('"specialization"'):
+        basis = segre.kernel_basis(smap, config["degree"], values)
     return _report("segre.kernel", "report", {
         "n": smap.n,
         "m": smap.m,
-        "degree": degree,
+        "degree": config["degree"],
         "specialization": {name: str(v) for name, v in sorted(values.items())},
         "dimension": len(basis),
         "basis": [algebras.render_element(x) for x in basis],
@@ -469,27 +426,46 @@ def cmd_segre_kernel(args, config):
 # Argument parsing and output
 # ---------------------------------------------------------------------------
 
+#: group -> subcommand -> (handler, config keys it reads besides "parameters").  Those
+#: keys that are in _FLAGS can also be given as flags; no other flag is registered.
 _COMMANDS = {
     "cocycle": {
-        "check": cmd_cocycle_check,
-        "antisym": cmd_cocycle_antisym,
-        "factorize": cmd_cocycle_factorize,
-        "reconstruct": cmd_cocycle_reconstruct,
-        "pullback": cmd_cocycle_pullback,
-        "trivialize": cmd_cocycle_trivialize,
+        "check": (cmd_cocycle_check, "cocycle rank degree_bound table samples seed"),
+        "antisym": (cmd_cocycle_antisym, "cocycle"),
+        "factorize": (cmd_cocycle_factorize, "cocycle split"),
+        "reconstruct": (cmd_cocycle_reconstruct, "left right pairing"),
+        "pullback": (cmd_cocycle_pullback, "cocycle segre morphism"),
+        "trivialize": (cmd_cocycle_trivialize, "cocycle rank degree_bound table split"),
     },
     "algebra": {
-        "mul": cmd_algebra_mul,
-        "relations": cmd_algebra_relations,
-        "twist": cmd_algebra_twist,
+        "mul": (cmd_algebra_mul, "algebra x y"),
+        "relations": (cmd_algebra_relations, "algebra"),
+        "twist": (cmd_algebra_twist, "algebra twist"),
     },
     "segre": {
-        "build": cmd_segre_build,
-        "verify": cmd_segre_verify,
-        "matrix": cmd_segre_matrix,
-        "kronecker": cmd_segre_kronecker,
-        "kernel": cmd_segre_kernel,
+        "build": (cmd_segre_build, "n m cocycle"),
+        "verify": (cmd_segre_verify, "n m cocycle samples seed"),
+        "matrix": (cmd_segre_matrix, "n m cocycle"),
+        "kronecker": (cmd_segre_kronecker, "q qprime"),
+        "kernel": (cmd_segre_kernel, "n m cocycle degree specialization"),
     },
+}
+
+
+def _assignment(text):
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=RATIONAL, got {text!r}")
+    return (name.strip(), value.strip())
+
+
+#: config key -> (flag, argparse options) for the keys that can also be set on the command line
+_FLAGS = {
+    "seed": ("--seed", {"type": int, "help": "seed for sampled verifications"}),
+    "samples": ("--samples", {"type": int, "help": "number of random samples"}),
+    "degree": ("--degree", {"type": int, "help": "total degree (kernel probe)"}),
+    "specialization": ("--set", {"action": "append", "type": _assignment, "metavar": "NAME=RATIONAL",
+                                 "help": "specialize a parameter (repeatable)"}),
 }
 
 
@@ -501,25 +477,17 @@ def _build_parser():
     for group, commands in _COMMANDS.items():
         gp = groups.add_parser(group)
         sub = gp.add_subparsers(dest="command", required=True)
-        for name, handler in commands.items():
+        for name, (handler, keys) in commands.items():
+            keys = ["parameters"] + keys.split()
             cp = sub.add_parser(name)
             cp.add_argument("--config", help="path to a JSON (or TOML) job config")
             cp.add_argument("--json", action="store_true", help="emit the machine-readable JSON report")
-            cp.add_argument("--seed", type=int, default=None, help="seed for sampled verifications")
-            cp.add_argument("--samples", type=int, default=None, help="number of random samples")
-            cp.add_argument("--degree", type=int, default=None, help="total degree (kernel probe)")
-            cp.add_argument("--set", action="append", metavar="NAME=RATIONAL",
-                            type=_parse_assignment, default=None,
-                            help="specialize a parameter (repeatable)")
-            cp.set_defaults(handler=handler, full_command=f"{group}.{name}")
+            for key in keys:
+                if key in _FLAGS:
+                    flag, options = _FLAGS[key]
+                    cp.add_argument(flag, dest=key, **options)
+            cp.set_defaults(handler=handler, keys=keys)
     return parser
-
-
-def _parse_assignment(text):
-    name, sep, value = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(f"expected NAME=RATIONAL, got {text!r}")
-    return (name.strip(), value.strip())
 
 
 def _emit(report, as_json, out):
@@ -535,13 +503,12 @@ def _emit(report, as_json, out):
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         if not isinstance(config, dict):
             raise InputError(f"config must be an object of keys, got a JSON {type(config).__name__}")
-        report = args.handler(args, config)
+        report = args.handler(_parse_config(config, args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,10 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qtwist.cli import main
+from qtwist.cli import _KEYS, main
 
 HERE = pathlib.Path(__file__).parent
 CONFIGS = HERE / "configs"
@@ -151,13 +153,35 @@ BAD_INPUTS = [
      '"specialization"'),
     (["cocycle", "check"], _config_with("cocycle_check", samples=-5), '"samples"'),
     (["cocycle", "check", "--samples", "-5"], _config_with("cocycle_check"), '"samples"'),
+    (["segre", "kernel"], _config_with("segre_kernel_quantum", degree=2.7), '"degree"'),
+    (["cocycle", "check"], _config_with("cocycle_check", samples=True), '"samples"'),
+    (["cocycle", "check"], _config_with("cocycle_check", seed=1.9), '"seed"'),
+    (["segre", "build"], _config_with("segre_build", n=True), '"n"'),
+    (["segre", "build"], _config_with("segre_build", m=0), '"m"'),
+    (["cocycle", "check"], _config_with("cocycle_check_table", rank=True), '"rank"'),
+    (["cocycle", "check"], _config_with("cocycle_check_table", rank=0), '"rank"'),
+    (["cocycle", "trivialize"], _config_with("cocycle_trivialize_split", split=[True, 1]),
+     '"split"'),
+    (["cocycle", "pullback"], _config_with("cocycle_pullback", segre=["a", 1]), '"segre"'),
+    (["algebra", "mul"], _config_with("algebra_mul", x=5), '"x"'),
+    (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=[]), '"cocycle"'),
+    (["algebra", "relations"],
+     _config_with("algebra_relations",
+                  algebra=dict(_config_with("algebra_relations")["algebra"], generators="abc")),
+     '"generators"'),
+    (["cocycle", "trivialize"], _config_with("cocycle_trivialize_split", split=[1, 2]), '"split"'),
+    (["cocycle", "antisym"], _config_with("cocycle_antisym", seed=1), '"seed"'),
 ]
 
 
 @pytest.mark.parametrize("tail,config,message", BAD_INPUTS,
                          ids=["list-config", "seed", "degree-bound", "negative-degree-bound",
                               "specialization",
-                              "samples-key", "samples-flag"])
+                              "samples-key", "samples-flag",
+                              "float-degree", "bool-samples", "float-seed", "bool-n", "zero-m",
+                              "bool-rank", "zero-rank", "bool-split", "string-segre",
+                              "non-string-element", "empty-cocycle", "string-generators",
+                              "split-rank-mismatch", "unread-key"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -170,6 +194,65 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["cocycle", "frobnicate"])
     assert exc.value.code == 2
+
+
+# Each flag is registered only on the subcommands that read its config key.
+@pytest.mark.parametrize("tail,flag,value", [
+    (["cocycle", "antisym"], "--seed", "1"),
+    (["algebra", "mul"], "--samples", "1"),
+    (["segre", "verify"], "--degree", "1"),
+    (["cocycle", "check"], "--set", "q=1"),
+], ids=["antisym-seed", "mul-samples", "verify-degree", "check-set"])
+def test_unregistered_flag_exits_2(capsys, tail, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(tail + [flag, value, "--config", str(CONFIGS / "cocycle_antisym.json")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML configs need tomllib (Python 3.11+)")
+def test_toml_config_matches_json_golden(tmp_path):
+    cfg = json.loads((CONFIGS / "segre_verify.json").read_text())
+    path = tmp_path / "segre_verify.toml"
+    # JSON arrays of strings and integers are also TOML inline arrays
+    path.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in cfg.items()))
+    code, output = run_cli(["segre", "verify", "--config", str(path), "--json"])
+    assert (code, output) == (0, (GOLDEN / "segre_verify.json").read_text())
+
+
+# Arbitrary JSON with small integers and short strings: the work a config may ask
+# for is not bounded before it starts, so large values could run for a long time.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CASES), data=st.data())
+def test_mutated_golden_config_ends_in_an_exit_code(tmp_path, case, data):
+    name, tail, _ = case
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "add":
+        cfg[data.draw(st.sampled_from(sorted(_KEYS)) | st.text(max_size=6))] = data.draw(JSON_VALUES)
+    else:
+        key = data.draw(st.sampled_from(sorted(cfg)))
+        if action == "delete":
+            del cfg[key]
+        else:
+            cfg[key] = data.draw(JSON_VALUES)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        code, output = run_cli(tail + ["--config", str(path), "--json"])
+    except SystemExit as exc:  # argparse rejecting the command line
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "counterexample" in json.loads(output)
 
 
 def regenerate():
