@@ -27,13 +27,15 @@ from .cocycles import (
 )
 from .monoids import ExponentVector, ProductSplit
 from .scalars import (
-    _COEFF_RE,
-    _FACTOR_RE,
     LaurentPolynomial,
     UnitScalar,
+    _exponents,
+    _parse_product,
+    _parse_sum,
+    _render_sum,
+    _split_sign,
     parse_poly,
-    render_unit,
-    split_terms,
+    render_poly,
 )
 
 
@@ -194,7 +196,6 @@ class AlgebraElement:
         return f"AlgebraElement({render_element(self)!r})"
 
     def to_json(self):
-        from .scalars import render_poly
         return [{"exponents": u.to_json(), "coefficient": render_poly(p)}
                 for u, p in sorted(self.terms.items(), key=lambda t: (t[0].degree(), t[0].entries))]
 
@@ -416,15 +417,7 @@ def random_homogeneous(algebra, rng, max_entry=4, max_support=3):
 
 
 # ---------------------------------------------------------------------------
-# Element literals
-#
-#   element := term ('+'|'-' term)*
-#   term    := [coefficient '*'] gen ['^' positive-int] ('*' gen ['^' positive-int])*
-#
-# where `coefficient` is a unit literal or a parenthesized polynomial literal,
-# and generators are referenced by their declared names.  Rendering expands
-# polynomial coefficients into one rendered term per unit, so output always
-# stays within the unit-coefficient grammar.
+# Element literals (the grammar is in scalars)
 # ---------------------------------------------------------------------------
 
 
@@ -434,98 +427,50 @@ def parse_element(algebra, text, parameters=None):
     If `parameters` is given, any non-generator name must be in it (unknown
     names raise ValueError).
     """
-    total = algebra.zero()
-    for token in split_terms(text):
-        token = token.strip()
-        if token.lstrip("+-").strip() == "0":
-            continue
-        total = total + _parse_term(algebra, token, parameters)
-    return total
+    return _parse_sum(text, lambda token: _parse_term(algebra, token, parameters), algebra.zero())
 
 
 def _parse_term(algebra, token, parameters):
-    sign = 1
-    if token[:1] in ("+", "-"):
-        if token[0] == "-":
-            sign = -1
-        token = token[1:].strip()
-    if not token:
-        raise ValueError("empty term in element literal")
-
-    poly_coeff = None
-    if token.startswith("("):
+    sign, body = _split_sign(token)
+    poly = None
+    if body.startswith("("):
         depth = 0
-        for i, ch in enumerate(token):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        else:
-            raise ValueError(f"unbalanced parentheses in term {token!r}")
-        poly_coeff = parse_poly(token[1:i])
-        token = token[i + 1:].strip()
-        if token.startswith("*"):
-            token = token[1:].strip()
-        elif token:
+        for close, ch in enumerate(body):  # balanced: the sum splitter checked it
+            depth += (ch == "(") - (ch == ")")
+            if depth == 0:
+                break
+        poly = parse_poly(body[1:close])
+        body = body[close + 1:].strip()
+        if body and not body.startswith("*"):
             raise ValueError(f"expected '*' after parenthesized coefficient in {token!r}")
-
-    unit_coeff = UnitScalar(sign)
+        body = body[1:].strip() or "1"
+    coeff, factors = _parse_product(body, token)
+    if coeff == 0:
+        return algebra.zero()
+    names = algebra.generator_names
     entries = [0] * algebra.rank
-    factors = [f.strip() for f in token.split("*")] if token else []
-    for pos, factor in enumerate(factors):
-        m = _COEFF_RE.match(factor)
-        if m:
-            if pos != 0:
-                raise ValueError(f"numeric factor {factor!r} must come first in a term")
-            if m.group(2) == "0":
-                raise ValueError(f"zero denominator in {factor!r}")
-            c = Fraction(int(m.group(1)), int(m.group(2) or 1))
-            if c == 0:
-                return algebra.zero()
-            unit_coeff = unit_coeff * UnitScalar(c)
-            continue
-        m = _FACTOR_RE.match(factor)
-        if not m:
-            raise ValueError(f"malformed factor {factor!r} in element literal")
-        name, e = m.group(1), int(m.group(2) or 1)
-        if name in algebra.generator_names:
+    params = []
+    for name, e in factors:
+        if name in names:
             if e < 1:
-                raise ValueError(f"generator exponents must be positive: {factor!r}")
-            entries[algebra.generator_names.index(name)] += e
+                raise ValueError(f"generator exponents must be positive: {name}^{e} in {token!r}")
+            entries[names.index(name)] += e
+        elif parameters is not None and name not in parameters:
+            raise ValueError(f"unknown generator or parameter name {name!r}")
         else:
-            if parameters is not None and name not in parameters:
-                raise ValueError(f"unknown generator or parameter name {name!r}")
-            unit_coeff = unit_coeff * UnitScalar.param(name, e)
-
-    coeff = LaurentPolynomial.from_unit(unit_coeff)
-    if poly_coeff is not None:
-        coeff = coeff * poly_coeff
+            params.append((name, e))
+    coeff = LaurentPolynomial.from_unit(UnitScalar(sign * coeff, _exponents(params)))
+    if poly is not None:
+        coeff = coeff * poly
     return AlgebraElement(algebra, {ExponentVector(entries): coeff})
 
 
 def render_element(x):
     """Canonical element literal: terms ordered by (degree, exponents), unit coefficients."""
-    if x.is_zero():
-        return "0"
     names = x.algebra.generator_names
-    pieces = []
+    terms = []
     for u in sorted(x.terms, key=lambda u: (u.degree(), u.entries)):
-        for unit in x.terms[u].units():
-            pieces.append(_render_term(unit, u, names))
-    out = pieces[0][1] if pieces[0][0] >= 0 else "-" + pieces[0][1]
-    for sgn, body in pieces[1:]:
-        out += (" + " if sgn >= 0 else " - ") + body
-    return out
-
-
-def _render_term(unit, u, names):
-    gens = [names[i] if u[i] == 1 else f"{names[i]}^{u[i]}" for i in u.support()]
-    sgn = 1 if unit.coeff > 0 else -1
-    mag = unit if sgn > 0 else -unit
-    if not gens:
-        return sgn, render_unit(mag)
-    if mag.is_one():
-        return sgn, "*".join(gens)
-    return sgn, render_unit(mag) + "*" + "*".join(gens)
+        gens = tuple((names[i], u[i]) for i in u.support())
+        coeff = x.terms[u].terms
+        terms += [(coeff[key], key + gens) for key in sorted(coeff)]
+    return _render_sum(terms)

@@ -27,7 +27,7 @@ from .cocycles import (
     TruncatedCocycle,
 )
 from .monoids import ExponentVector, MonoidMorphism, ProductSplit, segre_morphism
-from .scalars import parse_unit, render_unit
+from .scalars import _rational, parse_unit, render_unit
 
 
 class InputError(Exception):
@@ -127,8 +127,13 @@ _cocycle = _unit_matrix(BimultiplicativeCocycle)
 _antisym = _unit_matrix(AntisymmetricMatrix)
 
 
+def _naturals(key, values):
+    return [_int(key, e, minimum=0) for e in values]
+
+
 def _table(key, value, parsed):
     with _rejected_as(f'"{key}"', (ValueError, TypeError, KeyError, AttributeError)):
+        value = [dict(item, u=_naturals(key, item["u"]), v=_naturals(key, item["v"])) for item in value]
         table = TruncatedCocycle.from_json(parsed["rank"], parsed["degree_bound"], value)
     _check_declared({name for entry in table.table.values() for name in entry.parameters()},
                     parsed["parameters"], f'"{key}"')
@@ -144,8 +149,10 @@ def _split(key, value, parsed):
 
 
 def _morphism(key, value, parsed):
+    if not isinstance(value, list) or not value:
+        raise InputError(f'"{key}" must be a nonempty list of generator images')
     with _rejected_as(f'"{key}"', (ValueError, TypeError)):
-        images = [ExponentVector(_int(key, e, minimum=0) for e in w) for w in value]
+        images = [ExponentVector(_naturals(key, w)) for w in value]
         return MonoidMorphism(len(images), parsed["cocycle"].rank, images)
 
 
@@ -175,8 +182,13 @@ def _element(key, value, parsed):
 def _specialization(key, value, parsed):
     if not isinstance(value, dict):
         raise InputError(f'"{key}" must be an object mapping parameter names to rationals')
-    with _rejected_as(f'rational in "{key}"', (ValueError, ZeroDivisionError)):
-        values = {name: Fraction(str(text)) for name, text in value.items()}
+    values = {}
+    for name, v in value.items():
+        with _rejected_as(f'rational in "{key}"'):
+            rational = _rational(v) if isinstance(v, str) else Fraction(v) if type(v) is int else None
+        if rational is None:
+            raise InputError(f'"{key}" values must be integers or rational literals like "-3/2", got {v!r}')
+        values[name] = rational
     _check_declared(set(values), parsed["parameters"], f'"{key}"')
     return values
 

@@ -19,8 +19,8 @@ from fractions import Fraction
 #: The exact base field is Q; parameters specialize into it.
 Rational = Fraction
 
-_COEFF_RE = re.compile(r"(-?\d+)(?:/(\d+))?$")
-_FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 
 
 def _canonical_exps(exps):
@@ -269,61 +269,102 @@ def specialize(p, assignment):
 
 
 # ---------------------------------------------------------------------------
-# Literal grammar
+# Literal grammar (every literal the library reads or writes)
 #
-#   unit   := [sign] coeff ('*' factor)*  |  [sign] factor ('*' factor)*
-#   coeff  := integer ['/' positive-integer]
-#   factor := name ['^' integer]            name = [A-Za-z][A-Za-z0-9_]*
+#   unit       := [sign] product                    nonzero
+#   product    := rational ('*' factor)*  |  factor ('*' factor)*
+#   rational   := integer ['/' positive-integer]    integer = ['-'] digits
+#   factor     := name ['^' integer]                name = [A-Za-z][A-Za-z0-9_]*
+#   polynomial := [sign] product (sign product)*    a "0" term adds nothing
+#   element    := [sign] term (sign term)*          a "0" term adds nothing
+#   term       := ['(' polynomial ')' '*'] product  |  '(' polynomial ')'
 #
-# Examples: "1", "q", "-3/2*q^2*r^-1".  Polynomials are '+'/'-' separated
-# sums of unit literals, e.g. "q^2 - 1".
+# A '-' sign takes no '-' after it: "-3*q", not "- -3*q".  In a unit no sign
+# at all may follow a sign ("+ -3*q" is malformed); in an element a negative
+# rational may follow a '+' or a parenthesized coefficient: "X0 + -3*X1".
+# In an element term, factors named after the algebra's generators build the
+# basis monomial (exponents >= 1); the other names are coefficient parameters.
+# A specialization value is a bare rational.  Examples: "1", "q",
+# "-3/2*q^2*r^-1", "q^2 - 1", "(1 + q)*X0^2*X1".  Rendering is canonical and
+# expands a polynomial coefficient into one term per unit, so output always
+# stays within the unit-coefficient grammar.
 # ---------------------------------------------------------------------------
+
+
+def _rational(text):
+    """The rational `text` spells, or None if it is not a rational literal."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        return None
+    den = int(m.group(2) or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(m.group(1)), den)
+
+
+def _split_sign(text):
+    """(+1 or -1, the rest stripped) of a term with at most one leading sign."""
+    s = text.strip()
+    sign = -1 if s[:1] == "-" else 1
+    if s[:1] in ("+", "-"):
+        s = s[1:].strip()
+        if sign < 0 and s[:1] == "-":
+            raise ValueError(f"double sign in {text!r}")
+    return sign, s
+
+
+def _parse_product(body, text):
+    """(rational, [(name, exponent), ...]) of a product after its sign, factors in order."""
+    parts = [part.strip() for part in body.split("*")]
+    coeff = _rational(parts[0])
+    if coeff is not None:
+        del parts[0]
+    factors = []
+    for part in parts:
+        m = _FACTOR_RE.fullmatch(part)
+        if m is None:
+            what = "numeric factor must come first" if _RATIONAL_RE.fullmatch(part) else "malformed factor"
+            raise ValueError(f"{what}: {part!r} in {text!r}")
+        factors.append((m.group(1), int(m.group(2) or 1)))
+    return (Fraction(1) if coeff is None else coeff), factors
+
+
+def _exponents(factors):
+    exps = {}
+    for name, e in factors:
+        exps[name] = exps.get(name, 0) + e
+    return exps
 
 
 def parse_unit(text):
     """Parse a unit literal; raises ValueError on malformed or zero literals."""
-    s = text.strip()
-    sign = 1
-    had_sign = s[:1] in ("+", "-")
-    if had_sign:
-        if s[0] == "-":
-            sign = -1
-        s = s[1:].strip()
-    if not s:
-        raise ValueError(f"malformed unit literal: {text!r}")
-    coeff = Fraction(sign)
-    exps = {}
-    for i, part in enumerate(p.strip() for p in s.split("*")):
-        m = _COEFF_RE.match(part)
-        if m:
-            if i != 0:
-                raise ValueError(f"numeric factor {part!r} must come first in {text!r}")
-            if had_sign and part.startswith("-"):
-                raise ValueError(f"double sign in unit literal: {text!r}")
-            if m.group(2) == "0":
-                raise ValueError(f"zero denominator in {text!r}")
-            coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
-            if coeff == 0:
-                raise ValueError(f"unit literal must be nonzero: {text!r}")
-            continue
-        m = _FACTOR_RE.match(part)
-        if not m:
-            raise ValueError(f"malformed factor {part!r} in unit literal {text!r}")
-        name, e = m.group(1), int(m.group(2) or 1)
-        exps[name] = exps.get(name, 0) + e
-    return UnitScalar(coeff, exps)
+    sign, body = _split_sign(text)
+    if body[:1] == "-":  # only after '+': a unit's rational takes no sign of its own
+        raise ValueError(f"double sign in {text!r}")
+    coeff, factors = _parse_product(body, text)
+    if coeff == 0:
+        raise ValueError(f"unit literal must be nonzero: {text!r}")
+    return UnitScalar(sign * coeff, _exponents(factors))
+
+
+def _render_sum(terms):
+    """Canonical signed sum of (rational, ((name, exponent), ...)) terms; no terms is "0"."""
+    out = []
+    for c, pairs in terms:
+        mag = str(c)
+        if mag[0] == "-":
+            mag = mag[1:]
+            out.append(" - " if out else "-")
+        elif out:
+            out.append(" + ")
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in pairs]
+        out.append("*".join(factors) if factors and mag == "1" else "*".join([mag] + factors))
+    return "".join(out) or "0"
 
 
 def render_unit(u):
     """Canonical unit literal: reduced rational, sorted names, no ^1."""
-    factors = [name if e == 1 else f"{name}^{e}" for name, e in u.exps]
-    if not factors:
-        return str(u.coeff)
-    if u.coeff == 1:
-        return "*".join(factors)
-    if u.coeff == -1:
-        return "-" + "*".join(factors)
-    return "*".join([str(u.coeff)] + factors)
+    return _render_sum([(u.coeff, u.exps)])
 
 
 def split_terms(text):
@@ -354,27 +395,20 @@ def split_terms(text):
     return [t.strip() for t in tokens]
 
 
+def _parse_sum(text, parse_term, total):
+    """Add the parsed terms of a sum literal to `total`, skipping "0" terms."""
+    for token in split_terms(text):
+        if token.lstrip("+-").strip() != "0":
+            total = total + parse_term(token)
+    return total
+
+
 def parse_poly(text):
     """Parse a '+'/'-' separated sum of unit literals; "0" is the zero polynomial."""
-    total = LaurentPolynomial.zero()
-    for token in split_terms(text):
-        if token.lstrip("+-").strip() == "0":
-            continue
-        total = total + LaurentPolynomial.from_unit(parse_unit(token))
-    return total
+    return _parse_sum(text, lambda token: LaurentPolynomial.from_unit(parse_unit(token)),
+                      LaurentPolynomial.zero())
 
 
 def render_poly(p):
     """Canonical sum literal, terms ordered by exponent key; zero renders as "0"."""
-    if not p.terms:
-        return "0"
-    out = []
-    for key in sorted(p.terms):
-        c = p.terms[key]
-        if not out:
-            out.append(render_unit(UnitScalar(c, key)))
-        elif c < 0:
-            out.append(" - " + render_unit(UnitScalar(-c, key)))
-        else:
-            out.append(" + " + render_unit(UnitScalar(c, key)))
-    return "".join(out)
+    return _render_sum((p.terms[key], key) for key in sorted(p.terms))

@@ -20,6 +20,7 @@ from qtwist import (
     quantum_projective_space,
     random_element,
     render_element,
+    render_poly,
     twist_by,
     twisted_tensor_product,
     yamazaki_reconstruct,
@@ -29,6 +30,7 @@ from helpers import (
     rand_antisym,
     rand_cocycle,
     rand_pairing,
+    rand_poly,
     rand_symmetric_cocycle,
     rand_unit,
     rand_vector,
@@ -386,6 +388,23 @@ def test_parse_unknown_name_against_allowlist():
         parse_element(A, "X0*Y1", parameters={"q"})
     with pytest.raises(ValueError, match="positive"):
         parse_element(A, "X0^0")
+
+
+def test_parse_element_errors():
+    A = polynomial_algebra(2)
+    bad_literals = ["", "-", "X0 +", "- -3*X0", "0*X0*%%", "+ - X1", "X0*2", "X0^0", "()*X0",
+                    "X0**X1", "2X0", "(1 + q)X0", "(1 + q", "X0)", "3/0*X0", "q - -1*X0"]
+    for bad in bad_literals:
+        with pytest.raises(ValueError):
+            parse_element(A, bad)
+
+
+def test_degree0_element_renders_as_its_coefficient():
+    A = polynomial_algebra(2)
+    rng = random.Random(92)
+    for _ in range(100):
+        p = rand_poly(rng)
+        assert render_element(A.basis_element(ExponentVector.zero(2), p)) == render_poly(p)
 
 
 def test_render_parse_roundtrip_corpus():

@@ -135,10 +135,23 @@ def test_kernel_zero_specialization_is_input_error():
     assert code == 2
 
 
-def _config_with(name, **changes):
+def _config_with(name, drop=(), **changes):
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg.update(changes)
+    for key in drop:
+        del cfg[key]
     return cfg
+
+
+def _table_with(index, **changes):
+    """The exhaustive-check table config with entry `index` of its "table" changed."""
+    cfg = _config_with("cocycle_check_table")
+    cfg["table"][index].update(changes)
+    return cfg
+
+
+def _specialization(value):
+    return _config_with("segre_kernel", specialization={"q": value, "r": "1"})
 
 
 # (argv tail, config, text the error message must contain)
@@ -171,6 +184,19 @@ BAD_INPUTS = [
      '"generators"'),
     (["cocycle", "trivialize"], _config_with("cocycle_trivialize_split", split=[1, 2]), '"split"'),
     (["cocycle", "antisym"], _config_with("cocycle_antisym", seed=1), '"seed"'),
+    (["segre", "kernel", "--degree", "2"], _specialization(0.5), '"specialization"'),
+    (["segre", "kernel", "--degree", "2"], _specialization(True), '"specialization"'),
+    (["segre", "kernel", "--degree", "2"], _specialization("0.5"), '"specialization"'),
+    (["segre", "kernel", "--degree", "2"], _specialization("1e-2"), '"specialization"'),
+    (["segre", "kernel", "--degree", "2"], _specialization("1_0"), '"specialization"'),
+    (["segre", "kernel", "--degree", "2", "--set", "q=0.5", "--set", "r=1"],
+     _config_with("segre_kernel"), '"specialization"'),
+    (["cocycle", "check"], _table_with(0, u=["0"]), '"table"'),
+    (["cocycle", "check"], _table_with(0, v=[0.5]), '"table"'),
+    (["cocycle", "check"], _table_with(4, u=[True]), '"table"'),
+    (["cocycle", "pullback"], _config_with("cocycle_pullback", drop=["segre"], morphism=[]),
+     '"morphism"'),
+    (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=[["3/00"]]), '"cocycle"'),
 ]
 
 
@@ -181,7 +207,12 @@ BAD_INPUTS = [
                               "float-degree", "bool-samples", "float-seed", "bool-n", "zero-m",
                               "bool-rank", "zero-rank", "bool-split", "string-segre",
                               "non-string-element", "empty-cocycle", "string-generators",
-                              "split-rank-mismatch", "unread-key"])
+                              "split-rank-mismatch", "unread-key",
+                              "float-specialization", "bool-specialization",
+                              "decimal-specialization", "exponent-specialization",
+                              "underscore-specialization", "decimal-set",
+                              "string-table-u", "float-table-v", "bool-table-u",
+                              "empty-morphism", "zero-denominator"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

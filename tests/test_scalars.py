@@ -168,7 +168,7 @@ def test_parse_canonicalizes():
 
 def test_parse_unit_errors():
     bad_literals = ["", "  ", "q**2", "2q", "q^", "3/0*q", "0", "0/5",
-                    "*q", "q*", "q^2.5", "2*3", "--1", "+-2*q"]
+                    "*q", "q*", "q^2.5", "2*3", "--1", "+-2*q", "3/00*q"]
     for bad in bad_literals:
         with pytest.raises(ValueError):
             parse_unit(bad)
