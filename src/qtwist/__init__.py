@@ -48,6 +48,8 @@ from .algebras import (
     AlgebraElement,
     DiagonalScaling,
     FactorTwistReport,
+    GradedHomomorphism,
+    HomomorphismReport,
     MultiplicativityReport,
     TwistedMonoidAlgebra,
     coboundary_isomorphism,
@@ -64,16 +66,14 @@ from .algebras import (
     render_element,
     twist_by,
     twisted_tensor_product,
+    verify_homomorphism,
 )
 from .segre import (
-    GradedHomomorphism,
-    HomomorphismReport,
     SegreMap,
     build_quantum_segre,
     kernel_basis,
     kronecker,
     source_deformation_matrix,
-    verify_homomorphism,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,15 @@ relations X_j X_i = q_ji X_i X_j.  Standard monomials are a basis by
 construction, so no rewriting machinery is needed: products, twists, twisted
 tensor products and the scaling isomorphisms between cohomologous twists are
 all exact matrix/unit computations.
+
+Every morphism here is a :class:`GradedHomomorphism`: it sends e_u to a unit
+times one basis monomial.  Such a map with unit generator images is
+multiplicative exactly when its ratio matrix
+R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, so
+:func:`verify_homomorphism`'s generator pairs decide it and its random pairs
+are a self-test of `multiply` and `apply`.  The scaling isomorphism
+(:class:`DiagonalScaling`) is the instance with bare images e_k |-> e_k and
+R = nu/mu, symmetric because mu and nu are cohomologous.
 """
 
 from __future__ import annotations
@@ -21,17 +30,19 @@ from .cocycles import (
     Pairing,
     antisymmetrize,
     canonical_from_antisym,
+    _quadratic_unit,
     cohomologous,
-    symmetric_trivializer,
+    pullback,
     yamazaki_factorize,
 )
-from .monoids import ExponentVector, ProductSplit
+from .monoids import ExponentVector, MonoidMorphism, ProductSplit
 from .scalars import (
     LaurentPolynomial,
     UnitScalar,
     _exponents,
     _parse_product,
     _parse_sum,
+    _rational,
     _render_sum,
     _split_sign,
     parse_poly,
@@ -68,12 +79,6 @@ class TwistedMonoidAlgebra:
 
     def generator(self, k):
         return self.basis_element(ExponentVector.unit(self.rank, k))
-
-    def generator_index(self, name):
-        try:
-            return self.generator_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown generator name {name!r}") from None
 
     def basis_element(self, u, coeff=1):
         if u.rank != self.rank:
@@ -307,30 +312,9 @@ def factor_twist(left, right, mu):
     )
 
 
-class DiagonalScaling:
-    """Graded linear map e_u |-> h(u) e_u between two twists of one algebra."""
-
-    __slots__ = ("source", "target", "scale")
-
-    def __init__(self, source, target, scale):
-        self.source = source
-        self.target = target
-        self.scale = scale
-
-    def __call__(self, x):
-        if x.algebra != self.source:
-            raise ValueError("element does not belong to the source algebra")
-        return AlgebraElement(self.target,
-                              {u: p.scaled(self.scale(u)) for u, p in x.terms.items()})
-
-    def inverse(self):
-        h = self.scale
-        return DiagonalScaling(self.target, self.source, lambda u: h(u).inv())
-
-
 @dataclass(frozen=True)
 class MultiplicativityReport:
-    """Outcome of an exact multiplicativity check on sampled element pairs."""
+    """Outcome of an exact multiplicativity check on generator pairs and sampled element pairs."""
 
     passed: bool
     pairs_checked: int
@@ -341,33 +325,149 @@ class MultiplicativityReport:
         return self.passed
 
 
+class GradedHomomorphism:
+    """Algebra map e_k |-> s_k e_f(e_k), for units s_k and a monoid morphism f.
+
+    e_u goes to the ordered product of its generators' images, which is
+    prod_k s_k^u_k R_kk^C(u_k, 2) prod_(k<l) R_kl^(u_k u_l) e_f(u), R the ratio matrix.
+    """
+
+    __slots__ = ("source", "target", "monoid_morphism", "generator_images",
+                 "_image_units", "_ratio", "_cache")
+
+    def __init__(self, source, target, monoid_morphism, generator_images):
+        f = monoid_morphism
+        if f.source_rank != source.rank or f.target_rank != target.rank:
+            raise ValueError("monoid morphism ranks do not match the algebras")
+        images = tuple(generator_images)
+        if len(images) != source.rank:
+            raise ValueError(f"expected {source.rank} generator images, got {len(images)}")
+        units = []
+        for k, img in enumerate(images):
+            if img.algebra != target:
+                raise ValueError(f"generator image {k} does not live in the target algebra")
+            if len(img.terms) != 1:
+                raise ValueError(f"generator image {k} must be a scalar multiple of a basis monomial")
+            (degree, coeff), = img.terms.items()
+            if degree != f.generator_images[k]:
+                raise ValueError(
+                    f"generator image {k} has degree {degree!r}, expected {f.generator_images[k]!r}")
+            coeff_units = coeff.units()
+            if len(coeff_units) != 1:
+                raise ValueError(f"generator image {k} must have an invertible (single-term) coefficient")
+            units.append(coeff_units[0])
+        self.source = source
+        self.target = target
+        self.monoid_morphism = f
+        self.generator_images = images
+        self._image_units = tuple(units)
+        self._ratio = tuple(
+            tuple(target.cocycle.evaluate(dk, dl) / a for dl, a in zip(f.generator_images, row))
+            for dk, row in zip(f.generator_images, source.cocycle.matrix))
+        self._cache = {}
+
+    @classmethod
+    def _from_pullback(cls, target, f, source_names):
+        """The bare-image map from the twist by the pulled-back target cocycle (R is all ones)."""
+        phi = cls.__new__(cls)
+        phi.source = TwistedMonoidAlgebra(pullback(target.cocycle, f), source_names)
+        phi.target, phi.monoid_morphism, phi._cache = target, f, {}
+        phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
+        one = (UnitScalar.one(),) * f.source_rank
+        phi._image_units, phi._ratio = one, (one,) * f.source_rank
+        return phi
+
+    def image_of_basis(self, u):
+        """(unit, degree) with phi(e_u) = unit * e_degree in the target."""
+        got = self._cache.get(u)
+        if got is not None:
+            return got
+        value = (_quadratic_unit(self._ratio, u, self._image_units), self.monoid_morphism(u))
+        self._cache[u] = value
+        return value
+
+    def apply(self, x):
+        """Linear extension of the basis action; preserves grading along f."""
+        if x.algebra != self.source:
+            raise ValueError("element does not belong to the source algebra")
+        out = {}
+        for u, p in x.terms.items():
+            c, w = self.image_of_basis(u)
+            q = p if c.is_one() else p.scaled(c)
+            if w in out:
+                q = out[w] + q
+            out[w] = q
+        return AlgebraElement(self.target, out)
+
+    def __call__(self, x):
+        return self.apply(x)
+
+
+HomomorphismReport = MultiplicativityReport
+
+
+def verify_homomorphism(phi, samples=100, seed=0):
+    """Check phi(x*y) = phi(x)*phi(y) exactly on all generator pairs plus random pairs.
+
+    The generator pairs are a complete proof: pair (k, l) with l < k holds
+    exactly when R_kl = R_lk, the other pairs always hold, and a symmetric R
+    makes the map multiplicative everywhere.  The random pairs (<= 3-term
+    elements with sparse exponents <= 4, deterministic given the seed) are a
+    self-test of `multiply` and `apply`.  Reports the first counterexample.
+    """
+    source = phi.source
+    checked = 0
+    for i in range(source.rank):
+        xi = source.generator(i)
+        for j in range(source.rank):
+            xj = source.generator(j)
+            checked += 1
+            if phi(xi * xj) != phi(xi) * phi(xj):
+                names = source.generator_names
+                return HomomorphismReport(False, checked, seed, (names[i], names[j]))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = random_element(source, rng)
+        y = random_element(source, rng)
+        checked += 1
+        if phi(x * y) != phi(x) * phi(y):
+            return HomomorphismReport(False, checked, seed,
+                                      (render_element(x), render_element(y)))
+    return HomomorphismReport(True, checked, seed)
+
+
+class DiagonalScaling(GradedHomomorphism):
+    """The map e_u |-> scale(u) e_u from A_mu to A_nu, with bare generator images e_k |-> e_k.
+
+    Its ratio matrix is nu/mu, so it is multiplicative exactly when mu and nu are cohomologous.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, source, target):
+        super().__init__(source, target, MonoidMorphism.identity(source.rank),
+                         [target.generator(k) for k in range(target.rank)])
+
+    def scale(self, u):
+        return self.image_of_basis(u)[0]
+
+    def inverse(self):
+        return DiagonalScaling(self.target, self.source)
+
+
 def coboundary_isomorphism(algebra, mu, nu, samples=50, seed=0):
     """The scaling isomorphism A_mu -> A_nu for cohomologous twisting cocycles.
 
-    mu/nu is symmetric bimultiplicative, so `symmetric_trivializer` provides h
-    with delta(h) = mu/nu; the map e_u |-> h(u) e_u then intertwines the two
-    twisted products.  Returns the map and an exact verification report on
-    `samples` random element pairs.
+    Its scale(u) is the witness h(u) with delta(h) = mu/nu that
+    `symmetric_trivializer` gives.  Returns the map and its `verify_homomorphism`
+    report: every generator pair, then `samples` random element pairs.
     """
     if mu.rank != algebra.rank or nu.rank != algebra.rank:
         raise ValueError("cocycle ranks do not match the algebra")
     if not cohomologous(mu, nu):
         raise ValueError("cocycles are not cohomologous; no scaling isomorphism exists")
-    h = symmetric_trivializer(mu * nu.inverse())
-    source = twist_by(algebra, mu)
-    target = twist_by(algebra, nu)
-    phi = DiagonalScaling(source, target, h)
-
-    rng = random.Random(seed)
-    counterexample = None
-    for _ in range(samples):
-        x = random_element(source, rng)
-        y = random_element(source, rng)
-        if phi(x * y) != phi(x) * phi(y):
-            counterexample = (render_element(x), render_element(y))
-            break
-    report = MultiplicativityReport(counterexample is None, samples, seed, counterexample)
-    return phi, report
+    phi = DiagonalScaling(twist_by(algebra, mu), twist_by(algebra, nu))
+    return phi, verify_homomorphism(phi, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +532,8 @@ def parse_element(algebra, text, parameters=None):
 
 def _parse_term(algebra, token, parameters):
     sign, body = _split_sign(token)
+    if body[:1] == "-" and _rational(body.split("*")[0].strip()) == 0:  # "+-0" is not negative
+        raise ValueError(f"double sign in {token!r}")
     poly = None
     if body.startswith("("):
         depth = 0
@@ -443,7 +545,7 @@ def _parse_term(algebra, token, parameters):
         body = body[close + 1:].strip()
         if body and not body.startswith("*"):
             raise ValueError(f"expected '*' after parenthesized coefficient in {token!r}")
-        body = body[1:].strip() or "1"
+        body = body[1:].strip() if body else "1"  # "(p)*" is an empty product
     coeff, factors = _parse_product(body, token)
     if coeff == 0:
         return algebra.zero()

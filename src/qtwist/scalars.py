@@ -99,9 +99,6 @@ class UnitScalar:
     def specialize(self, assignment):
         return _specialize_monomial(self.coeff, self.exps, assignment)
 
-    def as_poly(self):
-        return LaurentPolynomial({self.exps: self.coeff})
-
     def __str__(self):
         return render_unit(self)
 
@@ -281,7 +278,8 @@ def specialize(p, assignment):
 #
 # A '-' sign takes no '-' after it: "-3*q", not "- -3*q".  In a unit no sign
 # at all may follow a sign ("+ -3*q" is malformed); in an element a negative
-# rational may follow a '+' or a parenthesized coefficient: "X0 + -3*X1".
+# rational may follow a '+' or a parenthesized coefficient: "X0 + -3*X1"
+# ("-0" is not negative: "X0 +-0" is malformed, like "--0").
 # In an element term, factors named after the algebra's generators build the
 # basis monomial (exponents >= 1); the other names are coefficient parameters.
 # A specialization value is a bare rational.  Examples: "1", "q",
@@ -396,9 +394,9 @@ def split_terms(text):
 
 
 def _parse_sum(text, parse_term, total):
-    """Add the parsed terms of a sum literal to `total`, skipping "0" terms."""
+    """Add the parsed terms of a sum literal to `total`, skipping terms that are "0" after their sign."""
     for token in split_terms(text):
-        if token.lstrip("+-").strip() != "0":
+        if _split_sign(token)[1] != "0":
             total = total + parse_term(token)
     return total
 

@@ -399,6 +399,18 @@ def test_parse_element_errors():
             parse_element(A, bad)
 
 
+def test_parse_element_rejects_empty_product_and_signed_zero():
+    A = polynomial_algebra(2)
+    with pytest.raises(ValueError):
+        parse_element(A, "(1 + q)*")
+    for bad in ["X0 +-0", "X0 + -0", "X0 --0", "X0 + -0*X1"]:
+        with pytest.raises(ValueError, match="double sign"):
+            parse_element(A, bad)
+    # one sign before "0", and a negative rational after '+', stay accepted
+    assert parse_element(A, "X0 - 0") == parse_element(A, "X0")
+    assert parse_element(A, "X0 + -3*X1") == parse_element(A, "X0 - 3*X1")
+
+
 def test_degree0_element_renders_as_its_coefficient():
     A = polynomial_algebra(2)
     rng = random.Random(92)

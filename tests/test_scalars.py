@@ -212,3 +212,12 @@ def test_poly_roundtrip_corpus():
 def test_render_poly_zero():
     assert render_poly(LaurentPolynomial.zero()) == "0"
     assert parse_poly("0").is_zero()
+
+
+def test_parse_poly_zero_term_takes_one_sign():
+    # a "0" term adds nothing after at most one sign; a second sign is an error as for "--1"
+    assert parse_poly("-0").is_zero()
+    assert parse_poly("q - 0") == parse_poly("q")
+    for bad in ["--0", "- -0", "q +-0", "q - -0"]:
+        with pytest.raises(ValueError, match="double sign"):
+            parse_poly(bad)

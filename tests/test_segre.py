@@ -17,12 +17,15 @@ from qtwist import (
     UnitScalar,
     build_quantum_segre,
     canonical_from_antisym,
+    coboundary_isomorphism,
     kernel_basis,
     kronecker,
     random_element,
     segre_morphism,
     source_deformation_matrix,
+    symmetric_trivializer,
     vectors_of_degree,
+    vectors_up_to_degree,
     verify_homomorphism,
     yamazaki_reconstruct,
 )
@@ -32,6 +35,7 @@ from helpers import (
     rand_cocycle,
     rand_nonzero_rational,
     rand_symmetric_cocycle,
+    rand_unit,
     rand_vector,
 )
 
@@ -187,6 +191,57 @@ def test_verify_detects_broken_map():
     report = verify_homomorphism(phi, samples=20, seed=0)
     assert not report.passed
     assert report.counterexample is not None
+
+
+# -- the generator-pair theorem ------------------------------------------------------
+
+def ratio_matrix(phi):
+    """R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l), from the definition."""
+    f, rank = phi.monoid_morphism, phi.source.rank
+    gens = [ExponentVector.unit(rank, k) for k in range(rank)]
+    return [[phi.target.cocycle.evaluate(f(a), f(b)) / phi.source.cocycle.evaluate(a, b)
+             for b in gens] for a in gens]
+
+
+def test_multiplicative_exactly_when_ratio_is_symmetric():
+    # half the targets are cohomologous to the source (symmetric R), half random;
+    # a failure is always the first generator pair (k, l), l < k, with R_kl != R_lk
+    rng = random.Random(116)
+    seen = set()
+    for trial in range(24):
+        rank = rng.randint(2, 4)
+        source = TwistedMonoidAlgebra(rand_cocycle(rng, rank))
+        target = TwistedMonoidAlgebra(source.cocycle * rand_symmetric_cocycle(rng, rank)
+                                      if trial % 2 else rand_cocycle(rng, rank))
+        images = [target.basis_element(ExponentVector.unit(rank, k), rand_unit(rng))
+                  for k in range(rank)]
+        phi = GradedHomomorphism(source, target, MonoidMorphism.identity(rank), images)
+        R = ratio_matrix(phi)
+        asymmetric = [(k, l) for k in range(rank) for l in range(k) if R[k][l] != R[l][k]]
+        report = verify_homomorphism(phi, samples=20, seed=trial)
+        assert report.passed == (not asymmetric)
+        if asymmetric:
+            k, l = asymmetric[0]
+            assert report.pairs_checked == k * rank + l + 1 <= rank ** 2
+            assert report.counterexample == (source.generator_names[k], source.generator_names[l])
+        seen.add(report.passed)
+    assert seen == {True, False}
+
+
+def test_scaling_isomorphism_is_the_symmetric_trivializer():
+    rng = random.Random(117)
+    for _ in range(6):
+        rank = rng.randint(2, 4)
+        A = TwistedMonoidAlgebra(rand_cocycle(rng, rank))
+        mu = rand_cocycle(rng, rank)
+        nu = mu * rand_symmetric_cocycle(rng, rank)
+        phi, report = coboundary_isomorphism(A, mu, nu, samples=5, seed=rng.randint(0, 999))
+        assert isinstance(phi, GradedHomomorphism)
+        assert report.passed and report.pairs_checked == rank ** 2 + 5
+        h = symmetric_trivializer(mu * nu.inverse())
+        for u in vectors_up_to_degree(rank, 4):
+            assert phi.scale(u) == h(u)
+            assert phi.inverse().scale(u) == h(u).inv()
 
 
 # -- deformation matrices ------------------------------------------------------------
