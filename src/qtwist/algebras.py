@@ -30,6 +30,7 @@ from .cocycles import (
     Pairing,
     antisymmetrize,
     canonical_from_antisym,
+    _integer_form,
     _quadratic_unit,
     cohomologous,
     pullback,
@@ -360,9 +361,9 @@ class GradedHomomorphism:
         self.target = target
         self.monoid_morphism = f
         self.generator_images = images
-        self._image_units = tuple(units)
+        self._image_units = _integer_form(units)
         self._ratio = tuple(
-            tuple(target.cocycle.evaluate(dk, dl) / a for dl, a in zip(f.generator_images, row))
+            _integer_form(target.cocycle.evaluate(dk, dl) / a for dl, a in zip(f.generator_images, row))
             for dk, row in zip(f.generator_images, source.cocycle.matrix))
         self._cache = {}
 
@@ -373,7 +374,7 @@ class GradedHomomorphism:
         phi.source = TwistedMonoidAlgebra(pullback(target.cocycle, f), source_names)
         phi.target, phi.monoid_morphism, phi._cache = target, f, {}
         phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
-        one = (UnitScalar.one(),) * f.source_rank
+        one = ((1, 1, ()),) * f.source_rank
         phi._image_units, phi._ratio = one, (one,) * f.source_rank
         return phi
 
@@ -382,7 +383,8 @@ class GradedHomomorphism:
         got = self._cache.get(u)
         if got is not None:
             return got
-        value = (_quadratic_unit(self._ratio, u, self._image_units), self.monoid_morphism(u))
+        degree = self.monoid_morphism(u)  # checks the rank first
+        value = (_quadratic_unit(self._ratio, u, self._image_units), degree)
         self._cache[u] = value
         return value
 
@@ -495,7 +497,7 @@ def random_vector(rng, rank, max_entry=4, max_support=3):
     entries = [0] * rank
     for i in rng.sample(range(rank), min(rng.randint(0, max_support), rank)):
         entries[i] = rng.randint(1, max_entry)
-    return ExponentVector(entries)
+    return ExponentVector._trusted(tuple(entries))
 
 
 def random_element(algebra, rng, max_terms=3, max_entry=4, max_support=3):

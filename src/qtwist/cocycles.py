@@ -55,29 +55,46 @@ def _matrix_from_json(data):
     return [[parse_unit(s) for s in row] for row in data]
 
 
+def _integer_form(units):
+    """(numerator, denominator, exps) of each unit: the entries `_unit_power` multiplies."""
+    return tuple((a.coeff.numerator, a.coeff.denominator, a.exps) for a in units)
+
+
+def _integer_matrix(matrix):
+    return tuple(_integer_form(row) for row in matrix)
+
+
 def _unit_power(pairs):
-    """prod a^e over (unit a, integer e) pairs, collected into one coefficient and exponent map."""
-    coeff = Fraction(1)
+    """prod a^e over (integer-form entry a, integer e) pairs.
+
+    The numerator and denominator are accumulated as ints and the exponents
+    in one map, so each result costs one reduced Fraction and one unit.
+    """
+    num = den = 1
     exps = {}
-    for a, e in pairs:
+    for (a_num, a_den, a_exps), e in pairs:
         if not e:
             continue
-        if a.coeff != 1:
-            coeff *= a.coeff ** e
-        for name, k in a.exps:
+        if e > 0:
+            num *= a_num ** e
+            den *= a_den ** e
+        else:
+            num *= a_den ** -e
+            den *= a_num ** -e
+        for name, k in a_exps:
             exps[name] = exps.get(name, 0) + k * e
-    return UnitScalar(coeff, exps)
+    return UnitScalar._trusted(Fraction(num, den), tuple(sorted(x for x in exps.items() if x[1])))
 
 
 def _bilinear_unit(matrix, u, v):
-    """The bilinear form prod_{i,j} M_ij^(u_i v_j)."""
+    """The bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix."""
     right = [(j, vj) for j, vj in enumerate(v.entries) if vj]
     return _unit_power((row[j], ui * vj)
                        for row, ui in zip(matrix, u.entries) if ui for j, vj in right)
 
 
 def _quadratic_unit(matrix, u, linear=()):
-    """prod_k M_kk^C(u_k, 2) * prod_{k<l} M_kl^(u_k u_l) * prod_k linear_k^(u_k).
+    """prod_k M_kk^C(u_k, 2) * prod_{k<l} M_kl^(u_k u_l) * prod_k linear_k^(u_k), all integer-form.
 
     The quadratic part is the coefficient picked up by collecting the ordered
     product prod_k w_k^(u_k) into one basis monomial, where M_kl = mu(w_k, w_l).
@@ -92,12 +109,13 @@ def _quadratic_unit(matrix, u, linear=()):
 class BimultiplicativeCocycle:
     """Total cocycle on N^rank determined by a square unit matrix."""
 
-    __slots__ = ("rank", "matrix", "_params")
+    __slots__ = ("rank", "matrix", "_params", "_integer")
 
     def __init__(self, matrix):
         self.matrix = _unit_matrix(matrix)
         self.rank = len(self.matrix)
         self._params = None
+        self._integer = _integer_matrix(self.matrix)
 
     @classmethod
     def trivial(cls, rank):
@@ -130,7 +148,7 @@ class BimultiplicativeCocycle:
         """mu(u, v) = prod A[i][j]^(u_i v_j); exact."""
         if u.rank != self.rank or v.rank != self.rank:
             raise ValueError(f"rank mismatch: cocycle has rank {self.rank}, got {u.rank}, {v.rank}")
-        return _bilinear_unit(self.matrix, u, v)
+        return _bilinear_unit(self._integer, u, v)
 
     def __mul__(self, other):
         if not isinstance(other, BimultiplicativeCocycle):
@@ -215,10 +233,11 @@ class AntisymmetricMatrix:
 class Pairing:
     """Bimultiplicative pairing N^a x N^b -> units, stored as an a x b unit matrix."""
 
-    __slots__ = ("left_rank", "right_rank", "matrix")
+    __slots__ = ("left_rank", "right_rank", "matrix", "_integer")
 
     def __init__(self, matrix):
         self.matrix = _unit_matrix(matrix, square=False)
+        self._integer = _integer_matrix(self.matrix)
         self.left_rank = len(self.matrix)
         self.right_rank = len(self.matrix[0]) if self.matrix else 0
         if self.left_rank < 1 or self.right_rank < 1:
@@ -243,7 +262,7 @@ class Pairing:
         """alpha(u, v) = prod alpha[i][j]^(u_i v_j) for u in N^a, v in N^b."""
         if u.rank != self.left_rank or v.rank != self.right_rank:
             raise ValueError("rank mismatch in pairing evaluation")
-        return _bilinear_unit(self.matrix, u, v)
+        return _bilinear_unit(self._integer, u, v)
 
     def is_trivial(self):
         return all(a.is_one() for row in self.matrix for a in row)
@@ -617,7 +636,9 @@ def symmetric_trivializer(c):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
+    inverse = _integer_matrix([a.inv() for a in row] for row in matrix)
+
     def h(u):
-        return _quadratic_unit(matrix, u).inv()
+        return _quadratic_unit(inverse, u)
 
     return ClosedFormFunction(n, h)

@@ -10,6 +10,7 @@ of vector/matrix machinery serves both plain and product monoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 
 class ExponentVector:
@@ -18,10 +19,20 @@ class ExponentVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
-            raise ValueError(f"exponent vectors have nonnegative entries: {entries}")
+        entries = tuple(entries)
+        for e in entries:
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise TypeError(f"exponent vector entries must be ints, got {e!r}")
+            if e < 0:
+                raise ValueError(f"exponent vectors have nonnegative entries: {entries}")
         self.entries = entries
+
+    @classmethod
+    def _trusted(cls, entries):
+        """Internal: the vector of a tuple of nonnegative ints, unchecked."""
+        u = object.__new__(cls)
+        u.entries = entries
+        return u
 
     @classmethod
     def zero(cls, rank):
@@ -49,7 +60,7 @@ class ExponentVector:
             return NotImplemented
         if len(self.entries) != len(other.entries):
             raise ValueError("rank mismatch in exponent vector addition")
-        return ExponentVector(a + b for a, b in zip(self.entries, other.entries))
+        return ExponentVector._trusted(tuple(map(add, self.entries, other.entries)))
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -104,7 +115,7 @@ class MonoidMorphism:
             for i, e in enumerate(self.generator_images[k].entries):
                 if e:
                     acc[i] += uk * e
-        return ExponentVector(acc)
+        return ExponentVector._trusted(tuple(acc))
 
     def __eq__(self, other):
         if not isinstance(other, MonoidMorphism):
@@ -139,20 +150,20 @@ class ProductSplit:
         """(s, e_T): pad with zeros on the right block."""
         if u.rank != self.left_rank:
             raise ValueError(f"inject_left expects rank {self.left_rank}, got {u.rank}")
-        return ExponentVector(u.entries + (0,) * self.right_rank)
+        return ExponentVector._trusted(u.entries + (0,) * self.right_rank)
 
     def inject_right(self, v):
         """(e_S, t): pad with zeros on the left block."""
         if v.rank != self.right_rank:
             raise ValueError(f"inject_right expects rank {self.right_rank}, got {v.rank}")
-        return ExponentVector((0,) * self.left_rank + v.entries)
+        return ExponentVector._trusted((0,) * self.left_rank + v.entries)
 
     def split(self, w):
         """Inverse of the injections on the respective blocks."""
         if w.rank != self.rank:
             raise ValueError(f"split expects rank {self.rank}, got {w.rank}")
-        return (ExponentVector(w.entries[:self.left_rank]),
-                ExponentVector(w.entries[self.left_rank:]))
+        return (ExponentVector._trusted(w.entries[:self.left_rank]),
+                ExponentVector._trusted(w.entries[self.left_rank:]))
 
 
 def segre_morphism(n, m):
@@ -189,7 +200,7 @@ def vectors_of_degree(rank, degree):
     if rank < 1:
         raise ValueError("rank must be >= 1")
     for t in _compositions(rank, degree):
-        yield ExponentVector(t)
+        yield ExponentVector._trusted(t)
 
 
 def vectors_up_to_degree(rank, bound):

@@ -6,9 +6,15 @@ A :class:`UnitScalar` is a single invertible term ``c * q1^a1 * ... * qk^ak``
 group in which all cocycle values live.  A :class:`LaurentPolynomial` is a
 finite sum of such terms and is what algebra elements carry as coefficients.
 
-All arithmetic is exact (``fractions.Fraction`` underneath) and all values are
-canonical: sorted parameter names, no zero exponents, no zero terms, reduced
-rationals.  Structural equality therefore coincides with mathematical equality.
+All arithmetic is exact and all values are canonical: sorted parameter names,
+no zero exponents, no zero terms, reduced rationals.  Structural equality
+therefore coincides with mathematical equality.  Coefficients are stored as
+``fractions.Fraction``; the public constructors take only ``int`` and
+``Fraction`` values and integer exponents (no floats, no bools, no strings).
+Products of many units (the cocycle kernel in ``cocycles``) accumulate their
+numerator and denominator as Python ints and become one reduced ``Fraction``
+each.  The ``_trusted`` constructors (here and in ``monoids``) are internal
+only: they wrap values that are already canonical and check nothing.
 """
 
 from __future__ import annotations
@@ -23,10 +29,48 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 _FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 
 
+def _exact(value, what):
+    """`value` if it is an int or a Fraction (bools are not numbers here); else TypeError."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
 def _canonical_exps(exps):
-    """Sorted (name, exponent) tuple with zero exponents dropped."""
-    items = exps.items() if isinstance(exps, dict) else exps
-    return tuple(sorted((n, e) for n, e in items if e != 0))
+    """Sorted (name, exponent) tuple of a map or pair list: repeated names add, zero exponents drop."""
+    acc = {}
+    for name, e in (exps.items() if isinstance(exps, dict) else exps):
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise TypeError(f"exponent of {name!r} must be an int, got {e!r}")
+        acc[name] = acc.get(name, 0) + e
+    return tuple(sorted((n, e) for n, e in acc.items() if e))
+
+
+def _merge_exps(a, b):
+    """The sum of two canonical exponent tuples, canonical again, by one sorted merge."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        name, e = a[i]
+        other, f = b[j]
+        if name < other:
+            out.append(a[i])
+            i += 1
+        elif other < name:
+            out.append(b[j])
+            j += 1
+        else:
+            if e + f:
+                out.append((name, e + f))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 class UnitScalar:
@@ -42,11 +86,19 @@ class UnitScalar:
     __slots__ = ("coeff", "exps")
 
     def __init__(self, coeff, exps=()):
-        coeff = Fraction(coeff)
+        coeff = Fraction(_exact(coeff, "unit coefficient"))
         if coeff == 0:
             raise ValueError("unit scalars must be invertible; got zero coefficient")
         self.coeff = coeff
         self.exps = _canonical_exps(exps)
+
+    @classmethod
+    def _trusted(cls, coeff, exps):
+        """Internal: the unit of a nonzero Fraction and a canonical exponent tuple, unchecked."""
+        u = object.__new__(cls)
+        u.coeff = coeff
+        u.exps = exps
+        return u
 
     @classmethod
     def one(cls):
@@ -65,10 +117,7 @@ class UnitScalar:
     def __mul__(self, other):
         if not isinstance(other, UnitScalar):
             return NotImplemented
-        exps = dict(self.exps)
-        for name, e in other.exps:
-            exps[name] = exps.get(name, 0) + e
-        return UnitScalar(self.coeff * other.coeff, exps)
+        return UnitScalar._trusted(self.coeff * other.coeff, _merge_exps(self.exps, other.exps))
 
     def __truediv__(self, other):
         if not isinstance(other, UnitScalar):
@@ -76,17 +125,17 @@ class UnitScalar:
         return self * other.inv()
 
     def inv(self):
-        return UnitScalar(1 / self.coeff, [(n, -e) for n, e in self.exps])
+        return UnitScalar._trusted(1 / self.coeff, tuple((n, -e) for n, e in self.exps))
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k == 0:
             return UnitScalar(1)
-        return UnitScalar(self.coeff ** k, [(n, e * k) for n, e in self.exps])
+        return UnitScalar._trusted(self.coeff ** k, tuple((n, e * k) for n, e in self.exps))
 
     def __neg__(self):
-        return UnitScalar(-self.coeff, self.exps)
+        return UnitScalar._trusted(-self.coeff, self.exps)
 
     def __eq__(self, other):
         if not isinstance(other, UnitScalar):
@@ -111,7 +160,7 @@ def _specialize_monomial(coeff, exps, assignment):
     for name, e in exps:
         if name not in assignment:
             raise ValueError(f"no value assigned to parameter {name!r}")
-        a = Fraction(assignment[name])
+        a = Fraction(_exact(assignment[name], f"value of parameter {name!r}"))
         if a == 0:
             raise ValueError(f"parameter {name!r} must specialize to a nonzero rational")
         value *= a ** e
@@ -131,7 +180,7 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, dict) else terms
         canon = {}
         for exps, c in items:
-            c = Fraction(c)
+            c = Fraction(_exact(c, "polynomial coefficient"))
             if c == 0:
                 continue
             key = _canonical_exps(exps)
@@ -143,8 +192,15 @@ class LaurentPolynomial:
         self.terms = canon
 
     @classmethod
+    def _trusted(cls, terms):
+        """Internal: the polynomial of a {canonical exps: nonzero Fraction} map, unchecked."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls):
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls):
@@ -152,11 +208,11 @@ class LaurentPolynomial:
 
     @classmethod
     def from_unit(cls, u):
-        return cls({u.exps: u.coeff})
+        return cls._trusted({u.exps: u.coeff})
 
     @classmethod
     def from_rational(cls, c):
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def from_param(cls, name, exp=1):
@@ -170,7 +226,7 @@ class LaurentPolynomial:
 
     def units(self):
         """The terms as unit scalars, in canonical order."""
-        return [UnitScalar(self.terms[k], k) for k in sorted(self.terms)]
+        return [UnitScalar._trusted(self.terms[k], k) for k in sorted(self.terms)]
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -182,14 +238,10 @@ class LaurentPolynomial:
                 out.pop(key, None)
             else:
                 out[key] = s
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result.terms = out
-        return result
+        return LaurentPolynomial._trusted(out)
 
     def __neg__(self):
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
+        return LaurentPolynomial._trusted({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -208,32 +260,23 @@ class LaurentPolynomial:
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                exps = dict(ka)
-                for name, e in kb:
-                    exps[name] = exps.get(name, 0) + e
-                key = _canonical_exps(exps)
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result.terms = out
-        return result
+                key = _merge_exps(ka, kb)
+                c = ca * cb
+                if key in out:
+                    c += out[key]
+                    if not c:
+                        del out[key]
+                        continue
+                out[key] = c
+        return LaurentPolynomial._trusted(out)
 
     __rmul__ = __mul__
 
     def scaled(self, u):
         """Multiply by a unit scalar; invertible (scale by ``u.inv()`` undoes it)."""
-        out = {}
-        for key, c in self.terms.items():
-            exps = dict(key)
-            for name, e in u.exps:
-                exps[name] = exps.get(name, 0) + e
-            out[_canonical_exps(exps)] = c * u.coeff
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result.terms = out
-        return result
+        exps, coeff = u.exps, u.coeff
+        out = {_merge_exps(key, exps): c * coeff for key, c in self.terms.items()}
+        return LaurentPolynomial._trusted(out)
 
     def __eq__(self, other):
         if isinstance(other, UnitScalar):

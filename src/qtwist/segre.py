@@ -19,7 +19,6 @@ linear algebra and no specialization arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import (  # the homomorphism names stay importable from here
     AlgebraElement,
@@ -30,7 +29,7 @@ from .algebras import (  # the homomorphism names stay importable from here
 )
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
 from .monoids import ProductSplit, segre_morphism, vectors_of_degree
-from .scalars import LaurentPolynomial
+from .scalars import LaurentPolynomial, _exact
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def kernel_basis(segre_map, degree, specialization):
         raise ValueError("kernel degree must be >= 1")
     phi = segre_map.homomorphism
     for name, value in specialization.items():
-        if Fraction(value) == 0:
+        if _exact(value, f"value of parameter {name!r}") == 0:
             raise ValueError(f"parameter {name!r} must specialize to a nonzero rational")
     needed = phi.source.parameters() | phi.target.parameters()
     missing = sorted(needed - set(specialization))

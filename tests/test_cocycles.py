@@ -28,6 +28,8 @@ from qtwist import (
     yamazaki_reconstruct,
     yamazaki_trivialize,
 )
+from qtwist.algebras import GradedHomomorphism, TwistedMonoidAlgebra
+from qtwist.cocycles import _integer_form, _unit_power
 from qtwist.monoids import MonoidMorphism
 
 from helpers import (
@@ -545,6 +547,89 @@ def test_symmetric_trivializer_rejects_asymmetric():
     q = UnitScalar.param("q")
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_trivializer(BimultiplicativeCocycle([[ONE, q], [ONE, ONE]]))
+
+
+# -- the integer unit kernel against the definition ---------------------------
+
+def reference_power(pairs):
+    """prod a^e computed with UnitScalar's own __pow__ and __mul__."""
+    out = ONE
+    for a, e in pairs:
+        out = out * a ** e
+    return out
+
+
+def reference_bilinear(matrix, u, v):
+    return reference_power((matrix[i][j], u[i] * v[j])
+                           for i in range(len(u)) for j in range(len(v)))
+
+
+def negative_unit(rng):
+    """A unit with a negative coefficient and a denominator > 1 more often than not."""
+    u = rand_unit(rng)
+    return u if u.coeff < 0 else -u
+
+
+def test_integer_kernel_matches_unit_arithmetic():
+    rng = random.Random(64)
+    q, r = UnitScalar.param("q"), UnitScalar.param("r")
+    # entries whose parameter exponents cancel in every product below
+    cancel = BimultiplicativeCocycle([[UnitScalar(Fraction(-2, 3), {"q": 1}), q.inv() * r],
+                                      [r.inv(), UnitScalar(-5)]])
+    assert cancel.evaluate(ExponentVector((1, 1)), ExponentVector((1, 1))) == UnitScalar(Fraction(10, 3))
+    assert cancel.evaluate(ExponentVector((1, 1)), ExponentVector((1, 1))).exps == ()
+    for rank in (1, 2, 3, 4):
+        for _ in range(8):
+            mu = BimultiplicativeCocycle(
+                [[negative_unit(rng) for _ in range(rank)] for _ in range(rank)])
+            alpha = Pairing([[negative_unit(rng) for _ in range(rank + 1)] for _ in range(rank)])
+            sym = rand_symmetric_cocycle(rng, rank)
+            sym = BimultiplicativeCocycle([[-a for a in row] for row in sym.matrix])
+            h = symmetric_trivializer(sym)
+            nu = rand_cocycle(rng, rank)
+            source, target = TwistedMonoidAlgebra(mu), TwistedMonoidAlgebra(nu)
+            images = [negative_unit(rng) for _ in range(rank)]
+            phi = GradedHomomorphism(source, target, MonoidMorphism.identity(rank),
+                                     [target.basis_element(ExponentVector.unit(rank, k), s)
+                                      for k, s in enumerate(images)])
+            ratio = [[nu.entry(k, l) / mu.entry(k, l) for l in range(rank)] for k in range(rank)]
+            for _ in range(10):
+                u, v, w = rand_vector(rng, rank), rand_vector(rng, rank), rand_vector(rng, rank + 1)
+                assert mu.evaluate(u, v) == reference_bilinear(mu.matrix, u, v)
+                assert alpha.evaluate(u, w) == reference_bilinear(alpha.matrix, u, w)
+                assert h(u) == reference_power(
+                    [(sym.entry(i, i), -(u[i] * (u[i] - 1) // 2)) for i in range(rank)]
+                    + [(sym.entry(i, j), -u[i] * u[j])
+                       for i in range(rank) for j in range(i + 1, rank)])
+                unit, degree = phi.image_of_basis(u)
+                assert degree == u
+                assert unit == reference_power(
+                    [(images[k], u[k]) for k in range(rank)]
+                    + [(ratio[k][k], u[k] * (u[k] - 1) // 2) for k in range(rank)]
+                    + [(ratio[k][l], u[k] * u[l]) for k in range(rank) for l in range(k + 1, rank)])
+            # negative exponents: the sign of a negative coefficient moves out of the denominator
+            entries = _integer_form(mu.matrix[0])
+            exponents = [rng.randint(-4, 4) for _ in range(rank)]
+            assert _unit_power(zip(entries, exponents)) == reference_power(zip(mu.matrix[0], exponents))
+            bigger = ExponentVector((1,) * (rank + 1))
+            with pytest.raises(ValueError):
+                mu.evaluate(bigger, bigger)
+            with pytest.raises(ValueError):
+                alpha.evaluate(bigger, bigger)
+            with pytest.raises(ValueError):
+                h(bigger)
+            with pytest.raises(ValueError):
+                phi.image_of_basis(bigger)
+    assert _unit_power([((-2, 3, ()), -3)]).coeff == Fraction(-27, 8)
+    for _ in range(200):
+        a, b = rand_unit(rng), rand_unit(rng)
+        exps = dict(a.exps)
+        for name, e in b.exps:
+            exps[name] = exps.get(name, 0) + e
+        product = UnitScalar(a.coeff * b.coeff, exps)
+        assert (a * b).exps == tuple(sorted((n, e) for n, e in exps.items() if e))
+        assert a * b == product and hash(a * b) == hash(product)
+        assert hash(a * b * b.inv()) == hash(UnitScalar(a.coeff, dict(a.exps)))
 
 
 # -- serialization ------------------------------------------------------------

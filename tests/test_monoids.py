@@ -23,6 +23,13 @@ def test_negative_entries_rejected():
         ExponentVector((1, -1))
 
 
+@pytest.mark.parametrize("entries", [[1.7, True], [True], [1.0], ["2"], [1, None]],
+                         ids=["float-and-bool", "bool", "integral-float", "str", "none"])
+def test_only_int_entries_accepted(entries):
+    with pytest.raises(TypeError):
+        ExponentVector(entries)
+
+
 @given(vectors4, vectors4, vectors4)
 def test_addition_monoid_laws(u, v, w):
     zero = ExponentVector.zero(4)

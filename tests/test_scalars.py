@@ -52,6 +52,33 @@ def test_zero_coefficient_rejected():
         UnitScalar(0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: UnitScalar(0.1),
+    lambda: UnitScalar(True),
+    lambda: UnitScalar("1/2"),
+    lambda: UnitScalar(1, {"q": 1.0}),
+    lambda: UnitScalar(1, {"q": True}),
+    lambda: LaurentPolynomial({(): 0.1}),
+    lambda: LaurentPolynomial({(): "3"}),
+    lambda: LaurentPolynomial({(("q", 0.5),): 1}),
+    lambda: LaurentPolynomial.from_rational(0.5),
+    lambda: UnitScalar.param("q").specialize({"q": 0.1}),
+    lambda: UnitScalar.param("q").specialize({"q": True}),
+    lambda: specialize(parse_poly("q + 1"), {"q": "2"}),
+], ids=["unit-float", "unit-bool", "unit-str", "unit-float-exponent", "unit-bool-exponent",
+        "poly-float", "poly-str", "poly-float-exponent", "from-rational-float",
+        "specialize-float", "specialize-bool", "specialize-str"])
+def test_public_constructors_take_only_ints_and_fractions(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_repeated_parameter_names_add():
+    assert UnitScalar(2, [("q", 1), ("r", 1), ("q", 2)]) == UnitScalar(2, {"q": 3, "r": 1})
+    assert UnitScalar(2, [("q", 1), ("q", -1)]).exps == ()
+    assert LaurentPolynomial({(("q", 1), ("q", 1)): 1}) == LaurentPolynomial.from_param("q", 2)
+
+
 @given(units, units, units)
 def test_unit_group_laws(u, v, w):
     assert (u * v) * w == u * (v * w)

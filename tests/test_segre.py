@@ -400,3 +400,7 @@ def test_kernel_input_validation():
     values[params[0]] = Fraction(0)
     with pytest.raises(ValueError, match="nonzero"):
         kernel_basis(squant, 2, values)
+    for inexact in (0.5, True, "1/2"):
+        values[params[0]] = inexact
+        with pytest.raises(TypeError, match=params[0]):
+            kernel_basis(squant, 2, values)
