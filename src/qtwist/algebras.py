@@ -9,6 +9,11 @@ construction, so no rewriting machinery is needed: products, twists, twisted
 tensor products and the scaling isomorphisms between cohomologous twists are
 all exact matrix/unit computations.
 
+Products and monomial-map images accumulate each coefficient term's
+numerator and denominator as Python ints and make one ``Fraction`` per
+result term, with no intermediate unit or polynomial; their results go
+through the unchecked ``AlgebraElement._trusted``.
+
 Every morphism here is a :class:`GradedHomomorphism`: it sends e_u to a unit
 times one basis monomial.  Such a map with unit generator images is
 multiplicative exactly when its ratio matrix
@@ -30,7 +35,9 @@ from .cocycles import (
     Pairing,
     antisymmetrize,
     canonical_from_antisym,
+    _bilinear_pairs,
     _integer_form,
+    _power,
     _quadratic_unit,
     cohomologous,
     pullback,
@@ -41,6 +48,7 @@ from .scalars import (
     LaurentPolynomial,
     UnitScalar,
     _exponents,
+    _merge_exps,
     _parse_product,
     _parse_sum,
     _rational,
@@ -94,20 +102,33 @@ class TwistedMonoidAlgebra:
         return AlgebraElement(self, dict(terms))
 
     def multiply(self, x, y):
-        if x.algebra != self or y.algebra != self:
+        """x * y, each coefficient term accumulated as ints and made one Fraction.
+
+        The term a*K of p e_u times the term b*L of q e_v, with
+        mu(u, v) = c*M, contributes abc to the coefficient of K*M*L on e_{u+v}.
+        """
+        if not ((x.algebra is self or x.algebra == self)
+                and (y.algebra is self or y.algebra == self)):
             raise ValueError("elements do not belong to this algebra")
+        matrix = self.cocycle._integer
+        right = [(v, _integer_terms(q)) for v, q in y.terms.items()]
         out = {}
         for u, p in x.terms.items():
-            for v, q in y.terms.items():
-                c = self.cocycle.evaluate(u, v)
-                pq = p * q
-                if not c.is_one():
-                    pq = pq.scaled(c)
-                w = u + v
-                if w in out:
-                    pq = out[w] + pq
-                out[w] = pq
-        return AlgebraElement(self, out)
+            left = _integer_terms(p)
+            for v, q in right:
+                c_num, c_den, c_exps = _power(_bilinear_pairs(matrix, u, v))
+                acc = out.setdefault(u + v, {})
+                for ka, a_num, a_den in left:
+                    kc = _merge_exps(ka, c_exps)
+                    ac_num, ac_den = a_num * c_num, a_den * c_den
+                    for kb, b_num, b_den in q:
+                        _accumulate(acc, _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den)
+        terms = {}
+        for w, acc in out.items():
+            p = _polynomial(acc)
+            if p.terms:
+                terms[w] = p
+        return AlgebraElement._trusted(self, terms)
 
     def __eq__(self, other):
         if not isinstance(other, TwistedMonoidAlgebra):
@@ -117,6 +138,29 @@ class TwistedMonoidAlgebra:
 
     def __repr__(self):
         return f"TwistedMonoidAlgebra(rank={self.rank}, generators={list(self.generator_names)})"
+
+
+def _integer_terms(p):
+    """(exps, numerator, denominator) of each term of a polynomial."""
+    return [(k, c.numerator, c.denominator) for k, c in p.terms.items()]
+
+
+def _accumulate(acc, key, num, den):
+    """Add num/den to acc[key], a [numerator, denominator] pair of ints (unreduced)."""
+    pair = acc.get(key)
+    if pair is None:
+        acc[key] = [num, den]
+    elif pair[1] == den:
+        pair[0] += num
+    else:
+        pair[0] = pair[0] * den + num * pair[1]
+        pair[1] *= den
+
+
+def _polynomial(acc):
+    """The polynomial of an {exps: [numerator, denominator]} accumulator: one Fraction per nonzero term."""
+    return LaurentPolynomial._trusted({k: Fraction(num, den) for k, (num, den) in acc.items() if num})
+
 
 
 class AlgebraElement:
@@ -136,6 +180,14 @@ class AlgebraElement:
         self.algebra = algebra
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, algebra, terms):
+        """Internal: the element of a {vector of the algebra's rank: nonzero LaurentPolynomial} map, unchecked."""
+        x = object.__new__(cls)
+        x.algebra = algebra
+        x.terms = terms
+        return x
+
     def is_zero(self):
         return not self.terms
 
@@ -152,7 +204,7 @@ class AlgebraElement:
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if other.algebra != self.algebra:
+        if not (other.algebra is self.algebra or other.algebra == self.algebra):
             raise ValueError("elements live in different algebras")
         out = dict(self.terms)
         for u, p in other.terms.items():
@@ -193,7 +245,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
+        return (self.algebra is other.algebra or self.algebra == other.algebra) and self.terms == other.terms
 
     def __str__(self):
         return render_element(self)
@@ -345,7 +397,7 @@ class GradedHomomorphism:
             raise ValueError(f"expected {source.rank} generator images, got {len(images)}")
         units = []
         for k, img in enumerate(images):
-            if img.algebra != target:
+            if not (img.algebra is target or img.algebra == target):
                 raise ValueError(f"generator image {k} does not live in the target algebra")
             if len(img.terms) != 1:
                 raise ValueError(f"generator image {k} must be a scalar multiple of a basis monomial")
@@ -374,7 +426,7 @@ class GradedHomomorphism:
         phi.source = TwistedMonoidAlgebra(pullback(target.cocycle, f), source_names)
         phi.target, phi.monoid_morphism, phi._cache = target, f, {}
         phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
-        one = ((1, 1, ()),) * f.source_rank
+        one = (None,) * f.source_rank
         phi._image_units, phi._ratio = one, (one,) * f.source_rank
         return phi
 
@@ -389,17 +441,31 @@ class GradedHomomorphism:
         return value
 
     def apply(self, x):
-        """Linear extension of the basis action; preserves grading along f."""
-        if x.algebra != self.source:
+        """Linear extension of the basis action; preserves grading along f.
+
+        With phi(e_u) = c*M e_w, a coefficient term a*K on e_u adds ac to the
+        term K*M on e_w; a lone e_u with image unit 1 keeps its coefficient.
+        """
+        if not (x.algebra is self.source or x.algebra == self.source):
             raise ValueError("element does not belong to the source algebra")
-        out = {}
+        fibers = {}
         for u, p in x.terms.items():
             c, w = self.image_of_basis(u)
-            q = p if c.is_one() else p.scaled(c)
-            if w in out:
-                q = out[w] + q
-            out[w] = q
-        return AlgebraElement(self.target, out)
+            fibers.setdefault(w, []).append((c, p))
+        terms = {}
+        for w, parts in fibers.items():
+            if len(parts) == 1 and parts[0][0].is_one():
+                terms[w] = parts[0][1]
+                continue
+            acc = {}
+            for c, p in parts:
+                c_num, c_den = c.coeff.numerator, c.coeff.denominator
+                for k, a in p.terms.items():
+                    _accumulate(acc, _merge_exps(k, c.exps), a.numerator * c_num, a.denominator * c_den)
+            p = _polynomial(acc)
+            if p.terms:
+                terms[w] = p
+        return AlgebraElement._trusted(self.target, terms)
 
     def __call__(self, x):
         return self.apply(x)
@@ -489,7 +555,7 @@ def random_unit(rng, parameters=(), max_num=7, max_exp=2):
             e = rng.randint(-max_exp, max_exp)
             if e:
                 exps[name] = e
-    return UnitScalar(coeff, exps)
+    return UnitScalar._trusted(coeff, tuple(sorted(exps.items())))
 
 
 def random_vector(rng, rank, max_entry=4, max_support=3):
@@ -503,12 +569,18 @@ def random_vector(rng, rank, max_entry=4, max_support=3):
 def random_element(algebra, rng, max_terms=3, max_entry=4, max_support=3):
     """A random element with <= max_terms terms and sparse monomials."""
     params = sorted(algebra.parameters())
-    terms = {}
+    coeffs = {}
     for _ in range(rng.randint(1, max_terms)):
         u = random_vector(rng, algebra.rank, max_entry, max_support)
-        c = LaurentPolynomial.from_unit(random_unit(rng, params))
-        terms[u] = terms.get(u, LaurentPolynomial.zero()) + c
-    return AlgebraElement(algebra, terms)
+        c = random_unit(rng, params)
+        coeff = coeffs.setdefault(u, {})
+        s = coeff[c.exps] + c.coeff if c.exps in coeff else c.coeff
+        if s:
+            coeff[c.exps] = s
+        else:
+            del coeff[c.exps]
+    return AlgebraElement._trusted(
+        algebra, {u: LaurentPolynomial._trusted(coeff) for u, coeff in coeffs.items() if coeff})
 
 
 def random_homogeneous(algebra, rng, max_entry=4, max_support=3):

@@ -56,25 +56,28 @@ def _matrix_from_json(data):
 
 
 def _integer_form(units):
-    """(numerator, denominator, exps) of each unit: the entries `_unit_power` multiplies."""
-    return tuple((a.coeff.numerator, a.coeff.denominator, a.exps) for a in units)
+    """(numerator, denominator, exps) of each unit, None for the unit 1: the entries `_power` multiplies."""
+    return tuple(None if a.is_one() else (a.coeff.numerator, a.coeff.denominator, a.exps)
+                 for a in units)
 
 
 def _integer_matrix(matrix):
     return tuple(_integer_form(row) for row in matrix)
 
 
-def _unit_power(pairs):
-    """prod a^e over (integer-form entry a, integer e) pairs.
+def _power(pairs):
+    """(numerator, denominator, exps) of prod a^e over (integer-form entry a, integer e) pairs.
 
     The numerator and denominator are accumulated as ints and the exponents
-    in one map, so each result costs one reduced Fraction and one unit.
+    in one map; entries None (the unit 1) and zero powers cost nothing.  The
+    quotient is not reduced: callers make one Fraction of it.
     """
     num = den = 1
     exps = {}
-    for (a_num, a_den, a_exps), e in pairs:
-        if not e:
+    for a, e in pairs:
+        if a is None or not e:
             continue
+        a_num, a_den, a_exps = a
         if e > 0:
             num *= a_num ** e
             den *= a_den ** e
@@ -83,14 +86,23 @@ def _unit_power(pairs):
             den *= a_num ** -e
         for name, k in a_exps:
             exps[name] = exps.get(name, 0) + k * e
-    return UnitScalar._trusted(Fraction(num, den), tuple(sorted(x for x in exps.items() if x[1])))
+    return num, den, tuple(sorted(x for x in exps.items() if x[1]))
+
+
+def _unit_power(pairs):
+    """prod a^e over (integer-form entry a, integer e) pairs, as one unit with one reduced Fraction."""
+    num, den, exps = _power(pairs)
+    return UnitScalar._trusted(Fraction(num, den), exps)
+
+
+def _bilinear_pairs(matrix, u, v):
+    """The (entry, power) pairs of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix."""
+    right = [(j, vj) for j, vj in enumerate(v.entries) if vj]
+    return ((row[j], ui * vj) for row, ui in zip(matrix, u.entries) if ui for j, vj in right)
 
 
 def _bilinear_unit(matrix, u, v):
-    """The bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix."""
-    right = [(j, vj) for j, vj in enumerate(v.entries) if vj]
-    return _unit_power((row[j], ui * vj)
-                       for row, ui in zip(matrix, u.entries) if ui for j, vj in right)
+    return _unit_power(_bilinear_pairs(matrix, u, v))
 
 
 def _quadratic_unit(matrix, u, linear=()):
@@ -101,8 +113,9 @@ def _quadratic_unit(matrix, u, linear=()):
     """
     sup = [(k, uk) for k, uk in enumerate(u.entries) if uk]
     pairs = [(matrix[k][l], uk * (uk - 1) // 2 if k == l else uk * ul)
-             for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:]]
-    pairs.extend(zip(linear, u.entries))
+             for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:] if matrix[k][l] is not None]
+    if linear:
+        pairs.extend((linear[k], uk) for k, uk in sup)
     return _unit_power(pairs)
 
 

@@ -11,10 +11,14 @@ no zero exponents, no zero terms, reduced rationals.  Structural equality
 therefore coincides with mathematical equality.  Coefficients are stored as
 ``fractions.Fraction``; the public constructors take only ``int`` and
 ``Fraction`` values and integer exponents (no floats, no bools, no strings).
-Products of many units (the cocycle kernel in ``cocycles``) accumulate their
-numerator and denominator as Python ints and become one reduced ``Fraction``
-each.  The ``_trusted`` constructors (here and in ``monoids``) are internal
-only: they wrap values that are already canonical and check nothing.
+Products of many units (the cocycle kernel in ``cocycles``) and the
+coefficient terms of twisted products and monomial-map images (in
+``algebras``) accumulate their numerator and denominator as Python ints and
+become one reduced ``Fraction`` each.  The ``_trusted`` constructors (here,
+in ``monoids`` and in ``algebras``) are internal only: they wrap values that
+are already canonical and check nothing.  Equal values hash equally, across
+types too: a constant polynomial hashes like its ``Fraction`` and a
+one-term polynomial like its unit.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ class UnitScalar:
         return UnitScalar._trusted(1 / self.coeff, tuple((n, -e) for n, e in self.exps))
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
         if k == 0:
             return UnitScalar(1)
@@ -143,7 +147,8 @@ class UnitScalar:
         return self.coeff == other.coeff and self.exps == other.exps
 
     def __hash__(self):
-        return hash((self.coeff, self.exps))
+        # A constant unit hashes like its Fraction, as the equal constant polynomial does.
+        return hash((self.coeff, self.exps)) if self.exps else hash(self.coeff)
 
     def specialize(self, assignment):
         return _specialize_monomial(self.coeff, self.exps, assignment)
@@ -288,7 +293,11 @@ class LaurentPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        # Equal values hash equally: zero and constants like their Fraction, one term like its unit.
+        if len(self.terms) != 1:
+            return hash(tuple(sorted(self.terms.items()))) if self.terms else hash(0)
+        (key, c), = self.terms.items()
+        return hash((c, key)) if key else hash(c)
 
     def specialize(self, assignment):
         total = Fraction(0)

@@ -7,15 +7,19 @@ from qtwist import (
     AntisymmetricMatrix,
     BimultiplicativeCocycle,
     ExponentVector,
+    GradedHomomorphism,
     LaurentPolynomial,
+    MonoidMorphism,
     Pairing,
     TwistedMonoidAlgebra,
     UnitScalar,
+    build_quantum_segre,
     coboundary_isomorphism,
     deformation_matrix,
     embed_left,
     embed_right,
     factor_twist,
+    kernel_basis,
     parse_element,
     quantum_projective_space,
     random_element,
@@ -35,6 +39,8 @@ from helpers import (
     rand_unit,
     rand_vector,
 )
+
+ZERO = LaurentPolynomial.zero()
 
 ONE = UnitScalar.one()
 
@@ -353,6 +359,166 @@ def test_coboundary_isomorphism_requires_cohomologous():
             deformation_matrix(TwistedMonoidAlgebra(nu))):
         with pytest.raises(ValueError, match="cohomologous"):
             coboundary_isomorphism(A, mu, nu)
+
+
+# -- the integer kernel of multiply and apply -------------------------------------
+
+def reference_product(x, y):
+    """x * y term pair by term pair through public unit and polynomial arithmetic."""
+    out = {}
+    for u, p in x.terms.items():
+        for v, q in y.terms.items():
+            w = u + v
+            out[w] = out.get(w, ZERO) + (p * q).scaled(x.algebra.cocycle.evaluate(u, v))
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def reference_image(phi, x):
+    """phi(x) through public polynomial arithmetic on the basis images."""
+    out = {}
+    for u, p in x.terms.items():
+        c, w = phi.image_of_basis(u)
+        out[w] = out.get(w, ZERO) + p.scaled(c)
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def assert_canonical(x):
+    for u, p in x.terms.items():
+        assert u.rank == x.algebra.rank and p.terms
+        assert all(c != 0 and isinstance(c, Fraction) for c in p.terms.values())
+        assert all(key == tuple(sorted(key)) and all(e for _, e in key) for key in p.terms)
+
+
+def poly_element(rng, algebra, max_terms=3):
+    """Random element whose coefficients are multi-term polynomials with negative exponents."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        terms[rand_vector(rng, algebra.rank, 3)] = rand_poly(rng, max_terms=4)
+    return algebra.element(terms)
+
+
+def cancelling_pair(rng, algebra):
+    """(x, y) with x = a e_u + b e_u', y = c e_v + d e_v', u + v' = u' + v, and d making that term 0."""
+    rank = algebra.rank
+    u, u2, s = (rand_vector(rng, rank, 2) for _ in range(3))
+    v, v2 = u + s, u2 + s
+    a, b, c = (rand_unit(rng) for _ in range(3))
+    mu = algebra.cocycle.evaluate
+    d = -(b * c * mu(u2, v) / (a * mu(u, v2)))
+    x = algebra.element({u: LaurentPolynomial.from_unit(a), u2: LaurentPolynomial.from_unit(b)})
+    y = algebra.element({v: LaurentPolynomial.from_unit(c), v2: LaurentPolynomial.from_unit(d)})
+    return x, y, u + v2
+
+
+def test_multiply_matches_public_arithmetic():
+    rng = random.Random(801)
+    multi_term = cancelled = 0
+    for _ in range(40):
+        A = TwistedMonoidAlgebra(rand_cocycle(rng, rng.randint(1, 4)))
+        x, y = poly_element(rng, A), poly_element(rng, A)
+        multi_term += any(len(p.terms) > 1 for p in x.terms.values())
+        z = x * y
+        assert_canonical(z)
+        assert z.terms == reference_product(x, y)
+        x, y, w = cancelling_pair(rng, A)
+        z = x * y
+        assert_canonical(z)
+        assert z.terms == reference_product(x, y)
+        if len(x.terms) == 2:  # u != u': the two contributions to e_w cancel
+            cancelled += 1
+            assert w not in z.terms
+    assert multi_term > 20 and cancelled > 20
+
+
+def test_multiply_cancels_parameter_exponents():
+    # mu(e0, e0) = q^-1*r^2: (q*r^-1*X0) * (-3*r^-1*X0) = -3*X0^2, a key with no parameters
+    A = TwistedMonoidAlgebra(BimultiplicativeCocycle([[UnitScalar(1, {"q": -1, "r": 2})]]))
+    x = A.basis_element(ExponentVector((1,)), UnitScalar(1, {"q": 1, "r": -1}))
+    y = A.basis_element(ExponentVector((1,)), UnitScalar(-3, {"r": -1}))
+    z = x * y
+    assert z.terms == {ExponentVector((2,)): LaurentPolynomial({(): -3})}
+    assert list(z.terms[ExponentVector((2,))].terms) == [()]
+    assert (x * (y - y)).terms == {}
+
+
+def test_apply_matches_public_arithmetic():
+    rng = random.Random(802)
+    for _ in range(30):
+        rank, trank = rng.randint(1, 4), rng.randint(1, 3)
+        A = TwistedMonoidAlgebra(rand_cocycle(rng, rank))
+        B = TwistedMonoidAlgebra(rand_cocycle(rng, trank))
+        f = MonoidMorphism(rank, trank, [rand_vector(rng, trank, 2) for _ in range(rank)])
+        phi = GradedHomomorphism(A, B, f, [B.basis_element(w, rand_unit(rng))
+                                           for w in f.generator_images])
+        for x in (poly_element(rng, A), random_element(A, rng)):
+            image = phi(x)
+            assert_canonical(image)
+            assert image.terms == reference_image(phi, x)
+
+
+def test_apply_cancels_within_a_fiber():
+    # e0 and e1 both go to a unit times X0, so a e0 + b e1 with b = -a*s0/s1 maps to 0
+    rng = random.Random(803)
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 2))
+    B = TwistedMonoidAlgebra(rand_cocycle(rng, 1))
+    s0, s1, a = rand_unit(rng), rand_unit(rng), rand_unit(rng)
+    g = ExponentVector((1,))
+    phi = GradedHomomorphism(A, B, MonoidMorphism(2, 1, [g, g]),
+                             [B.basis_element(g, s0), B.basis_element(g, s1)])
+    x = A.element({ExponentVector((1, 0)): LaurentPolynomial.from_unit(a),
+                   ExponentVector((0, 1)): LaurentPolynomial.from_unit(-(a * s0 / s1))})
+    assert phi(x).terms == {} == reference_image(phi, x)
+    y = x + A.generator(0) * A.generator(1)
+    assert phi(y).terms == reference_image(phi, y) != {}
+
+
+def test_segre_kernel_elements_map_to_no_terms():
+    rng = random.Random(804)
+    for n, m in ((1, 1), (1, 2), (2, 2)):
+        smap = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+        phi = smap.homomorphism
+        values = {name: Fraction(2) for name in phi.source.parameters() | phi.target.parameters()}
+        for degree in (2, 3):
+            for k in kernel_basis(smap, degree, values):
+                assert phi.apply(k).terms == {}
+                assert reference_image(phi, k) == {}
+                x = random_element(phi.source, rng)
+                assert phi.apply(k + x) == phi.apply(x)
+
+
+def test_random_element_stream_is_pinned():
+    # the literals the sampler drew before its integer kernel: every seed draws the same samples
+    A = TwistedMonoidAlgebra(BimultiplicativeCocycle.from_json(
+        [["q", "-2/3*r^-1", "1"], ["5*q^-2*r", "1", "r^2"], ["-1", "7/4*q", "q^-1*r^-1"]]))
+    rng = random.Random(2024)
+    assert [render_element(random_element(A, rng)) for _ in range(8)] + [rng.randint(0, 10**9)] == [
+        "-2/3*X2^3 + 4/7*r*X0*X1^3*X2^3",
+        "3/2*X2^2 - 4*X1^2 - 2/7*q*r^2*X0^4*X1^3*X2^3",
+        "r*X1^3*X2 + 2/7*r^2*X0^3*X2^4",
+        "7/2*q^-1*r^-2 - r^-1*X1^2*X2^2",
+        "1/4*r^-2*X0^3*X1^4",
+        "-2*r^-1*X0*X1^3 - 3*q^-1*X0*X1^4",
+        "1/2*q^2",
+        "2*X0^2",
+        872395752,
+    ]
+    # one generator and entries <= 1: repeated monomials, whose coefficients add
+    A1 = TwistedMonoidAlgebra(BimultiplicativeCocycle.from_json([["q^-1*r"]]))
+    rng = random.Random(7)
+    drawn = [random_element(A1, rng, max_terms=6, max_entry=1) for _ in range(8)]
+    assert [render_element(x) for x in drawn] + [rng.randint(0, 10**9)] == [
+        "6/5*q^-1 - 1/4*q^-2*X0 - 6/7*r^-2*X0",
+        "2/5*q^-1*r^-1 + 5/3*X0 + 5/3*q*r^-1*X0 - 2*r^-2*X0",
+        "-7/2*r^-1 - 1/6*X0 + 7/6*q*r^2*X0 + 1/2*r^-2*X0 - 6/5*r*X0",
+        "-61/12*X0 - 5/2*r^2*X0",
+        "X0 - q*r^-2*X0 - 2*r^2*X0",
+        "-2/5*q^-1 + 2/3*q^-2*X0",
+        "-1/2*X0 - 4/5*q^2*X0 + 1/3*r^-1*X0",
+        "24/5*X0",
+        391524801,
+    ]
+    for x in drawn:
+        assert_canonical(x)
 
 
 # -- element literals -------------------------------------------------------------

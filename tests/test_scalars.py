@@ -248,3 +248,28 @@ def test_parse_poly_zero_term_takes_one_sign():
     for bad in ["--0", "- -0", "q +-0", "q - -0"]:
         with pytest.raises(ValueError, match="double sign"):
             parse_poly(bad)
+
+
+def test_unit_pow_refuses_bool_exponents():
+    with pytest.raises(TypeError):
+        UnitScalar(2) ** True
+    with pytest.raises(TypeError):
+        UnitScalar.param("q") ** False
+
+
+def test_equal_values_hash_equally():
+    assert len({LaurentPolynomial.one(), 1}) == 1
+    assert len({LaurentPolynomial.zero(), 0, Fraction(0)}) == 1
+    for c in (Fraction(1), Fraction(-3, 2)):
+        p = LaurentPolynomial.from_unit(UnitScalar(c))
+        assert p == c and p == UnitScalar(c)
+        assert hash(p) == hash(c) == hash(UnitScalar(c))
+    rng = random.Random(14)
+    for _ in range(50):
+        u = rand_unit(rng)
+        p = LaurentPolynomial.from_unit(u)
+        assert p == u and hash(p) == hash(u)
+        q = rand_poly(rng)
+        shuffled = list(q.terms.items())
+        rng.shuffle(shuffled)
+        assert LaurentPolynomial(shuffled) == q and hash(LaurentPolynomial(shuffled)) == hash(q)
