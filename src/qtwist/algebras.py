@@ -255,7 +255,7 @@ class AlgebraElement:
 
     def to_json(self):
         return [{"exponents": u.to_json(), "coefficient": render_poly(p)}
-                for u, p in sorted(self.terms.items(), key=lambda t: (t[0].degree(), t[0].entries))]
+                for u, p in sorted(self.terms.items(), key=lambda t: (t[0].degree(), t[0]))]
 
 
 def quantum_projective_space(q, generator_names=None):
@@ -378,15 +378,21 @@ class MultiplicativityReport:
         return self.passed
 
 
+#: The image unit of every basis monomial under a map whose units and ratios are all 1.
+_ONE = UnitScalar.one()
+
+
 class GradedHomomorphism:
     """Algebra map e_k |-> s_k e_f(e_k), for units s_k and a monoid morphism f.
 
     e_u goes to the ordered product of its generators' images, which is
     prod_k s_k^u_k R_kk^C(u_k, 2) prod_(k<l) R_kl^(u_k u_l) e_f(u), R the ratio matrix.
+    When every s_k and every R_kl is 1 (as for every Segre map), e_u goes to
+    exactly e_f(u), and `image_of_basis` does no unit arithmetic.
     """
 
     __slots__ = ("source", "target", "monoid_morphism", "generator_images",
-                 "_image_units", "_ratio", "_cache")
+                 "_image_units", "_ratio", "_all_ones", "_cache")
 
     def __init__(self, source, target, monoid_morphism, generator_images):
         f = monoid_morphism
@@ -417,6 +423,7 @@ class GradedHomomorphism:
         self._ratio = tuple(
             _integer_form(target.cocycle.evaluate(dk, dl) / a for dl, a in zip(f.generator_images, row))
             for dk, row in zip(f.generator_images, source.cocycle.matrix))
+        self._all_ones = not any(self._image_units) and not any(map(any, self._ratio))
         self._cache = {}
 
     @classmethod
@@ -427,18 +434,17 @@ class GradedHomomorphism:
         phi.target, phi.monoid_morphism, phi._cache = target, f, {}
         phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
         one = (None,) * f.source_rank
-        phi._image_units, phi._ratio = one, (one,) * f.source_rank
+        phi._image_units, phi._ratio, phi._all_ones = one, (one,) * f.source_rank, True
         return phi
 
     def image_of_basis(self, u):
         """(unit, degree) with phi(e_u) = unit * e_degree in the target."""
         got = self._cache.get(u)
-        if got is not None:
-            return got
-        degree = self.monoid_morphism(u)  # checks the rank first
-        value = (_quadratic_unit(self._ratio, u, self._image_units), degree)
-        self._cache[u] = value
-        return value
+        if got is None:
+            degree = self.monoid_morphism(u)  # checks the rank first
+            unit = _ONE if self._all_ones else _quadratic_unit(self._ratio, u, self._image_units)
+            got = self._cache[u] = (unit, degree)
+        return got
 
     def apply(self, x):
         """Linear extension of the basis action; preserves grading along f.
@@ -484,13 +490,13 @@ def verify_homomorphism(phi, samples=100, seed=0):
     self-test of `multiply` and `apply`.  Reports the first counterexample.
     """
     source = phi.source
+    generators = [source.generator(k) for k in range(source.rank)]
+    images = [phi(x) for x in generators]
     checked = 0
-    for i in range(source.rank):
-        xi = source.generator(i)
-        for j in range(source.rank):
-            xj = source.generator(j)
+    for i, xi in enumerate(generators):
+        for j, xj in enumerate(generators):
             checked += 1
-            if phi(xi * xj) != phi(xi) * phi(xj):
+            if phi(xi * xj) != images[i] * images[j]:
                 names = source.generator_names
                 return HomomorphismReport(False, checked, seed, (names[i], names[j]))
     rng = random.Random(seed)
@@ -563,7 +569,7 @@ def random_vector(rng, rank, max_entry=4, max_support=3):
     entries = [0] * rank
     for i in rng.sample(range(rank), min(rng.randint(0, max_support), rank)):
         entries[i] = rng.randint(1, max_entry)
-    return ExponentVector._trusted(tuple(entries))
+    return ExponentVector._trusted(entries)
 
 
 def random_element(algebra, rng, max_terms=3, max_entry=4, max_support=3):
@@ -645,7 +651,7 @@ def render_element(x):
     """Canonical element literal: terms ordered by (degree, exponents), unit coefficients."""
     names = x.algebra.generator_names
     terms = []
-    for u in sorted(x.terms, key=lambda u: (u.degree(), u.entries)):
+    for u in sorted(x.terms, key=lambda u: (u.degree(), u)):
         gens = tuple((names[i], u[i]) for i in u.support())
         coeff = x.terms[u].terms
         terms += [(coeff[key], key + gens) for key in sorted(coeff)]

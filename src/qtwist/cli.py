@@ -17,7 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import algebras, cocycles, segre
 from .cocycles import (
@@ -481,6 +481,7 @@ _FLAGS = {
 }
 
 
+@cache  # built once per process; parse_args keeps no state between calls
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qtwist",

@@ -97,8 +97,8 @@ def _unit_power(pairs):
 
 def _bilinear_pairs(matrix, u, v):
     """The (entry, power) pairs of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix."""
-    right = [(j, vj) for j, vj in enumerate(v.entries) if vj]
-    return ((row[j], ui * vj) for row, ui in zip(matrix, u.entries) if ui for j, vj in right)
+    right = [(j, vj) for j, vj in enumerate(v) if vj]
+    return ((row[j], ui * vj) for row, ui in zip(matrix, u) if ui for j, vj in right)
 
 
 def _bilinear_unit(matrix, u, v):
@@ -111,7 +111,7 @@ def _quadratic_unit(matrix, u, linear=()):
     The quadratic part is the coefficient picked up by collecting the ordered
     product prod_k w_k^(u_k) into one basis monomial, where M_kl = mu(w_k, w_l).
     """
-    sup = [(k, uk) for k, uk in enumerate(u.entries) if uk]
+    sup = [(k, uk) for k, uk in enumerate(u) if uk]
     pairs = [(matrix[k][l], uk * (uk - 1) // 2 if k == l else uk * ul)
              for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:] if matrix[k][l] is not None]
     if linear:
@@ -414,8 +414,7 @@ class TruncatedCocycle:
 
     def to_json(self):
         return [{"u": u.to_json(), "v": v.to_json(), "value": render_unit(val)}
-                for (u, v), val in sorted(self.table.items(),
-                                          key=lambda kv: (kv[0][0].entries, kv[0][1].entries))]
+                for (u, v), val in sorted(self.table.items(), key=lambda kv: kv[0])]
 
     def value(self, u, v):
         try:
@@ -494,7 +493,7 @@ class FunctionOnMonoid:
 
     def to_json(self):
         return [{"u": u.to_json(), "value": render_unit(val)}
-                for u, val in sorted(self.table.items(), key=lambda kv: kv[0].entries)]
+                for u, val in sorted(self.table.items(), key=lambda kv: kv[0])]
 
     def value(self, u):
         try:

@@ -1,6 +1,7 @@
 """Free commutative monoids N^n in additive notation, and morphisms between them.
 
-Monoid elements are exponent vectors (tuples of nonnegative integers); a
+Monoid elements are exponent vectors: tuples of nonnegative integers that
+equal and hash like their plain tuples, with `+` as vector addition.  A
 morphism is determined by the images of the generators and extends linearly.
 A product monoid N^a x N^b is represented as the single monoid N^(a+b)
 together with a :class:`ProductSplit` marking the block boundary, so one set
@@ -13,26 +14,24 @@ from dataclasses import dataclass
 from operator import add
 
 
-class ExponentVector:
-    """Element of N^n: a fixed-length tuple of nonnegative integers."""
+class ExponentVector(tuple):
+    """Element of N^n: a tuple of nonnegative ints; `+` and `*` raise rather than concatenate or repeat."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         entries = tuple(entries)
         for e in entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError(f"exponent vector entries must be ints, got {e!r}")
             if e < 0:
                 raise ValueError(f"exponent vectors have nonnegative entries: {entries}")
-        self.entries = entries
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def _trusted(cls, entries):
-        """Internal: the vector of a tuple of nonnegative ints, unchecked."""
-        u = object.__new__(cls)
-        u.entries = entries
-        return u
+        """Internal: the vector of an iterable of nonnegative ints, unchecked."""
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def zero(cls, rank):
@@ -45,51 +44,45 @@ class ExponentVector:
         return cls(entries)
 
     @property
+    def entries(self):
+        return tuple(self)
+
+    @property
     def rank(self):
-        return len(self.entries)
+        return len(self)
 
     def degree(self):
         """Total degree |u| = sum of entries."""
-        return sum(self.entries)
+        return sum(self)
 
     def support(self):
-        return tuple(i for i, e in enumerate(self.entries) if e)
+        return tuple(i for i, e in enumerate(self) if e)
 
     def __add__(self, other):
         if not isinstance(other, ExponentVector):
-            return NotImplemented
-        if len(self.entries) != len(other.entries):
+            raise TypeError(f"an exponent vector adds only to an exponent vector, not {type(other).__name__}")
+        if len(self) != len(other):
             raise ValueError("rank mismatch in exponent vector addition")
-        return ExponentVector._trusted(tuple(map(add, self.entries, other.entries)))
+        return tuple.__new__(ExponentVector, map(add, self, other))
 
-    def __getitem__(self, i):
-        return self.entries[i]
+    __radd__ = __add__
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __mul__(self, other):
+        raise TypeError("exponent vectors do not repeat under '*'")
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExponentVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+    __rmul__ = __mul__
 
     def __repr__(self):
-        return f"ExponentVector({list(self.entries)})"
+        return f"ExponentVector({list(self)})"
 
     def to_json(self):
-        return list(self.entries)
+        return list(self)
 
 
 class MonoidMorphism:
     """Morphism N^source_rank -> N^target_rank given by generator images."""
 
-    __slots__ = ("source_rank", "target_rank", "generator_images")
+    __slots__ = ("source_rank", "target_rank", "generator_images", "_sparse")
 
     def __init__(self, source_rank, target_rank, generator_images):
         images = tuple(generator_images)
@@ -101,21 +94,21 @@ class MonoidMorphism:
         self.source_rank = source_rank
         self.target_rank = target_rank
         self.generator_images = images
+        self._sparse = tuple(tuple((i, e) for i, e in enumerate(w) if e) for w in images)
 
     @classmethod
     def identity(cls, rank):
         return cls(rank, rank, [ExponentVector.unit(rank, i) for i in range(rank)])
 
     def __call__(self, u):
-        if u.rank != self.source_rank:
-            raise ValueError(f"rank mismatch: morphism expects rank {self.source_rank}, got {u.rank}")
+        if len(u) != self.source_rank:
+            raise ValueError(f"rank mismatch: morphism expects rank {self.source_rank}, got {len(u)}")
         acc = [0] * self.target_rank
-        for k in u.support():
-            uk = u[k]
-            for i, e in enumerate(self.generator_images[k].entries):
-                if e:
+        for uk, image in zip(u, self._sparse):
+            if uk:
+                for i, e in image:
                     acc[i] += uk * e
-        return ExponentVector._trusted(tuple(acc))
+        return tuple.__new__(ExponentVector, acc)
 
     def __eq__(self, other):
         if not isinstance(other, MonoidMorphism):
@@ -150,20 +143,20 @@ class ProductSplit:
         """(s, e_T): pad with zeros on the right block."""
         if u.rank != self.left_rank:
             raise ValueError(f"inject_left expects rank {self.left_rank}, got {u.rank}")
-        return ExponentVector._trusted(u.entries + (0,) * self.right_rank)
+        return ExponentVector._trusted(tuple(u) + (0,) * self.right_rank)
 
     def inject_right(self, v):
         """(e_S, t): pad with zeros on the left block."""
         if v.rank != self.right_rank:
             raise ValueError(f"inject_right expects rank {self.right_rank}, got {v.rank}")
-        return ExponentVector._trusted((0,) * self.left_rank + v.entries)
+        return ExponentVector._trusted((0,) * self.left_rank + tuple(v))
 
     def split(self, w):
         """Inverse of the injections on the respective blocks."""
         if w.rank != self.rank:
             raise ValueError(f"split expects rank {self.rank}, got {w.rank}")
-        return (ExponentVector._trusted(w.entries[:self.left_rank]),
-                ExponentVector._trusted(w.entries[self.left_rank:]))
+        return (ExponentVector._trusted(w[:self.left_rank]),
+                ExponentVector._trusted(w[self.left_rank:]))
 
 
 def segre_morphism(n, m):

@@ -74,6 +74,19 @@ def test_reports_reparse_and_are_stable(name, tail, expected_code):
     assert set(report) <= {"command", "status", "payload", "counterexample"}
 
 
+
+def test_flag_values_do_not_leak_between_calls():
+    # the parser is built once per process, so each call must start from its defaults
+    golden = {name: (GOLDEN / f"{name}.json").read_text()
+              for name in ("segre_kernel", "segre_kernel_quantum", "segre_verify")}
+    kernel_tail = ["segre", "kernel", "--degree", "2"]
+    assert run_cli(argv_for("segre_kernel", kernel_tail + ["--set", "q=1", "--set", "r=1"])) == (
+        0, golden["segre_kernel"])
+    assert run_cli(argv_for("segre_kernel_quantum", kernel_tail)) == (0, golden["segre_kernel_quantum"])
+    assert run_cli(argv_for("segre_verify", ["segre", "verify", "--seed", "8"])) == (
+        0, golden["segre_verify"].replace('"seed": 7', '"seed": 8'))
+    assert run_cli(argv_for("segre_verify", ["segre", "verify"])) == (0, golden["segre_verify"])
+
 def test_human_output_runs():
     name, tail, _ = CASES[0]
     code, output = run_cli(tail + ["--config", str(CONFIGS / f"{name}.json")])

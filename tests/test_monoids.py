@@ -43,6 +43,55 @@ def test_rank_mismatch_in_addition():
         ExponentVector((1,)) + ExponentVector((1, 2))
 
 
+
+# -- vectors are tuples -------------------------------------------------------
+
+def test_addition_is_element_wise():
+    assert ExponentVector((1, 2, 0)) + ExponentVector((3, 0, 4)) == ExponentVector((4, 2, 4))
+    assert type(ExponentVector((1,)) + ExponentVector((2,))) is ExponentVector
+
+
+@pytest.mark.parametrize("other", [(1, 2), [1, 2], 0], ids=["tuple", "list", "int"])
+def test_addition_needs_two_vectors(other):
+    u = ExponentVector((1, 2))
+    with pytest.raises(TypeError):
+        u + other
+    with pytest.raises(TypeError):
+        other + u
+
+
+def test_vectors_do_not_repeat():
+    u = ExponentVector((1, 2))
+    with pytest.raises(TypeError):
+        u * 2
+    with pytest.raises(TypeError):
+        2 * u
+
+
+def test_vector_is_its_tuple():
+    u = ExponentVector((3, 0, 1))
+    assert u == (3, 0, 1) and (3, 0, 1) == u
+    assert hash(u) == hash(tuple(u))
+    assert {u: 1}[(3, 0, 1)] == 1
+    assert type(u.entries) is tuple and u.entries == (3, 0, 1)
+    assert (u[0], list(u), len(u), u.rank, u.degree()) == (3, [3, 0, 1], 3, 3, 4)
+    assert repr(u) == "ExponentVector([3, 0, 1])"
+
+
+def test_trusted_constructor_accepts_iterables():
+    assert ExponentVector._trusted(iter([2, 0])) == ExponentVector((2, 0))
+    assert type(ExponentVector._trusted([2, 0])) is ExponentVector
+
+
+def test_product_split_concatenates():
+    split = ProductSplit(2, 2)
+    left = split.inject_left(ExponentVector((1, 2)))
+    right = split.inject_right(ExponentVector((3, 4)))
+    assert left == (1, 2, 0, 0) and right == (0, 0, 3, 4)
+    assert split.split(ExponentVector((1, 2, 3, 4))) == ((1, 2), (3, 4))
+    assert all(type(w) is ExponentVector
+               for w in (left, right, *split.split(ExponentVector((1, 2, 3, 4)))))
+
 # -- morphisms ---------------------------------------------------------------
 
 def test_morphism_sends_zero_to_zero():

@@ -244,6 +244,53 @@ def test_scaling_isomorphism_is_the_symmetric_trivializer():
             assert phi.inverse().scale(u) == h(u).inv()
 
 
+
+def ordered_product_unit(algebra, u, factors):
+    """c with prod_k factors[k]^(u_k) = c e_w (ordered product, public arithmetic)."""
+    x = algebra.one()
+    for k, uk in enumerate(u):
+        for _ in range(uk):
+            x = x * factors[k]
+    (w, coeff), = x.terms.items()
+    unit, = coeff.units()
+    return unit, w
+
+
+@pytest.mark.parametrize("n,m,seed", [(1, 1, 118), (1, 2, 119), (2, 2, 120)])
+def test_unit_one_shortcut_agrees_with_the_general_path(n, m, seed):
+    # a Segre map's generator-image units and ratio matrix are all 1, so
+    # image_of_basis skips the unit product; the public constructor recomputes
+    # R from the cocycles and must decide the same, and both must agree with
+    # phi(e_u) = phi(x_0)^u_0 ... phi(x_r)^u_r / c_u, e_u = x_0^u_0 ... x_r^u_r / c_u
+    rng = random.Random(seed)
+    s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+    phi, f = s.homomorphism, s.morphism
+    general = GradedHomomorphism(s.source, s.target, f,
+                                 [s.target.basis_element(w) for w in f.generator_images])
+    assert phi._all_ones and general._all_ones
+    assert all(r.is_one() for row in ratio_matrix(general) for r in row)
+    gens = [s.source.generator(k) for k in range(s.source.rank)]
+    images = [phi(x) for x in gens]
+    for u in vectors_up_to_degree(s.source.rank, 3):
+        c_u, v = ordered_product_unit(s.source, u, gens)
+        c_image, w = ordered_product_unit(s.target, u, images)
+        assert v == u and w == f(u)
+        assert phi.image_of_basis(u) == general.image_of_basis(u) == (c_image / c_u, w)
+
+
+def test_scaling_between_distinct_cohomologous_cocycles_takes_the_general_path():
+    rng = random.Random(121)
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 3))
+    mu = rand_cocycle(rng, 3)
+    nu = mu * rand_symmetric_cocycle(rng, 3)
+    assert mu != nu
+    phi, report = coboundary_isomorphism(A, mu, nu, samples=5, seed=0)
+    assert report.passed and not phi._all_ones
+    h = symmetric_trivializer(mu * nu.inverse())
+    scales = [phi.scale(u) for u in vectors_up_to_degree(3, 3)]
+    assert scales == [h(u) for u in vectors_up_to_degree(3, 3)]
+    assert not all(c.is_one() for c in scales)
+
 # -- deformation matrices ------------------------------------------------------------
 
 def test_source_deformation_trivial():
