@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .cocycles import (
     BimultiplicativeCocycle,
+    CheckReport,
     Pairing,
     antisymmetrize,
     canonical_from_antisym,
@@ -365,17 +366,8 @@ def factor_twist(left, right, mu):
     )
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
-    """Outcome of an exact multiplicativity check on generator pairs and sampled element pairs."""
-
-    passed: bool
-    pairs_checked: int
-    seed: int
-    counterexample: tuple | None = None
-
-    def __bool__(self):
-        return self.passed
+#: The multiplicativity checks' former report names, kept for the callers that import them.
+MultiplicativityReport = HomomorphismReport = CheckReport
 
 
 #: The image unit of every basis monomial under a map whose units and ratios are all 1.
@@ -475,9 +467,6 @@ class GradedHomomorphism:
 
     def __call__(self, x):
         return self.apply(x)
-
-
-HomomorphismReport = MultiplicativityReport
 
 
 def verify_homomorphism(phi, samples=100, seed=0):

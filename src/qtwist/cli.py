@@ -114,10 +114,8 @@ def _unit_matrix(cls):
                 for row in value):
             raise InputError(f'"{key}" must be a nonempty 2-D array of unit literal strings')
         with _rejected_as(f'"{key}" matrix', (ValueError, TypeError)):
-            rows = [[parse_unit(entry) for entry in row] for row in value]
-            matrix = cls(rows)
-        _check_declared({name for row in rows for a in row for name in a.parameters()},
-                        parsed["parameters"], f'"{key}"')
+            matrix = cls([[parse_unit(entry) for entry in row] for row in value])
+        _check_declared(matrix.parameters(), parsed["parameters"], f'"{key}"')
         return matrix
 
     return parse

@@ -20,10 +20,18 @@ delta(h) = mu whenever mu is a coboundary.
 Cohomology classes are identified with multiplicatively antisymmetric
 matrices (q_ii = 1, q_ij q_ji = 1) through the antisymmetrization map
 beta(u, v) = mu(u, v) / mu(v, u); no quotient-group objects are reified.
+
+The bimultiplicative cocycle, the antisymmetric matrix and the cross
+pairing of a factorization are each a unit matrix read as the form
+(u, v) |-> prod_{i,j} M_ij^(u_i v_j), and they share one body: validation,
+the integer form, JSON, entrywise products and inverses, equality and
+hashing.  Each keeps only its shape and its invariant.  Every exact check
+returns the one report type :class:`CheckReport`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,35 +42,10 @@ from .scalars import UnitScalar, parse_unit, render_unit
 DEFAULT_DEGREE_BOUND = 8
 
 
-def _unit_matrix(matrix, square=True):
-    rows = tuple(tuple(row) for row in matrix)
-    for row in rows:
-        if square and len(row) != len(rows):
-            raise ValueError("matrix must be square")
-        if not square and len(row) != len(rows[0]):
-            raise ValueError("matrix rows must have equal length")
-        for a in row:
-            if not isinstance(a, UnitScalar):
-                raise TypeError(f"matrix entries must be UnitScalar, got {a!r}")
-    return rows
-
-
-def _matrix_to_json(rows):
-    return [[render_unit(a) for a in row] for row in rows]
-
-
-def _matrix_from_json(data):
-    return [[parse_unit(s) for s in row] for row in data]
-
-
 def _integer_form(units):
     """(numerator, denominator, exps) of each unit, None for the unit 1: the entries `_power` multiplies."""
     return tuple(None if a.is_one() else (a.coeff.numerator, a.coeff.denominator, a.exps)
                  for a in units)
-
-
-def _integer_matrix(matrix):
-    return tuple(_integer_form(row) for row in matrix)
 
 
 def _power(pairs):
@@ -119,28 +102,41 @@ def _quadratic_unit(matrix, u, linear=()):
     return _unit_power(pairs)
 
 
-class BimultiplicativeCocycle:
-    """Total cocycle on N^rank determined by a square unit matrix."""
+class _UnitForm:
+    """A unit matrix M, read as the bimultiplicative form (u, v) |-> prod_{i,j} M_ij^(u_i v_j).
 
-    __slots__ = ("rank", "matrix", "_params", "_integer")
+    The body shared by cocycles, antisymmetric matrices and pairings:
+    validation, the integer form the evaluators multiply, the parameters,
+    JSON, entrywise products and inverses, and equality, hashing and repr by
+    type and matrix.  Subclasses add their shape and their invariant.
+    """
+
+    __slots__ = ("matrix", "_integer", "_params")
 
     def __init__(self, matrix):
-        self.matrix = _unit_matrix(matrix)
-        self.rank = len(self.matrix)
+        rows = tuple(tuple(row) for row in matrix)
+        for row in rows:
+            if len(row) != len(rows[0]):
+                raise ValueError("matrix rows must have equal length")
+            for a in row:
+                if not isinstance(a, UnitScalar):
+                    raise TypeError(f"matrix entries must be UnitScalar, got {a!r}")
+        self.matrix = rows
+        self._integer = tuple(_integer_form(row) for row in rows)
         self._params = None
-        self._integer = _integer_matrix(self.matrix)
 
     @classmethod
-    def trivial(cls, rank):
+    def trivial(cls, rank, right_rank=None):
+        """The all-ones form: rank x rank, or rank x right_rank for a pairing."""
         one = UnitScalar.one()
-        return cls([[one] * rank for _ in range(rank)])
+        return cls([[one] * (rank if right_rank is None else right_rank) for _ in range(rank)])
 
     @classmethod
     def from_json(cls, data):
-        return cls(_matrix_from_json(data))
+        return cls([[parse_unit(s) for s in row] for row in data])
 
     def to_json(self):
-        return _matrix_to_json(self.matrix)
+        return [[render_unit(a) for a in row] for row in self.matrix]
 
     def entry(self, i, j):
         return self.matrix[i][j]
@@ -150,32 +146,21 @@ class BimultiplicativeCocycle:
 
     def parameters(self):
         if self._params is None:
-            names = set()
-            for row in self.matrix:
-                for a in row:
-                    names |= a.parameters()
-            self._params = frozenset(names)
+            self._params = frozenset(name for row in self.matrix for a in row for name in a.parameters())
         return self._params
 
-    def evaluate(self, u, v):
-        """mu(u, v) = prod A[i][j]^(u_i v_j); exact."""
-        if u.rank != self.rank or v.rank != self.rank:
-            raise ValueError(f"rank mismatch: cocycle has rank {self.rank}, got {u.rank}, {v.rank}")
-        return _bilinear_unit(self._integer, u, v)
-
     def __mul__(self, other):
-        if not isinstance(other, BimultiplicativeCocycle):
+        if type(other) is not type(self):
             return NotImplemented
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch in cocycle product")
-        return BimultiplicativeCocycle(
-            [[a * b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)])
+        if tuple(map(len, self.matrix)) != tuple(map(len, other.matrix)):
+            raise ValueError(f"shape mismatch in {type(self).__name__} product")
+        return type(self)([[a * b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)])
 
     def inverse(self):
-        return BimultiplicativeCocycle([[a.inv() for a in row] for row in self.matrix])
+        return type(self)([[a.inv() for a in row] for row in self.matrix])
 
     def __eq__(self, other):
-        if not isinstance(other, BimultiplicativeCocycle):
+        if type(other) is not type(self):
             return NotImplemented
         return self.matrix == other.matrix
 
@@ -183,17 +168,45 @@ class BimultiplicativeCocycle:
         return hash(self.matrix)
 
     def __repr__(self):
-        return f"BimultiplicativeCocycle({self.to_json()})"
+        return f"{type(self).__name__}({self.to_json()})"
 
 
-class AntisymmetricMatrix:
-    """Multiplicatively antisymmetric unit matrix: q_ii = 1 and q_ij q_ji = 1."""
+# bench/spans.py wraps a traced method through its class's own __dict__, so each
+# subclass binds the traced methods it inherits in its own namespace.
+_FROM_JSON = _UnitForm.__dict__["from_json"]
 
-    __slots__ = ("rank", "matrix")
+
+class BimultiplicativeCocycle(_UnitForm):
+    """Total cocycle on N^rank determined by a square unit matrix."""
+
+    __slots__ = ("rank",)
 
     def __init__(self, matrix):
-        self.matrix = _unit_matrix(matrix)
+        super().__init__(matrix)
         self.rank = len(self.matrix)
+        if self.rank and len(self.matrix[0]) != self.rank:
+            raise ValueError("matrix must be square")
+
+    from_json, to_json = _FROM_JSON, _UnitForm.to_json
+    __mul__, inverse = _UnitForm.__mul__, _UnitForm.inverse
+
+    def evaluate(self, u, v):
+        """mu(u, v) = prod A[i][j]^(u_i v_j); exact."""
+        if u.rank != self.rank or v.rank != self.rank:
+            raise ValueError(f"rank mismatch: cocycle has rank {self.rank}, got {u.rank}, {v.rank}")
+        return _bilinear_unit(self._integer, u, v)
+
+
+class AntisymmetricMatrix(_UnitForm):
+    """Multiplicatively antisymmetric unit matrix: q_ii = 1 and q_ij q_ji = 1."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.rank = len(self.matrix)
+        if self.rank and len(self.matrix[0]) != self.rank:
+            raise ValueError("matrix must be square")
         for i in range(self.rank):
             if not self.matrix[i][i].is_one():
                 raise ValueError(f"diagonal entry ({i},{i}) must be 1")
@@ -201,10 +214,7 @@ class AntisymmetricMatrix:
                 if not (self.matrix[i][j] * self.matrix[j][i]).is_one():
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) must be mutually inverse")
 
-    @classmethod
-    def trivial(cls, rank):
-        one = UnitScalar.one()
-        return cls([[one] * rank for _ in range(rank)])
+    from_json, to_json = _FROM_JSON, _UnitForm.to_json
 
     @classmethod
     def from_upper(cls, rank, upper):
@@ -218,85 +228,26 @@ class AntisymmetricMatrix:
             rows[j][i] = q.inv()
         return cls(rows)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(_matrix_from_json(data))
 
-    def to_json(self):
-        return _matrix_to_json(self.matrix)
-
-    def entry(self, i, j):
-        return self.matrix[i][j]
-
-    def is_trivial(self):
-        return all(a.is_one() for row in self.matrix for a in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, AntisymmetricMatrix):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"AntisymmetricMatrix({self.to_json()})"
-
-
-class Pairing:
+class Pairing(_UnitForm):
     """Bimultiplicative pairing N^a x N^b -> units, stored as an a x b unit matrix."""
 
-    __slots__ = ("left_rank", "right_rank", "matrix", "_integer")
+    __slots__ = ("left_rank", "right_rank")
 
     def __init__(self, matrix):
-        self.matrix = _unit_matrix(matrix, square=False)
-        self._integer = _integer_matrix(self.matrix)
+        super().__init__(matrix)
         self.left_rank = len(self.matrix)
         self.right_rank = len(self.matrix[0]) if self.matrix else 0
         if self.left_rank < 1 or self.right_rank < 1:
             raise ValueError("pairings need at least one generator on each side")
 
-    @classmethod
-    def trivial(cls, left_rank, right_rank):
-        one = UnitScalar.one()
-        return cls([[one] * right_rank for _ in range(left_rank)])
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(_matrix_from_json(data))
-
-    def to_json(self):
-        return _matrix_to_json(self.matrix)
-
-    def entry(self, i, j):
-        return self.matrix[i][j]
+    from_json, to_json = _FROM_JSON, _UnitForm.to_json
 
     def evaluate(self, u, v):
         """alpha(u, v) = prod alpha[i][j]^(u_i v_j) for u in N^a, v in N^b."""
         if u.rank != self.left_rank or v.rank != self.right_rank:
             raise ValueError("rank mismatch in pairing evaluation")
         return _bilinear_unit(self._integer, u, v)
-
-    def is_trivial(self):
-        return all(a.is_one() for row in self.matrix for a in row)
-
-    def __mul__(self, other):
-        if not isinstance(other, Pairing):
-            return NotImplemented
-        if (self.left_rank, self.right_rank) != (other.left_rank, other.right_rank):
-            raise ValueError("shape mismatch in pairing product")
-        return Pairing([[a * b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)])
-
-    def inverse(self):
-        return Pairing([[a.inv() for a in row] for row in self.matrix])
-
-    def __eq__(self, other):
-        if not isinstance(other, Pairing):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __repr__(self):
-        return f"Pairing({self.to_json()})"
 
 
 def canonical_from_antisym(q):
@@ -428,21 +379,21 @@ class TruncatedCocycle:
         table[(u, v)] = self.value(u, v) * factor
         return TruncatedCocycle(self.rank, self.degree_bound, table)
 
+    def _entrywise(self, other, op, name):
+        """The table of op(self(u, v), other(u, v)) on the smaller of the two domains."""
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch in truncated cocycle {name}")
+        bound = min(self.degree_bound, other.degree_bound)
+        return TruncatedCocycle.from_function(
+            self.rank, bound, lambda u, v: op(self.value(u, v), other.value(u, v)))
+
     def __mul__(self, other):
         if not isinstance(other, TruncatedCocycle):
             return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch in truncated cocycle product")
-        bound = min(self.degree_bound, other.degree_bound)
-        return TruncatedCocycle.from_function(
-            self.rank, bound, lambda u, v: self.value(u, v) * other.value(u, v))
+        return self._entrywise(other, operator.mul, "product")
 
     def quotient(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch in truncated cocycle quotient")
-        bound = min(self.degree_bound, other.degree_bound)
-        return TruncatedCocycle.from_function(
-            self.rank, bound, lambda u, v: self.value(u, v) / other.value(u, v))
+        return self._entrywise(other, operator.truediv, "quotient")
 
     def is_symmetric(self):
         return all(val == self.table[(v, u)] for (u, v), val in self.table.items())
@@ -518,14 +469,27 @@ def coboundary(h):
 
 
 @dataclass(frozen=True)
-class CocycleCheck:
-    """Outcome of an exhaustive truncated cocycle verification."""
+class CheckReport:
+    """Outcome of an exact check: an exhaustive cocycle verification or a multiplicativity check.
 
-    ok: bool
+    A multiplicativity check also records how many pairs it checked and its
+    seed.  The report is true exactly when the check passed.
+    """
+
+    passed: bool
+    pairs_checked: int | None = None
+    seed: int | None = None
     counterexample: tuple | None = None
 
     def __bool__(self):
-        return self.ok
+        return self.passed
+
+    @property
+    def ok(self):
+        return self.passed
+
+
+CocycleCheck = CheckReport
 
 
 def verify_cocycle_equation(mu_t):
@@ -538,7 +502,7 @@ def verify_cocycle_equation(mu_t):
     zero = ExponentVector.zero(n)
     for u in vectors_up_to_degree(n, bound):
         if not mu_t.value(u, zero).is_one() or not mu_t.value(zero, u).is_one():
-            return CocycleCheck(False, ("identity", u))
+            return CheckReport(False, counterexample=("identity", u))
     for x in vectors_up_to_degree(n, bound):
         dx = x.degree()
         for y in vectors_up_to_degree(n, bound - dx):
@@ -548,8 +512,8 @@ def verify_cocycle_equation(mu_t):
                 lhs = mu_t.value(x, y + z) * mu_t.value(y, z)
                 rhs = mu_t.value(x, y) * mu_t.value(xy, z)
                 if lhs != rhs:
-                    return CocycleCheck(False, (x, y, z))
-    return CocycleCheck(True)
+                    return CheckReport(False, counterexample=(x, y, z))
+    return CheckReport(True)
 
 
 def trivialize_rank1(mu_t):
@@ -638,17 +602,15 @@ def symmetric_trivializer(c):
     (a+b)(a+b-1)/2 - a(a-1)/2 - b(b-1)/2 = ab in each variable).  This is the
     witness that symmetric bimultiplicative cocycles are coboundaries.
     """
-    if isinstance(c, BimultiplicativeCocycle):
-        matrix = c.matrix
-    else:
-        matrix = _unit_matrix(c)
-    n = len(matrix)
+    if not isinstance(c, BimultiplicativeCocycle):
+        c = BimultiplicativeCocycle(c)
+    matrix, n = c.matrix, c.rank
     for i in range(n):
         for j in range(i + 1, n):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
-    inverse = _integer_matrix([a.inv() for a in row] for row in matrix)
+    inverse = c.inverse()._integer
 
     def h(u):
         return _quadratic_unit(inverse, u)

@@ -142,12 +142,14 @@ class UnitScalar:
         return UnitScalar._trusted(-self.coeff, self.exps)
 
     def __eq__(self, other):
-        if not isinstance(other, UnitScalar):
-            return NotImplemented
-        return self.coeff == other.coeff and self.exps == other.exps
+        if isinstance(other, UnitScalar):
+            return self.coeff == other.coeff and self.exps == other.exps
+        if isinstance(other, (int, Fraction)):
+            return not self.exps and self.coeff == other
+        return NotImplemented
 
     def __hash__(self):
-        # A constant unit hashes like its Fraction, as the equal constant polynomial does.
+        # A constant unit equals and hashes like its Fraction, as the equal constant polynomial does.
         return hash((self.coeff, self.exps)) if self.exps else hash(self.coeff)
 
     def specialize(self, assignment):

@@ -1,5 +1,7 @@
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,8 +10,11 @@ from hypothesis import strategies as st
 from qtwist import (
     AntisymmetricMatrix,
     BimultiplicativeCocycle,
+    CocycleCheck,
     ExponentVector,
     FunctionOnMonoid,
+    HomomorphismReport,
+    MultiplicativityReport,
     Pairing,
     ProductSplit,
     TruncatedCocycle,
@@ -404,7 +409,7 @@ def test_verify_reports_perturbed_entry():
     v = ExponentVector((0, 1))
     broken = table.perturbed(u, v, UnitScalar(7))
     check = verify_cocycle_equation(broken)
-    assert not check
+    assert not check and check.passed is False and check.ok is False
     assert check.counterexample is not None
     kind = check.counterexample[0]
     if kind != "identity":
@@ -412,6 +417,10 @@ def test_verify_reports_perturbed_entry():
         lhs = broken.value(x, y + z) * broken.value(y, z)
         rhs = broken.value(x, y) * broken.value(x + y, z)
         assert lhs != rhs
+    check = verify_cocycle_equation(table.perturbed(u, ExponentVector.zero(2), UnitScalar(7)))
+    assert not check and check.counterexample == ("identity", u)
+    check = verify_cocycle_equation(table)
+    assert check and check.passed is True and check.ok is True and check.counterexample is None
 
 
 def test_truncated_table_must_be_complete():
@@ -638,6 +647,97 @@ def test_cocycle_json_roundtrip():
     rng = random.Random(62)
     mu = rand_cocycle(rng, 3)
     assert BimultiplicativeCocycle.from_json(mu.to_json()) == mu
+    q = rand_antisym(rng, 3)
+    assert AntisymmetricMatrix.from_json(q.to_json()) == q
+    alpha = rand_pairing(rng, 2, 3)
+    assert Pairing.from_json(alpha.to_json()) == alpha
+
+
+# -- the body shared by cocycles, antisymmetric matrices and pairings ----------
+
+def test_unit_forms_keep_their_behaviour():
+    q = UnitScalar.param("q")
+    empty = BimultiplicativeCocycle([])
+    assert empty.rank == 0 and empty * empty == empty and empty.inverse() == empty
+    with pytest.raises(ValueError):
+        BimultiplicativeCocycle.trivial(2) * BimultiplicativeCocycle.trivial(3)
+    with pytest.raises(ValueError):
+        Pairing.trivial(2, 3) * Pairing.trivial(3, 2)
+    anti = AntisymmetricMatrix.from_upper(2, {(0, 1): q})
+    same_entries = BimultiplicativeCocycle(anti.matrix)
+    assert same_entries != anti and anti != same_entries and len({anti, same_entries}) == 2
+    alpha = Pairing([[q, ONE, q.inv()]])
+    assert Pairing.from_json(alpha.to_json()) == alpha
+    assert hash(Pairing.from_json(alpha.to_json())) == hash(alpha)
+    assert len({alpha, Pairing(alpha.matrix), alpha * Pairing.trivial(1, 3)}) == 1
+    assert repr(canonical_from_antisym(anti)) == "BimultiplicativeCocycle([['1', 'q'], ['1', '1']])"
+    assert repr(anti) == "AntisymmetricMatrix([['1', 'q'], ['q^-1', '1']])"
+    assert repr(alpha) == "Pairing([['q', '1', 'q^-1']])"
+
+
+def test_check_reports_are_one_type():
+    assert CocycleCheck is MultiplicativityReport is HomomorphismReport
+    report = HomomorphismReport(False, 3, 7, ("X0", "X1"))
+    assert (report.passed, report.pairs_checked, report.seed, report.counterexample) == (
+        False, 3, 7, ("X0", "X1"))
+    assert bool(report) is report.passed is report.ok is False
+    assert bool(HomomorphismReport(True, 3, 7)) is HomomorphismReport(True, 3, 7).ok is True
+
+
+#: The public names of each module before its three matrix classes shared one
+#: body; every one of them still resolves.
+PUBLIC_NAMES = {
+    "qtwist": """AlgebraElement AntisymmetricMatrix BimultiplicativeCocycle ClosedFormFunction
+        CocycleCheck DiagonalScaling ExponentVector FactorTwistReport FunctionOnMonoid
+        GradedHomomorphism HomomorphismReport LaurentPolynomial MonoidMorphism
+        MultiplicativityReport Pairing ProductSplit SegreMap TruncatedCocycle TwistedMonoidAlgebra
+        UnitScalar antisymmetrize build_quantum_segre canonical_from_antisym coboundary
+        coboundary_isomorphism cohomologous deformation_matrix embed_left embed_right factor_twist
+        is_factorizable kernel_basis kronecker parse_element parse_poly parse_unit pullback
+        quantum_projective_space random_element random_homogeneous random_unit random_vector
+        render_element render_poly render_unit segre_morphism source_deformation_matrix specialize
+        symmetric_trivializer trivialize_rank1 twist_by twisted_tensor_product vectors_of_degree
+        vectors_up_to_degree verify_cocycle_equation verify_homomorphism yamazaki_factorize
+        yamazaki_reconstruct yamazaki_trivialize""",
+    "qtwist.cocycles": """AntisymmetricMatrix BimultiplicativeCocycle ClosedFormFunction CocycleCheck
+        DEFAULT_DEGREE_BOUND ExponentVector FunctionOnMonoid Pairing TruncatedCocycle UnitScalar
+        antisymmetrize canonical_from_antisym coboundary cohomologous is_factorizable parse_unit
+        pullback render_unit symmetric_trivializer trivialize_rank1 vectors_up_to_degree
+        verify_cocycle_equation yamazaki_factorize yamazaki_reconstruct yamazaki_trivialize""",
+    "qtwist.algebras": """AlgebraElement BimultiplicativeCocycle DiagonalScaling ExponentVector
+        FactorTwistReport GradedHomomorphism HomomorphismReport LaurentPolynomial MonoidMorphism
+        MultiplicativityReport Pairing ProductSplit TwistedMonoidAlgebra UnitScalar antisymmetrize
+        canonical_from_antisym coboundary_isomorphism cohomologous deformation_matrix embed_left
+        embed_right factor_twist parse_element parse_poly pullback quantum_projective_space
+        random_element random_homogeneous random_unit random_vector render_element render_poly
+        twist_by twisted_tensor_product verify_homomorphism yamazaki_factorize""",
+    "qtwist.segre": """AlgebraElement AntisymmetricMatrix BimultiplicativeCocycle GradedHomomorphism
+        HomomorphismReport LaurentPolynomial ProductSplit SegreMap TwistedMonoidAlgebra
+        antisymmetrize build_quantum_segre kernel_basis kronecker segre_morphism
+        source_deformation_matrix vectors_of_degree verify_homomorphism""",
+}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_public_names_still_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in PUBLIC_NAMES[module].split() if not hasattr(mod, name)] == []
+
+
+def test_traced_methods_are_in_their_class_namespace(monkeypatch):
+    # The benchmark tracer (bench/spans.py) patches Class.attr through vars(Class),
+    # so an inherited method would make it fail at install time.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    spans = importlib.import_module("spans")
+    missing = []
+    for layer, entries in spans.LAYERS.items():
+        module = importlib.import_module(f"qtwist.{layer}")
+        for path in entries:
+            if "." in path:
+                cls_name, attr = path.split(".")
+                if attr not in vars(getattr(module, cls_name)):
+                    missing.append(f"{layer}.{path}")
+    assert missing == []
 
 
 def test_truncated_json_roundtrip():

@@ -259,6 +259,11 @@ def test_unit_pow_refuses_bool_exponents():
 
 def test_equal_values_hash_equally():
     assert len({LaurentPolynomial.one(), 1}) == 1
+    # equality is transitive across units, polynomials and rationals, so no set depends on order
+    P, U = LaurentPolynomial.one(), UnitScalar.one()
+    assert U == 1 and 1 == U and len({P, U, 1}) == len({U, 1, P}) == 1
+    assert UnitScalar(2) == Fraction(2) and UnitScalar(Fraction(-3, 2)) != -1
+    assert UnitScalar.param("q") != 1 and UnitScalar.param("q", 0) == 1
     assert len({LaurentPolynomial.zero(), 0, Fraction(0)}) == 1
     for c in (Fraction(1), Fraction(-3, 2)):
         p = LaurentPolynomial.from_unit(UnitScalar(c))
