@@ -15,7 +15,14 @@ what the algebra layer twists by.
 A *truncated* cocycle is a value table on all pairs with |u| + |v| <= D.
 It represents general cocycles and coboundaries and is the form on which the
 constructive trivialization procedures run: building an explicit h with
-delta(h) = mu whenever mu is a coboundary.
+delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
+functions h share one body: the domain is enumerated once per call as a
+tuple ordered by degree, tables built from it are constructed unchecked, and
+the public constructors check key types, the key count and each domain key.
+Coboundary values and the exhaustive cocycle check run on the same integer
+kernel as evaluation: each value or triple is one product of
+(numerator, denominator, exponents) entries, and the check compares
+numerator with denominator, with no Fraction at all.
 
 Cohomology classes are identified with multiplicatively antisymmetric
 matrices (q_ii = 1, q_ij q_ji = 1) through the antisymmetrization map
@@ -34,6 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .monoids import ExponentVector, vectors_up_to_degree
 from .scalars import UnitScalar, parse_unit, render_unit
@@ -324,34 +332,98 @@ def pullback(mu, f):
          for k in range(f.source_rank)])
 
 
-class TruncatedCocycle:
-    """Cocycle value table on all pairs (u, v) with |u| + |v| <= degree_bound."""
+def _vectors(rank, bound):
+    """The vectors of N^rank of degree <= bound as one tuple, by increasing degree.
+
+    Those of degree <= k are its first comb(rank + k, rank) entries.
+    """
+    return tuple(vectors_up_to_degree(rank, bound))
+
+
+def _prefix_sizes(rank, bound):
+    """comb(rank + k, rank) for k = 0..bound: how many vectors of N^rank have degree <= k."""
+    return [comb(rank + k, rank) for k in range(bound + 1)]
+
+
+def _pairs(rank, bound):
+    """The pairs (u, v) with |u| + |v| <= bound: u by degree, then v by degree."""
+    vectors = _vectors(rank, bound)
+    sizes = _prefix_sizes(rank, bound)
+    return ((u, v) for u in vectors for v in vectors[:sizes[bound - sum(u)]])
+
+
+class _UnitTable:
+    """A unit table on a truncated domain of N^rank: the pairs |u| + |v| <= D, or the vectors |u| <= D.
+
+    The body shared by truncated cocycles and functions on the monoid.  The
+    public constructor checks the key type of every key, then that the table
+    has as many keys as the domain and holds each of them; only when that
+    fails does it walk the table to name the bad key.  Tables the library
+    builds from their domain are constructed trusted, unchecked.
+    """
 
     __slots__ = ("rank", "degree_bound", "table")
 
     def __init__(self, rank, degree_bound, table):
+        table = dict(table)
+        for key in table:
+            if not self._is_key(key):
+                raise TypeError(f"table key {key!r} is not {self._key_kind}")
+        if len(table) != self._size(rank, degree_bound) or not all(
+                map(table.__contains__, self._domain(rank, degree_bound))):
+            self._name_bad_key(rank, degree_bound, table)
+        self.rank, self.degree_bound, self.table = rank, degree_bound, table
+
+    @classmethod
+    def _trusted(cls, rank, degree_bound, table):
+        """Internal: the table of a dict keyed by exactly the domain, unchecked."""
+        t = object.__new__(cls)
+        t.rank, t.degree_bound, t.table = rank, degree_bound, table
+        return t
+
+    @classmethod
+    def _size(cls, rank, bound):
+        """The number of keys of the domain, comb(arity * rank + bound, bound); -1 if it is not defined."""
+        return comb(cls._arity * rank + bound, bound) if rank >= 1 and bound >= 0 else -1
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rank == other.rank and self.degree_bound == other.degree_bound
+                and self.table == other.table)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(rank={self.rank}, degree_bound={self.degree_bound})"
+
+
+class TruncatedCocycle(_UnitTable):
+    """Cocycle value table on all pairs (u, v) with |u| + |v| <= degree_bound."""
+
+    __slots__ = ()
+    _arity, _key_kind = 2, "a pair of exponent vectors"
+    _domain = staticmethod(_pairs)
+    # bench/spans.py wraps a traced method through its class's own __dict__.
+    __init__, __eq__ = _UnitTable.__init__, _UnitTable.__eq__
+
+    @staticmethod
+    def _is_key(key):
+        return (type(key) is tuple and len(key) == 2
+                and isinstance(key[0], ExponentVector) and isinstance(key[1], ExponentVector))
+
+    @staticmethod
+    def _name_bad_key(rank, degree_bound, table):
         for (u, v) in table:
             if u.rank != rank or v.rank != rank:
                 raise ValueError(f"table pair ({u!r}, {v!r}) does not have rank {rank}")
             if u.degree() + v.degree() > degree_bound:
                 raise ValueError(f"table pair ({u!r}, {v!r}) exceeds the degree bound {degree_bound}")
-        for (u, v) in self._domain(rank, degree_bound):
+        for (u, v) in _pairs(rank, degree_bound):
             if (u, v) not in table:
                 raise ValueError(f"table is missing the pair ({u!r}, {v!r})")
-        self.rank = rank
-        self.degree_bound = degree_bound
-        self.table = dict(table)
-
-    @staticmethod
-    def _domain(rank, bound):
-        for u in vectors_up_to_degree(rank, bound):
-            for v in vectors_up_to_degree(rank, bound - u.degree()):
-                yield (u, v)
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
-        table = {(u, v): fn(u, v) for (u, v) in cls._domain(rank, degree_bound)}
-        return cls(rank, degree_bound, table)
+        return cls._trusted(rank, degree_bound, {(u, v): fn(u, v) for u, v in _pairs(rank, degree_bound)})
 
     @classmethod
     def truncate(cls, mu, degree_bound):
@@ -377,15 +449,16 @@ class TruncatedCocycle:
         """Copy with one entry multiplied by `factor`; used to build counterexamples."""
         table = dict(self.table)
         table[(u, v)] = self.value(u, v) * factor
-        return TruncatedCocycle(self.rank, self.degree_bound, table)
+        return TruncatedCocycle._trusted(self.rank, self.degree_bound, table)
 
     def _entrywise(self, other, op, name):
         """The table of op(self(u, v), other(u, v)) on the smaller of the two domains."""
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch in truncated cocycle {name}")
         bound = min(self.degree_bound, other.degree_bound)
-        return TruncatedCocycle.from_function(
-            self.rank, bound, lambda u, v: op(self.value(u, v), other.value(u, v)))
+        a, b = self.table, other.table
+        return TruncatedCocycle._trusted(
+            self.rank, bound, {pair: op(a[pair], b[pair]) for pair in _pairs(self.rank, bound)})
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedCocycle):
@@ -398,39 +471,42 @@ class TruncatedCocycle:
     def is_symmetric(self):
         return all(val == self.table[(v, u)] for (u, v), val in self.table.items())
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedCocycle):
-            return NotImplemented
-        return (self.rank == other.rank and self.degree_bound == other.degree_bound
-                and self.table == other.table)
 
-    def __repr__(self):
-        return f"TruncatedCocycle(rank={self.rank}, degree_bound={self.degree_bound})"
-
-
-class FunctionOnMonoid:
+class FunctionOnMonoid(_UnitTable):
     """Normalized function h on N^rank (h(e) = 1), tabulated up to |u| <= degree_bound."""
 
-    __slots__ = ("rank", "degree_bound", "table")
+    __slots__ = ()
+    _arity, _key_kind = 1, "an exponent vector"
+    _domain = staticmethod(_vectors)
 
     def __init__(self, rank, degree_bound, table):
+        self._check_normalized(rank, table)
+        _UnitTable.__init__(self, rank, degree_bound, table)
+
+    @staticmethod
+    def _check_normalized(rank, table):
         zero = ExponentVector.zero(rank)
         if zero not in table or not table[zero].is_one():
             raise ValueError("functions on the monoid must satisfy h(e) = 1")
+
+    @staticmethod
+    def _is_key(key):
+        return isinstance(key, ExponentVector)
+
+    @staticmethod
+    def _name_bad_key(rank, degree_bound, table):
         for u in table:
             if u.rank != rank or u.degree() > degree_bound:
                 raise ValueError(f"table entry {u!r} is outside the domain")
         for u in vectors_up_to_degree(rank, degree_bound):
             if u not in table:
                 raise ValueError(f"table is missing {u!r}")
-        self.rank = rank
-        self.degree_bound = degree_bound
-        self.table = dict(table)
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
-        return cls(rank, degree_bound,
-                   {u: fn(u) for u in vectors_up_to_degree(rank, degree_bound)})
+        table = {u: fn(u) for u in _vectors(rank, degree_bound)}
+        cls._check_normalized(rank, table)
+        return cls._trusted(rank, degree_bound, table)
 
     @classmethod
     def constant_one(cls, rank, degree_bound):
@@ -452,20 +528,16 @@ class FunctionOnMonoid:
         except KeyError:
             raise ValueError(f"{u!r} is outside the truncated domain") from None
 
-    def __eq__(self, other):
-        if not isinstance(other, FunctionOnMonoid):
-            return NotImplemented
-        return (self.rank == other.rank and self.degree_bound == other.degree_bound
-                and self.table == other.table)
-
-    def __repr__(self):
-        return f"FunctionOnMonoid(rank={self.rank}, degree_bound={self.degree_bound})"
-
 
 def coboundary(h):
-    """delta(h)(u, v) = h(u) h(v) / h(u+v), a (truncated) cocycle for any normalized h."""
-    return TruncatedCocycle.from_function(
-        h.rank, h.degree_bound, lambda u, v: h.value(u) * h.value(v) / h.value(u + v))
+    """delta(h)(u, v) = h(u) h(v) / h(u+v), a (truncated) cocycle for any normalized h.
+
+    Each value is one product over the integer forms of the three entries.
+    """
+    forms = dict(zip(h.table, _integer_form(h.table.values())))
+    return TruncatedCocycle._trusted(h.rank, h.degree_bound, {
+        (u, v): _unit_power(((forms[u], 1), (forms[v], 1), (forms[u + v], -1)))
+        for u, v in _pairs(h.rank, h.degree_bound)})
 
 
 @dataclass(frozen=True)
@@ -497,21 +569,25 @@ def verify_cocycle_equation(mu_t):
 
     Also checks the normalization mu(u, e) = mu(e, u) = 1.  On failure the
     returned report carries the first offending triple (or ("identity", u)).
+    Each triple is one product mu(x, y+z) mu(y, z) / (mu(x, y) mu(x+y, z))
+    over the integer forms of the table, which must come to 1.
     """
-    n, bound = mu_t.rank, mu_t.degree_bound
+    n, bound, table = mu_t.rank, mu_t.degree_bound, mu_t.table
+    vectors = _vectors(n, bound)
+    sizes = _prefix_sizes(n, bound)
     zero = ExponentVector.zero(n)
-    for u in vectors_up_to_degree(n, bound):
-        if not mu_t.value(u, zero).is_one() or not mu_t.value(zero, u).is_one():
+    for u in vectors:
+        if not table[(u, zero)].is_one() or not table[(zero, u)].is_one():
             return CheckReport(False, counterexample=("identity", u))
-    for x in vectors_up_to_degree(n, bound):
-        dx = x.degree()
-        for y in vectors_up_to_degree(n, bound - dx):
-            xy = x + y
-            rest = bound - dx - y.degree()
-            for z in vectors_up_to_degree(n, rest):
-                lhs = mu_t.value(x, y + z) * mu_t.value(y, z)
-                rhs = mu_t.value(x, y) * mu_t.value(xy, z)
-                if lhs != rhs:
+    forms = dict(zip(table, _integer_form(table.values())))
+    for x in vectors:
+        rest = bound - sum(x)
+        for y in vectors[:sizes[rest]]:
+            xy, mu_xy = x + y, forms[(x, y)]
+            for z in vectors[:sizes[rest - sum(y)]]:
+                num, den, exps = _power(((forms[(x, y + z)], 1), (forms[(y, z)], 1),
+                                         (mu_xy, -1), (forms[(xy, z)], -1)))
+                if num != den or exps:
                     return CheckReport(False, counterexample=(x, y, z))
     return CheckReport(True)
 
@@ -535,7 +611,7 @@ def trivialize_rank1(mu_t):
         table[g] = one
     for p in range(1, bound):
         table[ExponentVector((p + 1,))] = table[ExponentVector((p,))] / mu_t.value(g, ExponentVector((p,)))
-    return FunctionOnMonoid(1, bound, table)
+    return FunctionOnMonoid.from_function(1, bound, table.__getitem__)
 
 
 def yamazaki_trivialize(mu_t, split):
@@ -543,33 +619,29 @@ def yamazaki_trivialize(mu_t, split):
 
     Requires mu to restrict trivially to both factors and to have trivial
     cross pairing; then h((s,t)) = 1 / mu((s,e),(e,t)) satisfies
-    delta(h) = mu on the whole truncated domain.
+    delta(h) = mu on the whole truncated domain.  The conditions are checked
+    in one pass in table order, each pair's blocks read as tuple slices.
     """
     if split.rank != mu_t.rank:
         raise ValueError(f"split rank {split.rank} does not match cocycle rank {mu_t.rank}")
-    for (u, v), val in mu_t.table.items():
-        if (u.degree() == 0 or v.degree() == 0) and not val.is_one():
-            raise ValueError(
-                f"identity normalization fails: mu({list(u)}, {list(v)}) = {val}")
-        us, ut = split.split(u)
-        vs, vt = split.split(v)
-        left_only = ut.degree() == 0 and vt.degree() == 0
-        right_only = us.degree() == 0 and vs.degree() == 0
-        if left_only and not val.is_one():
-            raise ValueError(
-                f"restriction to the left factor is not trivial: mu({list(u)}, {list(v)}) = {val}")
-        if right_only and not val.is_one():
-            raise ValueError(
-                f"restriction to the right factor is not trivial: mu({list(u)}, {list(v)}) = {val}")
-        if ut.degree() == 0 and vs.degree() == 0 and val != mu_t.table[(v, u)]:
+    a, table = split.left_rank, mu_t.table
+    e_left, e_right = (0,) * a, (0,) * split.right_rank
+    for (u, v), val in table.items():
+        if not val.is_one():
+            if not any(u) or not any(v):
+                raise ValueError(
+                    f"identity normalization fails: mu({list(u)}, {list(v)}) = {val}")
+            if u[a:] == e_right and v[a:] == e_right:
+                raise ValueError(
+                    f"restriction to the left factor is not trivial: mu({list(u)}, {list(v)}) = {val}")
+            if u[:a] == e_left and v[:a] == e_left:
+                raise ValueError(
+                    f"restriction to the right factor is not trivial: mu({list(u)}, {list(v)}) = {val}")
+        if u[a:] == e_right and v[:a] == e_left and val != table[(v, u)]:
             raise ValueError(
                 f"cross pairing is not trivial: mu({list(u)}, {list(v)}) != mu({list(v)}, {list(u)})")
-
-    def h(w):
-        s, t = split.split(w)
-        return mu_t.value(split.inject_left(s), split.inject_right(t)).inv()
-
-    return FunctionOnMonoid.from_function(mu_t.rank, mu_t.degree_bound, h)
+    return FunctionOnMonoid.from_function(
+        mu_t.rank, mu_t.degree_bound, lambda w: table[(w[:a] + e_right, e_left + w[a:])].inv())
 
 
 class ClosedFormFunction:

@@ -289,7 +289,8 @@ class LaurentPolynomial:
         if isinstance(other, UnitScalar):
             other = LaurentPolynomial.from_unit(other)
         if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.from_rational(other)
+            # Compared, not converted: a bool equals the int it is, as for units and Fractions.
+            return self.terms == ({(): other} if other else {})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.terms == other.terms

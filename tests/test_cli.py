@@ -207,6 +207,11 @@ BAD_INPUTS = [
     (["cocycle", "check"], _table_with(0, u=["0"]), '"table"'),
     (["cocycle", "check"], _table_with(0, v=[0.5]), '"table"'),
     (["cocycle", "check"], _table_with(4, u=[True]), '"table"'),
+    (["cocycle", "check"], _table_with(0, u=[9]), '"table"'),
+    (["cocycle", "check"], _config_with("cocycle_check_table", table=_table_with(0)["table"][1:]),
+     '"table"'),
+    (["cocycle", "check"], _table_with(2, value=5), '"table"'),
+    (["cocycle", "check"], _config_with("cocycle_check_table", table=[5]), '"table"'),
     (["cocycle", "pullback"], _config_with("cocycle_pullback", drop=["segre"], morphism=[]),
      '"morphism"'),
     (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=[["3/00"]]), '"cocycle"'),
@@ -225,6 +230,8 @@ BAD_INPUTS = [
                               "decimal-specialization", "exponent-specialization",
                               "underscore-specialization", "decimal-set",
                               "string-table-u", "float-table-v", "bool-table-u",
+                              "table-pair-over-bound", "missing-table-pair",
+                              "numeric-table-value", "non-object-table-item",
                               "empty-morphism", "zero-denominator"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"

@@ -28,6 +28,7 @@ from qtwist import (
     segre_morphism,
     symmetric_trivializer,
     trivialize_rank1,
+    vectors_up_to_degree,
     verify_cocycle_equation,
     yamazaki_factorize,
     yamazaki_reconstruct,
@@ -745,3 +746,166 @@ def test_truncated_json_roundtrip():
     mu_t = TruncatedCocycle.truncate(rand_cocycle(rng, 2), 4)
     data = mu_t.to_json()
     assert TruncatedCocycle.from_json(2, 4, data) == mu_t
+
+
+# -- the truncated layer's integer kernel against public unit arithmetic -------
+
+def reference_pairs(rank, bound):
+    """The truncated domain in table order: u by degree, then v by degree."""
+    return [(u, v) for u in vectors_up_to_degree(rank, bound)
+            for v in vectors_up_to_degree(rank, bound - u.degree())]
+
+
+def reference_verify(mu_t):
+    """The exhaustive ordered scan in UnitScalar * and ==: (passed, first counterexample)."""
+    n, bound = mu_t.rank, mu_t.degree_bound
+    zero = ExponentVector.zero(n)
+    for u in vectors_up_to_degree(n, bound):
+        if mu_t.value(u, zero) != ONE or mu_t.value(zero, u) != ONE:
+            return False, ("identity", u)
+    for x in vectors_up_to_degree(n, bound):
+        for y in vectors_up_to_degree(n, bound - x.degree()):
+            for z in vectors_up_to_degree(n, bound - x.degree() - y.degree()):
+                lhs = mu_t.value(x, y + z) * mu_t.value(y, z)
+                rhs = mu_t.value(x, y) * mu_t.value(x + y, z)
+                if lhs != rhs:
+                    return False, (x, y, z)
+    return True, None
+
+
+#: Perturbing factors: a pure rational, a pure monomial, and a general unit.
+FACTORS = (UnitScalar(-1), UnitScalar.param("q"), UnitScalar(Fraction(3, 5), {"r": -2}))
+
+
+def oracle_tables(rng, count):
+    """Seeded rank 1-3, D <= 5 tables: truncations, coboundaries, perturbations off and on the axes."""
+    for i in range(count):
+        rank, bound = rng.randint(1, 3), rng.randint(1, 5)
+        kind = i % 4
+        if kind == 0:
+            table = TruncatedCocycle.truncate(rand_cocycle(rng, rank), bound)
+        else:
+            table = coboundary(rand_function(rng, rank, bound))
+        pairs = reference_pairs(rank, bound)
+        if kind == 2 and bound >= 2:
+            inner = [(u, v) for u, v in pairs if u.degree() and v.degree()]
+            table = table.perturbed(*rng.choice(inner), FACTORS[i % 3])
+        elif kind == 3:
+            axes = [(u, v) for u, v in pairs if (u.degree() == 0) != (v.degree() == 0)]
+            table = table.perturbed(*rng.choice(axes), FACTORS[i % 3])
+        yield table
+
+
+def test_verify_matches_the_reference_scan():
+    rng = random.Random(64)
+    outcomes = {"pass": 0, "identity": 0, "triple": 0}
+    for table in oracle_tables(rng, 48):
+        check = verify_cocycle_equation(table)
+        assert (check.passed, check.counterexample) == reference_verify(table)
+        kind = "pass" if check else "identity" if check.counterexample[0] == "identity" else "triple"
+        outcomes[kind] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_coboundary_matches_public_arithmetic():
+    rng = random.Random(65)
+    for _ in range(12):
+        rank, bound = rng.randint(1, 3), rng.randint(0, 5)
+        h = rand_function(rng, rank, bound)
+        delta = coboundary(h)
+        assert list(delta.table) == reference_pairs(rank, bound)
+        for (u, v), val in delta.table.items():
+            assert val == h.value(u) * h.value(v) / h.value(u + v)
+
+
+# -- table validation ----------------------------------------------------------
+
+def test_table_keys_must_be_exponent_vectors():
+    plain = {((u,), (v,)): ONE for u in range(3) for v in range(3 - u)}
+    with pytest.raises(TypeError) as exc:
+        TruncatedCocycle(1, 2, plain)
+    assert str(exc.value) == "table key ((0,), (0,)) is not a pair of exponent vectors"
+    table = TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(1), 2).table
+    g = ExponentVector((1,))
+    mixed = {pair: val for pair, val in table.items() if pair != (g, g)}
+    mixed[(g, (1,))] = ONE
+    with pytest.raises(TypeError, match=r"table key \(ExponentVector\(\[1\]\), \(1,\)\)"):
+        TruncatedCocycle(1, 2, mixed)
+    with pytest.raises(TypeError, match=r"table key ExponentVector\(\[1\]\) is not a pair"):
+        TruncatedCocycle(1, 2, {**table, g: ONE})
+    with pytest.raises(TypeError) as exc:
+        FunctionOnMonoid(1, 2, {ExponentVector((0,)): ONE, g: ONE, (2,): ONE})
+    assert str(exc.value) == "table key (2,) is not an exponent vector"
+
+
+def function_table(rank, bound):
+    return {u: ONE for u in vectors_up_to_degree(rank, bound)}
+
+
+def cocycle_table(rank, bound):
+    return {pair: ONE for pair in reference_pairs(rank, bound)}
+
+
+def test_table_validation_names_the_bad_key():
+    e, g, g2, g3 = (ExponentVector((k,)) for k in range(4))
+    full = cocycle_table(1, 2)
+    missing = {pair: val for pair, val in full.items() if pair != (g, g)}
+    swapped = {**missing, (g2, g): ONE}
+    cases = [
+        (missing, "table is missing the pair (ExponentVector([1]), ExponentVector([1]))"),
+        ({**full, (g2, g): ONE},
+         "table pair (ExponentVector([2]), ExponentVector([1])) exceeds the degree bound 2"),
+        (swapped, "table pair (ExponentVector([2]), ExponentVector([1])) exceeds the degree bound 2"),
+        ({**full, (ExponentVector((0, 0)), ExponentVector((0, 1))): ONE},
+         "table pair (ExponentVector([0, 0]), ExponentVector([0, 1])) does not have rank 1"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValueError) as exc:
+            TruncatedCocycle(1, 2, table)
+        assert str(exc.value) == message
+        data = [{"u": list(u), "v": list(v), "value": "1"} for u, v in table]
+        with pytest.raises(ValueError) as exc:
+            TruncatedCocycle.from_json(1, 2, data)
+        assert str(exc.value) == message
+    full = function_table(1, 2)
+    cases = [
+        ({e: ONE, g: ONE}, "table is missing ExponentVector([2])"),
+        ({**full, g3: ONE}, "table entry ExponentVector([3]) is outside the domain"),
+        ({e: ONE, g: ONE, g3: ONE}, "table entry ExponentVector([3]) is outside the domain"),
+        ({**full, ExponentVector((0, 1)): ONE}, "table entry ExponentVector([0, 1]) is outside the domain"),
+        ({**full, e: UnitScalar(2)}, "functions on the monoid must satisfy h(e) = 1"),
+        ({g: ONE, g2: ONE}, "functions on the monoid must satisfy h(e) = 1"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValueError) as exc:
+            FunctionOnMonoid(1, 2, table)
+        assert str(exc.value) == message
+        data = [{"u": list(u), "value": str(val)} for u, val in table.items()]
+        with pytest.raises(ValueError) as exc:
+            FunctionOnMonoid.from_json(1, 2, data)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        FunctionOnMonoid.from_function(1, 2, lambda u: UnitScalar(2))
+    assert str(exc.value) == "functions on the monoid must satisfy h(e) = 1"
+    assert TruncatedCocycle(1, 2, cocycle_table(1, 2)) == TruncatedCocycle.from_function(1, 2, lambda u, v: ONE)
+    assert FunctionOnMonoid(2, 3, function_table(2, 3)) == FunctionOnMonoid.constant_one(2, 3)
+
+
+def test_yamazaki_trivialize_reports_the_first_fault_in_table_order():
+    q, r = UnitScalar.param("q"), UnitScalar.param("r")
+    right_fault = (ExponentVector((0, 1)), ExponentVector((0, 1)))
+    left_fault = (ExponentVector((1, 0)), ExponentVector((1, 0)))
+    table = {**cocycle_table(2, 4), right_fault: q, left_fault: r}
+    right_first = "restriction to the right factor is not trivial: mu([0, 1], [0, 1]) = q"
+    left_first = "restriction to the left factor is not trivial: mu([1, 0], [1, 0]) = r"
+    for order, message in [(list(table), right_first), (list(reversed(table)), left_first)]:
+        mu_t = TruncatedCocycle(2, 4, {pair: table[pair] for pair in order})
+        with pytest.raises(ValueError) as exc:
+            yamazaki_trivialize(mu_t, ProductSplit(1, 1))
+        assert str(exc.value) == message
+    # the cross fault (u = (1, 0)) precedes the right fault (u = (0, 2)) in table order
+    cross, later = (ExponentVector((1, 0)), ExponentVector((0, 1))), (ExponentVector((0, 2)), ExponentVector((0, 1)))
+    mu_t = TruncatedCocycle(2, 4, {**cocycle_table(2, 4), cross: q, later: r})
+    with pytest.raises(ValueError) as exc:
+        yamazaki_trivialize(mu_t, ProductSplit(1, 1))
+    assert str(exc.value) == "cross pairing is not trivial: mu([1, 0], [0, 1]) != mu([0, 1], [1, 0])"

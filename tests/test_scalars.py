@@ -257,6 +257,15 @@ def test_unit_pow_refuses_bool_exponents():
         UnitScalar.param("q") ** False
 
 
+def test_bools_compare_as_the_ints_they_are():
+    # bool is an int: every cross-type __eq__ answers for it as for 0 and 1, and agrees with hash.
+    P, U = LaurentPolynomial.one(), UnitScalar.one()
+    assert P == True and U == True and Fraction(1) == True  # noqa: E712
+    assert P != False and LaurentPolynomial.zero() == False  # noqa: E712
+    assert LaurentPolynomial.from_param("q") != True and UnitScalar.param("q") != True  # noqa: E712
+    assert {P: "one"}.get(True) == "one" and len({P, U, True, 1}) == 1
+
+
 def test_equal_values_hash_equally():
     assert len({LaurentPolynomial.one(), 1}) == 1
     # equality is transitive across units, polynomials and rationals, so no set depends on order
