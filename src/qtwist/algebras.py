@@ -48,7 +48,6 @@ from .monoids import ExponentVector, MonoidMorphism, ProductSplit
 from .scalars import (
     LaurentPolynomial,
     UnitScalar,
-    _exponents,
     _merge_exps,
     _parse_product,
     _parse_sum,
@@ -91,8 +90,6 @@ class TwistedMonoidAlgebra:
         return self.basis_element(ExponentVector.unit(self.rank, k))
 
     def basis_element(self, u, coeff=1):
-        if u.rank != self.rank:
-            raise ValueError(f"rank mismatch: algebra has rank {self.rank}, got {u.rank}")
         if isinstance(coeff, UnitScalar):
             coeff = LaurentPolynomial.from_unit(coeff)
         elif not isinstance(coeff, LaurentPolynomial):
@@ -350,8 +347,6 @@ class FactorTwistReport:
 def factor_twist(left, right, mu):
     """Compare (B (x) C)_mu with the twisted tensor product of the factor twists."""
     a, b = left.rank, right.rank
-    if mu.rank != a + b:
-        raise ValueError(f"cocycle rank {mu.rank} does not match ranks {a}+{b}")
     split = ProductSplit(a, b)
     classical = twisted_tensor_product(left, right, Pairing.trivial(a, b))
     lhs = twist_by(classical, mu)
@@ -630,7 +625,7 @@ def _parse_term(algebra, token, parameters):
             raise ValueError(f"unknown generator or parameter name {name!r}")
         else:
             params.append((name, e))
-    coeff = LaurentPolynomial.from_unit(UnitScalar(sign * coeff, _exponents(params)))
+    coeff = LaurentPolynomial.from_unit(UnitScalar(sign * coeff, params))
     if poly is not None:
         coeff = coeff * poly
     return AlgebraElement(algebra, {ExponentVector(entries): coeff})

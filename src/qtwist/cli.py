@@ -125,13 +125,8 @@ _cocycle = _unit_matrix(BimultiplicativeCocycle)
 _antisym = _unit_matrix(AntisymmetricMatrix)
 
 
-def _naturals(key, values):
-    return [_int(key, e, minimum=0) for e in values]
-
-
 def _table(key, value, parsed):
     with _rejected_as(f'"{key}"', (ValueError, TypeError, KeyError, AttributeError)):
-        value = [dict(item, u=_naturals(key, item["u"]), v=_naturals(key, item["v"])) for item in value]
         table = TruncatedCocycle.from_json(parsed["rank"], parsed["degree_bound"], value)
     _check_declared({name for entry in table.table.values() for name in entry.parameters()},
                     parsed["parameters"], f'"{key}"')
@@ -150,7 +145,7 @@ def _morphism(key, value, parsed):
     if not isinstance(value, list) or not value:
         raise InputError(f'"{key}" must be a nonempty list of generator images')
     with _rejected_as(f'"{key}"', (ValueError, TypeError)):
-        images = [ExponentVector(_naturals(key, w)) for w in value]
+        images = [ExponentVector(w) for w in value]
         return MonoidMorphism(len(images), parsed["cocycle"].rank, images)
 
 
@@ -237,15 +232,8 @@ def _parse_config(config, args):
 
 
 # ---------------------------------------------------------------------------
-# Handlers (each takes the parsed config; a "fail" report maps to exit code 1)
+# Handlers: parsed config -> (status, payload[, counterexample]); "fail" is exit code 1
 # ---------------------------------------------------------------------------
-
-
-def _report(command, status, payload, counterexample=None):
-    report = {"command": command, "status": status, "payload": payload}
-    if counterexample is not None:
-        report["counterexample"] = counterexample
-    return report
 
 
 def _random_dense_vector(rng, rank, max_entry=5):
@@ -258,14 +246,14 @@ def cmd_cocycle_check(config):
         check = cocycles.verify_cocycle_equation(table)
         payload = {"rank": table.rank, "degree_bound": table.degree_bound, "exhaustive": True}
         if check:
-            return _report("cocycle.check", "pass", payload)
+            return "pass", payload
         kind = check.counterexample[0]
         if kind == "identity":
             detail = {"identity_violation": check.counterexample[1].to_json()}
         else:
             x, y, z = check.counterexample
             detail = {"triple": [x.to_json(), y.to_json(), z.to_json()]}
-        return _report("cocycle.check", "fail", payload, detail)
+        return "fail", payload, detail
     mu = config["cocycle"]
     rng = random.Random(config.get("seed", 0))
     samples = config.get("samples", 100)
@@ -276,39 +264,37 @@ def cmd_cocycle_check(config):
         lhs = mu.evaluate(x, y + z) * mu.evaluate(y, z)
         rhs = mu.evaluate(x, y) * mu.evaluate(x + y, z)
         if lhs != rhs:
-            return _report("cocycle.check", "fail",
-                           {"rank": mu.rank, "samples": samples},
-                           {"triple": [x.to_json(), y.to_json(), z.to_json()]})
-    return _report("cocycle.check", "pass",
-                   {"rank": mu.rank, "samples": samples, "exhaustive": False})
+            return ("fail", {"rank": mu.rank, "samples": samples},
+                    {"triple": [x.to_json(), y.to_json(), z.to_json()]})
+    return "pass", {"rank": mu.rank, "samples": samples, "exhaustive": False}
 
 
 def cmd_cocycle_antisym(config):
     beta = cocycles.antisymmetrize(config["cocycle"])
-    return _report("cocycle.antisym", "report", {"antisymmetrization": beta.to_json()})
+    return "report", {"antisymmetrization": beta.to_json()}
 
 
 def cmd_cocycle_factorize(config):
     left, right, alpha = cocycles.yamazaki_factorize(config["cocycle"], config["split"])
-    return _report("cocycle.factorize", "report", {
+    return "report", {
         "left": left.to_json(),
         "right": right.to_json(),
         "pairing": alpha.to_json(),
         "factorizable": alpha.is_trivial(),
-    })
+    }
 
 
 def cmd_cocycle_reconstruct(config):
     with _rejected_as('"pairing"'):
         mu = cocycles.yamazaki_reconstruct(config["left"], config["right"], config["pairing"])
-    return _report("cocycle.reconstruct", "report", {"cocycle": mu.to_json()})
+    return "report", {"cocycle": mu.to_json()}
 
 
 def cmd_cocycle_pullback(config):
     f = config["segre"] if "segre" in config else config["morphism"]
     with _rejected_as('"cocycle"'):
         pulled = cocycles.pullback(config["cocycle"], f)
-    return _report("cocycle.pullback", "report", {"cocycle": pulled.to_json()})
+    return "report", {"cocycle": pulled.to_json()}
 
 
 def cmd_cocycle_trivialize(config):
@@ -325,25 +311,24 @@ def cmd_cocycle_trivialize(config):
         else:
             raise InputError('rank > 1 trivialization needs a "split"')
     except ValueError as exc:
-        return _report("cocycle.trivialize", "fail",
-                       {"rank": table.rank, "degree_bound": table.degree_bound},
-                       {"obstruction": str(exc)})
+        return ("fail", {"rank": table.rank, "degree_bound": table.degree_bound},
+                {"obstruction": str(exc)})
     verified = cocycles.coboundary(h) == table
     status = "pass" if verified else "fail"
-    return _report("cocycle.trivialize", status, {
+    return status, {
         "rank": table.rank,
         "degree_bound": table.degree_bound,
         "witness": h.to_json(),
         "coboundary_matches": verified,
-    })
+    }
 
 
 def cmd_algebra_mul(config):
     product = config["x"] * config["y"]
-    return _report("algebra.mul", "report", {
+    return "report", {
         "product": algebras.render_element(product),
         "terms": product.to_json(),
-    })
+    }
 
 
 def cmd_algebra_relations(config):
@@ -357,22 +342,21 @@ def cmd_algebra_relations(config):
             lhs = algebra.generator(j) * algebra.generator(i)
             rhs = (algebra.generator(i) * algebra.generator(j)).scaled(coeff)
             if lhs != rhs:
-                return _report("algebra.relations", "fail", {},
-                               {"pair": [names[i], names[j]]})
+                return "fail", {}, {"pair": [names[i], names[j]]}
             relations.append({"i": i, "j": j, "coefficient": render_unit(coeff)})
-    return _report("algebra.relations", "pass", {
+    return "pass", {
         "generators": list(names),
         "relations": relations,
-    })
+    }
 
 
 def cmd_algebra_twist(config):
     with _rejected_as('"twist"'):
         twisted = algebras.twist_by(config["algebra"], config["twist"])
-    return _report("algebra.twist", "report", {
+    return "report", {
         "cocycle": twisted.cocycle.to_json(),
         "deformation_matrix": algebras.deformation_matrix(twisted).to_json(),
-    })
+    }
 
 
 def _segre_map_from(config):
@@ -392,7 +376,7 @@ def cmd_segre_build(config):
         "target_generators": list(smap.target.generator_names),
         "images": images,
     })
-    return _report("segre.build", "report", payload)
+    return "report", payload
 
 
 def cmd_segre_verify(config):
@@ -403,18 +387,17 @@ def cmd_segre_verify(config):
     payload = {"n": smap.n, "m": smap.m, "pass": report.passed,
                "pairs_checked": report.pairs_checked, "seed": report.seed}
     if report.passed:
-        return _report("segre.verify", "pass", payload)
-    return _report("segre.verify", "fail", payload, {"pair": list(report.counterexample)})
+        return "pass", payload
+    return "fail", payload, {"pair": list(report.counterexample)}
 
 
 def cmd_segre_matrix(config):
     g = segre.source_deformation_matrix(_segre_map_from(config))
-    return _report("segre.matrix", "report", {"deformation_matrix": g.to_json()})
+    return "report", {"deformation_matrix": g.to_json()}
 
 
 def cmd_segre_kronecker(config):
-    return _report("segre.kronecker", "report",
-                   {"kronecker": segre.kronecker(config["q"], config["qprime"]).to_json()})
+    return "report", {"kronecker": segre.kronecker(config["q"], config["qprime"]).to_json()}
 
 
 def cmd_segre_kernel(config):
@@ -422,14 +405,14 @@ def cmd_segre_kernel(config):
     values = config.get("specialization", {})
     with _rejected_as('"specialization"'):
         basis = segre.kernel_basis(smap, config["degree"], values)
-    return _report("segre.kernel", "report", {
+    return "report", {
         "n": smap.n,
         "m": smap.m,
         "degree": config["degree"],
         "specialization": {name: str(v) for name, v in sorted(values.items())},
         "dimension": len(basis),
         "basis": [algebras.render_element(x) for x in basis],
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +502,15 @@ def main(argv=None, out=None):
         config = _load_config(args.config)
         if not isinstance(config, dict):
             raise InputError(f"config must be an object of keys, got a JSON {type(config).__name__}")
-        report = args.handler(_parse_config(config, args))
+        status, payload, *counterexample = args.handler(_parse_config(config, args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {"command": f"{args.group}.{args.command}", "status": status, "payload": payload}
+    if counterexample:
+        report["counterexample"] = counterexample[0]
     _emit(report, args.json, out)
-    return 0 if report["status"] != "fail" else 1
+    return 0 if status != "fail" else 1
 
 
 if __name__ == "__main__":

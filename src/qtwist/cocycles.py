@@ -17,8 +17,9 @@ It represents general cocycles and coboundaries and is the form on which the
 constructive trivialization procedures run: building an explicit h with
 delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
 functions h share one body: the domain is enumerated once per call as a
-tuple ordered by degree, tables built from it are constructed unchecked, and
-the public constructors check key types, the key count and each domain key.
+tuple ordered by degree (rank >= 1 and bound >= 0 are checked there), tables
+built from it are constructed unchecked, and the public constructors check
+key and value types, the key count and each domain key.
 Coboundary values and the exhaustive cocycle check run on the same integer
 kernel as evaluation: each value or triple is one product of
 (numerator, denominator, exponents) entries, and the check compares
@@ -335,8 +336,12 @@ def pullback(mu, f):
 def _vectors(rank, bound):
     """The vectors of N^rank of degree <= bound as one tuple, by increasing degree.
 
-    Those of degree <= k are its first comb(rank + k, rank) entries.
+    Those of degree <= k are its first comb(rank + k, rank) entries.  Every
+    truncated domain is enumerated here, so this is where it is checked:
+    rank < 1 or bound < 0 raises ValueError.
     """
+    if rank < 1 or bound < 0:
+        raise ValueError(f"truncated domains need rank >= 1 and degree bound >= 0, got {rank} and {bound}")
     return tuple(vectors_up_to_degree(rank, bound))
 
 
@@ -356,21 +361,26 @@ class _UnitTable:
     """A unit table on a truncated domain of N^rank: the pairs |u| + |v| <= D, or the vectors |u| <= D.
 
     The body shared by truncated cocycles and functions on the monoid.  The
-    public constructor checks the key type of every key, then that the table
-    has as many keys as the domain and holds each of them; only when that
-    fails does it walk the table to name the bad key.  Tables the library
-    builds from their domain are constructed trusted, unchecked.
+    public constructor enumerates the domain, which needs rank >= 1 and
+    D >= 0 (ValueError).  In one pass over the table it checks that every key
+    has the key type and every value is a UnitScalar (TypeError naming the
+    key), then that the table has as many keys as the domain and holds each
+    of them; only when that fails does it walk the table to name the bad key
+    (ValueError).  Tables built from their domain are constructed trusted:
+    `from_function` takes the values of `fn` unchecked.
     """
 
     __slots__ = ("rank", "degree_bound", "table")
 
     def __init__(self, rank, degree_bound, table):
+        domain = self._domain(rank, degree_bound)
         table = dict(table)
-        for key in table:
+        for key, value in table.items():
             if not self._is_key(key):
                 raise TypeError(f"table key {key!r} is not {self._key_kind}")
-        if len(table) != self._size(rank, degree_bound) or not all(
-                map(table.__contains__, self._domain(rank, degree_bound))):
+            if not isinstance(value, UnitScalar):
+                raise TypeError(f"table value {value!r} at {key!r} is not a UnitScalar")
+        if len(table) != self._size(rank, degree_bound) or not all(map(table.__contains__, domain)):
             self._name_bad_key(rank, degree_bound, table)
         self.rank, self.degree_bound, self.table = rank, degree_bound, table
 
@@ -383,8 +393,8 @@ class _UnitTable:
 
     @classmethod
     def _size(cls, rank, bound):
-        """The number of keys of the domain, comb(arity * rank + bound, bound); -1 if it is not defined."""
-        return comb(cls._arity * rank + bound, bound) if rank >= 1 and bound >= 0 else -1
+        """The number of keys of the domain, comb(arity * rank + bound, bound)."""
+        return comb(cls._arity * rank + bound, bound)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -486,7 +496,7 @@ class FunctionOnMonoid(_UnitTable):
     @staticmethod
     def _check_normalized(rank, table):
         zero = ExponentVector.zero(rank)
-        if zero not in table or not table[zero].is_one():
+        if zero not in table or table[zero] != UnitScalar.one():  # a non-unit is not 1 either
             raise ValueError("functions on the monoid must satisfy h(e) = 1")
 
     @staticmethod
@@ -498,7 +508,7 @@ class FunctionOnMonoid(_UnitTable):
         for u in table:
             if u.rank != rank or u.degree() > degree_bound:
                 raise ValueError(f"table entry {u!r} is outside the domain")
-        for u in vectors_up_to_degree(rank, degree_bound):
+        for u in _vectors(rank, degree_bound):
             if u not in table:
                 raise ValueError(f"table is missing {u!r}")
 

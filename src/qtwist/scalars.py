@@ -382,13 +382,6 @@ def _parse_product(body, text):
     return (Fraction(1) if coeff is None else coeff), factors
 
 
-def _exponents(factors):
-    exps = {}
-    for name, e in factors:
-        exps[name] = exps.get(name, 0) + e
-    return exps
-
-
 def parse_unit(text):
     """Parse a unit literal; raises ValueError on malformed or zero literals."""
     sign, body = _split_sign(text)
@@ -397,7 +390,7 @@ def parse_unit(text):
     coeff, factors = _parse_product(body, text)
     if coeff == 0:
         raise ValueError(f"unit literal must be nonzero: {text!r}")
-    return UnitScalar(sign * coeff, _exponents(factors))
+    return UnitScalar(sign * coeff, factors)
 
 
 def _render_sum(terms):

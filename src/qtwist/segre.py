@@ -75,11 +75,9 @@ def build_quantum_segre(n, m, mu):
     generators x_0..x_n, y_0..y_m.  Generator images are the basis monomials
     of degree (alpha_i, beta_j), so compatibility holds by construction.
     """
-    if n < 1 or m < 1:
-        raise ValueError("build_quantum_segre requires n >= 1 and m >= 1")
+    f = segre_morphism(n, m)
     if mu.rank != n + m + 2:
         raise ValueError(f"ambient cocycle must have rank {n + m + 2}, got {mu.rank}")
-    f = segre_morphism(n, m)
     source_names = [f"z{i}{j}" for i in range(n + 1) for j in range(m + 1)]
     target_names = [f"x{i}" for i in range(n + 1)] + [f"y{j}" for j in range(m + 1)]
     target = TwistedMonoidAlgebra(mu, target_names, split=ProductSplit(n + 1, m + 1))

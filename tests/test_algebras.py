@@ -21,6 +21,7 @@ from qtwist import (
     factor_twist,
     kernel_basis,
     parse_element,
+    parse_poly,
     quantum_projective_space,
     random_element,
     render_element,
@@ -470,6 +471,49 @@ def test_apply_cancels_within_a_fiber():
     assert phi(x).terms == {} == reference_image(phi, x)
     y = x + A.generator(0) * A.generator(1)
     assert phi(y).terms == reference_image(phi, y) != {}
+
+
+def test_rank_rules_are_reported_by_the_callee():
+    A = polynomial_algebra(2)
+    with pytest.raises(ValueError) as exc:
+        A.basis_element(ExponentVector((1, 0, 0)))
+    assert str(exc.value) == "term ExponentVector([1, 0, 0]) does not match algebra rank 2"
+    with pytest.raises(ValueError) as exc:
+        factor_twist(A, polynomial_algebra(1, ["Y0"]), BimultiplicativeCocycle.trivial(2))
+    assert str(exc.value) == "cocycle rank 2 does not match algebra rank 3"
+
+
+def test_graded_homomorphism_rejects_bad_generator_images():
+    A, B = polynomial_algebra(2), polynomial_algebra(1)
+    g = ExponentVector((1,))
+    f = MonoidMorphism(2, 1, [g, g])
+    X = B.generator(0)
+    not_a_unit = X.scaled(LaurentPolynomial.one() + LaurentPolynomial.from_param("q"))
+    cases = [
+        (MonoidMorphism.identity(2), [X, X], "monoid morphism ranks do not match the algebras"),
+        (f, [X], "expected 2 generator images, got 1"),
+        (f, [X, polynomial_algebra(1, ["Y"]).generator(0)],
+         "generator image 1 does not live in the target algebra"),
+        (f, [X, X + X * X], "generator image 1 must be a scalar multiple of a basis monomial"),
+        (f, [X, X * X], "generator image 1 has degree ExponentVector([2]), expected ExponentVector([1])"),
+        (f, [X, not_a_unit], "generator image 1 must have an invertible (single-term) coefficient"),
+    ]
+    for morphism, images, message in cases:
+        with pytest.raises(ValueError) as exc:
+            GradedHomomorphism(A, B, morphism, images)
+        assert str(exc.value) == message
+
+
+def test_elements_times_scalars_from_both_sides():
+    A = polynomial_algebra(2)
+    x = parse_element(A, "q*X0 - X1^2")
+    u = UnitScalar(2, {"r": 1})
+    assert x * u == u * x == parse_element(A, "2*q*r*X0 - 2*r*X1^2")
+    assert x * 3 == 3 * x == parse_element(A, "3*q*X0 - 3*X1^2")
+    assert x * Fraction(1, 2) == Fraction(1, 2) * x == parse_element(A, "1/2*q*X0 - 1/2*X1^2")
+    p = parse_poly("1 + r")
+    assert x * p == p * x == x.scaled(p) == parse_element(A, "(1 + r)*q*X0 - (1 + r)*X1^2")
+    assert (x * 0).is_zero() and (0 * x).is_zero()
 
 
 def test_segre_kernel_elements_map_to_no_terms():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qtwist import BimultiplicativeCocycle, TruncatedCocycle
 from qtwist.cli import _KEYS, main
 
 HERE = pathlib.Path(__file__).parent
@@ -167,6 +168,15 @@ def _specialization(value):
     return _config_with("segre_kernel", specialization={"q": value, "r": "1"})
 
 
+def _morphism(*images):
+    """The pullback config along the morphism with these generator images instead of "segre"."""
+    return _config_with("cocycle_pullback", drop=["segre"], morphism=list(images))
+
+
+#: The images of segre_morphism(1, 1): z_ij goes to the vector with ones at i and 2 + j.
+SEGRE_1_1 = ([1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1])
+
+
 # (argv tail, config, text the error message must contain)
 BAD_INPUTS = [
     (["cocycle", "check"], [], "object"),
@@ -215,6 +225,13 @@ BAD_INPUTS = [
     (["cocycle", "pullback"], _config_with("cocycle_pullback", drop=["segre"], morphism=[]),
      '"morphism"'),
     (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=[["3/00"]]), '"cocycle"'),
+    (["cocycle", "pullback"], _morphism([1, 0, 1, 0], [1, 0, "1", 1]), '"morphism"'),
+    (["cocycle", "pullback"], _morphism([1, 0, 1, 0], [1, -1, 0, 1]), '"morphism"'),
+    (["cocycle", "pullback"], _morphism([1, 0, 1]), '"morphism"'),
+    (["cocycle", "trivialize"],
+     {"parameters": [], "rank": 2, "degree_bound": 1,
+      "table": TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(2), 1).to_json()},
+     '"split"'),
 ]
 
 
@@ -232,13 +249,52 @@ BAD_INPUTS = [
                               "string-table-u", "float-table-v", "bool-table-u",
                               "table-pair-over-bound", "missing-table-pair",
                               "numeric-table-value", "non-object-table-item",
-                              "empty-morphism", "zero-denominator"])
+                              "empty-morphism", "zero-denominator",
+                              "string-morphism-entry", "negative-morphism-entry",
+                              "short-morphism-image", "rank-2-table-without-split"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     code, output = run_cli(tail + ["--config", str(path), "--json"])
     assert (code, output) == (2, "")
     assert message in capsys.readouterr().err
+
+
+def run_config(tmp_path, tail, config, as_json=True):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return run_cli(tail + ["--config", str(path)] + (["--json"] if as_json else []))
+
+
+def test_pullback_along_a_morphism_matches_the_segre_golden(tmp_path):
+    code, output = run_config(tmp_path, ["cocycle", "pullback"], _morphism(*SEGRE_1_1))
+    assert (code, output) == (0, (GOLDEN / "cocycle_pullback.json").read_text())
+
+
+def test_trivialize_reads_a_rank_1_table(tmp_path):
+    code, output = run_config(tmp_path, ["cocycle", "trivialize"], _config_with("cocycle_check_table"))
+    report = json.loads(output)
+    assert (code, report["command"], report["status"]) == (0, "cocycle.trivialize", "pass")
+    assert report["payload"]["coboundary_matches"] is True
+
+
+def test_table_off_normalization_fails_with_an_identity_violation(tmp_path):
+    config = _table_with(1, value="2")  # the pair ([0], [1])
+    code, output = run_config(tmp_path, ["cocycle", "check"], config)
+    assert code == 1
+    assert json.loads(output)["counterexample"] == {"identity_violation": [1]}
+    code, output = run_config(tmp_path, ["cocycle", "check"], config, as_json=False)
+    lines = output.splitlines()
+    assert (code, lines[0], lines[-1]) == (
+        1, "cocycle.check: fail", '  counterexample: {"identity_violation": [1]}')
+
+
+def test_set_without_a_value_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["segre", "kernel", "--degree", "2", "--set", "q",
+              "--config", str(CONFIGS / "segre_kernel.json")])
+    assert exc.value.code == 2
+    assert "expected NAME=RATIONAL, got 'q'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

@@ -429,6 +429,17 @@ def test_truncated_table_must_be_complete():
         TruncatedCocycle(1, 3, {})
 
 
+def test_truncated_product_is_entrywise_on_the_smaller_domain():
+    rng = random.Random(57)
+    mu, nu = rand_cocycle(rng, 2), rand_cocycle(rng, 2)
+    product = TruncatedCocycle.truncate(mu, 3) * TruncatedCocycle.truncate(nu, 2)
+    assert product == TruncatedCocycle.truncate(mu * nu, 2)
+    assert TruncatedCocycle.truncate(mu, 2).__mul__(mu) is NotImplemented
+    with pytest.raises(ValueError) as exc:
+        TruncatedCocycle.truncate(mu, 2) * TruncatedCocycle.truncate(rand_cocycle(rng, 1), 2)
+    assert str(exc.value) == "rank mismatch in truncated cocycle product"
+
+
 # -- rank-1 trivialization ----------------------------------------------------
 
 def test_trivialize_rank1_of_trivial():
@@ -889,6 +900,43 @@ def test_table_validation_names_the_bad_key():
     assert str(exc.value) == "functions on the monoid must satisfy h(e) = 1"
     assert TruncatedCocycle(1, 2, cocycle_table(1, 2)) == TruncatedCocycle.from_function(1, 2, lambda u, v: ONE)
     assert FunctionOnMonoid(2, 3, function_table(2, 3)) == FunctionOnMonoid.constant_one(2, 3)
+
+
+def test_table_values_must_be_units():
+    e, g = ExponentVector((0,)), ExponentVector((1,))
+    with pytest.raises(TypeError) as exc:
+        TruncatedCocycle(1, 0, {(e, e): 5})
+    assert str(exc.value) == "table value 5 at (ExponentVector([0]), ExponentVector([0])) is not a UnitScalar"
+    with pytest.raises(TypeError) as exc:
+        FunctionOnMonoid(1, 1, {e: ONE, g: "q"})
+    assert str(exc.value) == "table value 'q' at ExponentVector([1]) is not a UnitScalar"
+    with pytest.raises(TypeError, match="at ExponentVector"):
+        FunctionOnMonoid(1, 1, {e: 1, g: ONE})
+    with pytest.raises(ValueError, match=r"h\(e\) = 1"):
+        FunctionOnMonoid(1, 1, {e: 5, g: ONE})
+
+
+@pytest.mark.parametrize("rank,bound", [(0, 2), (0, 0), (1, -1), (2, -3)])
+def test_truncated_domains_need_rank_and_bound(rank, bound):
+    mu = BimultiplicativeCocycle.trivial(rank)
+    zero = ExponentVector.zero(rank)
+    builds = [
+        lambda: TruncatedCocycle(rank, bound, {}),
+        lambda: TruncatedCocycle(rank, bound, {(zero, zero): ONE}),
+        lambda: TruncatedCocycle.from_json(rank, bound, []),
+        lambda: TruncatedCocycle.from_function(rank, bound, lambda u, v: ONE),
+        lambda: TruncatedCocycle.truncate(mu, bound),
+        lambda: FunctionOnMonoid(rank, bound, {zero: ONE}),
+        lambda: FunctionOnMonoid.from_json(rank, bound, [{"u": list(zero), "value": "1"}]),
+        lambda: FunctionOnMonoid.from_function(rank, bound, lambda u: ONE),
+        lambda: FunctionOnMonoid.constant_one(rank, bound),
+        lambda: symmetric_trivializer(mu).truncate(bound),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == (
+            f"truncated domains need rank >= 1 and degree bound >= 0, got {rank} and {bound}")
 
 
 def test_yamazaki_trivialize_reports_the_first_fault_in_table_order():

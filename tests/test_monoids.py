@@ -153,6 +153,17 @@ def test_identity_morphism():
     assert f(u) == u
 
 
+def test_morphism_equality_and_json():
+    f = segre_morphism(1, 1)
+    images = [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
+    assert f.to_json() == images
+    assert f == MonoidMorphism(4, 4, [ExponentVector(w) for w in images])
+    assert f != MonoidMorphism(4, 4, [ExponentVector(w) for w in reversed(images)])
+    assert f != MonoidMorphism.identity(4)
+    assert MonoidMorphism(1, 2, [ExponentVector((1, 0))]) != MonoidMorphism(1, 3, [ExponentVector((1, 0, 0))])
+    assert f.__eq__(images) is NotImplemented
+
+
 # -- product splits ----------------------------------------------------------
 
 def test_inject_and_split_examples():

@@ -117,6 +117,17 @@ def test_poly_mul_difference_of_squares():
     assert parse_poly("q + 1") * parse_poly("q - 1") == parse_poly("q^2 - 1")
 
 
+def test_poly_times_scalars_from_both_sides():
+    p = parse_poly("q^2 - 3/2*r")
+    u = parse_unit("-2*q^-1")
+    assert p * u == u * p == parse_poly("-2*q + 3*q^-1*r")
+    assert p * 3 == 3 * p == parse_poly("3*q^2 - 9/2*r")
+    assert p * Fraction(2, 3) == Fraction(2, 3) * p == parse_poly("2/3*q^2 - r")
+    for zero in (0, Fraction(0)):
+        assert (p * zero).is_zero() and (zero * p).is_zero()
+    assert all(type(x) is LaurentPolynomial for x in (p * u, u * p, p * 3, 3 * p, p * 0, 0 * p))
+
+
 def test_poly_scale_roundtrip_random():
     rng = random.Random(13)
     for _ in range(50):

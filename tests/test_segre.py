@@ -141,10 +141,14 @@ def test_corrupted_generator_image_rejected():
 
 
 def test_build_rejects_bad_ranks():
-    with pytest.raises(ValueError):
-        build_quantum_segre(0, 1, BimultiplicativeCocycle.trivial(3))
-    with pytest.raises(ValueError):
+    # the shape rule n, m >= 1 is segre_morphism's, and build_quantum_segre leaves it there
+    for n, m in ((0, 1), (1, 0), (-2, 3)):
+        with pytest.raises(ValueError) as exc:
+            build_quantum_segre(n, m, BimultiplicativeCocycle.trivial(3))
+        assert str(exc.value) == "segre_morphism requires n >= 1 and m >= 1"
+    with pytest.raises(ValueError) as exc:
         build_quantum_segre(1, 1, BimultiplicativeCocycle.trivial(3))
+    assert str(exc.value) == "ambient cocycle must have rank 4, got 3"
 
 
 # -- verification ------------------------------------------------------------------
