@@ -9,10 +9,11 @@ construction, so no rewriting machinery is needed: products, twists, twisted
 tensor products and the scaling isomorphisms between cohomologous twists are
 all exact matrix/unit computations.
 
-Products and monomial-map images accumulate each coefficient term's
-numerator and denominator as Python ints and make one ``Fraction`` per
-result term, with no intermediate unit or polynomial; their results go
-through the unchecked ``AlgebraElement._trusted``.
+Products, monomial-map images and element sums add their coefficient terms
+in the int accumulator of ``scalars`` and make one ``Fraction`` per result
+term, with no intermediate unit or polynomial; their results go through the
+unchecked ``AlgebraElement._trusted``.  A coefficient given as a unit, an
+int or a ``Fraction`` is coerced by ``scalars`` too.
 
 Every morphism here is a :class:`GradedHomomorphism`: it sends e_u to a unit
 times one basis monomial.  Such a map with unit generator images is
@@ -37,8 +38,6 @@ from .cocycles import (
     antisymmetrize,
     canonical_from_antisym,
     _bilinear_pairs,
-    _integer_form,
-    _power,
     _quadratic_unit,
     cohomologous,
     pullback,
@@ -48,10 +47,15 @@ from .monoids import ExponentVector, MonoidMorphism, ProductSplit
 from .scalars import (
     LaurentPolynomial,
     UnitScalar,
+    _accumulate,
+    _coefficient,
+    _integer_form,
+    _integer_terms,
     _merge_exps,
     _parse_product,
     _parse_sum,
-    _rational,
+    _polynomial,
+    _power,
     _render_sum,
     _split_sign,
     parse_poly,
@@ -90,10 +94,6 @@ class TwistedMonoidAlgebra:
         return self.basis_element(ExponentVector.unit(self.rank, k))
 
     def basis_element(self, u, coeff=1):
-        if isinstance(coeff, UnitScalar):
-            coeff = LaurentPolynomial.from_unit(coeff)
-        elif not isinstance(coeff, LaurentPolynomial):
-            coeff = LaurentPolynomial.from_rational(coeff)
         return AlgebraElement(self, {u: coeff})
 
     def element(self, terms):
@@ -121,12 +121,7 @@ class TwistedMonoidAlgebra:
                     ac_num, ac_den = a_num * c_num, a_den * c_den
                     for kb, b_num, b_den in q:
                         _accumulate(acc, _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den)
-        terms = {}
-        for w, acc in out.items():
-            p = _polynomial(acc)
-            if p.terms:
-                terms[w] = p
-        return AlgebraElement._trusted(self, terms)
+        return _element(self, out)
 
     def __eq__(self, other):
         if not isinstance(other, TwistedMonoidAlgebra):
@@ -138,27 +133,14 @@ class TwistedMonoidAlgebra:
         return f"TwistedMonoidAlgebra(rank={self.rank}, generators={list(self.generator_names)})"
 
 
-def _integer_terms(p):
-    """(exps, numerator, denominator) of each term of a polynomial."""
-    return [(k, c.numerator, c.denominator) for k, c in p.terms.items()]
-
-
-def _accumulate(acc, key, num, den):
-    """Add num/den to acc[key], a [numerator, denominator] pair of ints (unreduced)."""
-    pair = acc.get(key)
-    if pair is None:
-        acc[key] = [num, den]
-    elif pair[1] == den:
-        pair[0] += num
-    else:
-        pair[0] = pair[0] * den + num * pair[1]
-        pair[1] *= den
-
-
-def _polynomial(acc):
-    """The polynomial of an {exps: [numerator, denominator]} accumulator: one Fraction per nonzero term."""
-    return LaurentPolynomial._trusted({k: Fraction(num, den) for k, (num, den) in acc.items() if num})
-
+def _element(algebra, out):
+    """The element of a {vector: accumulator} map, dropping the vectors whose polynomial is zero."""
+    terms = {}
+    for w, acc in out.items():
+        p = _polynomial(acc)
+        if p.terms:
+            terms[w] = p
+    return AlgebraElement._trusted(algebra, terms)
 
 
 class AlgebraElement:
@@ -171,9 +153,8 @@ class AlgebraElement:
         for u, p in terms.items():
             if u.rank != algebra.rank:
                 raise ValueError(f"term {u!r} does not match algebra rank {algebra.rank}")
-            if not isinstance(p, LaurentPolynomial):
-                p = LaurentPolynomial.from_rational(p)
-            if not p.is_zero():
+            p = _coefficient(p)
+            if p.terms:
                 clean[u] = p
         self.algebra = algebra
         self.terms = clean
@@ -204,14 +185,13 @@ class AlgebraElement:
             return NotImplemented
         if not (other.algebra is self.algebra or other.algebra == self.algebra):
             raise ValueError("elements live in different algebras")
-        out = dict(self.terms)
-        for u, p in other.terms.items():
-            s = out.get(u, LaurentPolynomial.zero()) + p
-            if s.is_zero():
-                out.pop(u, None)
-            else:
-                out[u] = s
-        return AlgebraElement(self.algebra, out)
+        out = {}
+        for x in (self, other):
+            for u, p in x.terms.items():
+                acc = out.setdefault(u, {})
+                for key, num, den in _integer_terms(p):
+                    _accumulate(acc, key, num, den)
+        return _element(self.algebra, out)
 
     def __neg__(self):
         return AlgebraElement(self.algebra, {u: -p for u, p in self.terms.items()})
@@ -228,16 +208,10 @@ class AlgebraElement:
             return self.scaled(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, UnitScalar, LaurentPolynomial)):
-            return self.scaled(other)
-        return NotImplemented
+    __rmul__ = __mul__  # scalars are central; an element on the left takes __mul__
 
     def scaled(self, c):
-        if isinstance(c, UnitScalar):
-            return AlgebraElement(self.algebra, {u: p.scaled(c) for u, p in self.terms.items()})
-        if not isinstance(c, LaurentPolynomial):
-            c = LaurentPolynomial.from_rational(c)
+        c = _coefficient(c)
         return AlgebraElement(self.algebra, {u: p * c for u, p in self.terms.items()})
 
     def __eq__(self, other):
@@ -596,8 +570,6 @@ def parse_element(algebra, text, parameters=None):
 
 def _parse_term(algebra, token, parameters):
     sign, body = _split_sign(token)
-    if body[:1] == "-" and _rational(body.split("*")[0].strip()) == 0:  # "+-0" is not negative
-        raise ValueError(f"double sign in {token!r}")
     poly = None
     if body.startswith("("):
         depth = 0

@@ -17,11 +17,11 @@ It represents general cocycles and coboundaries and is the form on which the
 constructive trivialization procedures run: building an explicit h with
 delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
 functions h share one body: the domain is enumerated once per call as a
-tuple ordered by degree (rank >= 1 and bound >= 0 are checked there), tables
-built from it are constructed unchecked, and the public constructors check
-key and value types, the key count and each domain key.
-Coboundary values and the exhaustive cocycle check run on the same integer
-kernel as evaluation: each value or triple is one product of
+tuple ordered by degree (rank >= 1 and bound >= 0 are checked there), every
+value a caller gives is checked to be a unit, and the public constructors
+also check the key types, the key count and each domain key.
+Evaluation, coboundary values and the exhaustive cocycle check run on the
+integer kernel of ``scalars``: each value or triple is one product of
 (numerator, denominator, exponents) entries, and the check compares
 numerator with denominator, with no Fraction at all.
 
@@ -41,50 +41,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .monoids import ExponentVector, vectors_up_to_degree
-from .scalars import UnitScalar, parse_unit, render_unit
+from .scalars import UnitScalar, _integer_form, _power, _unit_power, parse_unit, render_unit
 
 #: Default truncation bound: exhaustive verification stays well under a second.
 DEFAULT_DEGREE_BOUND = 8
-
-
-def _integer_form(units):
-    """(numerator, denominator, exps) of each unit, None for the unit 1: the entries `_power` multiplies."""
-    return tuple(None if a.is_one() else (a.coeff.numerator, a.coeff.denominator, a.exps)
-                 for a in units)
-
-
-def _power(pairs):
-    """(numerator, denominator, exps) of prod a^e over (integer-form entry a, integer e) pairs.
-
-    The numerator and denominator are accumulated as ints and the exponents
-    in one map; entries None (the unit 1) and zero powers cost nothing.  The
-    quotient is not reduced: callers make one Fraction of it.
-    """
-    num = den = 1
-    exps = {}
-    for a, e in pairs:
-        if a is None or not e:
-            continue
-        a_num, a_den, a_exps = a
-        if e > 0:
-            num *= a_num ** e
-            den *= a_den ** e
-        else:
-            num *= a_den ** -e
-            den *= a_num ** -e
-        for name, k in a_exps:
-            exps[name] = exps.get(name, 0) + k * e
-    return num, den, tuple(sorted(x for x in exps.items() if x[1]))
-
-
-def _unit_power(pairs):
-    """prod a^e over (integer-form entry a, integer e) pairs, as one unit with one reduced Fraction."""
-    num, den, exps = _power(pairs)
-    return UnitScalar._trusted(Fraction(num, den), exps)
 
 
 def _bilinear_pairs(matrix, u, v):
@@ -357,17 +320,25 @@ def _pairs(rank, bound):
     return ((u, v) for u in vectors for v in vectors[:sizes[bound - sum(u)]])
 
 
+def _unit_values(table):
+    """`table`, once each of its values is checked to be a UnitScalar (TypeError naming the key)."""
+    for key, value in table.items():
+        if not isinstance(value, UnitScalar):
+            raise TypeError(f"table value {value!r} at {key!r} is not a UnitScalar")
+    return table
+
+
 class _UnitTable:
     """A unit table on a truncated domain of N^rank: the pairs |u| + |v| <= D, or the vectors |u| <= D.
 
     The body shared by truncated cocycles and functions on the monoid.  The
     public constructor enumerates the domain, which needs rank >= 1 and
-    D >= 0 (ValueError).  In one pass over the table it checks that every key
-    has the key type and every value is a UnitScalar (TypeError naming the
-    key), then that the table has as many keys as the domain and holds each
-    of them; only when that fails does it walk the table to name the bad key
-    (ValueError).  Tables built from their domain are constructed trusted:
-    `from_function` takes the values of `fn` unchecked.
+    D >= 0 (ValueError).  It checks that every key has the key type and
+    every value is a UnitScalar (TypeError naming the key), then that the
+    table has as many keys as the domain and holds each of them; only when
+    that fails does it walk the table to name the bad key (ValueError).
+    `from_function` checks only the values; tables of kernel products
+    (`coboundary`, entrywise products, `perturbed`) are built trusted.
     """
 
     __slots__ = ("rank", "degree_bound", "table")
@@ -375,11 +346,10 @@ class _UnitTable:
     def __init__(self, rank, degree_bound, table):
         domain = self._domain(rank, degree_bound)
         table = dict(table)
-        for key, value in table.items():
+        for key in table:
             if not self._is_key(key):
                 raise TypeError(f"table key {key!r} is not {self._key_kind}")
-            if not isinstance(value, UnitScalar):
-                raise TypeError(f"table value {value!r} at {key!r} is not a UnitScalar")
+        _unit_values(table)
         if len(table) != self._size(rank, degree_bound) or not all(map(table.__contains__, domain)):
             self._name_bad_key(rank, degree_bound, table)
         self.rank, self.degree_bound, self.table = rank, degree_bound, table
@@ -433,7 +403,8 @@ class TruncatedCocycle(_UnitTable):
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
-        return cls._trusted(rank, degree_bound, {(u, v): fn(u, v) for u, v in _pairs(rank, degree_bound)})
+        table = {(u, v): fn(u, v) for u, v in _pairs(rank, degree_bound)}
+        return cls._trusted(rank, degree_bound, _unit_values(table))
 
     @classmethod
     def truncate(cls, mu, degree_bound):
@@ -516,7 +487,7 @@ class FunctionOnMonoid(_UnitTable):
     def from_function(cls, rank, degree_bound, fn):
         table = {u: fn(u) for u in _vectors(rank, degree_bound)}
         cls._check_normalized(rank, table)
-        return cls._trusted(rank, degree_bound, table)
+        return cls._trusted(rank, degree_bound, _unit_values(table))
 
     @classmethod
     def constant_one(cls, rank, degree_bound):

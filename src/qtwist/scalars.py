@@ -11,14 +11,17 @@ no zero exponents, no zero terms, reduced rationals.  Structural equality
 therefore coincides with mathematical equality.  Coefficients are stored as
 ``fractions.Fraction``; the public constructors take only ``int`` and
 ``Fraction`` values and integer exponents (no floats, no bools, no strings).
-Products of many units (the cocycle kernel in ``cocycles``) and the
-coefficient terms of twisted products and monomial-map images (in
-``algebras``) accumulate their numerator and denominator as Python ints and
-become one reduced ``Fraction`` each.  The ``_trusted`` constructors (here,
-in ``monoids`` and in ``algebras``) are internal only: they wrap values that
-are already canonical and check nothing.  Equal values hash equally, across
-types too: a constant polynomial hashes like its ``Fraction`` and a
-one-term polynomial like its unit.
+The integer kernel and the one coefficient accumulator live here: products
+of many units (``_power``: cocycle values and checks) and every sum of
+coefficient terms (``_accumulate``: polynomials, twisted products,
+monomial-map images, element sums) keep Python int numerators and
+denominators and make one reduced ``Fraction`` per result.  ``_coefficient``
+is the one coercion of a unit, int or ``Fraction`` to a polynomial.  The
+``_trusted`` constructors (here, in ``monoids`` and in ``algebras``) are
+internal only: they wrap values that are already canonical and check
+nothing.  Equal values hash equally, across types too: a constant
+polynomial hashes like its ``Fraction`` and a one-term polynomial like its
+unit.
 """
 
 from __future__ import annotations
@@ -75,6 +78,64 @@ def _merge_exps(a, b):
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def _integer_form(units):
+    """(numerator, denominator, exps) of each unit, None for the unit 1: the entries `_power` multiplies."""
+    return tuple(None if a.is_one() else (a.coeff.numerator, a.coeff.denominator, a.exps)
+                 for a in units)
+
+
+def _power(pairs):
+    """(numerator, denominator, exps) of prod a^e over (integer-form entry a, integer e) pairs.
+
+    The numerator and denominator are accumulated as ints and the exponents
+    in one map; entries None (the unit 1) and zero powers cost nothing.  The
+    quotient is not reduced: callers make one Fraction of it.
+    """
+    num = den = 1
+    exps = {}
+    for a, e in pairs:
+        if a is None or not e:
+            continue
+        a_num, a_den, a_exps = a
+        if e > 0:
+            num *= a_num ** e
+            den *= a_den ** e
+        else:
+            num *= a_den ** -e
+            den *= a_num ** -e
+        for name, k in a_exps:
+            exps[name] = exps.get(name, 0) + k * e
+    return num, den, tuple(sorted(x for x in exps.items() if x[1]))
+
+
+def _unit_power(pairs):
+    """prod a^e over (integer-form entry a, integer e) pairs, as one unit with one reduced Fraction."""
+    num, den, exps = _power(pairs)
+    return UnitScalar._trusted(Fraction(num, den), exps)
+
+
+def _integer_terms(p):
+    """(exps, numerator, denominator) of each term of a polynomial."""
+    return [(k, c.numerator, c.denominator) for k, c in p.terms.items()]
+
+
+def _accumulate(acc, key, num, den):
+    """Add num/den to acc[key], a [numerator, denominator] pair of ints (unreduced)."""
+    pair = acc.get(key)
+    if pair is None:
+        acc[key] = [num, den]
+    elif pair[1] == den:
+        pair[0] += num
+    else:
+        pair[0] = pair[0] * den + num * pair[1]
+        pair[1] *= den
+
+
+def _polynomial(acc):
+    """The polynomial of an {exps: [numerator, denominator]} accumulator: one Fraction per nonzero term."""
+    return LaurentPolynomial._trusted({k: Fraction(num, den) for k, (num, den) in acc.items() if num})
 
 
 class UnitScalar:
@@ -184,19 +245,11 @@ class LaurentPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        canon = {}
-        for exps, c in items:
-            c = Fraction(_exact(c, "polynomial coefficient"))
-            if c == 0:
-                continue
-            key = _canonical_exps(exps)
-            c = canon.get(key, Fraction(0)) + c
-            if c == 0:
-                canon.pop(key, None)
-            else:
-                canon[key] = c
-        self.terms = canon
+        acc = {}
+        for exps, c in (terms.items() if isinstance(terms, dict) else terms):
+            if _exact(c, "polynomial coefficient"):
+                _accumulate(acc, _canonical_exps(exps), c.numerator, c.denominator)
+        self.terms = _polynomial(acc).terms
 
     @classmethod
     def _trusted(cls, terms):
@@ -238,14 +291,11 @@ class LaurentPolynomial:
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPolynomial._trusted(out)
+        acc = {}
+        for p in (self, other):
+            for key, num, den in _integer_terms(p):
+                _accumulate(acc, key, num, den)
+        return _polynomial(acc)
 
     def __neg__(self):
         return LaurentPolynomial._trusted({k: -c for k, c in self.terms.items()})
@@ -259,23 +309,15 @@ class LaurentPolynomial:
         if isinstance(other, UnitScalar):
             return self.scaled(other)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPolynomial.zero()
-            return self.scaled(UnitScalar(other))
+            other = _coefficient(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = _merge_exps(ka, kb)
-                c = ca * cb
-                if key in out:
-                    c += out[key]
-                    if not c:
-                        del out[key]
-                        continue
-                out[key] = c
-        return LaurentPolynomial._trusted(out)
+        acc = {}
+        right = _integer_terms(other)
+        for ka, a_num, a_den in _integer_terms(self):
+            for kb, b_num, b_den in right:
+                _accumulate(acc, _merge_exps(ka, kb), a_num * b_num, a_den * b_den)
+        return _polynomial(acc)
 
     __rmul__ = __mul__
 
@@ -315,6 +357,15 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({render_poly(self)!r})"
 
 
+def _coefficient(c):
+    """The polynomial of a coefficient: a LaurentPolynomial, a unit, an int or a Fraction; else TypeError."""
+    if isinstance(c, LaurentPolynomial):
+        return c
+    if isinstance(c, UnitScalar):
+        return LaurentPolynomial.from_unit(c)
+    return LaurentPolynomial.from_rational(c)
+
+
 def specialize(p, assignment):
     """Exact evaluation of a polynomial (or unit) at nonzero rational parameter values."""
     return p.specialize(assignment)
@@ -331,10 +382,9 @@ def specialize(p, assignment):
 #   element    := [sign] term (sign term)*          a "0" term adds nothing
 #   term       := ['(' polynomial ')' '*'] product  |  '(' polynomial ')'
 #
-# A '-' sign takes no '-' after it: "-3*q", not "- -3*q".  In a unit no sign
-# at all may follow a sign ("+ -3*q" is malformed); in an element a negative
-# rational may follow a '+' or a parenthesized coefficient: "X0 + -3*X1"
-# ("-0" is not negative: "X0 +-0" is malformed, like "--0").
+# No sign may directly follow a sign, in any literal: "- -3*q", "+ -3*q" and
+# "X0 + -3*X1" are malformed.  A '-' after '*' is a rational's own sign, as
+# in the element term "(1 + q)*-3*X0".
 # In an element term, factors named after the algebra's generators build the
 # basis monomial (exponents >= 1); the other names are coefficient parameters.
 # A specialization value is a bare rational.  Examples: "1", "q",
@@ -356,12 +406,12 @@ def _rational(text):
 
 
 def _split_sign(text):
-    """(+1 or -1, the rest stripped) of a term with at most one leading sign."""
+    """(+1 or -1, the rest stripped) of a term with at most one leading sign; a second raises ValueError."""
     s = text.strip()
     sign = -1 if s[:1] == "-" else 1
     if s[:1] in ("+", "-"):
         s = s[1:].strip()
-        if sign < 0 and s[:1] == "-":
+        if s[:1] in ("+", "-"):
             raise ValueError(f"double sign in {text!r}")
     return sign, s
 
@@ -385,8 +435,6 @@ def _parse_product(body, text):
 def parse_unit(text):
     """Parse a unit literal; raises ValueError on malformed or zero literals."""
     sign, body = _split_sign(text)
-    if body[:1] == "-":  # only after '+': a unit's rational takes no sign of its own
-        raise ValueError(f"double sign in {text!r}")
     coeff, factors = _parse_product(body, text)
     if coeff == 0:
         raise ValueError(f"unit literal must be nonzero: {text!r}")

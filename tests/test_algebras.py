@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qtwist import (
+    AlgebraElement,
     AntisymmetricMatrix,
     BimultiplicativeCocycle,
     ExponentVector,
@@ -516,6 +517,55 @@ def test_elements_times_scalars_from_both_sides():
     assert (x * 0).is_zero() and (0 * x).is_zero()
 
 
+@pytest.mark.parametrize("c,literal", [
+    (2, "2*X0*X1^2"),
+    (Fraction(-3, 5), "-3/5*X0*X1^2"),
+    (0, "0"),
+    (UnitScalar(2, {"q": -1}), "2*q^-1*X0*X1^2"),
+    (parse_poly("1 - q"), "(1 - q)*X0*X1^2"),
+], ids=["int", "fraction", "zero", "unit", "polynomial"])
+def test_coefficients_coerce_alike_on_every_path(c, literal):
+    A = polynomial_algebra(2)
+    u = ExponentVector((1, 2))
+    expected = parse_element(A, literal)
+    assert A.basis_element(u, c) == A.basis_element(u).scaled(c) == expected
+    assert A.zero().scaled(c).is_zero()
+    assert AlgebraElement(A, {u: c}) == A.element({u: c}) == expected
+
+
+@pytest.mark.parametrize("c", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_coefficients_refuse_floats_bools_and_strings(c):
+    A = polynomial_algebra(2)
+    u = ExponentVector((1, 0))
+    builds = [lambda: A.basis_element(u, c), lambda: A.basis_element(u).scaled(c),
+              lambda: A.zero().scaled(c), lambda: AlgebraElement(A, {u: c})]
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_element_sums_cancel_whole_and_partial_coefficients():
+    rng = random.Random(805)
+    B = TwistedMonoidAlgebra(rand_cocycle(rng, 1))
+    overlapping = 0
+    for _ in range(60):
+        x, y = poly_element(rng, B), poly_element(rng, B)
+        assert (x + (-x)).terms == {} and (x - x).is_zero()
+        expected = {}
+        for u, p in list(x.terms.items()) + list(y.terms.items()):
+            expected[u] = expected.get(u, ZERO) + p
+        z = x + y
+        assert_canonical(z)
+        assert z.terms == {u: p for u, p in expected.items() if not p.is_zero()}
+        overlapping += bool(set(x.terms) & set(y.terms))
+    assert overlapping > 15
+    A = polynomial_algebra(2)
+    x = parse_element(A, "(1 + q)*X0 + 2*X1")
+    y = parse_element(A, "-q*X0 - 2*X1 + X0*X1")
+    assert (x + y).terms == {ExponentVector((1, 0)): LaurentPolynomial.one(),
+                             ExponentVector((1, 1)): LaurentPolynomial.one()}
+
+
 def test_segre_kernel_elements_map_to_no_terms():
     rng = random.Random(804)
     for n, m in ((1, 1), (1, 2), (2, 2)):
@@ -616,9 +666,10 @@ def test_parse_element_rejects_empty_product_and_signed_zero():
     for bad in ["X0 +-0", "X0 + -0", "X0 --0", "X0 + -0*X1"]:
         with pytest.raises(ValueError, match="double sign"):
             parse_element(A, bad)
-    # one sign before "0", and a negative rational after '+', stay accepted
+    # one sign before "0" stays accepted; a negative rational after '+' is a second sign
     assert parse_element(A, "X0 - 0") == parse_element(A, "X0")
-    assert parse_element(A, "X0 + -3*X1") == parse_element(A, "X0 - 3*X1")
+    with pytest.raises(ValueError, match="double sign"):
+        parse_element(A, "X0 + -3*X1")
 
 
 def test_degree0_element_renders_as_its_coefficient():
@@ -648,9 +699,10 @@ def test_parse_element_canonicalizes_shuffled_literals():
             for unit in p.units():
                 gens = [f"X{i}^{u[i]}" if u[i] > 1 else f"X{i}" for i in u.support()]
                 params = [f"{n}^{e}" if e != 1 else n for n, e in unit.exps]
-                pieces.append("*".join([str(unit.coeff)] + params + gens))
+                sign = "- " if unit.coeff < 0 else "+ "
+                pieces.append(sign + "*".join([str(abs(unit.coeff))] + params + gens))
         rng.shuffle(pieces)
-        assert parse_element(A, " + ".join(pieces)) == x
+        assert parse_element(A, " ".join(pieces)) == x
 
 
 def test_element_json_terms():

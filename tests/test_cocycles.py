@@ -914,6 +914,12 @@ def test_table_values_must_be_units():
         FunctionOnMonoid(1, 1, {e: 1, g: ONE})
     with pytest.raises(ValueError, match=r"h\(e\) = 1"):
         FunctionOnMonoid(1, 1, {e: 5, g: ONE})
+    with pytest.raises(TypeError) as exc:
+        TruncatedCocycle.from_function(1, 1, lambda u, v: 5)
+    assert str(exc.value) == "table value 5 at (ExponentVector([0]), ExponentVector([0])) is not a UnitScalar"
+    with pytest.raises(TypeError) as exc:
+        FunctionOnMonoid.from_function(1, 1, lambda u: ONE if u == e else "q")
+    assert str(exc.value) == "table value 'q' at ExponentVector([1]) is not a UnitScalar"
 
 
 @pytest.mark.parametrize("rank,bound", [(0, 2), (0, 0), (1, -1), (2, -3)])

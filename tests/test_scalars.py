@@ -150,6 +150,48 @@ def test_poly_additive_inverse(p):
     assert (p - p).is_zero()
 
 
+def reference_terms(items):
+    """{canonical exponents: Fraction} of (exponent pairs, coefficient) items, summed by plain Fractions."""
+    out = {}
+    for pairs, c in items:
+        exps = {}
+        for name, e in pairs:
+            exps[name] = exps.get(name, 0) + e
+        key = tuple(sorted((name, e) for name, e in exps.items() if e))
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def assert_canonical_poly(p):
+    assert all(isinstance(c, Fraction) and c for c in p.terms.values())
+    assert all(key == tuple(sorted(key)) and all(e for _, e in key) for key in p.terms)
+
+
+def test_poly_arithmetic_matches_a_fraction_reference():
+    rng = random.Random(18)
+    dropped = 0
+    for _ in range(200):
+        items = []
+        for _ in range(rng.randint(0, 6)):
+            pairs = [(rng.choice(PARAMS), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
+            c = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 4))])
+            items.append((pairs, c))
+            if rng.random() < 0.5:  # the same key again, in another order, often cancelling
+                items.append((pairs[::-1], -c if rng.random() < 0.5 else Fraction(1, 3)))
+        p = LaurentPolynomial(items)
+        assert_canonical_poly(p)
+        assert p.terms == reference_terms(items)
+        dropped += len(reference_terms(items)) < len({tuple(sorted(k)) for k, _ in items})
+        q, r = rand_poly(rng), rand_poly(rng)
+        for got, want in [(q + r, list(q.terms.items()) + list(r.terms.items())),
+                          (q * r, [(ka + kb, a * b) for ka, a in q.terms.items()
+                                   for kb, b in r.terms.items()])]:
+            assert_canonical_poly(got)
+            assert got.terms == reference_terms(want)
+        assert (q - q).terms == {}
+    assert dropped > 30
+
+
 # -- specialize --------------------------------------------------------------
 
 def test_specialize_forced_value():
