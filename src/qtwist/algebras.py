@@ -582,7 +582,7 @@ def _parse_term(algebra, token, parameters):
         if body and not body.startswith("*"):
             raise ValueError(f"expected '*' after parenthesized coefficient in {token!r}")
         body = body[1:].strip() if body else "1"  # "(p)*" is an empty product
-    coeff, factors = _parse_product(body, token)
+    coeff, factors = _parse_product(body, token, sign)
     if coeff == 0:
         return algebra.zero()
     names = algebra.generator_names
@@ -597,7 +597,7 @@ def _parse_term(algebra, token, parameters):
             raise ValueError(f"unknown generator or parameter name {name!r}")
         else:
             params.append((name, e))
-    coeff = LaurentPolynomial.from_unit(UnitScalar(sign * coeff, params))
+    coeff = LaurentPolynomial.from_unit(UnitScalar(coeff, params))
     if poly is not None:
         coeff = coeff * poly
     return AlgebraElement(algebra, {ExponentVector(entries): coeff})

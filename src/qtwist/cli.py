@@ -126,7 +126,7 @@ _antisym = _unit_matrix(AntisymmetricMatrix)
 
 
 def _table(key, value, parsed):
-    with _rejected_as(f'"{key}"', (ValueError, TypeError, KeyError, AttributeError)):
+    with _rejected_as(f'"{key}"', (ValueError, TypeError, KeyError)):
         table = TruncatedCocycle.from_json(parsed["rank"], parsed["degree_bound"], value)
     _check_declared({name for entry in table.table.values() for name in entry.parameters()},
                     parsed["parameters"], f'"{key}"')

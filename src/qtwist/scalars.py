@@ -21,7 +21,8 @@ is the one coercion of a unit, int or ``Fraction`` to a polynomial.  The
 internal only: they wrap values that are already canonical and check
 nothing.  Equal values hash equally, across types too: a constant
 polynomial hashes like its ``Fraction`` and a one-term polynomial like its
-unit.
+unit.  A table's JSON is read through ``_unit_reader``, one memo per call,
+so each distinct unit literal in it is parsed once.
 """
 
 from __future__ import annotations
@@ -394,15 +395,15 @@ def specialize(p, assignment):
 # ---------------------------------------------------------------------------
 
 
-def _rational(text):
-    """The rational `text` spells, or None if it is not a rational literal."""
+def _rational(text, sign=1):
+    """`sign` times the rational `text` spells, or None if it is not a rational literal."""
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         return None
     den = int(m.group(2) or 1)
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(m.group(1)), den)
+    return Fraction(sign * int(m.group(1)), den)
 
 
 def _split_sign(text):
@@ -416,10 +417,10 @@ def _split_sign(text):
     return sign, s
 
 
-def _parse_product(body, text):
-    """(rational, [(name, exponent), ...]) of a product after its sign, factors in order."""
+def _parse_product(body, text, sign):
+    """(`sign` times its rational, [(name, exponent), ...]) of a product after its sign, factors in order."""
     parts = [part.strip() for part in body.split("*")]
-    coeff = _rational(parts[0])
+    coeff = _rational(parts[0], sign)
     if coeff is not None:
         del parts[0]
     factors = []
@@ -429,16 +430,36 @@ def _parse_product(body, text):
             what = "numeric factor must come first" if _RATIONAL_RE.fullmatch(part) else "malformed factor"
             raise ValueError(f"{what}: {part!r} in {text!r}")
         factors.append((m.group(1), int(m.group(2) or 1)))
-    return (Fraction(1) if coeff is None else coeff), factors
+    return (Fraction(sign) if coeff is None else coeff), factors
 
 
 def parse_unit(text):
-    """Parse a unit literal; raises ValueError on malformed or zero literals."""
+    """Parse a unit literal; raises TypeError on a non-string, ValueError on malformed or zero literals."""
+    if not isinstance(text, str):
+        raise TypeError(f"unit literal must be a string, got {text!r}")
     sign, body = _split_sign(text)
-    coeff, factors = _parse_product(body, text)
+    coeff, factors = _parse_product(body, text, sign)
     if coeff == 0:
         raise ValueError(f"unit literal must be nonzero: {text!r}")
-    return UnitScalar(sign * coeff, factors)
+    return UnitScalar._trusted(coeff, _canonical_exps(factors))
+
+
+def _unit_reader():
+    """A parse_unit for reading one input: each distinct literal is parsed once and its unit shared.
+
+    Units are immutable, so one unit may stand for every copy of its
+    literal.  The memo lives as long as the returned function.  A non-string
+    never reaches the memo: parse_unit refuses it first.
+    """
+    memo = {}
+
+    def read(text):
+        unit = memo.get(text) if isinstance(text, str) else None
+        if unit is None:
+            unit = memo[text] = parse_unit(text)
+        return unit
+
+    return read
 
 
 def _render_sum(terms):

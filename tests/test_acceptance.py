@@ -8,6 +8,7 @@ budget.  Run with
 to get one PASS/FAIL line per criterion.
 """
 
+import itertools
 import math
 import random
 import time
@@ -18,6 +19,7 @@ import pytest
 
 from qtwist import (
     BimultiplicativeCocycle,
+    ExponentVector,
     Pairing,
     ProductSplit,
     TruncatedCocycle,
@@ -37,6 +39,7 @@ from qtwist import (
     quantum_projective_space,
     random_element,
     random_homogeneous,
+    segre_morphism,
     source_deformation_matrix,
     trivialize_rank1,
     twisted_tensor_product,
@@ -314,6 +317,50 @@ def test_criterion_10_kernel_oracle():
             # completeness: dimension equals the nullity of the assembled matrix
             matrix, ncols = _assemble_specialized_matrix(smap, 2, values)
             assert len(basis) == ncols - _independent_rank(matrix)
+
+
+def _quadratic_move_components(n, m, degree):
+    """Union-find over the degree-d monomials in the z_ij, joined by the moves z_ij z_kl <-> z_il z_kj.
+
+    A monomial is the sorted tuple of its variables' indices i * (m + 1) + j;
+    the result maps each monomial to the root of its component.
+    """
+    width = m + 1
+    monomials = list(itertools.combinations_with_replacement(range((n + 1) * width), degree))
+    parent = {mono: mono for mono in monomials}
+
+    def find(mono):
+        while parent[mono] != mono:
+            parent[mono] = mono = parent[parent[mono]]
+        return mono
+
+    for mono in monomials:
+        for a, b in itertools.combinations(range(degree), 2):
+            (i, j), (k, l) = divmod(mono[a], width), divmod(mono[b], width)
+            moved = list(mono)
+            moved[a], moved[b] = i * width + l, k * width + j
+            parent[find(mono)] = find(tuple(sorted(moved)))
+    return {mono: find(mono) for mono in monomials}
+
+
+def test_degree_2_certificate_next_to_criterion_10():
+    # The kernel of the Segre map up to degree D is generated in degree 2 exactly when
+    # every fiber of f is connected under the quadratic moves (Diaconis & Sturmfels,
+    # Ann. Statist. 1998).  Checked for criterion 10's shapes, up to D = 4.
+    for n, m in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        f = segre_morphism(n, m)
+        smap = build_quantum_segre(n, m, BimultiplicativeCocycle.trivial(n + m + 2))
+        for degree in (2, 3, 4):
+            roots = _quadratic_move_components(n, m, degree)
+            fibers = {}
+            for mono, root in roots.items():
+                u = ExponentVector([mono.count(k) for k in range(f.source_rank)])
+                fibers.setdefault(f(u), set()).add(root)
+            # each fiber is one component, and no component spans two fibers
+            assert all(len(fiber_roots) == 1 for fiber_roots in fibers.values())
+            assert len(set(roots.values())) == len(fibers)
+            # one kernel binomial per monomial beyond the first of its fiber
+            assert len(kernel_basis(smap, degree, {})) == len(roots) - len(fibers)
 
 
 def test_criterion_11_cli_determinism():

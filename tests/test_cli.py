@@ -232,6 +232,9 @@ BAD_INPUTS = [
      {"parameters": [], "rank": 2, "degree_bound": 1,
       "table": TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(2), 1).to_json()},
      '"split"'),
+    (["cocycle", "check"], _table_with(2, value=["1"]),
+     """bad "table": unit literal must be a string, got ['1']"""),
+    (["cocycle", "check"], _table_with(0, value=1), 'bad "table": unit literal must be a string, got 1'),
 ]
 
 
@@ -251,7 +254,8 @@ BAD_INPUTS = [
                               "numeric-table-value", "non-object-table-item",
                               "empty-morphism", "zero-denominator",
                               "string-morphism-entry", "negative-morphism-entry",
-                              "short-morphism-image", "rank-2-table-without-split"])
+                              "short-morphism-image", "rank-2-table-without-split",
+                              "list-table-value", "numeric-one-table-value"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -24,6 +24,7 @@ from qtwist import (
     coboundary,
     cohomologous,
     is_factorizable,
+    parse_unit,
     pullback,
     segre_morphism,
     symmetric_trivializer,
@@ -34,6 +35,7 @@ from qtwist import (
     yamazaki_reconstruct,
     yamazaki_trivialize,
 )
+from qtwist import scalars
 from qtwist.algebras import GradedHomomorphism, TwistedMonoidAlgebra
 from qtwist.cocycles import _integer_form, _unit_power
 from qtwist.monoids import MonoidMorphism
@@ -759,6 +761,65 @@ def test_truncated_json_roundtrip():
     assert TruncatedCocycle.from_json(2, 4, data) == mu_t
 
 
+# -- reading tables: each distinct literal is parsed once ----------------------
+
+#: Literals with repeats and with two spellings of one unit ("2/4*q", "1/2*q").
+LITERALS = ("1", "1", "q", "-3/2*q^2*r^-1", "2/4*q", "1/2*q", "q", "1")
+
+
+def repeated_literal_data(rank, bound, arity):
+    """JSON items of the truncated domain whose values cycle through LITERALS (h(e) = "1")."""
+    if arity == 2:
+        keys = [{"u": list(u), "v": list(v)} for u, v in reference_pairs(rank, bound)]
+    else:
+        keys = [{"u": list(u)} for u in vectors_up_to_degree(rank, bound)]
+    return [{**key, "value": LITERALS[i % len(LITERALS)]} for i, key in enumerate(keys)]
+
+
+def table_key(item):
+    u = ExponentVector(item["u"])
+    return (u, ExponentVector(item["v"])) if "v" in item else u
+
+
+@pytest.mark.parametrize("cls,arity", [(TruncatedCocycle, 2), (FunctionOnMonoid, 1)])
+def test_from_json_parses_each_distinct_literal_once(monkeypatch, cls, arity):
+    data = repeated_literal_data(2, 3, arity)
+    expected = {table_key(item): parse_unit(item["value"]) for item in data}
+    parsed = []
+    monkeypatch.setattr(scalars, "parse_unit", lambda text: parsed.append(text) or parse_unit(text))
+    table = cls.from_json(2, 3, data).table
+    assert table == expected and list(table) == list(expected)
+    assert sorted(parsed) == sorted(set(LITERALS))
+    by_literal = {}
+    for item in data:
+        unit = table[table_key(item)]
+        assert by_literal.setdefault(item["value"], unit) is unit
+
+
+@pytest.mark.parametrize("cls,arity", [(TruncatedCocycle, 2), (FunctionOnMonoid, 1)])
+def test_from_json_names_the_first_bad_item(cls, arity):
+    def build(changes):
+        data = repeated_literal_data(2, 3, arity)
+        for index, change in changes.items():
+            data[index].update(change)
+        return lambda: cls.from_json(2, 3, data)
+
+    # a bad literal that repeats is named at its first occurrence, before a later bad one
+    with pytest.raises(ValueError, match=r"malformed factor: 'q\^' in 'q\^'"):
+        build({2: {"value": "q^"}, 3: {"value": "3/0"}, 5: {"value": "q^"}})()
+    with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+        build({2: {"value": "3/0"}, 3: {"value": "q^"}, 5: {"value": "3/0"}})()
+    for value in (["1"], 1):
+        with pytest.raises(TypeError) as exc:
+            build({2: {"value": value}, 3: {"value": "q^"}, 5: {"value": value}})()
+        assert str(exc.value) == f"unit literal must be a string, got {value!r}"
+    # a bad key is reported before a bad value in the same item, and after one in an earlier item
+    with pytest.raises(TypeError, match="exponent vector entries must be ints, got '0'"):
+        build({2: {"u": ["0", 1], "value": "q^"}})()
+    with pytest.raises(ValueError, match="zero denominator"):
+        build({2: {"value": "3/0"}, 3: {"u": ["0", 1]}})()
+
+
 # -- the truncated layer's integer kernel against public unit arithmetic -------
 
 def reference_pairs(rank, bound):
@@ -789,32 +850,43 @@ FACTORS = (UnitScalar(-1), UnitScalar.param("q"), UnitScalar(Fraction(3, 5), {"r
 
 
 def oracle_tables(rng, count):
-    """Seeded rank 1-3, D <= 5 tables: truncations, coboundaries, perturbations off and on the axes."""
+    """Seeded (kind, table) pairs of rank 1-4 and D <= 6: truncations, coboundaries and perturbations.
+
+    A table is perturbed at one pair: with |u|, |v| >= 1 ("inner"), on an
+    axis ("axis"), or with |u|, |v| >= 2 ("deep"), off the generator rows, so
+    that no triple with a generator x reads the perturbed entry directly as
+    mu(x, .).
+    """
     for i in range(count):
-        rank, bound = rng.randint(1, 3), rng.randint(1, 5)
-        kind = i % 4
-        if kind == 0:
+        kind = ("truncation", "coboundary", "inner", "axis", "deep")[i % 5]
+        rank, bound = rng.randint(1, 4), rng.randint(4 if kind == "deep" else 1, 6)
+        if kind == "truncation":
             table = TruncatedCocycle.truncate(rand_cocycle(rng, rank), bound)
         else:
             table = coboundary(rand_function(rng, rank, bound))
         pairs = reference_pairs(rank, bound)
-        if kind == 2 and bound >= 2:
-            inner = [(u, v) for u, v in pairs if u.degree() and v.degree()]
-            table = table.perturbed(*rng.choice(inner), FACTORS[i % 3])
-        elif kind == 3:
+        if kind in ("inner", "deep") and bound >= 2:
+            least = 1 if kind == "inner" else 2
+            inside = [(u, v) for u, v in pairs if min(u.degree(), v.degree()) >= least]
+            table = table.perturbed(*rng.choice(inside), FACTORS[i % 3])
+        elif kind == "axis":
             axes = [(u, v) for u, v in pairs if (u.degree() == 0) != (v.degree() == 0)]
             table = table.perturbed(*rng.choice(axes), FACTORS[i % 3])
-        yield table
+        yield kind, table
 
 
 def test_verify_matches_the_reference_scan():
+    # The full scan stays here as the oracle: the library checks generator-first triples only.
     rng = random.Random(64)
-    outcomes = {"pass": 0, "identity": 0, "triple": 0}
-    for table in oracle_tables(rng, 48):
+    outcomes = {"pass": 0, "identity": 0, "triple": 0, "deep": 0}
+    for kind, table in oracle_tables(rng, 60):
         check = verify_cocycle_equation(table)
         assert (check.passed, check.counterexample) == reference_verify(table)
-        kind = "pass" if check else "identity" if check.counterexample[0] == "identity" else "triple"
-        outcomes[kind] += 1
+        outcome = "pass" if check else "identity" if check.counterexample[0] == "identity" else "triple"
+        outcomes[outcome] += 1
+        if kind == "deep":
+            assert outcome == "triple" and check.counterexample[0].degree() == 1
+            outcomes["deep"] += 1
     assert min(outcomes.values()) >= 5, outcomes
 
 

@@ -15,6 +15,8 @@ from qtwist import (
     specialize,
 )
 
+from qtwist.scalars import _unit_reader
+
 from helpers import PARAMS, rand_poly, rand_unit
 
 # -- hypothesis strategies ---------------------------------------------------
@@ -252,6 +254,27 @@ def test_parse_unit_errors():
     for bad in bad_literals:
         with pytest.raises(ValueError):
             parse_unit(bad)
+
+
+def test_parse_unit_refuses_non_strings():
+    reader = _unit_reader()
+    for value in (["1"], 1, None, Fraction(1, 2), {"q": 1}):
+        for parse in (parse_unit, reader):
+            # the reader's memo never sees a non-string, so no "unhashable type"
+            with pytest.raises(TypeError) as exc:
+                parse(value)
+            assert str(exc.value) == f"unit literal must be a string, got {value!r}"
+
+
+def test_parse_unit_folds_the_sign_into_the_rational():
+    cases = {"-q": UnitScalar(-1, {"q": 1}), "- 2/4*q^2": UnitScalar(Fraction(-1, 2), {"q": 2}),
+             "+3": UnitScalar(3), "-1": UnitScalar(-1), "q*q^-1": UnitScalar.one(),
+             "-3*r*q^2*r": UnitScalar(-3, {"q": 2, "r": 2})}
+    reader = _unit_reader()
+    for text, unit in cases.items():
+        for parse in (parse_unit, reader, reader):
+            u = parse(text)
+            assert (u, type(u.coeff), u.exps) == (unit, Fraction, unit.exps)
 
 
 def test_unit_roundtrip_corpus():
