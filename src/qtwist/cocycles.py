@@ -519,8 +519,9 @@ def coboundary(h):
     Each value is one product over the integer forms of the three entries.
     """
     forms = dict(zip(h.table, _integer_form(h.table.values())))
+    vec = ExponentVector._trusted  # unchecked sums: u and v come from one enumeration of one rank
     return TruncatedCocycle._trusted(h.rank, h.degree_bound, {
-        (u, v): _unit_power(((forms[u], 1), (forms[v], 1), (forms[u + v], -1)))
+        (u, v): _unit_power(((forms[u], 1), (forms[v], 1), (forms[vec(map(operator.add, u, v))], -1)))
         for u, v in _pairs(h.rank, h.degree_bound)})
 
 
@@ -574,11 +575,12 @@ def verify_cocycle_equation(mu_t):
             return CheckReport(False, counterexample=("identity", u))
     forms = dict(zip(table, _integer_form(table.values())))
     rest = bound - 1  # the degree left for y and z once x is a generator
+    vec = ExponentVector._trusted  # unchecked sums: x, y and z all come from `vectors`
     for x in vectors[1:n + 1]:
         for y in vectors[:sizes[rest]]:
-            xy, mu_xy = x + y, forms[(x, y)]
+            xy, mu_xy = vec(map(operator.add, x, y)), forms[(x, y)]
             for z in vectors[:sizes[rest - sum(y)]]:
-                num, den, exps = _power(((forms[(x, y + z)], 1), (forms[(y, z)], 1),
+                num, den, exps = _power(((forms[(x, vec(map(operator.add, y, z)))], 1), (forms[(y, z)], 1),
                                          (mu_xy, -1), (forms[(xy, z)], -1)))
                 if num != den or exps:
                     return CheckReport(False, counterexample=(x, y, z))

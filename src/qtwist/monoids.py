@@ -11,7 +11,8 @@ of vector/matrix machinery serves both plain and product monoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from itertools import combinations_with_replacement
+from operator import add, sub
 
 
 class ExponentVector(tuple):
@@ -179,21 +180,21 @@ def segre_morphism(n, m):
     return MonoidMorphism((n + 1) * (m + 1), target_rank, images)
 
 
-def _compositions(rank, total):
-    if rank == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(rank - 1, total - first):
-            yield (first,) + rest
-
-
 def vectors_of_degree(rank, degree):
-    """All vectors in N^rank of total degree `degree`, in lexicographic order."""
+    """All vectors in N^rank of total degree `degree`, in lexicographic order; none if degree < 0.
+
+    Stars and bars: lay out `degree` stars and rank - 1 bars, and let c_i be
+    the number of stars before bar i, so 0 <= c_1 <= ... <= c_(rank-1) <= degree.
+    The entries are the gaps c_1, c_2 - c_1, ..., degree - c_(rank-1), and the
+    lexicographic order of the c's is that of the vectors.
+    """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    for t in _compositions(rank, degree):
-        yield ExponentVector._trusted(t)
+    if degree < 0:
+        return
+    last = (degree,)
+    for c in combinations_with_replacement(range(degree + 1), rank - 1):
+        yield tuple.__new__(ExponentVector, map(sub, c + last, (0,) + c))
 
 
 def vectors_up_to_degree(rank, bound):

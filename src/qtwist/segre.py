@@ -117,7 +117,8 @@ def kernel_basis(segre_map, degree, specialization):
     binomial e_u - (c_u / c_u0) e_u0, which maps to zero identically.  This is
     the reduced-row-echelon nullspace basis of the map's matrix in that column
     order, at every specialization.  The unit ratio is left unspecialized: it
-    is exactly 1 for the maps of :func:`build_quantum_segre`.
+    is exactly 1 for the maps of :func:`build_quantum_segre`.  Each distinct
+    pair (c_u0, c_u) has its ratio computed once per call.
     """
     if degree < 1:
         raise ValueError("kernel degree must be >= 1")
@@ -131,6 +132,7 @@ def kernel_basis(segre_map, degree, specialization):
         raise ValueError(f"no value assigned to parameters: {', '.join(missing)}")
 
     first = {}
+    ratios = {}
     basis = []
     one = LaurentPolynomial.one()
     for u in vectors_of_degree(phi.source.rank, degree):
@@ -139,5 +141,9 @@ def kernel_basis(segre_map, degree, specialization):
             first[w] = (u, c)
             continue
         u0, c0 = first[w]
-        basis.append(AlgebraElement(phi.source, {u0: -LaurentPolynomial.from_unit(c / c0), u: one}))
+        ratio = ratios.get((c0, c))
+        if ratio is None:
+            ratio = ratios[(c0, c)] = -LaurentPolynomial.from_unit(c / c0)
+        # Canonical as it stands: u0 != u, both of the source's rank, and both coefficients nonzero.
+        basis.append(AlgebraElement._trusted(phi.source, {u0: ratio, u: one}))
     return basis

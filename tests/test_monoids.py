@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -204,3 +205,21 @@ def test_vectors_of_degree_all_distinct_and_correct():
     seen = set(vectors_of_degree(4, 3))
     assert len(seen) == 20
     assert all(u.degree() == 3 for u in seen)
+
+
+def test_enumeration_order_matches_an_independent_oracle():
+    # every vector of range(d + 1)^r with entry sum d, sorted: lexicographic by construction
+    for rank in range(1, 6):
+        by_degree = [sorted(t for t in itertools.product(range(d + 1), repeat=rank) if sum(t) == d)
+                     for d in range(6)]
+        for d, expected in enumerate(by_degree):
+            got = list(vectors_of_degree(rank, d))
+            assert got == expected
+            assert all(type(u) is ExponentVector for u in got)
+        assert list(vectors_up_to_degree(rank, 5)) == [t for level in by_degree for t in level]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("degree", [-1, -2])
+def test_negative_degree_has_no_vectors(rank, degree):
+    assert list(vectors_of_degree(rank, degree)) == []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qtwist import (
+    AlgebraElement,
     AntisymmetricMatrix,
     BimultiplicativeCocycle,
     ExponentVector,
@@ -13,6 +14,7 @@ from qtwist import (
     LaurentPolynomial,
     MonoidMorphism,
     Pairing,
+    SegreMap,
     TwistedMonoidAlgebra,
     UnitScalar,
     build_quantum_segre,
@@ -31,6 +33,7 @@ from qtwist import (
 )
 
 from helpers import (
+    PARAMS,
     rand_antisym,
     rand_cocycle,
     rand_nonzero_rational,
@@ -424,6 +427,32 @@ def test_degree3_kernel_is_fiberwise_binomials(n, m, seed):
         image_u = phi(s.source.basis_element(u)).coefficient(s.morphism(u)).specialize(values)
         image_u0 = phi(s.source.basis_element(u0)).coefficient(s.morphism(u)).specialize(values)
         assert -minus_r == image_u / image_u0
+
+
+@pytest.mark.parametrize("n,m,degree", [(1, 2, 2), (1, 2, 3), (2, 2, 2), (2, 2, 3)])
+def test_kernel_ratios_of_non_unit_generator_images(n, m, degree):
+    # build_quantum_segre's images are bare monomials, so each of its ratios is 1;
+    # images s_k e_f(e_k) with distinct s_k != 1 make c_u / c_u0 vary over the fibers
+    rng = random.Random(122)
+    s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+    f = s.morphism
+    scales = [UnitScalar(Fraction(k + 2, 3), {PARAMS[k % 3]: k + 1}) for k in range(s.source.rank)]
+    phi = GradedHomomorphism(s.source, s.target, f,
+                             [s.target.basis_element(w, c) for w, c in zip(f.generator_images, scales)])
+    values = {name: rand_nonzero_rational(rng) for name in sorted(s.ambient_cocycle.parameters())}
+    basis = kernel_basis(SegreMap(n, m, s.ambient_cocycle, phi), degree, values)
+    assert len(basis) == len(kernel_basis(s, degree, values))
+    ratios = set()
+    for element in basis:
+        u0, u = sorted(element.terms)  # u0 is the first of its fiber in lexicographic order
+        (c_u, w), (c_u0, w0) = phi.image_of_basis(u), phi.image_of_basis(u0)
+        assert w == w0
+        assert element.coefficient(u) == LaurentPolynomial.one()
+        assert element.coefficient(u0) == -LaurentPolynomial.from_unit(c_u / c_u0)
+        assert phi.apply(element).terms == {}
+        assert element == AlgebraElement(s.source, dict(element.terms))
+        ratios.add(c_u / c_u0)
+    assert len(ratios) > 1 and UnitScalar.one() not in ratios
 
 
 def test_segre_map_json_roundtrip():
