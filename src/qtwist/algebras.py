@@ -403,9 +403,12 @@ class GradedHomomorphism:
         got = self._cache.get(u)
         if got is None:
             degree = self.monoid_morphism(u)  # checks the rank first
-            unit = _ONE if self._all_ones else _quadratic_unit(self._ratio, u, self._image_units)
-            got = self._cache[u] = (unit, degree)
+            got = self._cache[u] = (self._unit(u), degree)
         return got
+
+    def _unit(self, u):
+        """The unit c_u of phi(e_u) = c_u e_f(u), uncached; u must have the source's rank."""
+        return _ONE if self._all_ones else _quadratic_unit(self._ratio, u, self._image_units)
 
     def apply(self, x):
         """Linear extension of the basis action; preserves grading along f.

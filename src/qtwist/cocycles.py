@@ -25,6 +25,8 @@ integer kernel of ``scalars``: each value or triple is one product of
 (numerator, denominator, exponents) entries, and the check compares
 numerator with denominator, with no Fraction at all.  The check reads the
 triples whose first entry is a generator, which decide all the others.
+A pullback entry mu(f e_k, f e_l) is one such product too, over the sparse
+generator images of f.
 
 Cohomology classes are identified with multiplicatively antisymmetric
 matrices (q_ii = 1, q_ij q_ji = 1) through the antisymmetrization map
@@ -289,13 +291,18 @@ def is_factorizable(mu, split):
 
 
 def pullback(mu, f):
-    """The cocycle mu(f(.), f(.)) along a monoid morphism f, again bimultiplicative."""
+    """The cocycle mu(f(.), f(.)) along a monoid morphism f, again bimultiplicative.
+
+    Entry (k, l) is mu(f e_k, f e_l) = prod_{i,j} A_ij^(a_i b_j) over the
+    nonzero entries a_i of f e_k and b_j of f e_l: one integer-kernel product
+    over the integer form of A and the sparse generator images of f.
+    """
     if mu.rank != f.target_rank:
         raise ValueError(f"cocycle rank {mu.rank} does not match morphism target rank {f.target_rank}")
-    images = f.generator_images
+    matrix, images = mu._integer, f._sparse
     return BimultiplicativeCocycle(
-        [[mu.evaluate(images[k], images[l]) for l in range(f.source_rank)]
-         for k in range(f.source_rank)])
+        [[_unit_power((matrix[i][j], a * b) for i, a in left for j, b in right) for right in images]
+         for left in images])
 
 
 def _vectors(rank, bound):

@@ -13,12 +13,15 @@ generator pairs; its random pairs are a self-test of `multiply` and `apply`.
 The map sends every basis monomial to a unit times one basis monomial, so
 its degree-d kernel splits over the fibers of f: each fiber contributes the
 binomials e_u - (c_u / c_u0) e_u0 against its first monomial u0, with no
-linear algebra and no specialization arithmetic.
+linear algebra and no specialization arithmetic.  The probe keys each fiber
+by f(u) packed into one int, keeps nothing in the map's image cache, and
+for a Segre map (every c_u is 1) does no unit arithmetic at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebras import (  # the homomorphism names stay importable from here
     AlgebraElement,
@@ -116,10 +119,20 @@ def kernel_basis(segre_map, degree, specialization):
     monomial u0 of each fiber is kept and every later u in it contributes the
     binomial e_u - (c_u / c_u0) e_u0, which maps to zero identically.  This is
     the reduced-row-echelon nullspace basis of the map's matrix in that column
-    order, at every specialization.  The unit ratio is left unspecialized: it
-    is exactly 1 for the maps of :func:`build_quantum_segre`.  Each distinct
-    pair (c_u0, c_u) has its ratio computed once per call.
+    order, at every specialization.  The unit ratio is left unspecialized.
+
+    A fiber is keyed by one int, never by f(u): with M the largest entry of
+    any generator image f(e_k) and B = d*M + 1, code_k = sum_i f(e_k)_i B^i,
+    and the key of u is sum_k u_k code_k = sum_i f(u)_i B^i.  Each entry
+    f(u)_i = sum_k u_k f(e_k)_i is at most |u| M = d M < B, so the key is
+    f(u) written in base B with every digit below B, and two degree-d
+    monomials share a key exactly when they share f(u).  Nothing is stored
+    in the map's image cache.  For the maps of :func:`build_quantum_segre`
+    every c_u is 1 and every ratio is the constant 1; otherwise c_u is
+    computed once per monomial and each distinct ratio once per call.
     """
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise TypeError(f"kernel degree must be an int, got {degree!r}")
     if degree < 1:
         raise ValueError("kernel degree must be >= 1")
     phi = segre_map.homomorphism
@@ -131,19 +144,29 @@ def kernel_basis(segre_map, degree, specialization):
     if missing:
         raise ValueError(f"no value assigned to parameters: {', '.join(missing)}")
 
+    images = phi.monoid_morphism._sparse
+    base = degree * max((e for image in images for _, e in image), default=0) + 1
+    codes = [sum(e * base ** i for i, e in image) for image in images]
+    unit = None if phi._all_ones else phi._unit
+    one = LaurentPolynomial.one()
+    minus_one = -one
     first = {}
     ratios = {}
     basis = []
-    one = LaurentPolynomial.one()
     for u in vectors_of_degree(phi.source.rank, degree):
-        c, w = phi.image_of_basis(u)
-        if w not in first:
-            first[w] = (u, c)
+        key = sum(map(mul, u, codes))
+        found = first.get(key)
+        if found is None:
+            first[key] = (u, None if unit is None else unit(u))
             continue
-        u0, c0 = first[w]
-        ratio = ratios.get((c0, c))
-        if ratio is None:
-            ratio = ratios[(c0, c)] = -LaurentPolynomial.from_unit(c / c0)
+        u0, c0 = found
+        if unit is None:
+            ratio = minus_one
+        else:
+            c = unit(u)
+            ratio = ratios.get((c0, c))
+            if ratio is None:
+                ratio = ratios[(c0, c)] = -LaurentPolynomial.from_unit(c / c0)
         # Canonical as it stands: u0 != u, both of the source's rank, and both coefficients nonzero.
         basis.append(AlgebraElement._trusted(phi.source, {u0: ratio, u: one}))
     return basis

@@ -358,6 +358,35 @@ def test_pullback_evaluation_identity():
         assert pulled.evaluate(u, v) == mu.evaluate(f(u), f(v))
 
 
+def entrywise_pullback(mu, f):
+    """The pullback's reference: entry (k, l) is mu.evaluate(f(e_k), f(e_l))."""
+    images = f.generator_images
+    return tuple(tuple(mu.evaluate(a, b) for b in images) for a in images)
+
+
+@st.composite
+def cocycles_and_morphisms(draw):
+    target, source = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(units_st, min_size=target, max_size=target)
+    mu = BimultiplicativeCocycle(draw(st.lists(row, min_size=target, max_size=target)))
+    image = st.lists(st.integers(0, 3), min_size=target, max_size=target).map(ExponentVector)
+    return mu, MonoidMorphism(source, target, draw(st.lists(image, min_size=source, max_size=source)))
+
+
+@given(cocycles_and_morphisms())
+def test_pullback_equals_entrywise_evaluation(pair):
+    mu, f = pair
+    assert pullback(mu, f).matrix == entrywise_pullback(mu, f)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+def test_pullback_along_every_segre_shape_equals_entrywise_evaluation(n, m):
+    rng = random.Random(52 + 3 * n + m)
+    f = segre_morphism(n, m)
+    for mu in (rand_cocycle(rng, n + m + 2), BimultiplicativeCocycle.trivial(n + m + 2)):
+        assert pullback(mu, f).matrix == entrywise_pullback(mu, f)
+
+
 def test_pullback_rank_mismatch():
     with pytest.raises(ValueError):
         pullback(BimultiplicativeCocycle.trivial(3), segre_morphism(1, 1))

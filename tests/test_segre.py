@@ -23,6 +23,7 @@ from qtwist import (
     kernel_basis,
     kronecker,
     random_element,
+    render_element,
     segre_morphism,
     source_deformation_matrix,
     symmetric_trivializer,
@@ -455,6 +456,81 @@ def test_kernel_ratios_of_non_unit_generator_images(n, m, degree):
     assert len(ratios) > 1 and UnitScalar.one() not in ratios
 
 
+def reference_kernel(phi, degree):
+    """The kernel binomials, grouping the degree-d monomials by f(u) and reading c_u off phi(e_u)."""
+    source, first, basis = phi.source, {}, []
+    for u in vectors_of_degree(source.rank, degree):
+        w = phi.monoid_morphism(u)
+        (c,) = phi(source.basis_element(u)).coefficient(w).units()
+        if w not in first:
+            first[w] = (u, c)
+            continue
+        u0, c0 = first[w]
+        basis.append(source.basis_element(u) - source.basis_element(u0, c / c0))
+    return basis
+
+
+def scaled_images(s, rng):
+    """s's homomorphism with generator images c_k e_f(e_k), random units c_k, so c_u varies."""
+    f = s.morphism
+    return GradedHomomorphism(s.source, s.target, f,
+                              [s.target.basis_element(w, rand_unit(rng)) for w in f.generator_images])
+
+
+def wide_image_map(seed):
+    """A graded map N^5 -> N^4 whose generator images have entries up to 3 and collide in degree 2.
+
+    f(e_2) + f(e_3) = f(e_0) + f(e_1), so the degree-d fibers are not all points.
+    """
+    rng = random.Random(seed)
+    target = TwistedMonoidAlgebra(rand_cocycle(rng, 4))
+    images = [(3, 0, 1, 0), (0, 3, 0, 2), (1, 2, 0, 1), (2, 1, 1, 1), (0, 0, 3, 0)]
+    f = MonoidMorphism(5, 4, [ExponentVector(w) for w in images])
+    phi = GradedHomomorphism(TwistedMonoidAlgebra(rand_cocycle(rng, 5)), target, f,
+                             [target.basis_element(w, rand_unit(rng)) for w in f.generator_images])
+    return SegreMap(1, 1, target.cocycle, phi)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+def test_kernel_matches_the_fiber_reference(n, m):
+    rng = random.Random(130 + 3 * n + m)
+    s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+    values = {name: rand_nonzero_rational(rng) for name in sorted(s.ambient_cocycle.parameters())}
+    for degree in range(1, 5):
+        got = [render_element(x) for x in kernel_basis(s, degree, values)]
+        assert got == [render_element(x) for x in reference_kernel(s.homomorphism, degree)]
+
+
+def test_kernel_matches_the_fiber_reference_for_image_entries_above_one():
+    # the packed fiber key uses base d * 3 + 1 here, and scaled images make the ratios vary
+    smap = wide_image_map(131)
+    values = {name: rand_nonzero_rational(random.Random(132)) for name in PARAMS}
+    for degree in range(1, 5):
+        got = kernel_basis(smap, degree, values)
+        assert [render_element(x) for x in got] == [
+            render_element(x) for x in reference_kernel(smap.homomorphism, degree)]
+        assert all(smap.homomorphism.apply(x).is_zero() for x in got)
+    assert len(kernel_basis(smap, 2, values)) > 0
+
+
+@pytest.mark.parametrize("kind", ["bare", "scaled", "wide"])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_kernel_leaves_the_image_cache_unchanged(kind, warm):
+    rng = random.Random(133)
+    s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
+    smap = {"bare": s, "scaled": SegreMap(2, 1, s.ambient_cocycle, scaled_images(s, rng)),
+            "wide": wide_image_map(134)}[kind]
+    phi = smap.homomorphism
+    assert phi._all_ones == (kind == "bare")
+    if warm:
+        verify_homomorphism(phi, samples=5)
+        assert phi._cache
+    before = dict(phi._cache)
+    values = {name: rand_nonzero_rational(rng) for name in PARAMS}
+    assert [len(kernel_basis(smap, degree, values)) > 0 for degree in (1, 2, 3)] == [False, True, True]
+    assert phi._cache == before
+
+
 def test_segre_map_json_roundtrip():
     rng = random.Random(113)
     s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
@@ -471,6 +547,9 @@ def test_kernel_input_validation():
     s = classical_segre(1, 1)
     with pytest.raises(ValueError, match="degree"):
         kernel_basis(s, 0, {})
+    for not_int in (True, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match="degree"):
+            kernel_basis(s, not_int, {})
     rng = random.Random(111)
     squant = build_quantum_segre(1, 1, rand_cocycle(rng, 4))
     params = sorted(squant.ambient_cocycle.parameters())
