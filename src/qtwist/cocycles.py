@@ -16,10 +16,10 @@ A *truncated* cocycle is a value table on all pairs with |u| + |v| <= D.
 It represents general cocycles and coboundaries and is the form on which the
 constructive trivialization procedures run: building an explicit h with
 delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
-functions h share one body: the domain is enumerated once per call as a
-tuple ordered by degree (rank >= 1 and bound >= 0 are checked there), every
-value a caller gives is checked to be a unit, and the public constructors
-also check the key types, the key count and each domain key.
+functions h share one body: the domain is enumerated, checked (rank >= 1
+and bound >= 0) and counted by ``monoids``, once per call, every value a
+caller gives is checked to be a unit, and the public constructors also
+check the key types, the key count and each domain key.
 Evaluation, coboundary values and the exhaustive cocycle check run on the
 integer kernel of ``scalars``: each value or triple is one product of
 (numerator, denominator, exponents) entries, and the check compares
@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import comb
 
-from .monoids import ExponentVector, vectors_up_to_degree
+# vectors_up_to_degree stays importable from here.
+from .monoids import ExponentVector, graded_count, graded_pairs, graded_vectors, vectors_up_to_degree
 from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_reader, parse_unit,
                       render_unit)
 
@@ -305,30 +305,6 @@ def pullback(mu, f):
          for left in images])
 
 
-def _vectors(rank, bound):
-    """The vectors of N^rank of degree <= bound as one tuple, by increasing degree.
-
-    Those of degree <= k are its first comb(rank + k, rank) entries.  Every
-    truncated domain is enumerated here, so this is where it is checked:
-    rank < 1 or bound < 0 raises ValueError.
-    """
-    if rank < 1 or bound < 0:
-        raise ValueError(f"truncated domains need rank >= 1 and degree bound >= 0, got {rank} and {bound}")
-    return tuple(vectors_up_to_degree(rank, bound))
-
-
-def _prefix_sizes(rank, bound):
-    """comb(rank + k, rank) for k = 0..bound: how many vectors of N^rank have degree <= k."""
-    return [comb(rank + k, rank) for k in range(bound + 1)]
-
-
-def _pairs(rank, bound):
-    """The pairs (u, v) with |u| + |v| <= bound: u by degree, then v by degree."""
-    vectors = _vectors(rank, bound)
-    sizes = _prefix_sizes(rank, bound)
-    return ((u, v) for u in vectors for v in vectors[:sizes[bound - sum(u)]])
-
-
 def _unit_values(table):
     """`table`, once each of its values is checked to be a UnitScalar (TypeError naming the key)."""
     for key, value in table.items():
@@ -359,7 +335,8 @@ class _UnitTable:
             if not self._is_key(key):
                 raise TypeError(f"table key {key!r} is not {self._key_kind}")
         _unit_values(table)
-        if len(table) != self._size(rank, degree_bound) or not all(map(table.__contains__, domain)):
+        if (len(table) != graded_count(self._arity * rank, degree_bound)
+                or not all(map(table.__contains__, domain))):
             self._name_bad_key(rank, degree_bound, table)
         self.rank, self.degree_bound, self.table = rank, degree_bound, table
 
@@ -369,11 +346,6 @@ class _UnitTable:
         t = object.__new__(cls)
         t.rank, t.degree_bound, t.table = rank, degree_bound, table
         return t
-
-    @classmethod
-    def _size(cls, rank, bound):
-        """The number of keys of the domain, comb(arity * rank + bound, bound)."""
-        return comb(cls._arity * rank + bound, bound)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -390,7 +362,7 @@ class TruncatedCocycle(_UnitTable):
 
     __slots__ = ()
     _arity, _key_kind = 2, "a pair of exponent vectors"
-    _domain = staticmethod(_pairs)
+    _domain = staticmethod(graded_pairs)
     # bench/spans.py wraps a traced method through its class's own __dict__.
     __init__, __eq__ = _UnitTable.__init__, _UnitTable.__eq__
 
@@ -406,13 +378,13 @@ class TruncatedCocycle(_UnitTable):
                 raise ValueError(f"table pair ({u!r}, {v!r}) does not have rank {rank}")
             if u.degree() + v.degree() > degree_bound:
                 raise ValueError(f"table pair ({u!r}, {v!r}) exceeds the degree bound {degree_bound}")
-        for (u, v) in _pairs(rank, degree_bound):
+        for (u, v) in graded_pairs(rank, degree_bound):
             if (u, v) not in table:
                 raise ValueError(f"table is missing the pair ({u!r}, {v!r})")
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
-        table = {(u, v): fn(u, v) for u, v in _pairs(rank, degree_bound)}
+        table = {(u, v): fn(u, v) for u, v in graded_pairs(rank, degree_bound)}
         return cls._trusted(rank, degree_bound, _unit_values(table))
 
     @classmethod
@@ -449,7 +421,7 @@ class TruncatedCocycle(_UnitTable):
         bound = min(self.degree_bound, other.degree_bound)
         a, b = self.table, other.table
         return TruncatedCocycle._trusted(
-            self.rank, bound, {pair: op(a[pair], b[pair]) for pair in _pairs(self.rank, bound)})
+            self.rank, bound, {pair: op(a[pair], b[pair]) for pair in graded_pairs(self.rank, bound)})
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedCocycle):
@@ -468,17 +440,18 @@ class FunctionOnMonoid(_UnitTable):
 
     __slots__ = ()
     _arity, _key_kind = 1, "an exponent vector"
-    _domain = staticmethod(_vectors)
+    _domain = staticmethod(graded_vectors)
 
     def __init__(self, rank, degree_bound, table):
-        self._check_normalized(rank, table)
-        _UnitTable.__init__(self, rank, degree_bound, table)
+        _UnitTable.__init__(self, rank, degree_bound, self._normalized(rank, dict(table)))
 
     @staticmethod
-    def _check_normalized(rank, table):
+    def _normalized(rank, table):
+        """The dict `table`, once h(e) = 1 is checked (ValueError)."""
         zero = ExponentVector.zero(rank)
         if zero not in table or table[zero] != UnitScalar.one():  # a non-unit is not 1 either
             raise ValueError("functions on the monoid must satisfy h(e) = 1")
+        return table
 
     @staticmethod
     def _is_key(key):
@@ -489,15 +462,14 @@ class FunctionOnMonoid(_UnitTable):
         for u in table:
             if u.rank != rank or u.degree() > degree_bound:
                 raise ValueError(f"table entry {u!r} is outside the domain")
-        for u in _vectors(rank, degree_bound):
+        for u in graded_vectors(rank, degree_bound):
             if u not in table:
                 raise ValueError(f"table is missing {u!r}")
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
-        table = {u: fn(u) for u in _vectors(rank, degree_bound)}
-        cls._check_normalized(rank, table)
-        return cls._trusted(rank, degree_bound, _unit_values(table))
+        table = {u: fn(u) for u in graded_vectors(rank, degree_bound)}
+        return cls._trusted(rank, degree_bound, _unit_values(cls._normalized(rank, table)))
 
     @classmethod
     def constant_one(cls, rank, degree_bound):
@@ -529,7 +501,7 @@ def coboundary(h):
     vec = ExponentVector._trusted  # unchecked sums: u and v come from one enumeration of one rank
     return TruncatedCocycle._trusted(h.rank, h.degree_bound, {
         (u, v): _unit_power(((forms[u], 1), (forms[v], 1), (forms[vec(map(operator.add, u, v))], -1)))
-        for u, v in _pairs(h.rank, h.degree_bound)})
+        for u, v in graded_pairs(h.rank, h.degree_bound)})
 
 
 @dataclass(frozen=True)
@@ -574,9 +546,8 @@ def verify_cocycle_equation(mu_t):
     product over the integer forms of the table, which must come to 1.
     """
     n, bound, table = mu_t.rank, mu_t.degree_bound, mu_t.table
-    vectors = _vectors(n, bound)
-    sizes = _prefix_sizes(n, bound)
-    zero = ExponentVector.zero(n)
+    vectors = graded_vectors(n, bound)
+    zero = vectors[0]
     for u in vectors:
         if not table[(u, zero)].is_one() or not table[(zero, u)].is_one():
             return CheckReport(False, counterexample=("identity", u))
@@ -584,9 +555,9 @@ def verify_cocycle_equation(mu_t):
     rest = bound - 1  # the degree left for y and z once x is a generator
     vec = ExponentVector._trusted  # unchecked sums: x, y and z all come from `vectors`
     for x in vectors[1:n + 1]:
-        for y in vectors[:sizes[rest]]:
+        for y in vectors[:graded_count(n, rest)]:
             xy, mu_xy = vec(map(operator.add, x, y)), forms[(x, y)]
-            for z in vectors[:sizes[rest - sum(y)]]:
+            for z in vectors[:graded_count(n, rest - sum(y))]:
                 num, den, exps = _power(((forms[(x, vec(map(operator.add, y, z)))], 1), (forms[(y, z)], 1),
                                          (mu_xy, -1), (forms[(xy, z)], -1)))
                 if num != den or exps:
@@ -597,23 +568,20 @@ def verify_cocycle_equation(mu_t):
 def trivialize_rank1(mu_t):
     """Constructive triviality of H^2(N^1): h with delta(h) = mu on the truncated domain.
 
-    h is built by the recurrence h(e) = h(g) = 1, h(g^(p+1)) = h(g^p) / mu(g, g^p);
-    it is the unique such witness with h(g) = 1.
+    h is built by the recurrence h(e) = 1, h(g^(p+1)) = h(g^p) / mu(g, g^p),
+    walking the rank-1 domain e, g, g^2, ... in order; h(g) = 1 because
+    mu(g, e) = 1.  It is the unique such witness with h(g) = 1.
     """
     if mu_t.rank != 1:
         raise ValueError(f"trivialize_rank1 requires rank 1, got rank {mu_t.rank}")
     check = verify_cocycle_equation(mu_t)
     if not check:
         raise ValueError(f"input fails the cocycle equation at {check.counterexample}")
-    bound = mu_t.degree_bound
-    one = UnitScalar.one()
-    g = ExponentVector((1,))
-    table = {ExponentVector.zero(1): one}
-    if bound >= 1:
-        table[g] = one
-    for p in range(1, bound):
-        table[ExponentVector((p + 1,))] = table[ExponentVector((p,))] / mu_t.value(g, ExponentVector((p,)))
-    return FunctionOnMonoid.from_function(1, bound, table.__getitem__)
+    powers = graded_vectors(1, mu_t.degree_bound)
+    table = {powers[0]: UnitScalar.one()}
+    for power, next_power in zip(powers, powers[1:]):
+        table[next_power] = table[power] / mu_t.value(powers[1], power)
+    return FunctionOnMonoid.from_function(1, mu_t.degree_bound, table.__getitem__)
 
 
 def yamazaki_trivialize(mu_t, split):

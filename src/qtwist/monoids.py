@@ -6,12 +6,17 @@ morphism is determined by the images of the generators and extends linearly.
 A product monoid N^a x N^b is represented as the single monoid N^(a+b)
 together with a :class:`ProductSplit` marking the block boundary, so one set
 of vector/matrix machinery serves both plain and product monoids.
+
+The graded domain of N^r, the vectors of degree <= D, is enumerated, checked
+and counted here: one degree-ordered tuple, the pair walk |u| + |v| <= D
+over it, and one closed-form count that every other count reduces to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from operator import add, sub
 
 
@@ -40,6 +45,8 @@ class ExponentVector(tuple):
 
     @classmethod
     def unit(cls, rank, index):
+        if not 0 <= index < rank:
+            raise ValueError(f"unit vectors of rank {rank} have an index in 0..{rank - 1}, got {index}")
         entries = [0] * rank
         entries[index] = 1
         return cls(entries)
@@ -201,3 +208,38 @@ def vectors_up_to_degree(rank, bound):
     """All vectors in N^rank of total degree <= bound, by increasing degree."""
     for d in range(bound + 1):
         yield from vectors_of_degree(rank, d)
+
+
+def graded_count(rank, bound):
+    """How many vectors of N^rank have degree <= bound: C(rank + bound, bound).
+
+    Stars and bars (Stanley, *Enumerative Combinatorics I*, Section 1.2):
+    with its slack bound - |u| as one more entry, such a vector is one of
+    N^(rank + 1) of degree exactly bound.  The count is 0 for bound = -1 and
+    rank >= 1.  Every count of the graded domain is this one:
+    - vectors_of_degree(rank, d) yields graded_count(rank - 1, d) vectors;
+    - the vectors of degree <= k are the first graded_count(rank, k)
+      entries of graded_vectors(rank, D), for k <= D;
+    - graded_pairs(rank, D) walks graded_count(2 * rank, D) pairs, as a pair
+      (u, v) is a vector of N^(2 rank);
+    - the triples |x| + |y| + |z| <= D whose x is a generator number
+      rank * graded_count(2 * rank, D - 1): y and z share the degree D - 1.
+    """
+    return comb(rank + bound, rank)
+
+
+def graded_vectors(rank, bound):
+    """The vectors of N^rank of degree <= bound as one tuple, by increasing degree.
+
+    Every truncated domain is enumerated here, so this is where it is
+    checked: rank < 1 or bound < 0 raises ValueError.
+    """
+    if rank < 1 or bound < 0:
+        raise ValueError(f"truncated domains need rank >= 1 and degree bound >= 0, got {rank} and {bound}")
+    return tuple(vectors_up_to_degree(rank, bound))
+
+
+def graded_pairs(rank, bound):
+    """The pairs (u, v) with |u| + |v| <= bound: u by degree, then v by degree; checked as above."""
+    vectors = graded_vectors(rank, bound)
+    return ((u, v) for u in vectors for v in vectors[:graded_count(rank, bound - sum(u))])

@@ -53,6 +53,12 @@ def polynomial_algebra(rank, names=None):
 
 # -- multiplication -----------------------------------------------------------
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_generator_index_out_of_range_is_refused(k):
+    with pytest.raises(ValueError, match=rf"index in 0..2, got {k}"):
+        polynomial_algebra(3).generator(k)
+
+
 def test_untwisted_product_is_commutative():
     A = polynomial_algebra(3)
     x0, x1 = A.generator(0), A.generator(1)

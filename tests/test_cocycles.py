@@ -1003,6 +1003,16 @@ def test_table_validation_names_the_bad_key():
     assert FunctionOnMonoid(2, 3, function_table(2, 3)) == FunctionOnMonoid.constant_one(2, 3)
 
 
+def test_tables_accept_item_lists():
+    e, g = ExponentVector((0,)), ExponentVector((1,))
+    items = [(e, ONE), (g, ONE)]
+    assert FunctionOnMonoid(1, 1, items) == FunctionOnMonoid.constant_one(1, 1)
+    assert TruncatedCocycle(1, 0, [((e, e), ONE)]) == TruncatedCocycle.from_function(1, 0, lambda u, v: ONE)
+    with pytest.raises(ValueError) as exc:
+        FunctionOnMonoid(1, 1, [(e, UnitScalar(2)), (g, ONE)])
+    assert str(exc.value) == "functions on the monoid must satisfy h(e) = 1"
+
+
 def test_table_values_must_be_units():
     e, g = ExponentVector((0,)), ExponentVector((1,))
     with pytest.raises(TypeError) as exc:

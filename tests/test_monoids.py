@@ -13,6 +13,7 @@ from qtwist import (
     vectors_of_degree,
     vectors_up_to_degree,
 )
+from qtwist.monoids import graded_count, graded_pairs, graded_vectors
 
 from helpers import rand_vector
 
@@ -37,6 +38,14 @@ def test_addition_monoid_laws(u, v, w):
     assert (u + v) + w == u + (v + w)
     assert u + v == v + u
     assert u + zero == u
+
+
+@pytest.mark.parametrize("index", [-1, -3, 3, 4])
+def test_unit_vector_index_must_be_in_range(index):
+    with pytest.raises(ValueError) as exc:
+        ExponentVector.unit(3, index)
+    assert str(exc.value) == f"unit vectors of rank 3 have an index in 0..2, got {index}"
+    assert [ExponentVector.unit(3, k) for k in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_rank_mismatch_in_addition():
@@ -223,3 +232,22 @@ def test_enumeration_order_matches_an_independent_oracle():
 @pytest.mark.parametrize("degree", [-1, -2])
 def test_negative_degree_has_no_vectors(rank, degree):
     assert list(vectors_of_degree(rank, degree)) == []
+
+
+# -- the graded domain and its one count ---------------------------------------
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_one_count_sizes_every_enumeration(rank):
+    for bound in range(7):
+        vectors = graded_vectors(rank, bound)
+        assert len(vectors) == graded_count(rank, bound)
+        for k in range(bound + 1):
+            assert vectors[:graded_count(rank, k)] == tuple(u for u in vectors if u.degree() <= k)
+        assert len(list(graded_pairs(rank, bound))) == graded_count(2 * rank, bound)
+        assert len(list(vectors_of_degree(rank, bound))) == graded_count(rank - 1, bound)
+        # the triples |x| + |y| + |z| <= bound whose x is a generator, by a walk of their own
+        triples = sum(1 for x in vectors if x.degree() == 1
+                      for y in vectors if x.degree() + y.degree() <= bound
+                      for z in vectors if x.degree() + y.degree() + z.degree() <= bound)
+        assert triples == rank * graded_count(2 * rank, bound - 1)
+
