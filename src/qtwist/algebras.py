@@ -339,21 +339,25 @@ def factor_twist(left, right, mu):
 MultiplicativityReport = HomomorphismReport = CheckReport
 
 
-#: The image unit of every basis monomial under a map whose units and ratios are all 1.
+#: The image unit of every basis monomial under a map whose units and ratio matrix are all 1.
 _ONE = UnitScalar.one()
 
 
 class GradedHomomorphism:
     """Algebra map e_k |-> s_k e_f(e_k), for units s_k and a monoid morphism f.
 
-    e_u goes to the ordered product of its generators' images, which is
-    prod_k s_k^u_k R_kk^C(u_k, 2) prod_(k<l) R_kl^(u_k u_l) e_f(u), R the ratio matrix.
-    When every s_k and every R_kl is 1 (as for every Segre map), e_u goes to
-    exactly e_f(u), and `image_of_basis` does no unit arithmetic.
+    The map holds this defining data and its ratio matrix R, the quotient of
+    the pullback of the target cocycle along f by the source cocycle:
+    R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l).  e_u goes to the
+    ordered product of its generators' images, which is
+    prod_k s_k^u_k R_kk^C(u_k, 2) prod_(k<l) R_kl^(u_k u_l) e_f(u); nothing
+    is cached per monomial.  When every s_k and every R_kl is 1 (as for every
+    Segre map), e_u goes to exactly e_f(u), and `image_of_basis` does no unit
+    arithmetic.
     """
 
     __slots__ = ("source", "target", "monoid_morphism", "generator_images",
-                 "_image_units", "_ratio", "_all_ones", "_cache")
+                 "_image_units", "_ratio", "_all_ones")
 
     def __init__(self, source, target, monoid_morphism, generator_images):
         f = monoid_morphism
@@ -381,18 +385,15 @@ class GradedHomomorphism:
         self.monoid_morphism = f
         self.generator_images = images
         self._image_units = _integer_form(units)
-        self._ratio = tuple(
-            _integer_form(target.cocycle.evaluate(dk, dl) / a for dl, a in zip(f.generator_images, row))
-            for dk, row in zip(f.generator_images, source.cocycle.matrix))
+        self._ratio = (pullback(target.cocycle, f) * source.cocycle.inverse())._integer
         self._all_ones = not any(self._image_units) and not any(map(any, self._ratio))
-        self._cache = {}
 
     @classmethod
     def _from_pullback(cls, target, f, source_names):
         """The bare-image map from the twist by the pulled-back target cocycle (R is all ones)."""
         phi = cls.__new__(cls)
         phi.source = TwistedMonoidAlgebra(pullback(target.cocycle, f), source_names)
-        phi.target, phi.monoid_morphism, phi._cache = target, f, {}
+        phi.target, phi.monoid_morphism = target, f
         phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
         one = (None,) * f.source_rank
         phi._image_units, phi._ratio, phi._all_ones = one, (one,) * f.source_rank, True
@@ -400,14 +401,11 @@ class GradedHomomorphism:
 
     def image_of_basis(self, u):
         """(unit, degree) with phi(e_u) = unit * e_degree in the target."""
-        got = self._cache.get(u)
-        if got is None:
-            degree = self.monoid_morphism(u)  # checks the rank first
-            got = self._cache[u] = (self._unit(u), degree)
-        return got
+        degree = self.monoid_morphism(u)  # checks the rank first
+        return self._unit(u), degree
 
     def _unit(self, u):
-        """The unit c_u of phi(e_u) = c_u e_f(u), uncached; u must have the source's rank."""
+        """The unit c_u of phi(e_u) = c_u e_f(u), from the s_k and R; u must have the source's rank."""
         return _ONE if self._all_ones else _quadratic_unit(self._ratio, u, self._image_units)
 
     def apply(self, x):

@@ -20,6 +20,13 @@ from math import comb
 from operator import add, sub
 
 
+def _int_arg(value, what):
+    """`value` if it is an int (a bool is not a size or an index here); else TypeError naming `what`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 class ExponentVector(tuple):
     """Element of N^n: a tuple of nonnegative ints; `+` and `*` raise rather than concatenate or repeat."""
 
@@ -41,10 +48,11 @@ class ExponentVector(tuple):
 
     @classmethod
     def zero(cls, rank):
-        return cls((0,) * rank)
+        return cls((0,) * _int_arg(rank, "zero vector rank"))
 
     @classmethod
     def unit(cls, rank, index):
+        rank, index = _int_arg(rank, "unit vector rank"), _int_arg(index, "unit vector index")
         if not 0 <= index < rank:
             raise ValueError(f"unit vectors of rank {rank} have an index in 0..{rank - 1}, got {index}")
         entries = [0] * rank
@@ -93,6 +101,7 @@ class MonoidMorphism:
     __slots__ = ("source_rank", "target_rank", "generator_images", "_sparse")
 
     def __init__(self, source_rank, target_rank, generator_images):
+        source_rank, target_rank = _int_arg(source_rank, "source rank"), _int_arg(target_rank, "target rank")
         images = tuple(generator_images)
         if len(images) != source_rank:
             raise ValueError(f"expected {source_rank} generator images, got {len(images)}")
@@ -140,7 +149,7 @@ class ProductSplit:
     right_rank: int
 
     def __post_init__(self):
-        if self.left_rank < 1 or self.right_rank < 1:
+        if min(_int_arg(self.left_rank, "left rank"), _int_arg(self.right_rank, "right rank")) < 1:
             raise ValueError("both factors of a product split must have rank >= 1")
 
     @property
@@ -174,7 +183,7 @@ def segre_morphism(n, m):
     j = 0..m inner; the generator at (i, j) maps to the 0/1 vector with ones
     at position i and at position (n+1)+j.
     """
-    if n < 1 or m < 1:
+    if min(_int_arg(n, "segre_morphism n"), _int_arg(m, "segre_morphism m")) < 1:
         raise ValueError("segre_morphism requires n >= 1 and m >= 1")
     target_rank = (n + 1) + (m + 1)
     images = []
@@ -195,9 +204,9 @@ def vectors_of_degree(rank, degree):
     The entries are the gaps c_1, c_2 - c_1, ..., degree - c_(rank-1), and the
     lexicographic order of the c's is that of the vectors.
     """
-    if rank < 1:
+    if _int_arg(rank, "rank") < 1:
         raise ValueError("rank must be >= 1")
-    if degree < 0:
+    if _int_arg(degree, "degree") < 0:
         return
     last = (degree,)
     for c in combinations_with_replacement(range(degree + 1), rank - 1):
@@ -206,7 +215,7 @@ def vectors_of_degree(rank, degree):
 
 def vectors_up_to_degree(rank, bound):
     """All vectors in N^rank of total degree <= bound, by increasing degree."""
-    for d in range(bound + 1):
+    for d in range(_int_arg(bound, "degree bound") + 1):
         yield from vectors_of_degree(rank, d)
 
 
@@ -232,8 +241,10 @@ def graded_vectors(rank, bound):
     """The vectors of N^rank of degree <= bound as one tuple, by increasing degree.
 
     Every truncated domain is enumerated here, so this is where it is
-    checked: rank < 1 or bound < 0 raises ValueError.
+    checked: a rank or bound that is not an int (or is a bool) raises
+    TypeError, and rank < 1 or bound < 0 raises ValueError.
     """
+    rank, bound = _int_arg(rank, "truncated domain rank"), _int_arg(bound, "degree bound")
     if rank < 1 or bound < 0:
         raise ValueError(f"truncated domains need rank >= 1 and degree bound >= 0, got {rank} and {bound}")
     return tuple(vectors_up_to_degree(rank, bound))

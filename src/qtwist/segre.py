@@ -14,8 +14,9 @@ The map sends every basis monomial to a unit times one basis monomial, so
 its degree-d kernel splits over the fibers of f: each fiber contributes the
 binomials e_u - (c_u / c_u0) e_u0 against its first monomial u0, with no
 linear algebra and no specialization arithmetic.  The probe keys each fiber
-by f(u) packed into one int, keeps nothing in the map's image cache, and
-for a Segre map (every c_u is 1) does no unit arithmetic at all.
+by f(u) packed into one int and keeps no memory of its own.  For a Segre
+map (every c_u is 1) it does no unit arithmetic at all; for any other map
+it computes c_u, and c_u / c_u0, once per monomial.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .algebras import (  # the homomorphism names stay importable from here
     verify_homomorphism,
 )
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
-from .monoids import ProductSplit, segre_morphism, vectors_of_degree
+from .monoids import ProductSplit, _int_arg, segre_morphism, vectors_of_degree
 from .scalars import LaurentPolynomial, _exact
 
 
@@ -126,14 +127,12 @@ def kernel_basis(segre_map, degree, specialization):
     and the key of u is sum_k u_k code_k = sum_i f(u)_i B^i.  Each entry
     f(u)_i = sum_k u_k f(e_k)_i is at most |u| M = d M < B, so the key is
     f(u) written in base B with every digit below B, and two degree-d
-    monomials share a key exactly when they share f(u).  Nothing is stored
-    in the map's image cache.  For the maps of :func:`build_quantum_segre`
-    every c_u is 1 and every ratio is the constant 1; otherwise c_u is
-    computed once per monomial and each distinct ratio once per call.
+    monomials share a key exactly when they share f(u).  For the maps of
+    :func:`build_quantum_segre` every c_u is 1 and every ratio is the
+    constant 1; otherwise c_u is computed from the map's generator-image
+    units and ratio matrix once per monomial, and c_u / c_u0 once per binomial.
     """
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise TypeError(f"kernel degree must be an int, got {degree!r}")
-    if degree < 1:
+    if _int_arg(degree, "kernel degree") < 1:
         raise ValueError("kernel degree must be >= 1")
     phi = segre_map.homomorphism
     for name, value in specialization.items():
@@ -151,7 +150,6 @@ def kernel_basis(segre_map, degree, specialization):
     one = LaurentPolynomial.one()
     minus_one = -one
     first = {}
-    ratios = {}
     basis = []
     for u in vectors_of_degree(phi.source.rank, degree):
         key = sum(map(mul, u, codes))
@@ -160,13 +158,7 @@ def kernel_basis(segre_map, degree, specialization):
             first[key] = (u, None if unit is None else unit(u))
             continue
         u0, c0 = found
-        if unit is None:
-            ratio = minus_one
-        else:
-            c = unit(u)
-            ratio = ratios.get((c0, c))
-            if ratio is None:
-                ratio = ratios[(c0, c)] = -LaurentPolynomial.from_unit(c / c0)
+        ratio = minus_one if unit is None else -LaurentPolynomial.from_unit(unit(u) / c0)
         # Canonical as it stands: u0 != u, both of the source's rank, and both coefficients nonzero.
         basis.append(AlgebraElement._trusted(phi.source, {u0: ratio, u: one}))
     return basis

@@ -6,9 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtwist import (
+    BimultiplicativeCocycle,
     ExponentVector,
     MonoidMorphism,
     ProductSplit,
+    TruncatedCocycle,
+    TwistedMonoidAlgebra,
+    build_quantum_segre,
     segre_morphism,
     vectors_of_degree,
     vectors_up_to_degree,
@@ -46,6 +50,39 @@ def test_unit_vector_index_must_be_in_range(index):
         ExponentVector.unit(3, index)
     assert str(exc.value) == f"unit vectors of rank 3 have an index in 0..2, got {index}"
     assert [ExponentVector.unit(3, k) for k in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ExponentVector.unit(3, True), "unit vector index must be an int, got True"),
+    (lambda: ExponentVector.unit(3, 1.0), "unit vector index must be an int, got 1.0"),
+    (lambda: ExponentVector.unit(3.0, 1), "unit vector rank must be an int, got 3.0"),
+    (lambda: TwistedMonoidAlgebra(BimultiplicativeCocycle.trivial(3)).generator(True),
+     "unit vector index must be an int, got True"),
+    (lambda: ExponentVector.zero(True), "zero vector rank must be an int, got True"),
+    (lambda: segre_morphism(True, 1), "segre_morphism n must be an int, got True"),
+    (lambda: segre_morphism(1, 2.0), "segre_morphism m must be an int, got 2.0"),
+    (lambda: build_quantum_segre(True, 1, BimultiplicativeCocycle.trivial(4)),
+     "segre_morphism n must be an int, got True"),
+    (lambda: MonoidMorphism(True, 1, [ExponentVector((1,))]), "source rank must be an int, got True"),
+    (lambda: MonoidMorphism(1, 1.0, [ExponentVector((1,))]), "target rank must be an int, got 1.0"),
+    (lambda: ProductSplit(True, 1), "left rank must be an int, got True"),
+    (lambda: ProductSplit(1, 1.0), "right rank must be an int, got 1.0"),
+    (lambda: graded_vectors(True, 2), "truncated domain rank must be an int, got True"),
+    (lambda: graded_vectors(2, 1.5), "degree bound must be an int, got 1.5"),
+    (lambda: TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(2), True),
+     "degree bound must be an int, got True"),
+    (lambda: list(vectors_of_degree(True, 2)), "rank must be an int, got True"),
+    (lambda: list(vectors_of_degree(2, 1.0)), "degree must be an int, got 1.0"),
+    (lambda: list(vectors_up_to_degree(2, True)), "degree bound must be an int, got True"),
+], ids=["unit-index-bool", "unit-index-float", "unit-rank-float", "generator-bool", "zero-rank-bool",
+        "segre-n-bool", "segre-m-float", "build-segre-n-bool", "morphism-source-bool",
+        "morphism-target-float", "split-left-bool", "split-right-float",
+        "graded-rank-bool", "graded-bound-float", "truncate-bound-bool", "degree-rank-bool",
+        "degree-float", "up-to-bound-bool"])
+def test_sizes_and_indices_must_be_ints(build, message):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_rank_mismatch_in_addition():

@@ -264,19 +264,27 @@ def ordered_product_unit(algebra, u, factors):
     return unit, w
 
 
-@pytest.mark.parametrize("n,m,seed", [(1, 1, 118), (1, 2, 119), (2, 2, 120)])
-def test_unit_one_shortcut_agrees_with_the_general_path(n, m, seed):
+@pytest.mark.parametrize("n,m,seed,kind", [(1, 1, 118, "bare"), (1, 2, 119, "bare"), (2, 2, 120, "bare"),
+                                           (2, 1, 122, "scaled"), (1, 1, 123, "wide")],
+                         ids=["1-1-118", "1-2-119", "2-2-120", "scaled-2-1-122", "wide-123"])
+def test_unit_one_shortcut_agrees_with_the_general_path(n, m, seed, kind):
     # a Segre map's generator-image units and ratio matrix are all 1, so
     # image_of_basis skips the unit product; the public constructor recomputes
-    # R from the cocycles and must decide the same, and both must agree with
+    # R from the cocycles and must decide the same.  A scaled Segre map has
+    # units s_k != 1, and a wide map also has R != 1 along a morphism that is
+    # not the identity, so both take the unit product.  All must agree with
     # phi(e_u) = phi(x_0)^u_0 ... phi(x_r)^u_r / c_u, e_u = x_0^u_0 ... x_r^u_r / c_u
     rng = random.Random(seed)
-    s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+    if kind == "wide":
+        s = wide_image_map(seed)
+    else:
+        s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+        if kind == "scaled":
+            s = SegreMap(n, m, s.ambient_cocycle, scaled_images(s, rng))
     phi, f = s.homomorphism, s.morphism
-    general = GradedHomomorphism(s.source, s.target, f,
-                                 [s.target.basis_element(w) for w in f.generator_images])
-    assert phi._all_ones and general._all_ones
-    assert all(r.is_one() for row in ratio_matrix(general) for r in row)
+    general = GradedHomomorphism(s.source, s.target, f, phi.generator_images)
+    assert phi._all_ones == general._all_ones == (kind == "bare")
+    assert all(r.is_one() for row in ratio_matrix(general) for r in row) == (kind != "wide")
     gens = [s.source.generator(k) for k in range(s.source.rank)]
     images = [phi(x) for x in gens]
     for u in vectors_up_to_degree(s.source.rank, 3):
@@ -513,22 +521,36 @@ def test_kernel_matches_the_fiber_reference_for_image_entries_above_one():
     assert len(kernel_basis(smap, 2, values)) > 0
 
 
+def twin_maps(kind):
+    """Two separately built copies of one bare, scaled or wide map."""
+    def build():
+        if kind == "wide":
+            return wide_image_map(134)
+        rng = random.Random(133)
+        s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
+        return s if kind == "bare" else SegreMap(2, 1, s.ambient_cocycle, scaled_images(s, rng))
+    return build(), build()
+
+
 @pytest.mark.parametrize("kind", ["bare", "scaled", "wide"])
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
-def test_kernel_leaves_the_image_cache_unchanged(kind, warm):
-    rng = random.Random(133)
-    s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
-    smap = {"bare": s, "scaled": SegreMap(2, 1, s.ambient_cocycle, scaled_images(s, rng)),
-            "wide": wide_image_map(134)}[kind]
+def test_a_map_keeps_only_its_defining_data(kind, warm):
+    # a map stores nothing per monomial: after the kernel probe (and, warm,
+    # after verification and apply) every slot equals its twin's, built fresh
+    smap, twin = twin_maps(kind)
     phi = smap.homomorphism
     assert phi._all_ones == (kind == "bare")
+    rng = random.Random(135)
     if warm:
         verify_homomorphism(phi, samples=5)
-        assert phi._cache
-    before = dict(phi._cache)
+        for _ in range(5):
+            phi.apply(random_element(phi.source, rng))
     values = {name: rand_nonzero_rational(rng) for name in PARAMS}
     assert [len(kernel_basis(smap, degree, values)) > 0 for degree in (1, 2, 3)] == [False, True, True]
-    assert phi._cache == before
+    slots = [name for cls in type(phi).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert "generator_images" in slots
+    for name in slots:
+        assert getattr(phi, name) == getattr(twin.homomorphism, name), name
 
 
 def test_segre_map_json_roundtrip():
