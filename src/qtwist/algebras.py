@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+# BimultiplicativeCocycle stays importable from here.
 from .cocycles import (
     BimultiplicativeCocycle,
     CheckReport,
@@ -42,6 +43,7 @@ from .cocycles import (
     cohomologous,
     pullback,
     yamazaki_factorize,
+    yamazaki_reconstruct,
 )
 from .monoids import ExponentVector, MonoidMorphism, ProductSplit
 from .scalars import (
@@ -255,25 +257,20 @@ def twist_by(algebra, nu):
 def twisted_tensor_product(left, right, alpha):
     """The algebra factorization with c * b = alpha(deg b, deg c) b (x) c.
 
-    Cocycle block form on rank a+b: (a,a) block = left's matrix, (b,b) block =
-    right's matrix, (a,b) block all ones, and (b,a) block carrying alpha with
-    entry (a+j, i) = alpha_ij.  That placement encodes the twisting cocycle
-    tau((s,t),(s',t')) = alpha(s', t); with alpha trivial this is the classical
-    tensor product, where the factors commute.
+    Its twisting cocycle is tau((s,t),(s',t')) = alpha(s', t), which is
+    Yamazaki's sigma((s,t),(s',t')) = alpha(s, t') with its arguments
+    swapped: tau is the opposite of yamazaki_reconstruct(left^op, right^op,
+    alpha), whose shape check it shares.  In block form on rank a+b: (a,a)
+    block = left's matrix, (b,b) block = right's matrix, (a,b) block all
+    ones, and (b,a) block carrying alpha with entry (a+j, i) = alpha_ij.
+    With alpha trivial this is the classical tensor product, where the
+    factors commute.
     """
-    a, b = left.rank, right.rank
-    if (alpha.left_rank, alpha.right_rank) != (a, b):
-        raise ValueError(f"pairing shape {alpha.left_rank}x{alpha.right_rank} does not match ranks {a}, {b}")
+    tau = yamazaki_reconstruct(left.cocycle._opposite(), right.cocycle._opposite(), alpha)._opposite()
     names = left.generator_names + right.generator_names
     if len(set(names)) != len(names):
         raise ValueError("generator names of the tensor factors collide")
-    one = UnitScalar.one()
-    rows = []
-    for i in range(a):
-        rows.append(list(left.cocycle.matrix[i]) + [one] * b)
-    for j in range(b):
-        rows.append([alpha.entry(i, j) for i in range(a)] + list(right.cocycle.matrix[j]))
-    return TwistedMonoidAlgebra(BimultiplicativeCocycle(rows), names, split=ProductSplit(a, b))
+    return TwistedMonoidAlgebra(tau, names, split=ProductSplit(left.rank, right.rank))
 
 
 def embed_left(tensor_algebra, x):

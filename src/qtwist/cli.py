@@ -27,7 +27,7 @@ from .cocycles import (
     TruncatedCocycle,
 )
 from .monoids import ExponentVector, MonoidMorphism, ProductSplit, segre_morphism
-from .scalars import _rational, parse_unit, render_unit
+from .scalars import _rational, render_unit
 
 
 class InputError(Exception):
@@ -114,7 +114,7 @@ def _unit_matrix(cls):
                 for row in value):
             raise InputError(f'"{key}" must be a nonempty 2-D array of unit literal strings')
         with _rejected_as(f'"{key}" matrix', (ValueError, TypeError)):
-            matrix = cls([[parse_unit(entry) for entry in row] for row in value])
+            matrix = cls.from_json(value)
         _check_declared(matrix.parameters(), parsed["parameters"], f'"{key}"')
         return matrix
 

@@ -35,8 +35,9 @@ beta(u, v) = mu(u, v) / mu(v, u); no quotient-group objects are reified.
 The bimultiplicative cocycle, the antisymmetric matrix and the cross
 pairing of a factorization are each a unit matrix read as the form
 (u, v) |-> prod_{i,j} M_ij^(u_i v_j), and they share one body: validation,
-the integer form, JSON, entrywise products and inverses, equality and
-hashing.  Each keeps only its shape and its invariant.  Every exact check
+the shape and the evaluation, the opposite form (the transpose), the
+integer form, JSON, entrywise products and inverses, equality and hashing.
+Each keeps only its ranks and its invariant.  Every exact check
 returns the one report type :class:`CheckReport`.
 """
 
@@ -82,12 +83,17 @@ class _UnitForm:
     """A unit matrix M, read as the bimultiplicative form (u, v) |-> prod_{i,j} M_ij^(u_i v_j).
 
     The body shared by cocycles, antisymmetric matrices and pairings:
-    validation, the integer form the evaluators multiply, the parameters,
-    JSON, entrywise products and inverses, and equality, hashing and repr by
-    type and matrix.  Subclasses add their shape and their invariant.
+    validation, the shape (rows, columns), evaluation with its one rank
+    check, the integer form the evaluators multiply, the parameters, JSON,
+    entrywise products and inverses, and equality, hashing and repr by type
+    and matrix.  The opposite form (u, v) |-> M(v, u) is the transpose, so
+    one block layout serves its mirror image too: the twisted tensor
+    product's cocycle tau((s,t),(s',t')) = alpha(s',t) is the opposite of
+    Yamazaki's sigma((s,t),(s',t')) = alpha(s,t') over the opposite factors.
+    Subclasses add their ranks and their invariant.
     """
 
-    __slots__ = ("matrix", "_integer", "_params")
+    __slots__ = ("matrix", "_shape", "_integer", "_params")
 
     def __init__(self, matrix):
         rows = tuple(tuple(row) for row in matrix)
@@ -98,8 +104,15 @@ class _UnitForm:
                 if not isinstance(a, UnitScalar):
                     raise TypeError(f"matrix entries must be UnitScalar, got {a!r}")
         self.matrix = rows
+        self._shape = (len(rows), len(rows[0]) if rows else 0)
         self._integer = tuple(_integer_form(row) for row in rows)
         self._params = None
+
+    def _square_rank(self):
+        """The rank of a square form (ValueError if the matrix is not square)."""
+        if self._shape[0] != self._shape[1]:
+            raise ValueError("matrix must be square")
+        return self._shape[0]
 
     @classmethod
     def trivial(cls, rank, right_rank=None):
@@ -117,6 +130,17 @@ class _UnitForm:
     def entry(self, i, j):
         return self.matrix[i][j]
 
+    def _evaluate(self, u, v):
+        """M(u, v) = prod M_ij^(u_i v_j) for u, v of the form's row and column ranks; exact."""
+        if (u.rank, v.rank) != self._shape:
+            raise ValueError(
+                f"rank mismatch: {type(self).__name__} of ranks {self._shape}, got {u.rank}, {v.rank}")
+        return _bilinear_unit(self._integer, u, v)
+
+    def _opposite(self):
+        """The opposite form (u, v) |-> M(v, u): the transpose."""
+        return type(self)(zip(*self.matrix))
+
     def is_trivial(self):
         return all(a.is_one() for row in self.matrix for a in row)
 
@@ -128,7 +152,7 @@ class _UnitForm:
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if tuple(map(len, self.matrix)) != tuple(map(len, other.matrix)):
+        if self._shape != other._shape:
             raise ValueError(f"shape mismatch in {type(self).__name__} product")
         return type(self)([[a * b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)])
 
@@ -153,24 +177,19 @@ _FROM_JSON = _UnitForm.__dict__["from_json"]
 
 
 class BimultiplicativeCocycle(_UnitForm):
-    """Total cocycle on N^rank determined by a square unit matrix."""
+    """Total cocycle on N^rank determined by a square unit matrix.
+
+    mu(u, v) = prod A[i][j]^(u_i v_j), exact.
+    """
 
     __slots__ = ("rank",)
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.rank = len(self.matrix)
-        if self.rank and len(self.matrix[0]) != self.rank:
-            raise ValueError("matrix must be square")
+        self.rank = self._square_rank()
 
-    from_json, to_json = _FROM_JSON, _UnitForm.to_json
+    from_json, to_json, evaluate = _FROM_JSON, _UnitForm.to_json, _UnitForm._evaluate
     __mul__, inverse = _UnitForm.__mul__, _UnitForm.inverse
-
-    def evaluate(self, u, v):
-        """mu(u, v) = prod A[i][j]^(u_i v_j); exact."""
-        if u.rank != self.rank or v.rank != self.rank:
-            raise ValueError(f"rank mismatch: cocycle has rank {self.rank}, got {u.rank}, {v.rank}")
-        return _bilinear_unit(self._integer, u, v)
 
 
 class AntisymmetricMatrix(_UnitForm):
@@ -180,9 +199,7 @@ class AntisymmetricMatrix(_UnitForm):
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.rank = len(self.matrix)
-        if self.rank and len(self.matrix[0]) != self.rank:
-            raise ValueError("matrix must be square")
+        self.rank = self._square_rank()
         for i in range(self.rank):
             if not self.matrix[i][i].is_one():
                 raise ValueError(f"diagonal entry ({i},{i}) must be 1")
@@ -206,24 +223,20 @@ class AntisymmetricMatrix(_UnitForm):
 
 
 class Pairing(_UnitForm):
-    """Bimultiplicative pairing N^a x N^b -> units, stored as an a x b unit matrix."""
+    """Bimultiplicative pairing N^a x N^b -> units, stored as an a x b unit matrix.
+
+    alpha(u, v) = prod alpha[i][j]^(u_i v_j) for u in N^a, v in N^b.
+    """
 
     __slots__ = ("left_rank", "right_rank")
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.left_rank = len(self.matrix)
-        self.right_rank = len(self.matrix[0]) if self.matrix else 0
+        self.left_rank, self.right_rank = self._shape
         if self.left_rank < 1 or self.right_rank < 1:
             raise ValueError("pairings need at least one generator on each side")
 
-    from_json, to_json = _FROM_JSON, _UnitForm.to_json
-
-    def evaluate(self, u, v):
-        """alpha(u, v) = prod alpha[i][j]^(u_i v_j) for u in N^a, v in N^b."""
-        if u.rank != self.left_rank or v.rank != self.right_rank:
-            raise ValueError("rank mismatch in pairing evaluation")
-        return _bilinear_unit(self._integer, u, v)
+    from_json, to_json, evaluate = _FROM_JSON, _UnitForm.to_json, _UnitForm._evaluate
 
 
 def canonical_from_antisym(q):
@@ -254,17 +267,18 @@ def yamazaki_factorize(mu, split):
     """Factor a cocycle on N^(a+b) into (restriction, restriction, cross pairing).
 
     The pairing is the ratio form alpha(s, t) = mu(s, t)/mu(t, s) on
-    generators, which depends only on the cohomology class; for canonical
-    cocycles it coincides with the raw upper-right block.
+    generators, the upper-right a x b block of :func:`antisymmetrize`, which
+    depends only on the cohomology class; for canonical cocycles it
+    coincides with the raw upper-right block.  A twisted tensor product's
+    cocycle is the opposite of yamazaki_reconstruct(left^op, right^op, alpha),
+    so factorizing its opposite returns (left^op, right^op, alpha).
     """
     a, b = split.left_rank, split.right_rank
     if a + b != mu.rank:
         raise ValueError(f"split ({a},{b}) does not match cocycle rank {mu.rank}")
     left = BimultiplicativeCocycle([row[:a] for row in mu.matrix[:a]])
     right = BimultiplicativeCocycle([row[a:] for row in mu.matrix[a:]])
-    pairing = Pairing(
-        [[mu.entry(i, a + j) / mu.entry(a + j, i) for j in range(b)] for i in range(a)])
-    return left, right, pairing
+    return left, right, Pairing([row[a:] for row in antisymmetrize(mu).matrix[:a]])
 
 
 def yamazaki_reconstruct(nu, xi, alpha):
@@ -276,13 +290,9 @@ def yamazaki_reconstruct(nu, xi, alpha):
     a, b = nu.rank, xi.rank
     if (alpha.left_rank, alpha.right_rank) != (a, b):
         raise ValueError(f"pairing shape {alpha.left_rank}x{alpha.right_rank} does not match ranks {a}, {b}")
-    one = UnitScalar.one()
-    rows = []
-    for i in range(a):
-        rows.append(list(nu.matrix[i]) + list(alpha.matrix[i]))
-    for j in range(b):
-        rows.append([one] * a + list(xi.matrix[j]))
-    return BimultiplicativeCocycle(rows)
+    ones = (UnitScalar.one(),) * a
+    return BimultiplicativeCocycle([row + cross for row, cross in zip(nu.matrix, alpha.matrix)]
+                                   + [ones + row for row in xi.matrix])
 
 
 def is_factorizable(mu, split):

@@ -27,6 +27,13 @@ def _int_arg(value, what):
     raise TypeError(f"{what} must be an int, got {value!r}")
 
 
+def _rank_arg(value, what):
+    """`value` if it is an int >= 0 (TypeError as in `_int_arg`, else ValueError naming `what`)."""
+    if _int_arg(value, what) < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return value
+
+
 class ExponentVector(tuple):
     """Element of N^n: a tuple of nonnegative ints; `+` and `*` raise rather than concatenate or repeat."""
 
@@ -48,11 +55,13 @@ class ExponentVector(tuple):
 
     @classmethod
     def zero(cls, rank):
-        return cls((0,) * _int_arg(rank, "zero vector rank"))
+        return cls((0,) * _rank_arg(rank, "zero vector rank"))
 
     @classmethod
     def unit(cls, rank, index):
-        rank, index = _int_arg(rank, "unit vector rank"), _int_arg(index, "unit vector index")
+        rank, index = _rank_arg(rank, "unit vector rank"), _int_arg(index, "unit vector index")
+        if not rank:
+            raise ValueError(f"rank 0 has no unit vectors, got index {index}")
         if not 0 <= index < rank:
             raise ValueError(f"unit vectors of rank {rank} have an index in 0..{rank - 1}, got {index}")
         entries = [0] * rank
@@ -101,7 +110,8 @@ class MonoidMorphism:
     __slots__ = ("source_rank", "target_rank", "generator_images", "_sparse")
 
     def __init__(self, source_rank, target_rank, generator_images):
-        source_rank, target_rank = _int_arg(source_rank, "source rank"), _int_arg(target_rank, "target rank")
+        source_rank = _rank_arg(source_rank, "source rank")
+        target_rank = _rank_arg(target_rank, "target rank")
         images = tuple(generator_images)
         if len(images) != source_rank:
             raise ValueError(f"expected {source_rank} generator images, got {len(images)}")

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules.
+"""Seeded random generators, and one injected fault, shared by the test modules.
 
 Bounds follow the desk-scale sampling conventions used throughout the suite:
 unit entries have exponents in [-3, 3] and rational coefficients with
@@ -90,3 +90,14 @@ def rand_nonzero_rational(rng, max_coeff=9):
     while num == 0:
         num = rng.randint(-max_coeff, max_coeff)
     return Fraction(num, rng.randint(1, max_coeff))
+
+
+def doubled_from_degree_3(apply):
+    """A faulty `apply` that doubles the image of any element with a term of degree >= 3.
+
+    Generator pairs have degree 2, so they still pass; random samples do not.
+    """
+    def faulty(phi, x):
+        image = apply(phi, x)
+        return image * 2 if any(u.degree() >= 3 for u in x.terms) else image
+    return faulty

@@ -29,6 +29,7 @@ from qtwist import (
     render_poly,
     twist_by,
     twisted_tensor_product,
+    yamazaki_factorize,
     yamazaki_reconstruct,
 )
 
@@ -223,6 +224,24 @@ def test_block_cocycle_matches_tau():
         assert T.cocycle.evaluate(u, v) == alpha.evaluate(sp, t)
 
 
+def test_tensor_cocycle_is_the_opposite_of_a_reconstruction():
+    # tau((s,t),(s',t')) = alpha(s',t) is Yamazaki's sigma over the opposite factors, read backwards
+    rng = random.Random(87)
+    B = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["x0", "x1"])
+    C = TwistedMonoidAlgebra(rand_cocycle(rng, 3), ["y0", "y1", "y2"])
+    alpha = rand_pairing(rng, 2, 3)
+    T = twisted_tensor_product(B, C, alpha)
+
+    def opposite(mu):
+        return BimultiplicativeCocycle(zip(*mu.matrix))
+
+    factors = yamazaki_factorize(opposite(T.cocycle), T.split)
+    assert factors == (opposite(B.cocycle), opposite(C.cocycle), alpha)
+    for _ in range(30):
+        u, v = rand_vector(rng, 5), rand_vector(rng, 5)
+        assert opposite(T.cocycle).evaluate(v, u) == T.cocycle.evaluate(u, v)
+
+
 def test_interchange_law():
     rng = random.Random(82)
     B = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["x0", "x1"])
@@ -255,9 +274,14 @@ def test_embeddings_are_algebra_maps():
 
 
 def test_tensor_shape_mismatch():
-    B, C = polynomial_algebra(2, ["a0", "a1"]), polynomial_algebra(2, ["b0", "b1"])
-    with pytest.raises(ValueError):
-        twisted_tensor_product(B, C, Pairing.trivial(3, 2))
+    B, C = polynomial_algebra(2, ["a0", "a1"]), polynomial_algebra(1, ["b0"])
+    for shape in [(3, 1), (1, 2), (2, 2)]:
+        with pytest.raises(ValueError) as exc:
+            twisted_tensor_product(B, C, Pairing.trivial(*shape))
+        assert str(exc.value) == f"pairing shape {shape[0]}x{shape[1]} does not match ranks 2, 1"
+    # the shape is checked before the generator names
+    with pytest.raises(ValueError, match="pairing shape 2x2"):
+        twisted_tensor_product(B, polynomial_algebra(1, ["a0"]), Pairing.trivial(2, 2))
 
 
 def test_tensor_generator_name_collision():
@@ -674,6 +698,7 @@ def test_parse_element_rejects_empty_product_and_signed_zero():
             parse_element(A, bad)
     # one sign before "0" stays accepted; a negative rational after '+' is a second sign
     assert parse_element(A, "X0 - 0") == parse_element(A, "X0")
+    assert parse_element(A, "0*X0 + X1") == parse_element(A, "X1") == A.generator(1)
     with pytest.raises(ValueError, match="double sign"):
         parse_element(A, "X0 + -3*X1")
 

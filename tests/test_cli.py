@@ -15,8 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtwist import BimultiplicativeCocycle, TruncatedCocycle
+from qtwist import (AntisymmetricMatrix, BimultiplicativeCocycle, ExponentVector, GradedHomomorphism,
+                    TruncatedCocycle, UnitScalar, algebras)
 from qtwist.cli import _KEYS, main
+
+from helpers import doubled_from_degree_3
 
 HERE = pathlib.Path(__file__).parent
 CONFIGS = HERE / "configs"
@@ -291,6 +294,45 @@ def test_table_off_normalization_fails_with_an_identity_violation(tmp_path):
     lines = output.splitlines()
     assert (code, lines[0], lines[-1]) == (
         1, "cocycle.check: fail", '  counterexample: {"identity_violation": [1]}')
+
+
+# -- failure reports, reached by injecting a fault ---------------------------------
+
+def test_sampled_cocycle_check_reports_a_failing_triple(monkeypatch, capsys):
+    real = BimultiplicativeCocycle.evaluate
+
+    def faulty(mu, u, v):  # not a cocycle: the extra factor depends on the first argument only
+        return real(mu, u, v) * UnitScalar(2) ** u[0]
+
+    monkeypatch.setattr(BimultiplicativeCocycle, "evaluate", faulty)
+    code, output = run_cli(argv_for("cocycle_check", ["cocycle", "check"]))
+    report = json.loads(output)
+    assert (code, report["status"], report["payload"], capsys.readouterr().err) == (
+        1, "fail", {"rank": 3, "samples": 50}, "")
+    assert list(report["counterexample"]) == ["triple"]
+    config = json.loads((CONFIGS / "cocycle_check.json").read_text())
+    mu = BimultiplicativeCocycle.from_json(config["cocycle"])
+    x, y, z = map(ExponentVector, report["counterexample"]["triple"])
+    assert faulty(mu, x, y + z) * faulty(mu, y, z) != faulty(mu, x, y) * faulty(mu, x + y, z)
+
+
+def test_algebra_relations_report_the_first_failing_pair(monkeypatch, capsys):
+    monkeypatch.setattr(algebras, "deformation_matrix", lambda a: AntisymmetricMatrix.trivial(a.rank))
+    code, output = run_cli(argv_for("algebra_relations", ["algebra", "relations"]))
+    assert (code, json.loads(output), capsys.readouterr().err) == (
+        1, {"command": "algebra.relations", "status": "fail", "payload": {},
+            "counterexample": {"pair": ["X0", "X1"]}}, "")
+
+
+def test_segre_verify_reports_a_failing_random_pair(monkeypatch, capsys):
+    monkeypatch.setattr(GradedHomomorphism, "apply", doubled_from_degree_3(GradedHomomorphism.apply))
+    code, output = run_cli(argv_for("segre_verify", ["segre", "verify"]))
+    report = json.loads(output)
+    assert (code, report["status"], capsys.readouterr().err) == (1, "fail", "")
+    payload = report["payload"]
+    assert (payload["n"], payload["m"], payload["pass"], payload["seed"]) == (1, 1, False, 7)
+    assert 16 < payload["pairs_checked"] <= 16 + 25  # past the generator pairs, within the samples
+    assert list(report["counterexample"]) == ["pair"] and len(report["counterexample"]["pair"]) == 2
 
 
 def test_set_without_a_value_exits_2(capsys):

@@ -122,6 +122,16 @@ def test_evaluate_rank_mismatch():
     mu = BimultiplicativeCocycle.trivial(2)
     with pytest.raises(ValueError):
         mu.evaluate(ExponentVector((1,)), ExponentVector((1, 0)))
+    v2, v3 = ExponentVector((1, 2)), ExponentVector((1, 0, 1))
+    for u, v in [(v2, v3), (v3, v2), (v3, v3)]:
+        with pytest.raises(ValueError, match="rank mismatch"):
+            mu.evaluate(u, v)
+    alpha = rand_pairing(random.Random(64), 2, 3)
+    a = alpha.entry
+    assert alpha.evaluate(v2, v3) == a(0, 0) * a(0, 2) * a(1, 0) ** 2 * a(1, 2) ** 2
+    for u, v in [(v3, v2), (v2, v2), (v3, v3)]:
+        with pytest.raises(ValueError, match="rank mismatch"):
+            alpha.evaluate(u, v)
 
 
 # -- canonical form and antisymmetrization ------------------------------------
@@ -563,6 +573,18 @@ def test_yamazaki_trivialize_rejects_nontrivial_restriction():
         yamazaki_trivialize(mu_t, ProductSplit(2, 1))
 
 
+def test_yamazaki_trivialize_checks_the_split_and_the_normalization():
+    mu_t = TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(2), 3)
+    with pytest.raises(ValueError) as exc:
+        yamazaki_trivialize(mu_t, ProductSplit(1, 2))
+    assert str(exc.value) == "split rank 3 does not match cocycle rank 2"
+    g, e = ExponentVector((0, 1)), ExponentVector((0, 0))
+    off = mu_t.perturbed(g, e, UnitScalar(2)).perturbed(e, g, UnitScalar(2))
+    with pytest.raises(ValueError) as exc:
+        yamazaki_trivialize(off, ProductSplit(1, 1))
+    assert str(exc.value) == "identity normalization fails: mu([0, 0], [0, 1]) = 2"
+
+
 # -- symmetric trivializer ----------------------------------------------------
 
 def test_symmetric_trivializer_all_ones():
@@ -716,6 +738,41 @@ def test_unit_forms_keep_their_behaviour():
     assert repr(canonical_from_antisym(anti)) == "BimultiplicativeCocycle([['1', 'q'], ['1', '1']])"
     assert repr(anti) == "AntisymmetricMatrix([['1', 'q'], ['q^-1', '1']])"
     assert repr(alpha) == "Pairing([['q', '1', 'q^-1']])"
+
+
+@pytest.mark.parametrize("cls", [BimultiplicativeCocycle, AntisymmetricMatrix])
+@pytest.mark.parametrize("rows", [[[ONE, ONE]], [[ONE], [ONE]]], ids=["1x2", "2x1"])
+def test_square_forms_refuse_a_non_square_matrix(cls, rows):
+    with pytest.raises(ValueError) as exc:
+        cls(rows)
+    assert str(exc.value) == "matrix must be square"
+
+
+@pytest.mark.parametrize("cls", [BimultiplicativeCocycle, AntisymmetricMatrix, Pairing])
+def test_unit_forms_refuse_entries_that_are_not_units(cls):
+    with pytest.raises(TypeError) as exc:
+        cls([[ONE, 2], [1, ONE]])
+    assert str(exc.value) == "matrix entries must be UnitScalar, got 2"
+    with pytest.raises(ValueError) as exc:
+        cls([[ONE, ONE], [ONE]])
+    assert str(exc.value) == "matrix rows must have equal length"
+
+
+@pytest.mark.parametrize("build", [lambda: Pairing([]), lambda: Pairing([[]]), lambda: Pairing([[], []]),
+                                   lambda: Pairing.trivial(0, 2), lambda: Pairing.trivial(2, 0)],
+                         ids=["no-rows", "empty-row", "empty-rows", "trivial-0x2", "trivial-2x0"])
+def test_pairings_need_a_generator_on_each_side(build):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == "pairings need at least one generator on each side"
+
+
+@pytest.mark.parametrize("left,right,shape", [(2, 1, (1, 2)), (2, 1, (2, 2)), (1, 3, (3, 1))])
+def test_reconstruct_needs_the_pairing_shape_of_its_factors(left, right, shape):
+    nu, xi = BimultiplicativeCocycle.trivial(left), BimultiplicativeCocycle.trivial(right)
+    with pytest.raises(ValueError) as exc:
+        yamazaki_reconstruct(nu, xi, Pairing.trivial(*shape))
+    assert str(exc.value) == f"pairing shape {shape[0]}x{shape[1]} does not match ranks {left}, {right}"
 
 
 def test_check_reports_are_one_type():

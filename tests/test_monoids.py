@@ -85,6 +85,23 @@ def test_sizes_and_indices_must_be_ints(build, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: ExponentVector.zero(-1), "zero vector rank must be >= 0, got -1"),
+    (lambda: ExponentVector.unit(-2, 0), "unit vector rank must be >= 0, got -2"),
+    (lambda: MonoidMorphism(0, -3, []), "target rank must be >= 0, got -3"),
+    (lambda: MonoidMorphism(-1, 2, []), "source rank must be >= 0, got -1"),
+    (lambda: MonoidMorphism.identity(-1), "source rank must be >= 0, got -1"),
+    (lambda: ExponentVector.unit(0, 0), "rank 0 has no unit vectors, got index 0"),
+    (lambda: ExponentVector.unit(0, -1), "rank 0 has no unit vectors, got index -1"),
+], ids=["zero-rank", "unit-rank", "morphism-target", "morphism-source", "identity", "unit-of-rank-0",
+        "negative-unit-of-rank-0"])
+def test_ranks_must_not_be_negative(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+    assert ExponentVector.zero(0) == () and MonoidMorphism(0, 2, []).target_rank == 2
+
+
 def test_rank_mismatch_in_addition():
     with pytest.raises(ValueError):
         ExponentVector((1,)) + ExponentVector((1, 2))

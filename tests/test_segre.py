@@ -22,6 +22,7 @@ from qtwist import (
     coboundary_isomorphism,
     kernel_basis,
     kronecker,
+    parse_element,
     random_element,
     render_element,
     segre_morphism,
@@ -35,6 +36,7 @@ from qtwist import (
 
 from helpers import (
     PARAMS,
+    doubled_from_degree_3,
     rand_antisym,
     rand_cocycle,
     rand_nonzero_rational,
@@ -199,6 +201,19 @@ def test_verify_detects_broken_map():
     report = verify_homomorphism(phi, samples=20, seed=0)
     assert not report.passed
     assert report.counterexample is not None
+
+
+def test_verify_reports_a_failing_random_pair(monkeypatch):
+    rng = random.Random(121)
+    phi = build_quantum_segre(1, 2, rand_cocycle(rng, 5)).homomorphism
+    real = GradedHomomorphism.apply
+    monkeypatch.setattr(GradedHomomorphism, "apply", doubled_from_degree_3(real))
+    report = verify_homomorphism(phi, samples=40, seed=9)
+    assert not report.passed and report.seed == 9
+    assert 36 < report.pairs_checked <= 36 + 40  # all 6 x 6 generator pairs passed
+    x, y = (parse_element(phi.source, text) for text in report.counterexample)
+    assert phi(x * y) != phi(x) * phi(y)
+    assert real(phi, x * y) == real(phi, x) * real(phi, y)
 
 
 # -- the generator-pair theorem ------------------------------------------------------
