@@ -28,7 +28,6 @@ R = nu/mu, symmetric because mu and nu are cohomologous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 # BimultiplicativeCocycle stays importable from here.
@@ -45,7 +44,7 @@ from .cocycles import (
     yamazaki_factorize,
     yamazaki_reconstruct,
 )
-from .monoids import ExponentVector, MonoidMorphism, ProductSplit
+from .monoids import ExponentVector, MonoidMorphism, ProductSplit, _Record
 from .scalars import (
     LaurentPolynomial,
     UnitScalar,
@@ -295,8 +294,7 @@ def embed_right(tensor_algebra, y):
                           {split.inject_right(u): p for u, p in y.terms.items()})
 
 
-@dataclass(frozen=True)
-class FactorTwistReport:
+class FactorTwistReport(_Record):
     """Comparison of a twisted tensor-product square.
 
     ``twisted_classical`` is (B (x) C)_mu, the twist of the classical tensor
@@ -305,14 +303,10 @@ class FactorTwistReport:
     governs c*b rather than b*c).  The two cocycles are always cohomologous;
     ``identical`` reports equality on the nose, and ``factorizable`` whether mu
     has trivial cross pairing, in which case the right-hand side is a classical
-    tensor product of twists.
+    tensor product of twists.  The three verdicts are bools.
     """
 
-    twisted_classical: TwistedMonoidAlgebra
-    tensor_of_twists: TwistedMonoidAlgebra
-    cohomologous: bool
-    identical: bool
-    factorizable: bool
+    __slots__ = ("twisted_classical", "tensor_of_twists", "cohomologous", "identical", "factorizable")
 
 
 def factor_twist(left, right, mu):

@@ -44,10 +44,10 @@ returns the one report type :class:`CheckReport`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 # vectors_up_to_degree stays importable from here.
-from .monoids import ExponentVector, graded_count, graded_pairs, graded_vectors, vectors_up_to_degree
+from .monoids import (ExponentVector, _rank_arg, _Record, graded_count, graded_pairs, graded_vectors,
+                      vectors_up_to_degree)
 from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_reader, parse_unit,
                       render_unit)
 
@@ -117,8 +117,9 @@ class _UnitForm:
     @classmethod
     def trivial(cls, rank, right_rank=None):
         """The all-ones form: rank x rank, or rank x right_rank for a pairing."""
-        one = UnitScalar.one()
-        return cls([[one] * (rank if right_rank is None else right_rank) for _ in range(rank)])
+        one, rank = UnitScalar.one(), _rank_arg(rank, "trivial rank")
+        columns = rank if right_rank is None else _rank_arg(right_rank, "trivial right rank")
+        return cls([[one] * columns for _ in range(rank)])
 
     @classmethod
     def from_json(cls, data):
@@ -212,7 +213,7 @@ class AntisymmetricMatrix(_UnitForm):
     @classmethod
     def from_upper(cls, rank, upper):
         """Build from the strict upper triangle, a map (i, j) -> UnitScalar for i < j."""
-        one = UnitScalar.one()
+        one, rank = UnitScalar.one(), _rank_arg(rank, "from_upper rank")
         rows = [[one] * rank for _ in range(rank)]
         for (i, j), q in upper.items():
             if not 0 <= i < j < rank:
@@ -514,18 +515,18 @@ def coboundary(h):
         for u, v in graded_pairs(h.rank, h.degree_bound)})
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of an exact check: an exhaustive cocycle verification or a multiplicativity check.
 
-    A multiplicativity check also records how many pairs it checked and its
-    seed.  The report is true exactly when the check passed.
+    `passed` is a bool.  A multiplicativity check also records how many
+    pairs it checked and its seed; a failed check may carry its
+    `counterexample` tuple.  The report is true exactly when the check passed.
     """
 
-    passed: bool
-    pairs_checked: int | None = None
-    seed: int | None = None
-    counterexample: tuple | None = None
+    __slots__ = ("passed", "pairs_checked", "seed", "counterexample")
+
+    def __init__(self, passed, pairs_checked=None, seed=None, counterexample=None):
+        super().__init__(passed, pairs_checked, seed, counterexample)
 
     def __bool__(self):
         return self.passed

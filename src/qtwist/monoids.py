@@ -10,11 +10,15 @@ of vector/matrix machinery serves both plain and product monoids.
 The graded domain of N^r, the vectors of degree <= D, is enumerated, checked
 and counted here: one degree-ordered tuple, the pair walk |u| + |v| <= D
 over it, and one closed-form count that every other count reduces to.
+
+The argument checks every module shares live here, and so does `_Record`,
+the immutable slotted record base of `ProductSplit` and the library's other
+records: the standard library's generated records would load `inspect` and
+`ast` on import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add, sub
@@ -32,6 +36,47 @@ def _rank_arg(value, what):
     if _int_arg(value, what) < 0:
         raise ValueError(f"{what} must be >= 0, got {value}")
     return value
+
+
+class _Record:
+    """An immutable record whose fields are its `__slots__`, in order.
+
+    Built by position or keyword; equal to a record of the same type with
+    equal fields (never to a tuple), hashed and repr'd by its fields, and
+    copied and pickled by rebuilding through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args + tuple(kwargs[name] for name in names[len(args):])):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class ExponentVector(tuple):
@@ -151,16 +196,15 @@ class MonoidMorphism:
         return [w.to_json() for w in self.generator_images]
 
 
-@dataclass(frozen=True)
-class ProductSplit:
-    """Block boundary identifying N^(a+b) with N^a x N^b."""
+class ProductSplit(_Record):
+    """Block boundary identifying N^(a+b) with N^a x N^b (ranks `left_rank`, `right_rank`)."""
 
-    left_rank: int
-    right_rank: int
+    __slots__ = ("left_rank", "right_rank")
 
-    def __post_init__(self):
-        if min(_int_arg(self.left_rank, "left rank"), _int_arg(self.right_rank, "right rank")) < 1:
+    def __init__(self, left_rank, right_rank):
+        if min(_int_arg(left_rank, "left rank"), _int_arg(right_rank, "right rank")) < 1:
             raise ValueError("both factors of a product split must have rank >= 1")
+        super().__init__(left_rank, right_rank)
 
     @property
     def rank(self):

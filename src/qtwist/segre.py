@@ -21,7 +21,6 @@ it computes c_u, and c_u / c_u0, once per monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .algebras import (  # the homomorphism names stay importable from here
@@ -32,18 +31,14 @@ from .algebras import (  # the homomorphism names stay importable from here
     verify_homomorphism,
 )
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
-from .monoids import ProductSplit, _int_arg, segre_morphism, vectors_of_degree
+from .monoids import ProductSplit, _int_arg, _Record, segre_morphism, vectors_of_degree
 from .scalars import LaurentPolynomial, _exact
 
 
-@dataclass(frozen=True)
-class SegreMap:
-    """Quantum Segre map data: ambient cocycle on N^(n+1) x N^(m+1) plus the homomorphism."""
+class SegreMap(_Record):
+    """Quantum Segre map data: ints `n`, `m`, the `ambient_cocycle` on N^(n+1) x N^(m+1), the `homomorphism`."""
 
-    n: int
-    m: int
-    ambient_cocycle: BimultiplicativeCocycle
-    homomorphism: GradedHomomorphism
+    __slots__ = ("n", "m", "ambient_cocycle", "homomorphism")
 
     @property
     def source(self):

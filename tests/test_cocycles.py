@@ -118,6 +118,24 @@ def test_cocycle_equation_random_triples():
         assert cocycle_equation_holds(mu, x, y, z)
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: BimultiplicativeCocycle.trivial(-2), ValueError, "trivial rank must be >= 0, got -2"),
+    (lambda: AntisymmetricMatrix.from_upper(-1, {}), ValueError, "from_upper rank must be >= 0, got -1"),
+    (lambda: Pairing.trivial(2, -1), ValueError, "trivial right rank must be >= 0, got -1"),
+    (lambda: BimultiplicativeCocycle.trivial(True), TypeError, "trivial rank must be an int, got True"),
+    (lambda: Pairing.trivial(True, 2), TypeError, "trivial rank must be an int, got True"),
+    (lambda: Pairing.trivial(2, True), TypeError, "trivial right rank must be an int, got True"),
+    (lambda: BimultiplicativeCocycle.trivial(2.0), TypeError, "trivial rank must be an int, got 2.0"),
+    (lambda: AntisymmetricMatrix.from_upper(True, {}), TypeError, "from_upper rank must be an int, got True"),
+], ids=["trivial-negative", "from-upper-negative", "pairing-right-negative", "trivial-bool",
+        "pairing-bool", "pairing-right-bool", "trivial-float", "from-upper-bool"])
+def test_unit_form_constructors_check_their_ranks(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+    assert BimultiplicativeCocycle.trivial(0).rank == AntisymmetricMatrix.from_upper(0, {}).rank == 0
+
+
 def test_evaluate_rank_mismatch():
     mu = BimultiplicativeCocycle.trivial(2)
     with pytest.raises(ValueError):
