@@ -172,7 +172,7 @@ class AlgebraElement:
         return not self.terms
 
     def homogeneous_degree(self):
-        """The common degree of all terms, or None if not homogeneous (zero counts as homogeneous)."""
+        """The common degree of all terms; None for zero, and for terms of more than one degree."""
         degrees = set(self.terms)
         if len(degrees) > 1:
             return None
@@ -274,24 +274,23 @@ def twisted_tensor_product(left, right, alpha):
 
 def embed_left(tensor_algebra, x):
     """b |-> b (x) 1 along the split carried by a tensor-product algebra."""
-    split = tensor_algebra.split
-    if split is None:
-        raise ValueError("algebra does not carry a product split")
-    if x.algebra.rank != split.left_rank:
-        raise ValueError("element rank does not match the left factor")
-    return AlgebraElement(tensor_algebra,
-                          {split.inject_left(u): p for u, p in x.terms.items()})
+    return _embed(tensor_algebra, x, ProductSplit.inject_left)
 
 
 def embed_right(tensor_algebra, y):
     """c |-> 1 (x) c along the split carried by a tensor-product algebra."""
+    return _embed(tensor_algebra, y, ProductSplit.inject_right)
+
+
+def _embed(tensor_algebra, x, inject):
+    """x with each term's vector moved by `inject(split, u)`, which checks the vector's rank.
+
+    Zero has no terms, so it embeds as zero whatever algebra it comes from.
+    """
     split = tensor_algebra.split
     if split is None:
         raise ValueError("algebra does not carry a product split")
-    if y.algebra.rank != split.right_rank:
-        raise ValueError("element rank does not match the right factor")
-    return AlgebraElement(tensor_algebra,
-                          {split.inject_right(u): p for u, p in y.terms.items()})
+    return AlgebraElement._trusted(tensor_algebra, {inject(split, u): p for u, p in x.terms.items()})
 
 
 class FactorTwistReport(_Record):
@@ -429,6 +428,18 @@ class GradedHomomorphism:
     def __call__(self, x):
         return self.apply(x)
 
+    def __eq__(self, other):
+        if not isinstance(other, GradedHomomorphism):
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.monoid_morphism == other.monoid_morphism
+                and self.generator_images == other.generator_images)
+
+    def __hash__(self):
+        # Algebras, elements and monoid morphisms are unhashable: hash the hashable parts of the data.
+        return hash((self.source.cocycle, self.source.generator_names, self.target.cocycle,
+                     self.target.generator_names, self.monoid_morphism.generator_images, self._image_units))
+
 
 def verify_homomorphism(phi, samples=100, seed=0):
     """Check phi(x*y) = phi(x)*phi(y) exactly on all generator pairs plus random pairs.
@@ -486,11 +497,10 @@ def coboundary_isomorphism(algebra, mu, nu, samples=50, seed=0):
     `symmetric_trivializer` gives.  Returns the map and its `verify_homomorphism`
     report: every generator pair, then `samples` random element pairs.
     """
-    if mu.rank != algebra.rank or nu.rank != algebra.rank:
-        raise ValueError("cocycle ranks do not match the algebra")
+    source, target = twist_by(algebra, mu), twist_by(algebra, nu)  # each checks its cocycle's rank
     if not cohomologous(mu, nu):
         raise ValueError("cocycles are not cohomologous; no scaling isomorphism exists")
-    phi = DiagonalScaling(twist_by(algebra, mu), twist_by(algebra, nu))
+    phi = DiagonalScaling(source, target)
     return phi, verify_homomorphism(phi, samples, seed)
 
 
@@ -525,18 +535,17 @@ def random_vector(rng, rank, max_entry=4, max_support=3):
 def random_element(algebra, rng, max_terms=3, max_entry=4, max_support=3):
     """A random element with <= max_terms terms and sparse monomials."""
     params = sorted(algebra.parameters())
-    coeffs = {}
+    sums = {}
     for _ in range(rng.randint(1, max_terms)):
         u = random_vector(rng, algebra.rank, max_entry, max_support)
         c = random_unit(rng, params)
-        coeff = coeffs.setdefault(u, {})
-        s = coeff[c.exps] + c.coeff if c.exps in coeff else c.coeff
+        key = u, c.exps
+        sums[key] = sums[key] + c.coeff if key in sums else c.coeff
+    coeffs = {}
+    for (u, exps), s in sums.items():
         if s:
-            coeff[c.exps] = s
-        else:
-            del coeff[c.exps]
-    return AlgebraElement._trusted(
-        algebra, {u: LaurentPolynomial._trusted(coeff) for u, coeff in coeffs.items() if coeff})
+            coeffs.setdefault(u, {})[exps] = s
+    return AlgebraElement._trusted(algebra, {u: LaurentPolynomial._trusted(t) for u, t in coeffs.items()})
 
 
 def random_homogeneous(algebra, rng, max_entry=4, max_support=3):

@@ -335,6 +335,7 @@ class _UnitTable:
     that fails does it walk the table to name the bad key (ValueError).
     `from_function` checks only the values; tables of kernel products
     (`coboundary`, entrywise products, `perturbed`) are built trusted.
+    Tables of one type are equal, and hash equally, by rank, bound and values.
     """
 
     __slots__ = ("rank", "degree_bound", "table")
@@ -364,6 +365,9 @@ class _UnitTable:
         return (self.rank == other.rank and self.degree_bound == other.degree_bound
                 and self.table == other.table)
 
+    def __hash__(self):
+        return hash((self.rank, self.degree_bound, frozenset(self.table.items())))
+
     def __repr__(self):
         return f"{type(self).__name__}(rank={self.rank}, degree_bound={self.degree_bound})"
 
@@ -375,7 +379,7 @@ class TruncatedCocycle(_UnitTable):
     _arity, _key_kind = 2, "a pair of exponent vectors"
     _domain = staticmethod(graded_pairs)
     # bench/spans.py wraps a traced method through its class's own __dict__.
-    __init__, __eq__ = _UnitTable.__init__, _UnitTable.__eq__
+    __init__, __eq__, __hash__ = _UnitTable.__init__, _UnitTable.__eq__, _UnitTable.__hash__
 
     @staticmethod
     def _is_key(key):

@@ -32,7 +32,7 @@ from .algebras import (  # the homomorphism names stay importable from here
 )
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
 from .monoids import ProductSplit, _int_arg, _Record, segre_morphism, vectors_of_degree
-from .scalars import LaurentPolynomial, _exact
+from .scalars import LaurentPolynomial, _specialize_monomial
 
 
 class SegreMap(_Record):
@@ -109,6 +109,9 @@ def kronecker(q, qprime):
 def kernel_basis(segre_map, degree, specialization):
     """Degree-d kernel of the map; the specialization must give every parameter a nonzero rational.
 
+    The parameters are those of the map's two cocycles, checked in name
+    order as `specialize` checks them; values of other names are ignored.
+
     The map sends each source monomial e_u to a unit c_u times the single
     target monomial of degree f(u), so the kernel is the direct sum over the
     fibers of f.  Enumerating the degree-d monomials in order, the first
@@ -130,13 +133,8 @@ def kernel_basis(segre_map, degree, specialization):
     if _int_arg(degree, "kernel degree") < 1:
         raise ValueError("kernel degree must be >= 1")
     phi = segre_map.homomorphism
-    for name, value in specialization.items():
-        if _exact(value, f"value of parameter {name!r}") == 0:
-            raise ValueError(f"parameter {name!r} must specialize to a nonzero rational")
     needed = phi.source.parameters() | phi.target.parameters()
-    missing = sorted(needed - set(specialization))
-    if missing:
-        raise ValueError(f"no value assigned to parameters: {', '.join(missing)}")
+    _specialize_monomial(1, [(name, 1) for name in sorted(needed)], specialization)  # checks each value
 
     images = phi.monoid_morphism._sparse
     base = degree * max((e for image in images for _, e in image), default=0) + 1

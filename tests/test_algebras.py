@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -25,6 +26,9 @@ from qtwist import (
     parse_poly,
     quantum_projective_space,
     random_element,
+    random_homogeneous,
+    random_unit,
+    random_vector,
     render_element,
     render_poly,
     twist_by,
@@ -745,3 +749,127 @@ def test_element_json_terms():
         {"exponents": [1, 0], "coefficient": "2"},
     ]
     assert render_element(x) == "-X1 + 2*X0"
+
+
+# -- every input check and small path, pinned ----------------------------------------
+
+def test_generator_names_are_counted_and_distinct():
+    mu = BimultiplicativeCocycle.trivial(2)
+    for names, message in [(["a"], "expected 2 generator names, got 1"),
+                           (["a", "b", "c"], "expected 2 generator names, got 3"),
+                           (["a", "a"], "generator names must be distinct")]:
+        with pytest.raises(ValueError) as exc:
+            TwistedMonoidAlgebra(mu, names)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_sums_need_one_algebra(op):
+    with pytest.raises(ValueError) as exc:
+        op(polynomial_algebra(2).generator(0), polynomial_algebra(3).generator(0))
+    assert str(exc.value) == "elements live in different algebras"
+
+
+def test_other_types_are_not_algebras_or_elements():
+    A = polynomial_algebra(2)
+    x = A.generator(0)
+    assert A != "A" and A != A.cocycle and not A == 2
+    assert x != "X0" and x != A and not x == 2
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, None)
+    with pytest.raises(TypeError):
+        x * 0.5
+
+
+def test_element_str_and_repr_are_its_literal():
+    A = polynomial_algebra(2)
+    x = parse_element(A, "X0 - 3/2*q*X1^2")
+    assert str(x) == "X0 - 3/2*q*X1^2"
+    assert repr(x) == "AlgebraElement('X0 - 3/2*q*X1^2')"
+    assert str(A.zero()) == "0" and repr(A.zero()) == "AlgebraElement('0')"
+
+
+def test_homogeneous_degree_is_none_for_zero_and_for_mixed_degrees():
+    A = polynomial_algebra(2)
+    assert A.zero().homogeneous_degree() is None
+    assert parse_element(A, "X0 + X1").homogeneous_degree() is None
+    assert parse_element(A, "X0 + q*X0").homogeneous_degree() == ExponentVector((1, 0))
+    assert A.one().homogeneous_degree() == ExponentVector((0, 0))
+
+
+def test_embeddings_need_a_split_and_leave_the_rank_to_it():
+    B, C = polynomial_algebra(2, ["x0", "x1"]), polynomial_algebra(1, ["y0"])
+    T = twisted_tensor_product(B, C, Pairing.trivial(2, 1))
+    for embed, x in [(embed_left, B.generator(1)), (embed_right, C.generator(0))]:
+        with pytest.raises(ValueError) as exc:
+            embed(B, x)
+        assert str(exc.value) == "algebra does not carry a product split"
+    assert embed_left(T, B.generator(1)) == T.generator(1)
+    assert embed_right(T, C.generator(0)) == T.generator(2)
+    cases = [(embed_left, C.generator(0), "inject_left expects rank 2, got 1"),
+             (embed_right, B.generator(0), "inject_right expects rank 1, got 2")]
+    for embed, x, message in cases:
+        with pytest.raises(ValueError) as exc:
+            embed(T, x)
+        assert str(exc.value) == message
+    # zero has no terms, so the split sees no vector to refuse: it embeds as zero from any algebra
+    for embed in (embed_left, embed_right):
+        for zero in (B.zero(), C.zero(), polynomial_algebra(5).zero()):
+            assert embed(T, zero) == T.zero()
+
+
+def test_apply_takes_only_elements_of_the_source():
+    A, B = polynomial_algebra(2), polynomial_algebra(1)
+    g = ExponentVector((1,))
+    phi = GradedHomomorphism(A, B, MonoidMorphism(2, 1, [g, g]), [B.generator(0), B.generator(0)])
+    assert phi(A.generator(1)) == B.generator(0)
+    for x in (B.generator(0), polynomial_algebra(2, ["a", "b"]).generator(0)):
+        with pytest.raises(ValueError) as exc:
+            phi(x)
+        assert str(exc.value) == "element does not belong to the source algebra"
+
+
+def test_coboundary_isomorphism_leaves_the_rank_to_twist_by():
+    A, good, bad = polynomial_algebra(2), BimultiplicativeCocycle.trivial(2), BimultiplicativeCocycle.trivial(3)
+    for mu, nu in [(bad, good), (good, bad), (bad, bad)]:
+        with pytest.raises(ValueError) as exc:
+            coboundary_isomorphism(A, mu, nu)
+        assert str(exc.value) == "cocycle rank 3 does not match algebra rank 2"
+
+
+def test_random_element_is_the_sum_of_its_draws():
+    # one generator, no parameters and entries <= 1: repeated monomials, whose coefficients may cancel
+    A = polynomial_algebra(1)
+    cancelled = 0
+    for seed in range(200):
+        rng, replay = random.Random(seed), random.Random(seed)
+        x = random_element(A, rng, max_terms=4, max_entry=1)
+        total, drawn = A.zero(), set()
+        for _ in range(replay.randint(1, 4)):
+            u = random_vector(replay, 1, 1, 3)
+            total = total + A.basis_element(u, random_unit(replay, []))
+            drawn.add(u)
+        assert x == total and rng.random() == replay.random()
+        assert_canonical(x)
+        cancelled += set(x.terms) != drawn
+    assert cancelled  # some seeds draw a sum that cancels
+
+
+def test_random_homogeneous_is_a_unit_times_one_monomial():
+    A = TwistedMonoidAlgebra(BimultiplicativeCocycle.from_json([["q", "r^2"], ["1", "-1"]]))
+    rng = random.Random(5)
+    drawn = [random_homogeneous(A, rng) for _ in range(6)]
+    assert [render_element(x) for x in drawn] + [rng.randint(0, 10**9)] == [
+        "3*r*X0^2*X1^4",
+        "q^-1*r^-1*X1",
+        "-5/2*q^-2*r^-1*X0^2*X1^4",
+        "-X0^3",
+        "7/4*r^-1*X0^2",
+        "1/3*X0^3*X1",
+        878877094,
+    ]
+    for x in drawn:
+        (u, p), = x.terms.items()
+        assert len(p.terms) == 1 and p.parameters() <= {"q", "r"}
+        assert x.homogeneous_degree() == u

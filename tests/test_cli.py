@@ -9,6 +9,7 @@ reports.  Regenerate them (after an intentional output change) with:
 import io
 import json
 import pathlib
+import runpy
 import sys
 
 import pytest
@@ -238,6 +239,9 @@ BAD_INPUTS = [
     (["cocycle", "check"], _table_with(2, value=["1"]),
      """bad "table": unit literal must be a string, got ['1']"""),
     (["cocycle", "check"], _table_with(0, value=1), 'bad "table": unit literal must be a string, got 1'),
+    # the kernel ignores values of names its map does not use; the CLI refuses undeclared names first
+    (["segre", "kernel", "--degree", "2", "--set", "t=2"], _specialization("1"),
+     'undeclared parameters in "specialization": t'),
 ]
 
 
@@ -258,7 +262,7 @@ BAD_INPUTS = [
                               "empty-morphism", "zero-denominator",
                               "string-morphism-entry", "negative-morphism-entry",
                               "short-morphism-image", "rank-2-table-without-split",
-                              "list-table-value", "numeric-one-table-value"])
+                              "list-table-value", "numeric-one-table-value", "undeclared-specialization"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -371,6 +375,35 @@ def test_toml_config_matches_json_golden(tmp_path):
     path.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in cfg.items()))
     code, output = run_cli(["segre", "verify", "--config", str(path), "--json"])
     assert (code, output) == (0, (GOLDEN / "segre_verify.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML configs need tomllib (Python 3.11+)")
+def test_malformed_toml_config_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.toml"
+    path.write_text("n = [1,\n")
+    code, output = run_cli(["segre", "verify", "--config", str(path)])
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err.startswith("error: malformed TOML config: ")
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 11), reason="Python 3.11+ reads TOML configs")
+def test_toml_config_needs_python_3_11(tmp_path, capsys):
+    path = tmp_path / "cfg.toml"
+    path.write_text("n = 1\n")
+    code, output = run_cli(["segre", "verify", "--config", str(path)])
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == "error: TOML configs need Python 3.11+; use JSON instead\n"
+
+
+@pytest.mark.parametrize("name,tail,expected", [CASES[3], CASES[2]], ids=["pass", "fail"])
+def test_running_the_module_exits_with_mains_code(monkeypatch, capsys, name, tail, expected):
+    # the module runs afresh as __main__, as `python -m qtwist.cli` runs it
+    monkeypatch.delitem(sys.modules, "qtwist.cli")
+    monkeypatch.setattr(sys, "argv", ["qtwist"] + argv_for(name, tail))
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("qtwist.cli", run_name="__main__")
+    assert exc.value.code == expected
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
 # Arbitrary JSON with small integers and short strings: the work a config may ask

@@ -858,6 +858,55 @@ def test_traced_methods_are_in_their_class_namespace(monkeypatch):
     assert missing == []
 
 
+def test_unit_forms_multiply_only_their_own_type():
+    with pytest.raises(TypeError):
+        BimultiplicativeCocycle.trivial(2) * Pairing.trivial(2, 2)
+    with pytest.raises(TypeError):
+        AntisymmetricMatrix.from_upper(2, {}) * BimultiplicativeCocycle.trivial(2)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 0), (0, 2), (-1, 1)])
+def test_from_upper_takes_only_strict_upper_indices(key):
+    with pytest.raises(ValueError) as exc:
+        AntisymmetricMatrix.from_upper(2, {key: UnitScalar.param("q")})
+    assert str(exc.value) == f"upper-triangle index out of range: ({key[0]},{key[1]})"
+
+
+def test_symmetric_trivializer_takes_a_plain_matrix():
+    rng = random.Random(64)
+    c = rand_symmetric_cocycle(rng, 3)
+    h = symmetric_trivializer([list(row) for row in c.matrix])
+    assert h.truncate(3) == symmetric_trivializer(c).truncate(3)
+    assert coboundary(h.truncate(3)) == TruncatedCocycle.truncate(c, 3)
+
+
+def test_tables_look_up_only_their_domain():
+    mu_t = TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(1), 2)
+    h = FunctionOnMonoid.constant_one(2, 1)
+    u, v = ExponentVector((2,)), ExponentVector((1,))
+    assert mu_t.value(u, ExponentVector((0,))) == ONE and h.value(ExponentVector((0, 1))) == ONE
+    for lookup, message in [
+            (lambda: mu_t.value(u, v),
+             "pair (ExponentVector([2]), ExponentVector([1])) is outside the truncated domain"),
+            (lambda: mu_t.value(ExponentVector((0, 0)), ExponentVector((0, 0))),
+             "pair (ExponentVector([0, 0]), ExponentVector([0, 0])) is outside the truncated domain"),
+            (lambda: h.value(ExponentVector((1, 1))), "ExponentVector([1, 1]) is outside the truncated domain"),
+            (lambda: h.value(ExponentVector((0,))), "ExponentVector([0]) is outside the truncated domain")]:
+        with pytest.raises(ValueError) as exc:
+            lookup()
+        assert str(exc.value) == message
+
+
+def test_tables_compare_within_their_type_and_repr_their_shape():
+    mu_t = TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(2), 3)
+    h = FunctionOnMonoid.constant_one(2, 3)
+    assert mu_t != h and h != mu_t and mu_t != mu_t.table and not h == 1
+    assert mu_t == TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(2), 3)
+    assert len({mu_t, coboundary(h), h, FunctionOnMonoid.constant_one(2, 3)}) == 2
+    assert repr(mu_t) == "TruncatedCocycle(rank=2, degree_bound=3)"
+    assert repr(h) == "FunctionOnMonoid(rank=2, degree_bound=3)"
+
+
 def test_truncated_json_roundtrip():
     rng = random.Random(63)
     mu_t = TruncatedCocycle.truncate(rand_cocycle(rng, 2), 4)

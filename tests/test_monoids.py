@@ -228,6 +228,16 @@ def test_morphism_equality_and_json():
     assert f.__eq__(images) is NotImplemented
 
 
+def test_morphism_counts_its_images_and_reprs_its_ranks():
+    with pytest.raises(ValueError) as exc:
+        MonoidMorphism(2, 1, [ExponentVector((1,))])
+    assert str(exc.value) == "expected 2 generator images, got 1"
+    with pytest.raises(ValueError) as exc:
+        MonoidMorphism(1, 1, [ExponentVector((1,))] * 2)
+    assert str(exc.value) == "expected 1 generator images, got 2"
+    assert repr(segre_morphism(1, 2)) == "MonoidMorphism(6 -> 5)"
+
+
 # -- product splits ----------------------------------------------------------
 
 def test_inject_and_split_examples():
@@ -254,6 +264,9 @@ def test_split_validation():
         split.inject_left(ExponentVector((1, 2, 3)))
     with pytest.raises(ValueError):
         split.split(ExponentVector((1, 2, 3)))
+    with pytest.raises(ValueError) as exc:
+        ProductSplit(2, 1).inject_right(ExponentVector((1, 2)))
+    assert str(exc.value) == "inject_right expects rank 1, got 2"
 
 
 # -- degree enumeration ------------------------------------------------------
@@ -286,6 +299,17 @@ def test_enumeration_order_matches_an_independent_oracle():
 @pytest.mark.parametrize("degree", [-1, -2])
 def test_negative_degree_has_no_vectors(rank, degree):
     assert list(vectors_of_degree(rank, degree)) == []
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 2])
+def test_vectors_of_degree_need_rank_one(degree):
+    with pytest.raises(ValueError) as exc:
+        list(vectors_of_degree(0, degree))
+    assert str(exc.value) == "rank must be >= 1"
+    # up to a degree >= 0, the enumeration asks for degree 0 first
+    if degree >= 0:
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            list(vectors_up_to_degree(0, degree))
 
 
 # -- the graded domain and its one count ---------------------------------------

@@ -342,6 +342,27 @@ def test_bools_compare_as_the_ints_they_are():
     assert {P: "one"}.get(True) == "one" and len({P, U, True, 1}) == 1
 
 
+def test_other_types_are_not_scalars():
+    u, p = UnitScalar.param("q"), parse_poly("q + 1")
+    for op in (lambda: u / 2, lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: p - u, lambda: p + u):
+        with pytest.raises(TypeError):
+            op()
+    assert p != "q + 1" and not p == [1] and p.__eq__("q") is NotImplemented
+
+
+def test_str_and_repr_are_the_literal():
+    u, p = parse_unit("-3/2*q^2*r^-1"), parse_poly("q - 2 + q^-1")
+    assert str(u) == "-3/2*q^2*r^-1" and repr(u) == "UnitScalar('-3/2*q^2*r^-1')"
+    assert str(p) == "-2 + q^-1 + q" and repr(p) == "LaurentPolynomial('-2 + q^-1 + q')"
+    assert repr(LaurentPolynomial.zero()) == "LaurentPolynomial('0')"
+
+
+def test_parameters_are_the_names_with_nonzero_exponents():
+    assert parse_poly("q^-1*r + 2*s - q").parameters() == {"q", "r", "s"}
+    assert parse_poly("q*q^-1 + 3").parameters() == set() == LaurentPolynomial.zero().parameters()
+    assert parse_unit("-q^2*r^-1").parameters() == {"q", "r"}
+
+
 def test_equal_values_hash_equally():
     assert len({LaurentPolynomial.one(), 1}) == 1
     # equality is transitive across units, polynomials and rationals, so no set depends on order

@@ -9,6 +9,7 @@ from qtwist import (
     AlgebraElement,
     AntisymmetricMatrix,
     BimultiplicativeCocycle,
+    DiagonalScaling,
     ExponentVector,
     GradedHomomorphism,
     LaurentPolynomial,
@@ -568,16 +569,62 @@ def test_a_map_keeps_only_its_defining_data(kind, warm):
         assert getattr(phi, name) == getattr(twin.homomorphism, name), name
 
 
+@pytest.mark.parametrize("kind", ["bare", "scaled", "wide"])
+def test_maps_compare_and_hash_by_their_defining_data(kind):
+    smap, twin = twin_maps(kind)
+    phi, psi = smap.homomorphism, twin.homomorphism
+    assert phi is not psi and phi == psi and hash(phi) == hash(psi)
+    assert smap == twin and hash(smap) == hash(twin)
+    assert phi != "phi" and phi != smap and not phi == 1
+
+
+def test_maps_differ_when_one_defining_datum_differs():
+    rng = random.Random(136)
+    phi = build_quantum_segre(1, 1, rand_cocycle(rng, 4)).homomorphism
+    A, B, f, images = phi.source, phi.target, phi.monoid_morphism, list(phi.generator_images)
+    same = GradedHomomorphism(A, B, f, images)
+    assert same == phi and hash(same) == hash(phi)
+    B2 = TwistedMonoidAlgebra(rand_cocycle(rng, 4), B.generator_names)
+    f2 = MonoidMorphism(4, 4, f.generator_images[::-1])
+    others = [
+        GradedHomomorphism(TwistedMonoidAlgebra(A.cocycle, ["a", "b", "c", "d"]), B, f, images),
+        GradedHomomorphism(A, B2, f, [B2.basis_element(w) for w in f.generator_images]),
+        GradedHomomorphism(A, B, f2, images[::-1]),
+        GradedHomomorphism(A, B, f, [images[0].scaled(2)] + images[1:]),
+    ]
+    for other in others:
+        assert other != phi and phi != other
+    # a scaling is the graded homomorphism of its data, whichever class built it
+    mu = rand_cocycle(rng, 3)
+    C, D = TwistedMonoidAlgebra(mu), TwistedMonoidAlgebra(mu * rand_symmetric_cocycle(rng, 3))
+    scaling = DiagonalScaling(C, D)
+    general = GradedHomomorphism(C, D, MonoidMorphism.identity(3), [D.generator(k) for k in range(3)])
+    assert scaling == general == scaling and hash(scaling) == hash(general)
+
+
 def test_segre_map_json_roundtrip():
     rng = random.Random(113)
     s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
     data = s.to_json()
     assert data["split"] == [3, 2]
-    from qtwist import SegreMap
     back = SegreMap.from_json(data)
-    assert back.source == s.source and back.target == s.target
+    assert back == s and hash(back) == hash(s) and back.homomorphism is not s.homomorphism
     with pytest.raises(ValueError, match="split"):
         SegreMap.from_json({**data, "split": [2, 3]})
+
+
+def test_kernel_reads_only_the_parameters_of_the_map():
+    s = classical_segre(1, 1)
+    expected = kernel_basis(s, 2, {})
+    for other in ({"t": Fraction(0)}, {"t": 0.5}, {"t": "x", "q": True}):
+        assert kernel_basis(s, 2, other) == expected
+    squant = build_quantum_segre(1, 1, rand_cocycle(random.Random(111), 4))
+    params = sorted(squant.ambient_cocycle.parameters())
+    values = {name: Fraction(2) for name in params[:-1]}
+    with pytest.raises(ValueError) as exc:
+        kernel_basis(squant, 2, values)
+    assert str(exc.value) == f"no value assigned to parameter {params[-1]!r}"
+    assert len(kernel_basis(squant, 2, {**values, params[-1]: -1, "t": 0})) == 1
 
 
 def test_kernel_input_validation():
