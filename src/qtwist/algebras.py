@@ -7,7 +7,8 @@ cocycle of an antisymmetric matrix q gives the quantum projective space with
 relations X_j X_i = q_ji X_i X_j.  Standard monomials are a basis by
 construction, so no rewriting machinery is needed: products, twists, twisted
 tensor products and the scaling isomorphisms between cohomologous twists are
-all exact matrix/unit computations.
+all exact matrix/unit computations.  Two algebras with equal cocycles and
+equal generator names are equal and hash alike, whatever built them.
 
 Products, monomial-map images and element sums add their coefficient terms
 in the int accumulator of ``scalars`` and make one ``Fraction`` per result
@@ -15,8 +16,9 @@ term, with no intermediate unit or polynomial; their results go through the
 unchecked ``AlgebraElement._trusted``.  A coefficient given as a unit, an
 int or a ``Fraction`` is coerced by ``scalars`` too.
 
-Every morphism here is a :class:`GradedHomomorphism`: it sends e_u to a unit
-times one basis monomial.  Such a map with unit generator images is
+Every morphism here is a :class:`GradedHomomorphism`, the factor embeddings
+b |-> b (x) 1 and c |-> 1 (x) c of a tensor product included: it sends e_u
+to a unit times one basis monomial.  Such a map with unit generator images is
 multiplicative exactly when its ratio matrix
 R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, so
 :func:`verify_homomorphism`'s generator pairs decide it and its random pairs
@@ -67,9 +69,9 @@ from .scalars import (
 class TwistedMonoidAlgebra:
     """N^rank-graded algebra with basis e_u and product e_u e_v = mu(u,v) e_{u+v}."""
 
-    __slots__ = ("rank", "cocycle", "generator_names", "split")
+    __slots__ = ("rank", "cocycle", "generator_names")
 
-    def __init__(self, cocycle, generator_names=None, split=None):
+    def __init__(self, cocycle, generator_names=None):
         self.rank = cocycle.rank
         self.cocycle = cocycle
         if generator_names is None:
@@ -80,7 +82,6 @@ class TwistedMonoidAlgebra:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         self.generator_names = names
-        self.split = split
 
     def parameters(self):
         return self.cocycle.parameters()
@@ -106,8 +107,7 @@ class TwistedMonoidAlgebra:
         The term a*K of p e_u times the term b*L of q e_v, with
         mu(u, v) = c*M, contributes abc to the coefficient of K*M*L on e_{u+v}.
         """
-        if not ((x.algebra is self or x.algebra == self)
-                and (y.algebra is self or y.algebra == self)):
+        if x.algebra != self or y.algebra != self:
             raise ValueError("elements do not belong to this algebra")
         matrix = self.cocycle._integer
         right = [(v, _integer_terms(q)) for v, q in y.terms.items()]
@@ -125,10 +125,15 @@ class TwistedMonoidAlgebra:
         return _element(self, out)
 
     def __eq__(self, other):
+        """Equal when the cocycles (which fix the rank) and the generator names are equal."""
+        if other is self:
+            return True
         if not isinstance(other, TwistedMonoidAlgebra):
             return NotImplemented
-        return (self.rank == other.rank and self.cocycle == other.cocycle
-                and self.generator_names == other.generator_names)
+        return self.cocycle == other.cocycle and self.generator_names == other.generator_names
+
+    def __hash__(self):
+        return hash((self.cocycle, self.generator_names))
 
     def __repr__(self):
         return f"TwistedMonoidAlgebra(rank={self.rank}, generators={list(self.generator_names)})"
@@ -184,7 +189,7 @@ class AlgebraElement:
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if not (other.algebra is self.algebra or other.algebra == self.algebra):
+        if other.algebra != self.algebra:
             raise ValueError("elements live in different algebras")
         out = {}
         for x in (self, other):
@@ -218,7 +223,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (self.algebra is other.algebra or self.algebra == other.algebra) and self.terms == other.terms
+        return self.algebra == other.algebra and self.terms == other.terms
 
     def __str__(self):
         return render_element(self)
@@ -250,7 +255,7 @@ def twist_by(algebra, nu):
     """Twist by a further cocycle: the cocycles multiply."""
     if nu.rank != algebra.rank:
         raise ValueError(f"cocycle rank {nu.rank} does not match algebra rank {algebra.rank}")
-    return TwistedMonoidAlgebra(algebra.cocycle * nu, algebra.generator_names, split=algebra.split)
+    return TwistedMonoidAlgebra(algebra.cocycle * nu, algebra.generator_names)
 
 
 def twisted_tensor_product(left, right, alpha):
@@ -263,34 +268,48 @@ def twisted_tensor_product(left, right, alpha):
     block = left's matrix, (b,b) block = right's matrix, (a,b) block all
     ones, and (b,a) block carrying alpha with entry (a+j, i) = alpha_ij.
     With alpha trivial this is the classical tensor product, where the
-    factors commute.
+    factors commute.  The result stores no split: `embed_left` and
+    `embed_right` find each factor as the block of generators whose pulled-back
+    cocycle and names are the factor's, so they accept its elements and those
+    of no other algebra.
     """
     tau = yamazaki_reconstruct(left.cocycle._opposite(), right.cocycle._opposite(), alpha)._opposite()
     names = left.generator_names + right.generator_names
     if len(set(names)) != len(names):
         raise ValueError("generator names of the tensor factors collide")
-    return TwistedMonoidAlgebra(tau, names, split=ProductSplit(left.rank, right.rank))
+    return TwistedMonoidAlgebra(tau, names)
 
 
 def embed_left(tensor_algebra, x):
-    """b |-> b (x) 1 along the split carried by a tensor-product algebra."""
-    return _embed(tensor_algebra, x, ProductSplit.inject_left)
+    """b |-> b (x) 1: x under the map from the leading generators of the tensor algebra.
+
+    With r = x.algebra.rank, the map is the bare-image graded homomorphism
+    along the injection of N^r as the first r coordinates, from the twist
+    by the tensor cocycle pulled back along it, named by the first r
+    generator names.  It applies only to elements of that algebra, so x is
+    accepted exactly when its algebra has that cocycle and those names
+    (algebras are equal by these two, and hash by them).  Any algebra whose
+    leading block pulls back to x's algebra takes x, so the factors of a
+    nested tensor product embed too.  A foreign element, zero included,
+    raises ValueError; so does a rank that leaves no generators for the
+    other factor.
+    """
+    split = ProductSplit(x.algebra.rank, tensor_algebra.rank - x.algebra.rank)
+    return _embed(tensor_algebra, x, split.inject_left)
 
 
 def embed_right(tensor_algebra, y):
-    """c |-> 1 (x) c along the split carried by a tensor-product algebra."""
-    return _embed(tensor_algebra, y, ProductSplit.inject_right)
+    """c |-> 1 (x) c: y under the map from the trailing generators, as in `embed_left`."""
+    split = ProductSplit(tensor_algebra.rank - y.algebra.rank, y.algebra.rank)
+    return _embed(tensor_algebra, y, split.inject_right)
 
 
 def _embed(tensor_algebra, x, inject):
-    """x with each term's vector moved by `inject(split, u)`, which checks the vector's rank.
-
-    Zero has no terms, so it embeds as zero whatever algebra it comes from.
-    """
-    split = tensor_algebra.split
-    if split is None:
-        raise ValueError("algebra does not carry a product split")
-    return AlgebraElement._trusted(tensor_algebra, {inject(split, u): p for u, p in x.terms.items()})
+    """x under the bare-image map from the generators that `inject` places in the tensor algebra."""
+    rank, names = x.algebra.rank, tensor_algebra.generator_names
+    images = [inject(ExponentVector.unit(rank, k)) for k in range(rank)]
+    f = MonoidMorphism(rank, tensor_algebra.rank, images)
+    return GradedHomomorphism._from_pullback(tensor_algebra, f, [names[w.index(1)] for w in images]).apply(x)
 
 
 class FactorTwistReport(_Record):
@@ -358,7 +377,7 @@ class GradedHomomorphism:
             raise ValueError(f"expected {source.rank} generator images, got {len(images)}")
         units = []
         for k, img in enumerate(images):
-            if not (img.algebra is target or img.algebra == target):
+            if img.algebra != target:
                 raise ValueError(f"generator image {k} does not live in the target algebra")
             if len(img.terms) != 1:
                 raise ValueError(f"generator image {k} must be a scalar multiple of a basis monomial")
@@ -404,7 +423,7 @@ class GradedHomomorphism:
         With phi(e_u) = c*M e_w, a coefficient term a*K on e_u adds ac to the
         term K*M on e_w; a lone e_u with image unit 1 keeps its coefficient.
         """
-        if not (x.algebra is self.source or x.algebra == self.source):
+        if x.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
         fibers = {}
         for u, p in x.terms.items():
@@ -436,9 +455,8 @@ class GradedHomomorphism:
                 and self.generator_images == other.generator_images)
 
     def __hash__(self):
-        # Algebras, elements and monoid morphisms are unhashable: hash the hashable parts of the data.
-        return hash((self.source.cocycle, self.source.generator_names, self.target.cocycle,
-                     self.target.generator_names, self.monoid_morphism.generator_images, self._image_units))
+        # Elements and monoid morphisms are unhashable: hash the images' vectors and units instead.
+        return hash((self.source, self.target, self.monoid_morphism.generator_images, self._image_units))
 
 
 def verify_homomorphism(phi, samples=100, seed=0):
@@ -573,11 +591,7 @@ def _parse_term(algebra, token, parameters):
     sign, body = _split_sign(token)
     poly = None
     if body.startswith("("):
-        depth = 0
-        for close, ch in enumerate(body):  # balanced: the sum splitter checked it
-            depth += (ch == "(") - (ch == ")")
-            if depth == 0:
-                break
+        close = body.index(")")  # the sum splitter balanced the term, and coefficients hold no "("
         poly = parse_poly(body[1:close])
         body = body[close + 1:].strip()
         if body and not body.startswith("*"):

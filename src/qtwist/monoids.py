@@ -251,26 +251,27 @@ def segre_morphism(n, m):
 
 
 def vectors_of_degree(rank, degree):
-    """All vectors in N^rank of total degree `degree`, in lexicographic order; none if degree < 0.
+    """All vectors in N^rank of total degree `degree`, in lexicographic order; none if degree < 0."""
+    return _vectors(rank, _int_arg(degree, "degree"), degree)
 
-    Stars and bars: lay out `degree` stars and rank - 1 bars, and let c_i be
-    the number of stars before bar i, so 0 <= c_1 <= ... <= c_(rank-1) <= degree.
-    The entries are the gaps c_1, c_2 - c_1, ..., degree - c_(rank-1), and the
+
+def vectors_up_to_degree(rank, bound):
+    """All vectors in N^rank of total degree <= bound, by increasing degree; none if bound < 0."""
+    return _vectors(rank, 0, _int_arg(bound, "degree bound"))
+
+
+def _vectors(rank, low, high):
+    """The vectors of degree low..high (none below 0), by degree; the rank is checked before any is made.
+
+    Stars and bars: lay out d stars and rank - 1 bars, and let c_i be the
+    number of stars before bar i, so 0 <= c_1 <= ... <= c_(rank-1) <= d.  The
+    entries are the gaps c_1, c_2 - c_1, ..., d - c_(rank-1), and the
     lexicographic order of the c's is that of the vectors.
     """
     if _int_arg(rank, "rank") < 1:
         raise ValueError("rank must be >= 1")
-    if _int_arg(degree, "degree") < 0:
-        return
-    last = (degree,)
-    for c in combinations_with_replacement(range(degree + 1), rank - 1):
-        yield tuple.__new__(ExponentVector, map(sub, c + last, (0,) + c))
-
-
-def vectors_up_to_degree(rank, bound):
-    """All vectors in N^rank of total degree <= bound, by increasing degree."""
-    for d in range(_int_arg(bound, "degree bound") + 1):
-        yield from vectors_of_degree(rank, d)
+    return (tuple.__new__(ExponentVector, map(sub, c + (d,), (0,) + c)) for d in range(max(low, 0), high + 1)
+            for c in combinations_with_replacement(range(d + 1), rank - 1))
 
 
 def graded_count(rank, bound):

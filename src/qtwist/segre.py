@@ -31,6 +31,7 @@ from .algebras import (  # the homomorphism names stay importable from here
     verify_homomorphism,
 )
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
+# ProductSplit stays importable from here.
 from .monoids import ProductSplit, _int_arg, _Record, segre_morphism, vectors_of_degree
 from .scalars import LaurentPolynomial, _specialize_monomial
 
@@ -79,7 +80,7 @@ def build_quantum_segre(n, m, mu):
         raise ValueError(f"ambient cocycle must have rank {n + m + 2}, got {mu.rank}")
     source_names = [f"z{i}{j}" for i in range(n + 1) for j in range(m + 1)]
     target_names = [f"x{i}" for i in range(n + 1)] + [f"y{j}" for j in range(m + 1)]
-    target = TwistedMonoidAlgebra(mu, target_names, split=ProductSplit(n + 1, m + 1))
+    target = TwistedMonoidAlgebra(mu, target_names)
     return SegreMap(n, m, mu, GradedHomomorphism._from_pullback(target, f, source_names))
 
 

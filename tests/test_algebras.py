@@ -13,6 +13,7 @@ from qtwist import (
     LaurentPolynomial,
     MonoidMorphism,
     Pairing,
+    ProductSplit,
     TwistedMonoidAlgebra,
     UnitScalar,
     build_quantum_segre,
@@ -219,7 +220,7 @@ def test_block_cocycle_matches_tau():
     C = polynomial_algebra(3, ["y0", "y1", "y2"])
     alpha = rand_pairing(rng, 2, 3)
     T = twisted_tensor_product(B, C, alpha)
-    split = T.split
+    split = ProductSplit(B.rank, C.rank)
     for _ in range(50):
         s, t = rand_vector(rng, 2), rand_vector(rng, 3)
         sp, tp = rand_vector(rng, 2), rand_vector(rng, 3)
@@ -239,7 +240,7 @@ def test_tensor_cocycle_is_the_opposite_of_a_reconstruction():
     def opposite(mu):
         return BimultiplicativeCocycle(zip(*mu.matrix))
 
-    factors = yamazaki_factorize(opposite(T.cocycle), T.split)
+    factors = yamazaki_factorize(opposite(T.cocycle), ProductSplit(B.rank, C.rank))
     assert factors == (opposite(B.cocycle), opposite(C.cocycle), alpha)
     for _ in range(30):
         u, v = rand_vector(rng, 5), rand_vector(rng, 5)
@@ -252,7 +253,7 @@ def test_interchange_law():
     C = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["y0", "y1"])
     alpha = rand_pairing(rng, 2, 2)
     T = twisted_tensor_product(B, C, alpha)
-    split = T.split
+    split = ProductSplit(B.rank, C.rank)
     for _ in range(50):
         u, v = rand_vector(rng, 2), rand_vector(rng, 2)
         cb, cc = rand_unit(rng), rand_unit(rng)
@@ -693,6 +694,16 @@ def test_parse_element_errors():
             parse_element(A, bad)
 
 
+def test_a_coefficient_ends_at_its_first_closing_parenthesis():
+    # the coefficient grammar has no parentheses, so a nested one is an unbalanced coefficient
+    A = polynomial_algebra(2)
+    for literal in ["((q))*X0", "-((q))*X0", "X1 + ((q + 1))"]:
+        with pytest.raises(ValueError) as exc:
+            parse_element(A, literal)
+        assert str(exc.value) in ("unbalanced parentheses in '(q'", "unbalanced parentheses in '(q + 1'")
+    assert parse_element(A, "(q + 1)*X0 - (2*r)") == parse_element(A, "X0 + q*X0 - 2*r")
+
+
 def test_parse_element_rejects_empty_product_and_signed_zero():
     A = polynomial_algebra(2)
     with pytest.raises(ValueError):
@@ -798,25 +809,88 @@ def test_homogeneous_degree_is_none_for_zero_and_for_mixed_degrees():
     assert A.one().homogeneous_degree() == ExponentVector((0, 0))
 
 
-def test_embeddings_need_a_split_and_leave_the_rank_to_it():
+def test_embeddings_take_any_algebra_whose_block_pulls_back_to_the_factor():
+    # the rule: a block of the target's generators, with the factor's cocycle and names
     B, C = polynomial_algebra(2, ["x0", "x1"]), polynomial_algebra(1, ["y0"])
     T = twisted_tensor_product(B, C, Pairing.trivial(2, 1))
-    for embed, x in [(embed_left, B.generator(1)), (embed_right, C.generator(0))]:
-        with pytest.raises(ValueError) as exc:
-            embed(B, x)
-        assert str(exc.value) == "algebra does not carry a product split"
     assert embed_left(T, B.generator(1)) == T.generator(1)
     assert embed_right(T, C.generator(0)) == T.generator(2)
-    cases = [(embed_left, C.generator(0), "inject_left expects rank 2, got 1"),
-             (embed_right, B.generator(0), "inject_right expects rank 1, got 2")]
-    for embed, x, message in cases:
+    for embed, zero in [(embed_left, B.zero()), (embed_right, C.zero())]:
+        assert embed(T, zero) == T.zero()
+    # so is an algebra built from any cocycle whose blocks are B's and C's
+    mu = BimultiplicativeCocycle.from_json([["1", "1", "q"], ["1", "1", "1"], ["r", "1", "1"]])
+    plain = TwistedMonoidAlgebra(mu, ["x0", "x1", "y0"])
+    assert embed_left(plain, B.generator(0)) == plain.generator(0)
+    assert embed_right(plain, C.generator(0)) == plain.generator(2)
+    # a block must leave the other factor at least one generator
+    for embed, x in [(embed_left, polynomial_algebra(5).zero()), (embed_right, T.generator(0))]:
         with pytest.raises(ValueError) as exc:
             embed(T, x)
-        assert str(exc.value) == message
-    # zero has no terms, so the split sees no vector to refuse: it embeds as zero from any algebra
-    for embed in (embed_left, embed_right):
-        for zero in (B.zero(), C.zero(), polynomial_algebra(5).zero()):
-            assert embed(T, zero) == T.zero()
+        assert str(exc.value) == "both factors of a product split must have rank >= 1"
+
+
+def test_embeddings_refuse_elements_of_other_algebras():
+    rng = random.Random(84)
+    B, C = polynomial_algebra(2, ["x0", "x1"]), polynomial_algebra(1, ["y0"])
+    T = twisted_tensor_product(B, C, Pairing.trivial(2, 1))
+    Q = quantum_projective_space(rand_antisym(rng, 2), ["a0", "a1"])
+    foreign = [
+        (embed_left, Q.generator(0)),                              # the right rank, other names and cocycle
+        (embed_left, Q.zero()),                                    # zero of a foreign algebra
+        (embed_left, polynomial_algebra(2, ["y0", "x1"]).zero()),  # the right rank, other names
+        (embed_left, twist_by(B, Q.cocycle).generator(1)),         # B's names, another cocycle
+        (embed_left, C.generator(0)),                              # the wrong rank: the block is x0 alone
+        (embed_right, B.generator(0)),                             # the wrong rank: the block is x1, y0
+        (embed_right, polynomial_algebra(1, ["x1"]).zero()),       # a block name, but not the trailing one
+    ]
+    for embed, x in foreign:
+        with pytest.raises(ValueError) as exc:
+            embed(T, x)
+        assert str(exc.value) == "element does not belong to the source algebra"
+
+
+def test_a_rebuilt_tensor_algebra_embeds_as_the_tensor_algebra_does():
+    rng = random.Random(85)
+    B = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["x0", "x1"])
+    C = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["y0", "y1"])
+    T = twisted_tensor_product(B, C, rand_pairing(rng, 2, 2))
+    rebuilt = TwistedMonoidAlgebra(T.cocycle, T.generator_names)
+    assert rebuilt == T and hash(rebuilt) == hash(T)
+    for _ in range(10):
+        x, y = random_element(B, rng), random_element(C, rng)
+        assert embed_left(rebuilt, x).terms == embed_left(T, x).terms
+        assert embed_right(rebuilt, y).terms == embed_right(T, y).terms
+
+
+def test_nested_tensor_products_embed_through_each_level():
+    rng = random.Random(86)
+    B = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["x0", "x1"])
+    C = TwistedMonoidAlgebra(rand_cocycle(rng, 1), ["y0"])
+    D = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["z0", "z1"])
+    BC = twisted_tensor_product(B, C, rand_pairing(rng, 2, 1))
+    T = twisted_tensor_product(BC, D, rand_pairing(rng, 3, 2))
+    for _ in range(10):
+        x, y, z = random_element(B, rng), random_element(C, rng), random_element(D, rng)
+        # B is the leading block of B (x) C and of (B (x) C) (x) D alike
+        assert embed_left(T, embed_left(BC, x)) == embed_left(T, x)
+        yz = embed_left(T, embed_right(BC, y)) * embed_right(T, z)
+        assert yz.terms == {ExponentVector((0, 0) + tuple(u) + tuple(v)): p * q
+                            for u, p in y.terms.items() for v, q in z.terms.items()}
+    # C sits in the middle of T: as a right factor it is a block of B (x) C only
+    with pytest.raises(ValueError, match="does not belong to the source algebra"):
+        embed_right(T, C.generator(0))
+
+
+def test_equal_algebras_hash_alike():
+    rng = random.Random(88)
+    mu = rand_cocycle(rng, 3)
+    A = TwistedMonoidAlgebra(mu, ["a", "b", "c"])
+    same = TwistedMonoidAlgebra(BimultiplicativeCocycle(mu.matrix), ("a", "b", "c"))
+    assert A is not same and A == same and hash(A) == hash(same)
+    assert len({A, same, twist_by(A, BimultiplicativeCocycle.trivial(3))}) == 1
+    assert A != TwistedMonoidAlgebra(mu, ["a", "c", "b"])
+    q = BimultiplicativeCocycle.from_json([["q", "1", "1"], ["1", "1", "1"], ["1", "1", "1"]])
+    assert A != twist_by(A, q)
 
 
 def test_apply_takes_only_elements_of_the_source():

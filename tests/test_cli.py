@@ -153,6 +153,14 @@ def test_kernel_zero_specialization_is_input_error():
     assert code == 2
 
 
+def test_nested_parenthesized_coefficient_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_with("algebra_mul", x="((q))*X0")))
+    code, output = run_cli(["algebra", "mul", "--config", str(path), "--json"])
+    assert (code, output) == (2, "")
+    assert "unbalanced parentheses in '(q'" in capsys.readouterr().err
+
+
 def _config_with(name, drop=(), **changes):
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg.update(changes)

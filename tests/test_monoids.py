@@ -312,6 +312,14 @@ def test_vectors_of_degree_need_rank_one(degree):
             list(vectors_up_to_degree(0, degree))
 
 
+@pytest.mark.parametrize("bound", [-2, -1, 0, 2])
+def test_rank_zero_is_refused_before_anything_is_enumerated(bound):
+    for enumerate_ in (vectors_of_degree, vectors_up_to_degree):
+        with pytest.raises(ValueError) as exc:
+            enumerate_(0, bound)  # the call refuses it; no iteration is needed
+        assert str(exc.value) == "rank must be >= 1"
+
+
 # -- the graded domain and its one count ---------------------------------------
 
 @pytest.mark.parametrize("rank", range(1, 6))
