@@ -46,10 +46,11 @@ from .cocycles import (
     yamazaki_factorize,
     yamazaki_reconstruct,
 )
-from .monoids import ExponentVector, MonoidMorphism, ProductSplit, _Record
+from .monoids import ExponentVector, MonoidMorphism, ProductSplit, _rank_arg, _Record, _vector_arg
 from .scalars import (
     LaurentPolynomial,
     UnitScalar,
+    _FACTOR_RE,
     _accumulate,
     _coefficient,
     _integer_form,
@@ -67,7 +68,12 @@ from .scalars import (
 
 
 class TwistedMonoidAlgebra:
-    """N^rank-graded algebra with basis e_u and product e_u e_v = mu(u,v) e_{u+v}."""
+    """N^rank-graded algebra with basis e_u and product e_u e_v = mu(u,v) e_{u+v}.
+
+    Its generator names are read back by `parse_element`, so each must be a
+    name of the literal grammar (a letter, then letters, digits or `_`) that
+    is not a parameter of the cocycle; the names must be distinct.
+    """
 
     __slots__ = ("rank", "cocycle", "generator_names")
 
@@ -79,6 +85,13 @@ class TwistedMonoidAlgebra:
         names = tuple(generator_names)
         if len(names) != self.rank:
             raise ValueError(f"expected {self.rank} generator names, got {len(names)}")
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError(f"generator names must be strings, got {name!r}")
+            if not _FACTOR_RE.fullmatch(name) or "^" in name:  # a grammar factor with no exponent
+                raise ValueError(f"generator name {name!r} is not a name of the literal grammar")
+            if name in cocycle.parameters():
+                raise ValueError(f"generator name {name!r} is a parameter of the cocycle")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         self.generator_names = names
@@ -157,8 +170,7 @@ class AlgebraElement:
     def __init__(self, algebra, terms):
         clean = {}
         for u, p in terms.items():
-            if u.rank != algebra.rank:
-                raise ValueError(f"term {u!r} does not match algebra rank {algebra.rank}")
+            _vector_arg(u, algebra.rank, "term")
             p = _coefficient(p)
             if p.terms:
                 clean[u] = p
@@ -410,7 +422,7 @@ class GradedHomomorphism:
 
     def image_of_basis(self, u):
         """(unit, degree) with phi(e_u) = unit * e_degree in the target."""
-        degree = self.monoid_morphism(u)  # checks the rank first
+        degree = self.monoid_morphism(u)  # checks the vector and its rank first
         return self._unit(u), degree
 
     def _unit(self, u):
@@ -467,7 +479,9 @@ def verify_homomorphism(phi, samples=100, seed=0):
     makes the map multiplicative everywhere.  The random pairs (<= 3-term
     elements with sparse exponents <= 4, deterministic given the seed) are a
     self-test of `multiply` and `apply`.  Reports the first counterexample.
+    `samples` must be an int >= 0 (not a bool).
     """
+    samples = _rank_arg(samples, "samples")
     source = phi.source
     generators = [source.generator(k) for k in range(source.rank)]
     images = [phi(x) for x in generators]

@@ -46,8 +46,8 @@ from __future__ import annotations
 import operator
 
 # vectors_up_to_degree stays importable from here.
-from .monoids import (ExponentVector, _rank_arg, _Record, graded_count, graded_pairs, graded_vectors,
-                      vectors_up_to_degree)
+from .monoids import (ExponentVector, _rank_arg, _Record, _vector_arg, graded_count, graded_pairs,
+                      graded_vectors, vectors_up_to_degree)
 from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_reader, parse_unit,
                       render_unit)
 
@@ -133,10 +133,9 @@ class _UnitForm:
 
     def _evaluate(self, u, v):
         """M(u, v) = prod M_ij^(u_i v_j) for u, v of the form's row and column ranks; exact."""
-        if (u.rank, v.rank) != self._shape:
-            raise ValueError(
-                f"rank mismatch: {type(self).__name__} of ranks {self._shape}, got {u.rank}, {v.rank}")
-        return _bilinear_unit(self._integer, u, v)
+        rows, columns = self._shape
+        return _bilinear_unit(self._integer, _vector_arg(u, rows, "left argument"),
+                              _vector_arg(v, columns, "right argument"))
 
     def _opposite(self):
         """The opposite form (u, v) |-> M(v, u): the transpose."""
@@ -639,9 +638,7 @@ class ClosedFormFunction:
         self._fn = fn
 
     def __call__(self, u):
-        if u.rank != self.rank:
-            raise ValueError(f"rank mismatch: expected {self.rank}, got {u.rank}")
-        return self._fn(u)
+        return self._fn(_vector_arg(u, self.rank, "closed-form function argument"))
 
     def truncate(self, degree_bound):
         return FunctionOnMonoid.from_function(self.rank, degree_bound, self._fn)

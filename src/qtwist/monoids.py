@@ -11,10 +11,11 @@ The graded domain of N^r, the vectors of degree <= D, is enumerated, checked
 and counted here: one degree-ordered tuple, the pair walk |u| + |v| <= D
 over it, and one closed-form count that every other count reduces to.
 
-The argument checks every module shares live here, and so does `_Record`,
-the immutable slotted record base of `ProductSplit` and the library's other
-records: the standard library's generated records would load `inspect` and
-`ast` on import.
+The argument checks every module shares live here: `_int_arg` for a size
+or an index, `_rank_arg` for a rank, and `_vector_arg` for an exponent
+vector of a given rank.  So does `_Record`, the immutable slotted record
+base of `ProductSplit` and the library's other records: the standard
+library's generated records would load `inspect` and `ast` on import.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ def _rank_arg(value, what):
     if _int_arg(value, what) < 0:
         raise ValueError(f"{what} must be >= 0, got {value}")
     return value
+
+
+def _vector_arg(u, rank, what):
+    """`u` if it is an ExponentVector of rank `rank`; else TypeError, or ValueError on the rank, naming `what`."""
+    if not isinstance(u, ExponentVector):
+        raise TypeError(f"{what} must be an ExponentVector, got {u!r}")
+    if len(u) != rank:
+        raise ValueError(f"rank mismatch: {what} must have rank {rank}, got {len(u)}")
+    return u
 
 
 class _Record:
@@ -161,8 +171,7 @@ class MonoidMorphism:
         if len(images) != source_rank:
             raise ValueError(f"expected {source_rank} generator images, got {len(images)}")
         for w in images:
-            if w.rank != target_rank:
-                raise ValueError(f"generator image {w!r} does not have rank {target_rank}")
+            _vector_arg(w, target_rank, "generator image")
         self.source_rank = source_rank
         self.target_rank = target_rank
         self.generator_images = images
@@ -173,8 +182,7 @@ class MonoidMorphism:
         return cls(rank, rank, [ExponentVector.unit(rank, i) for i in range(rank)])
 
     def __call__(self, u):
-        if len(u) != self.source_rank:
-            raise ValueError(f"rank mismatch: morphism expects rank {self.source_rank}, got {len(u)}")
+        _vector_arg(u, self.source_rank, "morphism argument")
         acc = [0] * self.target_rank
         for uk, image in zip(u, self._sparse):
             if uk:
@@ -212,20 +220,17 @@ class ProductSplit(_Record):
 
     def inject_left(self, u):
         """(s, e_T): pad with zeros on the right block."""
-        if u.rank != self.left_rank:
-            raise ValueError(f"inject_left expects rank {self.left_rank}, got {u.rank}")
+        _vector_arg(u, self.left_rank, "inject_left argument")
         return ExponentVector._trusted(tuple(u) + (0,) * self.right_rank)
 
     def inject_right(self, v):
         """(e_S, t): pad with zeros on the left block."""
-        if v.rank != self.right_rank:
-            raise ValueError(f"inject_right expects rank {self.right_rank}, got {v.rank}")
+        _vector_arg(v, self.right_rank, "inject_right argument")
         return ExponentVector._trusted((0,) * self.left_rank + tuple(v))
 
     def split(self, w):
         """Inverse of the injections on the respective blocks."""
-        if w.rank != self.rank:
-            raise ValueError(f"split expects rank {self.rank}, got {w.rank}")
+        _vector_arg(w, self.rank, "split argument")
         return (ExponentVector._trusted(w[:self.left_rank]),
                 ExponentVector._trusted(w[self.left_rank:]))
 

@@ -8,6 +8,7 @@ from qtwist import (
     AlgebraElement,
     AntisymmetricMatrix,
     BimultiplicativeCocycle,
+    DiagonalScaling,
     ExponentVector,
     GradedHomomorphism,
     LaurentPolynomial,
@@ -32,8 +33,11 @@ from qtwist import (
     random_vector,
     render_element,
     render_poly,
+    segre_morphism,
+    symmetric_trivializer,
     twist_by,
     twisted_tensor_product,
+    verify_homomorphism,
     yamazaki_factorize,
     yamazaki_reconstruct,
 )
@@ -513,7 +517,7 @@ def test_rank_rules_are_reported_by_the_callee():
     A = polynomial_algebra(2)
     with pytest.raises(ValueError) as exc:
         A.basis_element(ExponentVector((1, 0, 0)))
-    assert str(exc.value) == "term ExponentVector([1, 0, 0]) does not match algebra rank 2"
+    assert str(exc.value) == "rank mismatch: term must have rank 2, got 3"
     with pytest.raises(ValueError) as exc:
         factor_twist(A, polynomial_algebra(1, ["Y0"]), BimultiplicativeCocycle.trivial(2))
     assert str(exc.value) == "cocycle rank 2 does not match algebra rank 3"
@@ -772,6 +776,93 @@ def test_generator_names_are_counted_and_distinct():
         with pytest.raises(ValueError) as exc:
             TwistedMonoidAlgebra(mu, names)
         assert str(exc.value) == message
+
+
+def _cocycle(rows):
+    return BimultiplicativeCocycle.from_json(rows)
+
+
+@pytest.mark.parametrize("names,error,message", [
+    ([1, 2], TypeError, "generator names must be strings, got 1"),
+    ("X0", ValueError, "generator name '0' is not a name of the literal grammar"),
+    (["a b", "c"], ValueError, "generator name 'a b' is not a name of the literal grammar"),
+    (["1", "y"], ValueError, "generator name '1' is not a name of the literal grammar"),
+    (["x^2", "y"], ValueError, "generator name 'x^2' is not a name of the literal grammar"),
+    (["q", "y"], ValueError, "generator name 'q' is a parameter of the cocycle"),
+], ids=["ints", "string", "space", "digit", "power", "parameter"])
+def test_generator_names_are_grammar_names_that_are_not_parameters(names, error, message):
+    mu = _cocycle([["1", "q"], ["1", "1"]])
+    with pytest.raises(error) as exc:
+        TwistedMonoidAlgebra(mu, names)
+    assert str(exc.value) == message
+
+
+def test_generator_names_round_trip_through_the_literal_grammar():
+    A = TwistedMonoidAlgebra(_cocycle([["1", "q"], ["1", "1"]]), ["x_1", "Y2"])
+    x = A.generator(0) * A.generator(1) - A.generator(1) * A.generator(1)
+    assert render_element(x) == "-Y2^2 + q*x_1*Y2"
+    assert parse_element(A, render_element(x)) == x
+
+
+def _vector_sites():
+    """(id, rank, call) for every public entry point that takes an exponent vector."""
+    A_mu = TwistedMonoidAlgebra(_cocycle([["1", "2"], ["3", "1"]]))
+    A_nu = TwistedMonoidAlgebra(_cocycle([["1", "6"], ["1", "1"]]))
+    mu, alpha, split = A_mu.cocycle, Pairing.trivial(2, 1), ProductSplit(2, 1)
+    e2, e1 = ExponentVector((0, 0)), ExponentVector((0,))
+    phi = build_quantum_segre(1, 1, BimultiplicativeCocycle.trivial(4)).homomorphism
+    return [
+        ("MonoidMorphism.__init__", 2, lambda u: MonoidMorphism(1, 2, [u])),
+        ("MonoidMorphism.__call__", 4, segre_morphism(1, 1)),
+        ("ProductSplit.inject_left", 2, split.inject_left),
+        ("ProductSplit.inject_right", 1, split.inject_right),
+        ("ProductSplit.split", 3, split.split),
+        ("cocycle.evaluate left", 2, lambda u: mu.evaluate(u, e2)),
+        ("cocycle.evaluate right", 2, lambda u: mu.evaluate(e2, u)),
+        ("Pairing.evaluate left", 2, lambda u: alpha.evaluate(u, e1)),
+        ("Pairing.evaluate right", 1, lambda u: alpha.evaluate(e2, u)),
+        ("ClosedFormFunction.__call__", 1, symmetric_trivializer(BimultiplicativeCocycle.trivial(1))),
+        ("basis_element", 2, A_mu.basis_element),
+        ("element", 2, lambda u: A_mu.element({u: 1})),
+        ("image_of_basis", 4, phi.image_of_basis),
+        ("DiagonalScaling.scale", 2, DiagonalScaling(A_mu, A_nu).scale),
+    ]
+
+
+_NOT_VECTORS = {
+    "tuple": lambda rank: (1,) + (0,) * (rank - 1),
+    "list": lambda rank: [1] + [0] * (rank - 1),
+    "negative": lambda rank: (-1,) + (2,) * (rank - 1),
+    "float": lambda rank: (1.5,) + (0,) * (rank - 1),
+}
+
+
+@pytest.mark.parametrize("name,rank,call", [pytest.param(*site, id=site[0]) for site in _vector_sites()])
+@pytest.mark.parametrize("kind", [*_NOT_VECTORS, "wrong rank"])
+def test_every_exponent_vector_argument_is_checked_by_one_rule(name, rank, call, kind):
+    if kind == "wrong rank":
+        with pytest.raises(ValueError, match=f"rank mismatch: .* must have rank {rank}, got {rank + 1}"):
+            call(ExponentVector((1,) * (rank + 1)))
+        return
+    # A list is no dict key, so Python refuses it as a term before the term check runs.
+    unhashable = kind == "list" and name in ("basis_element", "element")
+    with pytest.raises(TypeError, match="unhashable type" if unhashable else "must be an ExponentVector, got"):
+        call(_NOT_VECTORS[kind](rank))
+
+
+@pytest.mark.parametrize("samples,error,message", [
+    (-1, ValueError, "samples must be >= 0, got -1"),
+    (True, TypeError, "samples must be an int, got True"),
+], ids=["negative", "bool"])
+def test_verify_homomorphism_checks_samples(samples, error, message):
+    phi = build_quantum_segre(1, 1, BimultiplicativeCocycle.trivial(4)).homomorphism
+    mu = BimultiplicativeCocycle.trivial(2)
+    for run in (lambda: verify_homomorphism(phi, samples),
+                lambda: coboundary_isomorphism(polynomial_algebra(2), mu, mu, samples)):
+        with pytest.raises(error) as exc:
+            run()
+        assert str(exc.value) == message
+    assert verify_homomorphism(phi, 0).pairs_checked == 16
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub])

@@ -17,7 +17,7 @@ from qtwist import (
     vectors_of_degree,
     vectors_up_to_degree,
 )
-from qtwist.monoids import graded_count, graded_pairs, graded_vectors
+from qtwist.monoids import _vector_arg, graded_count, graded_pairs, graded_vectors
 
 from helpers import rand_vector
 
@@ -266,7 +266,18 @@ def test_split_validation():
         split.split(ExponentVector((1, 2, 3)))
     with pytest.raises(ValueError) as exc:
         ProductSplit(2, 1).inject_right(ExponentVector((1, 2)))
-    assert str(exc.value) == "inject_right expects rank 1, got 2"
+    assert str(exc.value) == "rank mismatch: inject_right argument must have rank 1, got 2"
+
+
+def test_vector_arg_names_the_argument_in_both_messages():
+    u = ExponentVector((1, 2))
+    assert _vector_arg(u, 2, "u") is u
+    with pytest.raises(TypeError) as exc:
+        _vector_arg((1, 2), 2, "u")
+    assert str(exc.value) == "u must be an ExponentVector, got (1, 2)"
+    with pytest.raises(ValueError) as exc:
+        _vector_arg(u, 3, "u")
+    assert str(exc.value) == "rank mismatch: u must have rank 3, got 2"
 
 
 # -- degree enumeration ------------------------------------------------------
