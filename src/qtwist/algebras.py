@@ -72,7 +72,8 @@ class TwistedMonoidAlgebra:
 
     Its generator names are read back by `parse_element`, so each must be a
     name of the literal grammar (a letter, then letters, digits or `_`) that
-    is not a parameter of the cocycle; the names must be distinct.
+    is not a parameter of the cocycle; the names must be distinct, and come
+    as a sequence of strings, never as one string.
     """
 
     __slots__ = ("rank", "cocycle", "generator_names")
@@ -82,6 +83,8 @@ class TwistedMonoidAlgebra:
         self.cocycle = cocycle
         if generator_names is None:
             generator_names = [f"X{i}" for i in range(self.rank)]
+        if isinstance(generator_names, str):
+            raise TypeError(f"generator names must be a sequence of names, got the string {generator_names!r}")
         names = tuple(generator_names)
         if len(names) != self.rank:
             raise ValueError(f"expected {self.rank} generator names, got {len(names)}")
@@ -163,7 +166,11 @@ def _element(algebra, out):
 
 
 class AlgebraElement:
-    """Sparse finite sum of Laurent-polynomial coefficients over basis monomials."""
+    """Sparse finite sum of Laurent-polynomial coefficients over basis monomials.
+
+    No coefficient parameter may be a generator name of the algebra, so that
+    `parse_element` reads `render_element`'s literal back as the same element.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -172,6 +179,9 @@ class AlgebraElement:
         for u, p in terms.items():
             _vector_arg(u, algebra.rank, "term")
             p = _coefficient(p)
+            clash = p.parameters().intersection(algebra.generator_names)
+            if clash:
+                raise ValueError(f"coefficient parameter {min(clash)!r} is a generator name of the algebra")
             if p.terms:
                 clean[u] = p
         self.algebra = algebra
@@ -286,10 +296,7 @@ def twisted_tensor_product(left, right, alpha):
     of no other algebra.
     """
     tau = yamazaki_reconstruct(left.cocycle._opposite(), right.cocycle._opposite(), alpha)._opposite()
-    names = left.generator_names + right.generator_names
-    if len(set(names)) != len(names):
-        raise ValueError("generator names of the tensor factors collide")
-    return TwistedMonoidAlgebra(tau, names)
+    return TwistedMonoidAlgebra(tau, left.generator_names + right.generator_names)
 
 
 def embed_left(tensor_algebra, x):
@@ -592,16 +599,12 @@ def random_homogeneous(algebra, rng, max_entry=4, max_support=3):
 # ---------------------------------------------------------------------------
 
 
-def parse_element(algebra, text, parameters=None):
-    """Parse an element literal; names that are not generators are coefficient parameters.
-
-    If `parameters` is given, any non-generator name must be in it (unknown
-    names raise ValueError).
-    """
-    return _parse_sum(text, lambda token: _parse_term(algebra, token, parameters), algebra.zero())
+def parse_element(algebra, text):
+    """Parse an element literal; names that are not generators are coefficient parameters."""
+    return _parse_sum(text, lambda token: _parse_term(algebra, token), algebra.zero())
 
 
-def _parse_term(algebra, token, parameters):
+def _parse_term(algebra, token):
     sign, body = _split_sign(token)
     poly = None
     if body.startswith("("):
@@ -622,8 +625,6 @@ def _parse_term(algebra, token, parameters):
             if e < 1:
                 raise ValueError(f"generator exponents must be positive: {name}^{e} in {token!r}")
             entries[names.index(name)] += e
-        elif parameters is not None and name not in parameters:
-            raise ValueError(f"unknown generator or parameter name {name!r}")
         else:
             params.append((name, e))
     coeff = LaurentPolynomial.from_unit(UnitScalar(coeff, params))

@@ -20,11 +20,13 @@ functions h share one body: the domain is enumerated, checked (rank >= 1
 and bound >= 0) and counted by ``monoids``, once per call, every value a
 caller gives is checked to be a unit, and the public constructors also
 check the key types, the key count and each domain key.
-Evaluation, coboundary values and the exhaustive cocycle check run on the
-integer kernel of ``scalars``: each value or triple is one product of
-(numerator, denominator, exponents) entries, and the check compares
-numerator with denominator, with no Fraction at all.  The check reads the
-triples whose first entry is a generator, which decide all the others.
+Evaluation, coboundary values and both cocycle checks run on the integer
+kernel of ``scalars``: each value or triple is one product of (numerator,
+denominator, exponents) entries, and one helper decides a triple for both
+checks by comparing numerator with denominator, with no Fraction at all.
+The exhaustive check of a table reads the triples whose first entry is a
+generator, which decide all the others; the sampled check of a
+bimultiplicative cocycle draws seeded random triples.
 A pullback entry mu(f e_k, f e_l) is one such product too, over the sparse
 generator images of f.
 
@@ -44,6 +46,7 @@ returns the one report type :class:`CheckReport`.
 from __future__ import annotations
 
 import operator
+import random
 
 # vectors_up_to_degree stays importable from here.
 from .monoids import (ExponentVector, _rank_arg, _Record, _vector_arg, graded_count, graded_pairs,
@@ -519,7 +522,7 @@ def coboundary(h):
 
 
 class CheckReport(_Record):
-    """Outcome of an exact check: an exhaustive cocycle verification or a multiplicativity check.
+    """Outcome of an exact check: a cocycle verification or a multiplicativity check.
 
     `passed` is a bool.  A multiplicativity check also records how many
     pairs it checked and its seed; a failed check may carry its
@@ -542,6 +545,16 @@ class CheckReport(_Record):
 CocycleCheck = CheckReport
 
 
+def _triple_holds(a, b, c, d):
+    """The cocycle identity at one triple, mu(x, y+z) mu(y, z) = mu(x, y) mu(x+y, z).
+
+    a, b, c and d are those four values in integer form, in that order:
+    a*b / (c*d) is one `_power` product, and it must come to 1.
+    """
+    num, den, exps = _power(((a, 1), (b, 1), (c, -1), (d, -1)))
+    return num == den and not exps
+
+
 def verify_cocycle_equation(mu_t):
     """Decide the cocycle identity on the whole truncated domain |x|+|y|+|z| <= D.
 
@@ -556,8 +569,8 @@ def verify_cocycle_equation(mu_t):
     it is 1 for x = 0 (by the normalization) and for x = e_i.  The scan runs
     in the degree order of the full scan, which reaches every generator x
     before any other, so on failure the returned report carries the full
-    scan's first offending triple (or ("identity", u)).  Each triple is one
-    product over the integer forms of the table, which must come to 1.
+    scan's first offending triple (or ("identity", u)).  Each triple is
+    decided by `_triple_holds` over the integer forms of the table.
     """
     n, bound, table = mu_t.rank, mu_t.degree_bound, mu_t.table
     vectors = graded_vectors(n, bound)
@@ -572,10 +585,30 @@ def verify_cocycle_equation(mu_t):
         for y in vectors[:graded_count(n, rest)]:
             xy, mu_xy = vec(map(operator.add, x, y)), forms[(x, y)]
             for z in vectors[:graded_count(n, rest - sum(y))]:
-                num, den, exps = _power(((forms[(x, vec(map(operator.add, y, z)))], 1), (forms[(y, z)], 1),
-                                         (mu_xy, -1), (forms[(xy, z)], -1)))
-                if num != den or exps:
+                if not _triple_holds(forms[(x, vec(map(operator.add, y, z)))], forms[(y, z)],
+                                     mu_xy, forms[(xy, z)]):
                     return CheckReport(False, counterexample=(x, y, z))
+    return CheckReport(True)
+
+
+def sample_cocycle_equation(mu, samples=100, seed=0):
+    """Test the cocycle identity of a bimultiplicative cocycle on `samples` random triples.
+
+    x, y and z are drawn in that order from ``random.Random(seed)``, each
+    entry uniform in 0..5, so the check is deterministic given the seed.  A
+    bimultiplicative cocycle satisfies the identity everywhere, so this is a
+    self-test of evaluation; on failure the report carries the first
+    offending (x, y, z).  Each value is one integer-kernel product, and each
+    triple is decided by `_triple_holds`.  `samples` must be an int >= 0
+    (not a bool).
+    """
+    rng, vec = random.Random(seed), ExponentVector._trusted
+    for _ in range(_rank_arg(samples, "samples")):
+        x, y, z = (vec([rng.randint(0, 5) for _ in range(mu.rank)]) for _ in range(3))
+        values = (_power(_bilinear_pairs(mu._integer, u, v))
+                  for u, v in ((x, y + z), (y, z), (x, y), (x + y, z)))
+        if not _triple_holds(*values):
+            return CheckReport(False, counterexample=(x, y, z))
     return CheckReport(True)
 
 

@@ -294,7 +294,7 @@ def test_tensor_shape_mismatch():
 
 
 def test_tensor_generator_name_collision():
-    with pytest.raises(ValueError, match="collide"):
+    with pytest.raises(ValueError, match="generator names must be distinct"):
         twisted_tensor_product(polynomial_algebra(2), polynomial_algebra(2),
                                Pairing.trivial(2, 2))
 
@@ -681,10 +681,10 @@ def test_parse_polynomial_coefficient():
     assert parse_element(A, render_element(x)) == x
 
 
-def test_parse_unknown_name_against_allowlist():
+def test_parse_element_reads_other_names_as_parameters():
+    # declared parameters are the CLI's check (cli._check_declared), not the parser's
     A = polynomial_algebra(2)
-    with pytest.raises(ValueError, match="unknown generator or parameter"):
-        parse_element(A, "X0*Y1", parameters={"q"})
+    assert parse_element(A, "X0*Y1") == A.basis_element(ExponentVector((1, 0)), UnitScalar.param("Y1"))
     with pytest.raises(ValueError, match="positive"):
         parse_element(A, "X0^0")
 
@@ -784,17 +784,33 @@ def _cocycle(rows):
 
 @pytest.mark.parametrize("names,error,message", [
     ([1, 2], TypeError, "generator names must be strings, got 1"),
-    ("X0", ValueError, "generator name '0' is not a name of the literal grammar"),
+    ("X0", TypeError, "generator names must be a sequence of names, got the string 'X0'"),
+    ("XY", TypeError, "generator names must be a sequence of names, got the string 'XY'"),
     (["a b", "c"], ValueError, "generator name 'a b' is not a name of the literal grammar"),
     (["1", "y"], ValueError, "generator name '1' is not a name of the literal grammar"),
     (["x^2", "y"], ValueError, "generator name 'x^2' is not a name of the literal grammar"),
     (["q", "y"], ValueError, "generator name 'q' is a parameter of the cocycle"),
-], ids=["ints", "string", "space", "digit", "power", "parameter"])
+], ids=["ints", "string", "letters-string", "space", "digit", "power", "parameter"])
 def test_generator_names_are_grammar_names_that_are_not_parameters(names, error, message):
     mu = _cocycle([["1", "q"], ["1", "1"]])
     with pytest.raises(error) as exc:
         TwistedMonoidAlgebra(mu, names)
     assert str(exc.value) == message
+
+
+def test_a_coefficient_parameter_is_not_a_generator_name():
+    A = polynomial_algebra(2)
+    e0 = ExponentVector((1, 0))
+    x_1 = A.generator(1)
+    for build in (lambda: A.basis_element(e0, LaurentPolynomial.from_param("X0")),
+                  lambda: A.element({e0: UnitScalar.param("X0", 2)}),
+                  lambda: x_1.scaled(UnitScalar.param("X0")),
+                  lambda: x_1 * LaurentPolynomial.from_param("X0"),
+                  lambda: parse_element(A, "(X0 + 1)*X1")):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "coefficient parameter 'X0' is a generator name of the algebra"
+    assert render_element(x_1.scaled(UnitScalar.param("q"))) == "q*X1"
 
 
 def test_generator_names_round_trip_through_the_literal_grammar():

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qtwist import (AntisymmetricMatrix, BimultiplicativeCocycle, ExponentVector, GradedHomomorphism,
-                    TruncatedCocycle, UnitScalar, algebras)
+                    TruncatedCocycle, algebras, cocycles)
 from qtwist.cli import _KEYS, main
 
 from helpers import doubled_from_degree_3
@@ -33,28 +33,10 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-# (name, argv tail, expected exit code); every subcommand appears at least once
-CASES = [
-    ("cocycle_check", ["cocycle", "check"], 0),
-    ("cocycle_check_table", ["cocycle", "check"], 0),
-    ("cocycle_check_table_bad", ["cocycle", "check"], 1),
-    ("cocycle_antisym", ["cocycle", "antisym"], 0),
-    ("cocycle_factorize", ["cocycle", "factorize"], 0),
-    ("cocycle_reconstruct", ["cocycle", "reconstruct"], 0),
-    ("cocycle_pullback", ["cocycle", "pullback"], 0),
-    ("cocycle_trivialize_rank1", ["cocycle", "trivialize"], 0),
-    ("cocycle_trivialize_split", ["cocycle", "trivialize"], 0),
-    ("cocycle_trivialize_obstructed", ["cocycle", "trivialize"], 1),
-    ("algebra_mul", ["algebra", "mul"], 0),
-    ("algebra_relations", ["algebra", "relations"], 0),
-    ("algebra_twist", ["algebra", "twist"], 0),
-    ("segre_build", ["segre", "build"], 0),
-    ("segre_verify", ["segre", "verify"], 0),
-    ("segre_matrix", ["segre", "matrix"], 0),
-    ("segre_kronecker", ["segre", "kronecker"], 0),
-    ("segre_kernel", ["segre", "kernel", "--degree", "2", "--set", "q=1", "--set", "r=1"], 0),
-    ("segre_kernel_quantum", ["segre", "kernel", "--degree", "2"], 0),
-]
+#: (name, argv tail, expected exit code) of every golden; every subcommand appears at least once.
+#: The one table is the benchmark's (bench/inputs.py, stdlib only), read without importing it.
+CASES = [(name, list(tail), code)
+         for name, tail, code in runpy.run_path(str(HERE.parent / "bench" / "inputs.py"))["GOLDEN_CASES"]]
 
 
 def argv_for(name, tail):
@@ -250,6 +232,11 @@ BAD_INPUTS = [
     # the kernel ignores values of names its map does not use; the CLI refuses undeclared names first
     (["segre", "kernel", "--degree", "2", "--set", "t=2"], _specialization("1"),
      'undeclared parameters in "specialization": t'),
+    (["algebra", "mul"], _config_with("algebra_mul", x="t*X0"), 'undeclared parameters in element "x": t'),
+    (["algebra", "mul"], _config_with("algebra_mul", y="(s + t)*X0"),
+     'undeclared parameters in element "y": s, t'),
+    (["algebra", "mul"], _config_with("algebra_mul", x="(X1)*X0"),
+     """bad element "x": coefficient parameter 'X1' is a generator name of the algebra"""),
 ]
 
 
@@ -270,7 +257,9 @@ BAD_INPUTS = [
                               "empty-morphism", "zero-denominator",
                               "string-morphism-entry", "negative-morphism-entry",
                               "short-morphism-image", "rank-2-table-without-split",
-                              "list-table-value", "numeric-one-table-value", "undeclared-specialization"])
+                              "list-table-value", "numeric-one-table-value", "undeclared-specialization",
+                              "undeclared-element-parameter", "undeclared-parenthesized-parameters",
+                              "generator-named-parameter"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -311,21 +300,21 @@ def test_table_off_normalization_fails_with_an_identity_violation(tmp_path):
 # -- failure reports, reached by injecting a fault ---------------------------------
 
 def test_sampled_cocycle_check_reports_a_failing_triple(monkeypatch, capsys):
-    real = BimultiplicativeCocycle.evaluate
+    real = cocycles._bilinear_pairs
 
-    def faulty(mu, u, v):  # not a cocycle: the extra factor depends on the first argument only
-        return real(mu, u, v) * UnitScalar(2) ** u[0]
+    def faulty(matrix, u, v):  # not a cocycle: the extra factor 2^u[0] depends on the first argument only
+        return [*real(matrix, u, v), ((2, 1, ()), u[0])]
 
-    monkeypatch.setattr(BimultiplicativeCocycle, "evaluate", faulty)
+    monkeypatch.setattr(cocycles, "_bilinear_pairs", faulty)
     code, output = run_cli(argv_for("cocycle_check", ["cocycle", "check"]))
-    report = json.loads(output)
-    assert (code, report["status"], report["payload"], capsys.readouterr().err) == (
-        1, "fail", {"rank": 3, "samples": 50}, "")
-    assert list(report["counterexample"]) == ["triple"]
-    config = json.loads((CONFIGS / "cocycle_check.json").read_text())
-    mu = BimultiplicativeCocycle.from_json(config["cocycle"])
-    x, y, z = map(ExponentVector, report["counterexample"]["triple"])
-    assert faulty(mu, x, y + z) * faulty(mu, y, z) != faulty(mu, x, y) * faulty(mu, x + y, z)
+    assert (code, json.loads(output), capsys.readouterr().err) == (
+        1, {"command": "cocycle.check", "status": "fail",
+            "payload": {"rank": 3, "samples": 50, "exhaustive": False},
+            "counterexample": {"triple": [[1, 4, 4], [1, 2, 4], [3, 5, 4]]}}, "")
+    # evaluation carries the same fault, and its unit arithmetic agrees that the triple fails
+    mu = BimultiplicativeCocycle.from_json(json.loads((CONFIGS / "cocycle_check.json").read_text())["cocycle"])
+    x, y, z = map(ExponentVector, ([1, 4, 4], [1, 2, 4], [3, 5, 4]))
+    assert mu.evaluate(x, y + z) * mu.evaluate(y, z) != mu.evaluate(x, y) * mu.evaluate(x + y, z)
 
 
 def test_algebra_relations_report_the_first_failing_pair(monkeypatch, capsys):

@@ -35,7 +35,7 @@ from qtwist import (
     yamazaki_reconstruct,
     yamazaki_trivialize,
 )
-from qtwist import scalars
+from qtwist import cocycles, scalars
 from qtwist.algebras import GradedHomomorphism, TwistedMonoidAlgebra
 from qtwist.cocycles import _integer_form, _unit_power
 from qtwist.monoids import MonoidMorphism
@@ -481,6 +481,32 @@ def test_verify_reports_perturbed_entry():
     assert not check and check.counterexample == ("identity", u)
     check = verify_cocycle_equation(table)
     assert check and check.passed is True and check.ok is True and check.counterexample is None
+
+
+def test_sampled_check_draws_seeded_triples_and_reports_the_first_failure(monkeypatch):
+    mu = rand_cocycle(random.Random(58), 3)
+    assert cocycles.sample_cocycle_equation(mu, 40, 5) == cocycles.CheckReport(True)
+    assert cocycles.sample_cocycle_equation(mu, 0) == cocycles.CheckReport(True)
+    real = cocycles._bilinear_pairs
+    monkeypatch.setattr(cocycles, "_bilinear_pairs",  # not a cocycle: an extra factor 3^u[1]
+                        lambda matrix, u, v: [*real(matrix, u, v), ((3, 1, ()), u[1])])
+    rng = random.Random(5)
+    draws = [ExponentVector([rng.randint(0, 5) for _ in range(3)]) for _ in range(120)]
+    first = next(k for k in range(0, 120, 3) if draws[k][1])  # the first x with x[1] != 0 fails
+    assert cocycles.sample_cocycle_equation(mu, 40, 5) == cocycles.CheckReport(
+        False, counterexample=tuple(draws[first:first + 3]))
+    assert cocycles.sample_cocycle_equation(mu, first // 3, 5) == cocycles.CheckReport(True)
+
+
+@pytest.mark.parametrize("samples,error,message", [
+    (-1, ValueError, "samples must be >= 0, got -1"),
+    (True, TypeError, "samples must be an int, got True"),
+    (2.0, TypeError, "samples must be an int, got 2.0"),
+], ids=["negative", "bool", "float"])
+def test_sampled_check_checks_samples(samples, error, message):
+    with pytest.raises(error) as exc:
+        cocycles.sample_cocycle_equation(BimultiplicativeCocycle.trivial(2), samples)
+    assert str(exc.value) == message
 
 
 def test_truncated_table_must_be_complete():
