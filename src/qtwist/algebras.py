@@ -10,11 +10,12 @@ tensor products and the scaling isomorphisms between cohomologous twists are
 all exact matrix/unit computations.  Two algebras with equal cocycles and
 equal generator names are equal and hash alike, whatever built them.
 
-Products, monomial-map images and element sums add their coefficient terms
-in the int accumulator of ``scalars`` and make one ``Fraction`` per result
-term, with no intermediate unit or polynomial; their results go through the
-unchecked ``AlgebraElement._trusted``.  A coefficient given as a unit, an
-int or a ``Fraction`` is coerced by ``scalars`` too.
+Products, monomial-map images, element sums and random elements add their
+coefficient products through ``scalars._add_product`` and make one
+``Fraction`` per result term, with no intermediate unit or polynomial;
+their results go through the unchecked ``AlgebraElement._trusted``.  A
+coefficient given as a unit, an int or a ``Fraction`` is coerced by
+``scalars`` too.
 
 Every morphism here is a :class:`GradedHomomorphism`, the factor embeddings
 b |-> b (x) 1 and c |-> 1 (x) c of a tensor product included: it sends e_u
@@ -51,11 +52,11 @@ from .scalars import (
     LaurentPolynomial,
     UnitScalar,
     _FACTOR_RE,
-    _accumulate,
+    _add_product,
     _coefficient,
     _integer_form,
     _integer_terms,
-    _merge_exps,
+    _integer_unit,
     _parse_product,
     _parse_sum,
     _polynomial,
@@ -118,11 +119,7 @@ class TwistedMonoidAlgebra:
         return AlgebraElement(self, dict(terms))
 
     def multiply(self, x, y):
-        """x * y, each coefficient term accumulated as ints and made one Fraction.
-
-        The term a*K of p e_u times the term b*L of q e_v, with
-        mu(u, v) = c*M, contributes abc to the coefficient of K*M*L on e_{u+v}.
-        """
+        """x * y: p e_u times q e_v adds mu(u, v)*p*q to the coefficient of e_{u+v}."""
         if x.algebra != self or y.algebra != self:
             raise ValueError("elements do not belong to this algebra")
         matrix = self.cocycle._integer
@@ -131,13 +128,7 @@ class TwistedMonoidAlgebra:
         for u, p in x.terms.items():
             left = _integer_terms(p)
             for v, q in right:
-                c_num, c_den, c_exps = _power(_bilinear_pairs(matrix, u, v))
-                acc = out.setdefault(u + v, {})
-                for ka, a_num, a_den in left:
-                    kc = _merge_exps(ka, c_exps)
-                    ac_num, ac_den = a_num * c_num, a_den * c_den
-                    for kb, b_num, b_den in q:
-                        _accumulate(acc, _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den)
+                _add_product(out.setdefault(u + v, {}), _power(_bilinear_pairs(matrix, u, v)), left, q)
         return _element(self, out)
 
     def __eq__(self, other):
@@ -216,9 +207,7 @@ class AlgebraElement:
         out = {}
         for x in (self, other):
             for u, p in x.terms.items():
-                acc = out.setdefault(u, {})
-                for key, num, den in _integer_terms(p):
-                    _accumulate(acc, key, num, den)
+                _add_product(out.setdefault(u, {}), None, _integer_terms(p))
         return _element(self.algebra, out)
 
     def __neg__(self):
@@ -381,7 +370,8 @@ class GradedHomomorphism:
     prod_k s_k^u_k R_kk^C(u_k, 2) prod_(k<l) R_kl^(u_k u_l) e_f(u); nothing
     is cached per monomial.  When every s_k and every R_kl is 1 (as for every
     Segre map), e_u goes to exactly e_f(u), and `image_of_basis` does no unit
-    arithmetic.
+    arithmetic.  No source cocycle parameter may be a target generator name,
+    so that the images read back through `parse_element`.
     """
 
     __slots__ = ("source", "target", "monoid_morphism", "generator_images",
@@ -391,6 +381,9 @@ class GradedHomomorphism:
         f = monoid_morphism
         if f.source_rank != source.rank or f.target_rank != target.rank:
             raise ValueError("monoid morphism ranks do not match the algebras")
+        clash = source.parameters().intersection(target.generator_names)
+        if clash:
+            raise ValueError(f"source cocycle parameter {min(clash)!r} is a generator name of the target algebra")
         images = tuple(generator_images)
         if len(images) != source.rank:
             raise ValueError(f"expected {source.rank} generator images, got {len(images)}")
@@ -439,8 +432,8 @@ class GradedHomomorphism:
     def apply(self, x):
         """Linear extension of the basis action; preserves grading along f.
 
-        With phi(e_u) = c*M e_w, a coefficient term a*K on e_u adds ac to the
-        term K*M on e_w; a lone e_u with image unit 1 keeps its coefficient.
+        With phi(e_u) = c e_w, p e_u adds c*p to the coefficient of e_w; a
+        lone e_u with image unit 1 keeps its coefficient.
         """
         if x.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
@@ -455,9 +448,7 @@ class GradedHomomorphism:
                 continue
             acc = {}
             for c, p in parts:
-                c_num, c_den = c.coeff.numerator, c.coeff.denominator
-                for k, a in p.terms.items():
-                    _accumulate(acc, _merge_exps(k, c.exps), a.numerator * c_num, a.denominator * c_den)
+                _add_product(acc, _integer_unit(c), _integer_terms(p))
             p = _polynomial(acc)
             if p.terms:
                 terms[w] = p
@@ -574,17 +565,11 @@ def random_vector(rng, rank, max_entry=4, max_support=3):
 def random_element(algebra, rng, max_terms=3, max_entry=4, max_support=3):
     """A random element with <= max_terms terms and sparse monomials."""
     params = sorted(algebra.parameters())
-    sums = {}
+    out = {}
     for _ in range(rng.randint(1, max_terms)):
         u = random_vector(rng, algebra.rank, max_entry, max_support)
-        c = random_unit(rng, params)
-        key = u, c.exps
-        sums[key] = sums[key] + c.coeff if key in sums else c.coeff
-    coeffs = {}
-    for (u, exps), s in sums.items():
-        if s:
-            coeffs.setdefault(u, {})[exps] = s
-    return AlgebraElement._trusted(algebra, {u: LaurentPolynomial._trusted(t) for u, t in coeffs.items()})
+        _add_product(out.setdefault(u, {}), _integer_unit(random_unit(rng, params)))
+    return _element(algebra, out)
 
 
 def random_homogeneous(algebra, rng, max_entry=4, max_support=3):

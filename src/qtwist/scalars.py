@@ -11,18 +11,20 @@ no zero exponents, no zero terms, reduced rationals.  Structural equality
 therefore coincides with mathematical equality.  Coefficients are stored as
 ``fractions.Fraction``; the public constructors take only ``int`` and
 ``Fraction`` values and integer exponents (no floats, no bools, no strings).
-The integer kernel and the one coefficient accumulator live here: products
-of many units (``_power``: cocycle values and checks) and every sum of
-coefficient terms (``_accumulate``: polynomials, twisted products,
-monomial-map images, element sums) keep Python int numerators and
-denominators and make one reduced ``Fraction`` per result.  ``_coefficient``
-is the one coercion of a unit, int or ``Fraction`` to a polynomial.  The
-``_trusted`` constructors (here, in ``monoids`` and in ``algebras``) are
-internal only: they wrap values that are already canonical and check
-nothing.  Equal values hash equally, across types too: a constant
-polynomial hashes like its ``Fraction`` and a one-term polynomial like its
-unit.  A table's JSON is read through ``_unit_reader``, one memo per call,
-so each distinct unit literal in it is parsed once.
+The integer kernel and the one coefficient-product routine live here:
+products of many units (``_power``: cocycle values and checks) and every
+coefficient product or sum (``_add_product``, a unit times one or two
+polynomials added into one accumulator: polynomial sums and products,
+twisted products, monomial-map images, element sums, random elements) keep
+Python int numerators and denominators and make one reduced ``Fraction``
+per result.  ``_integer_unit`` is the one integer form of a unit, and
+``_coefficient`` the one coercion of a unit, int or ``Fraction`` to a
+polynomial.  The ``_trusted`` constructors (here, in ``monoids`` and in
+``algebras``) are internal only: they wrap values that are already
+canonical and check nothing.  Equal values hash equally, across types too:
+a constant polynomial hashes like its ``Fraction`` and a one-term
+polynomial like its unit.  A table's JSON is read through ``_unit_reader``,
+one memo per call, so each distinct unit literal in it is parsed once.
 """
 
 from __future__ import annotations
@@ -81,10 +83,14 @@ def _merge_exps(a, b):
     return tuple(out)
 
 
+def _integer_unit(a):
+    """(numerator, denominator, exps) of a unit, None for the unit 1: its integer form."""
+    return None if a.is_one() else (a.coeff.numerator, a.coeff.denominator, a.exps)
+
+
 def _integer_form(units):
-    """(numerator, denominator, exps) of each unit, None for the unit 1: the entries `_power` multiplies."""
-    return tuple(None if a.is_one() else (a.coeff.numerator, a.coeff.denominator, a.exps)
-                 for a in units)
+    """The integer form of each unit: the entries `_power` multiplies."""
+    return tuple(map(_integer_unit, units))
 
 
 def _power(pairs):
@@ -132,6 +138,27 @@ def _accumulate(acc, key, num, den):
     else:
         pair[0] = pair[0] * den + num * pair[1]
         pair[1] *= den
+
+
+#: The `_integer_terms` of the polynomial 1.
+_ONE_TERMS = (((), 1, 1),)
+
+
+def _add_product(acc, c, left=_ONE_TERMS, right=_ONE_TERMS):
+    """Add c*p*q to an {exps: [numerator, denominator]} accumulator, one product per term pair.
+
+    c is the integer form of a unit d*M (None for 1); p and q are
+    `_integer_terms` lists, each the polynomial 1 by default.  The term a*K
+    of p and the term b*L of q add adb to the coefficient of K*M*L.
+    Polynomial sums and products, twisted products, map images, element
+    sums and random elements all add their terms here.
+    """
+    c_num, c_den, c_exps = (1, 1, ()) if c is None else c
+    for ka, a_num, a_den in left:
+        kc = _merge_exps(ka, c_exps)
+        ac_num, ac_den = a_num * c_num, a_den * c_den
+        for kb, b_num, b_den in right:
+            _accumulate(acc, _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den)
 
 
 def _polynomial(acc):
@@ -294,8 +321,7 @@ class LaurentPolynomial:
             return NotImplemented
         acc = {}
         for p in (self, other):
-            for key, num, den in _integer_terms(p):
-                _accumulate(acc, key, num, den)
+            _add_product(acc, None, _integer_terms(p))
         return _polynomial(acc)
 
     def __neg__(self):
@@ -314,10 +340,7 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         acc = {}
-        right = _integer_terms(other)
-        for ka, a_num, a_den in _integer_terms(self):
-            for kb, b_num, b_den in right:
-                _accumulate(acc, _merge_exps(ka, kb), a_num * b_num, a_den * b_den)
+        _add_product(acc, None, _integer_terms(self), _integer_terms(other))
         return _polynomial(acc)
 
     __rmul__ = __mul__

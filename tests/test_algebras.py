@@ -544,6 +544,19 @@ def test_graded_homomorphism_rejects_bad_generator_images():
         assert str(exc.value) == message
 
 
+def test_a_source_parameter_is_not_a_target_generator_name():
+    # the ratio matrix would carry q onto the target's generator q: e_2 |-> q^-1*q^2, unreadable
+    S = TwistedMonoidAlgebra(BimultiplicativeCocycle.from_json([["q"]]), ["a"])
+    T = polynomial_algebra(1, ["q"])
+    with pytest.raises(ValueError) as exc:
+        GradedHomomorphism(S, T, MonoidMorphism.identity(1), [T.generator(0)])
+    assert str(exc.value) == "source cocycle parameter 'q' is a generator name of the target algebra"
+    T = polynomial_algebra(1, ["b"])
+    phi = GradedHomomorphism(S, T, MonoidMorphism.identity(1), [T.generator(0)])
+    x = phi(S.basis_element(ExponentVector((2,))))
+    assert render_element(x) == "q^-1*b^2" and parse_element(T, render_element(x)) == x
+
+
 def test_elements_times_scalars_from_both_sides():
     A = polynomial_algebra(2)
     x = parse_element(A, "q*X0 - X1^2")

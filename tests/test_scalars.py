@@ -15,7 +15,8 @@ from qtwist import (
     specialize,
 )
 
-from qtwist.scalars import _unit_reader
+import qtwist.algebras
+from qtwist.scalars import _add_product, _integer_terms, _polynomial, _unit_reader
 
 from helpers import PARAMS, rand_poly, rand_unit
 
@@ -192,6 +193,32 @@ def test_poly_arithmetic_matches_a_fraction_reference():
             assert got.terms == reference_terms(want)
         assert (q - q).terms == {}
     assert dropped > 30
+
+
+def test_add_product_is_the_sum_of_its_term_products():
+    # c*p*q added into one accumulator, against the checked constructor's sum of the explicit
+    # term products; p and q are left out (the polynomial 1) at random, and -c undoes some steps
+    rng = random.Random(25)
+    one = LaurentPolynomial.one()
+    zeros = 0
+    for _ in range(200):
+        acc, items = {}, []
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice([UnitScalar.one(), rand_unit(rng, ("q", "r"), max_exp=1)])
+            factors = {side: rand_poly(rng, ("q", "r")) for side in ("left", "right") if rng.random() < 0.7}
+            for d in ([c, -c] if rng.random() < 0.3 else [c]):
+                form = None if d.is_one() else (d.coeff.numerator, d.coeff.denominator, d.exps)
+                _add_product(acc, form, **{side: _integer_terms(p) for side, p in factors.items()})
+                left, right = (factors.get(side, one).terms.items() for side in ("left", "right"))
+                items += [(list(ka) + list(d.exps) + list(kb), a * d.coeff * b)
+                          for ka, a in left for kb, b in right]
+        got = _polynomial(acc)
+        assert_canonical_poly(got)
+        assert got == LaurentPolynomial(items)
+        zeros += got.is_zero() and bool(items)
+    assert zeros > 10
+    # the twisted product, map images and element sums reach the accumulator only through it
+    assert not {"_accumulate", "_merge_exps"} & set(vars(qtwist.algebras))
 
 
 # -- specialize --------------------------------------------------------------

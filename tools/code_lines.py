@@ -18,15 +18,23 @@ KINDS = ("blank", "comment", "docstring", "code")
 DEFAULT = Path(__file__).resolve().parent.parent / "src" / "qtwist"
 
 
+def docstring(node):
+    """The docstring statement of a module, class or function node; None for any other node."""
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        body = node.body
+        if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            return body[0]
+    return None
+
+
 def docstring_lines(tree):
     """The 1-based line numbers covered by module, class and function docstrings."""
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
-                    and isinstance(body[0].value.value, str)):
-                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+        doc = docstring(node)
+        if doc is not None:
+            lines.update(range(doc.lineno, doc.end_lineno + 1))
     return lines
 
 

@@ -26,6 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qtwist"
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from code_lines import docstring  # the size measure's docstring rule, so both tools read one
+
 #: The only statements allowed to stay unreached, as (module, first line of the statement, stripped).
 #: cli.py's two lines of ``except ImportError:`` after ``import tomllib``: ``tomllib`` is in the
 #: standard library from Python 3.11, so only a 3.10 interpreter reaches them; tests/test_cli.py
@@ -45,18 +48,13 @@ def own_lines(node):
     return range(first, max(first, last) + 1)
 
 
-def is_docstring(node, parent):
-    return (isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            and parent.body[0] is node and isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))
-
-
 def statements(tree):
     """(line, own lines) of every statement of a module, docstrings excluded, by line."""
     found = []
     for parent in ast.walk(tree):
+        doc = docstring(parent)
         for node in ast.iter_child_nodes(parent):
-            if isinstance(node, (ast.stmt, ast.ExceptHandler)) and not is_docstring(node, parent):
+            if isinstance(node, (ast.stmt, ast.ExceptHandler)) and node is not doc:
                 found.append((node.lineno, own_lines(node)))
     return sorted(found)
 
