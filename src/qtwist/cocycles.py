@@ -49,8 +49,8 @@ import operator
 import random
 
 # vectors_up_to_degree stays importable from here.
-from .monoids import (ExponentVector, _rank_arg, _Record, _vector_arg, graded_count, graded_pairs,
-                      graded_vectors, vectors_up_to_degree)
+from .monoids import (ExponentVector, _int_arg, _rank_arg, _Record, _vector_arg, graded_count,
+                      graded_pairs, graded_vectors, vectors_up_to_degree)
 from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_reader, parse_unit,
                       render_unit)
 
@@ -76,7 +76,7 @@ def _quadratic_unit(matrix, u, linear=()):
     """
     sup = [(k, uk) for k, uk in enumerate(u) if uk]
     pairs = [(matrix[k][l], uk * (uk - 1) // 2 if k == l else uk * ul)
-             for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:] if matrix[k][l] is not None]
+             for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:]]
     if linear:
         pairs.extend((linear[k], uk) for k, uk in sup)
     return _unit_power(pairs)
@@ -214,12 +214,19 @@ class AntisymmetricMatrix(_UnitForm):
 
     @classmethod
     def from_upper(cls, rank, upper):
-        """Build from the strict upper triangle, a map (i, j) -> UnitScalar for i < j."""
+        """Build from the strict upper triangle, a map (i, j) -> UnitScalar for i < j.
+
+        Each index must be an int and not a bool, and each value a UnitScalar
+        (TypeError naming it); an index pair outside the strict upper
+        triangle raises ValueError.
+        """
         one, rank = UnitScalar.one(), _rank_arg(rank, "from_upper rank")
         rows = [[one] * rank for _ in range(rank)]
         for (i, j), q in upper.items():
-            if not 0 <= i < j < rank:
+            if not 0 <= _int_arg(i, "upper-triangle index") < _int_arg(j, "upper-triangle index") < rank:
                 raise ValueError(f"upper-triangle index out of range: ({i},{j})")
+            if not isinstance(q, UnitScalar):
+                raise TypeError(f"upper-triangle value {q!r} at ({i},{j}) is not a UnitScalar")
             rows[i][j] = q
             rows[j][i] = q.inv()
         return cls(rows)

@@ -17,7 +17,10 @@ coefficient product or sum (``_add_product``, a unit times one or two
 polynomials added into one accumulator: polynomial sums and products,
 twisted products, monomial-map images, element sums, random elements) keep
 Python int numerators and denominators and make one reduced ``Fraction``
-per result.  ``_integer_unit`` is the one integer form of a unit, and
+per result.  ``_add_product`` is the only writer of an accumulator: the
+checked polynomial constructor adds its checked terms through it, and a
+polynomial times a unit, int or ``Fraction`` multiplies there after
+coercion.  ``_integer_unit`` is the one integer form of a unit, and
 ``_coefficient`` the one coercion of a unit, int or ``Fraction`` to a
 polynomial.  The ``_trusted`` constructors (here, in ``monoids`` and in
 ``algebras``) are internal only: they wrap values that are already
@@ -97,13 +100,14 @@ def _power(pairs):
     """(numerator, denominator, exps) of prod a^e over (integer-form entry a, integer e) pairs.
 
     The numerator and denominator are accumulated as ints and the exponents
-    in one map; entries None (the unit 1) and zero powers cost nothing.  The
-    quotient is not reduced: callers make one Fraction of it.
+    in one map; entries None (the unit 1) are skipped, and a zero power
+    multiplies by 1.  The quotient is not reduced: callers make one Fraction
+    of it.
     """
     num = den = 1
     exps = {}
     for a, e in pairs:
-        if a is None or not e:
+        if a is None:
             continue
         a_num, a_den, a_exps = a
         if e > 0:
@@ -128,18 +132,6 @@ def _integer_terms(p):
     return [(k, c.numerator, c.denominator) for k, c in p.terms.items()]
 
 
-def _accumulate(acc, key, num, den):
-    """Add num/den to acc[key], a [numerator, denominator] pair of ints (unreduced)."""
-    pair = acc.get(key)
-    if pair is None:
-        acc[key] = [num, den]
-    elif pair[1] == den:
-        pair[0] += num
-    else:
-        pair[0] = pair[0] * den + num * pair[1]
-        pair[1] *= den
-
-
 #: The `_integer_terms` of the polynomial 1.
 _ONE_TERMS = (((), 1, 1),)
 
@@ -151,14 +143,22 @@ def _add_product(acc, c, left=_ONE_TERMS, right=_ONE_TERMS):
     `_integer_terms` lists, each the polynomial 1 by default.  The term a*K
     of p and the term b*L of q add adb to the coefficient of K*M*L.
     Polynomial sums and products, twisted products, map images, element
-    sums and random elements all add their terms here.
+    sums and random elements all add their terms here, and nothing else
+    writes to an accumulator: each value is a [numerator, denominator] pair
+    of ints, left unreduced until `_polynomial` makes its Fraction.
     """
     c_num, c_den, c_exps = (1, 1, ()) if c is None else c
     for ka, a_num, a_den in left:
         kc = _merge_exps(ka, c_exps)
         ac_num, ac_den = a_num * c_num, a_den * c_den
         for kb, b_num, b_den in right:
-            _accumulate(acc, _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den)
+            key, num, den = _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den
+            pair = acc.get(key)
+            if pair is None:
+                acc[key] = [num, den]
+            else:
+                pair[0] = pair[0] * den + num * pair[1]
+                pair[1] *= den
 
 
 def _polynomial(acc):
@@ -273,10 +273,11 @@ class LaurentPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
+        checked = [(_canonical_exps(exps), c.numerator, c.denominator)
+                   for exps, c in (terms.items() if isinstance(terms, dict) else terms)
+                   if _exact(c, "polynomial coefficient")]
         acc = {}
-        for exps, c in (terms.items() if isinstance(terms, dict) else terms):
-            if _exact(c, "polynomial coefficient"):
-                _accumulate(acc, _canonical_exps(exps), c.numerator, c.denominator)
+        _add_product(acc, None, checked)
         self.terms = _polynomial(acc).terms
 
     @classmethod
@@ -333,9 +334,7 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, UnitScalar):
-            return self.scaled(other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, UnitScalar)):
             other = _coefficient(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -346,7 +345,11 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def scaled(self, u):
-        """Multiply by a unit scalar; invertible (scale by ``u.inv()`` undoes it)."""
+        """Multiply by a unit scalar; invertible (scale by ``u.inv()`` undoes it).
+
+        The same polynomial as ``self * u``, by its own loop and with no
+        accumulator; the library multiplies through ``*``.
+        """
         exps, coeff = u.exps, u.coeff
         out = {_merge_exps(key, exps): c * coeff for key, c in self.terms.items()}
         return LaurentPolynomial._trusted(out)

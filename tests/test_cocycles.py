@@ -127,8 +127,15 @@ def test_cocycle_equation_random_triples():
     (lambda: Pairing.trivial(2, True), TypeError, "trivial right rank must be an int, got True"),
     (lambda: BimultiplicativeCocycle.trivial(2.0), TypeError, "trivial rank must be an int, got 2.0"),
     (lambda: AntisymmetricMatrix.from_upper(True, {}), TypeError, "from_upper rank must be an int, got True"),
+    (lambda: AntisymmetricMatrix.from_upper(2, {(False, True): UnitScalar.param("q")}), TypeError,
+     "upper-triangle index must be an int, got False"),
+    (lambda: AntisymmetricMatrix.from_upper(2, {(0, 1.0): UnitScalar.param("q")}), TypeError,
+     "upper-triangle index must be an int, got 1.0"),
+    (lambda: AntisymmetricMatrix.from_upper(2, {(0, 1): "q"}), TypeError,
+     "upper-triangle value 'q' at (0,1) is not a UnitScalar"),
 ], ids=["trivial-negative", "from-upper-negative", "pairing-right-negative", "trivial-bool",
-        "pairing-bool", "pairing-right-bool", "trivial-float", "from-upper-bool"])
+        "pairing-bool", "pairing-right-bool", "trivial-float", "from-upper-bool", "from-upper-bool-index",
+        "from-upper-float-index", "from-upper-str-value"])
 def test_unit_form_constructors_check_their_ranks(build, error, message):
     with pytest.raises(error) as exc:
         build()
