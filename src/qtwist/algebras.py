@@ -15,11 +15,19 @@ coefficient products through ``scalars._add_product`` and make one
 ``Fraction`` per result term, with no intermediate unit or polynomial;
 their results go through the unchecked ``AlgebraElement._trusted``.  A
 coefficient given as a unit, an int or a ``Fraction`` is coerced by
-``scalars`` too.
+``scalars`` too.  These loops skip only checks that an owner has made, and
+only through the owner's unchecked entries: a product takes each term's
+sparse form (``monoids._nonzero``) once and adds the exponent vectors, keys
+of checked elements, through ``ExponentVector._trusted``; an image maps
+each key through ``MonoidMorphism._image`` and computes no unit for a map
+whose units and ratio matrix are all 1; the sampler draws each coefficient
+straight into its integer form.
 
 Every morphism here is a :class:`GradedHomomorphism`, the factor embeddings
 b |-> b (x) 1 and c |-> 1 (x) c of a tensor product included: it sends e_u
-to a unit times one basis monomial.  Such a map with unit generator images is
+to a unit times one basis monomial.  An embedding's source cocycle, the
+pullback along a coordinate injection, is a block of the target's matrix
+with the target's own entries.  Such a map with unit generator images is
 multiplicative exactly when its ratio matrix
 R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, so
 :func:`verify_homomorphism`'s generator pairs decide it and its random pairs
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 # BimultiplicativeCocycle stays importable from here.
 from .cocycles import (
@@ -41,13 +50,14 @@ from .cocycles import (
     antisymmetrize,
     canonical_from_antisym,
     _bilinear_pairs,
+    _block_pullback,
     _quadratic_unit,
     cohomologous,
     pullback,
     yamazaki_factorize,
     yamazaki_reconstruct,
 )
-from .monoids import ExponentVector, MonoidMorphism, ProductSplit, _rank_arg, _Record, _vector_arg
+from .monoids import ExponentVector, MonoidMorphism, ProductSplit, _nonzero, _rank_arg, _Record, _vector_arg
 from .scalars import (
     LaurentPolynomial,
     UnitScalar,
@@ -119,16 +129,21 @@ class TwistedMonoidAlgebra:
         return AlgebraElement(self, dict(terms))
 
     def multiply(self, x, y):
-        """x * y: p e_u times q e_v adds mu(u, v)*p*q to the coefficient of e_{u+v}."""
+        """x * y: p e_u times q e_v adds mu(u, v)*p*q to the coefficient of e_{u+v}.
+
+        Each term's sparse form is taken once per product, not once per term
+        pair, and u + v is added unchecked: both are keys of checked elements.
+        """
         if x.algebra != self or y.algebra != self:
             raise ValueError("elements do not belong to this algebra")
-        matrix = self.cocycle._integer
-        right = [(v, _integer_terms(q)) for v, q in y.terms.items()]
+        matrix, vector = self.cocycle._integer, ExponentVector._trusted
+        right = [(v, _nonzero(v), _integer_terms(q)) for v, q in y.terms.items()]
         out = {}
         for u, p in x.terms.items():
-            left = _integer_terms(p)
-            for v, q in right:
-                _add_product(out.setdefault(u + v, {}), _power(_bilinear_pairs(matrix, u, v)), left, q)
+            su, left = _nonzero(u), _integer_terms(p)
+            for v, sv, q in right:
+                w = vector(map(add, u, v))
+                _add_product(out.setdefault(w, {}), _power(_bilinear_pairs(matrix, su, sv)), left, q)
         return _element(self, out)
 
     def __eq__(self, other):
@@ -302,22 +317,27 @@ def embed_left(tensor_algebra, x):
     raises ValueError; so does a rank that leaves no generators for the
     other factor.
     """
-    split = ProductSplit(x.algebra.rank, tensor_algebra.rank - x.algebra.rank)
-    return _embed(tensor_algebra, x, split.inject_left)
+    ProductSplit(x.algebra.rank, tensor_algebra.rank - x.algebra.rank)  # both factors have rank >= 1
+    return _embed(tensor_algebra, x, 0)
 
 
 def embed_right(tensor_algebra, y):
     """c |-> 1 (x) c: y under the map from the trailing generators, as in `embed_left`."""
     split = ProductSplit(tensor_algebra.rank - y.algebra.rank, y.algebra.rank)
-    return _embed(tensor_algebra, y, split.inject_right)
+    return _embed(tensor_algebra, y, split.left_rank)
 
 
-def _embed(tensor_algebra, x, inject):
-    """x under the bare-image map from the generators that `inject` places in the tensor algebra."""
-    rank, names = x.algebra.rank, tensor_algebra.generator_names
-    images = [inject(ExponentVector.unit(rank, k)) for k in range(rank)]
-    f = MonoidMorphism(rank, tensor_algebra.rank, images)
-    return GradedHomomorphism._from_pullback(tensor_algebra, f, [names[w.index(1)] for w in images]).apply(x)
+def _embed(tensor_algebra, x, start):
+    """x under the bare-image map from the block of generators of the tensor algebra from index `start` on.
+
+    The pullback of the tensor cocycle along that coordinate injection is
+    the block of its matrix, so the source cocycle holds the target's own
+    UnitScalar entries, and `apply` compares identical entries.
+    """
+    rank, block = tensor_algebra.rank, slice(start, start + x.algebra.rank)
+    f = MonoidMorphism(x.algebra.rank, rank, [ExponentVector.unit(rank, i) for i in range(start, block.stop)])
+    names, mu = tensor_algebra.generator_names[block], _block_pullback(tensor_algebra.cocycle, block)
+    return GradedHomomorphism._from_pullback(TwistedMonoidAlgebra(mu, names), tensor_algebra, f).apply(x)
 
 
 class FactorTwistReport(_Record):
@@ -356,10 +376,6 @@ def factor_twist(left, right, mu):
 MultiplicativityReport = HomomorphismReport = CheckReport
 
 
-#: The image unit of every basis monomial under a map whose units and ratio matrix are all 1.
-_ONE = UnitScalar.one()
-
-
 class GradedHomomorphism:
     """Algebra map e_k |-> s_k e_f(e_k), for units s_k and a monoid morphism f.
 
@@ -369,7 +385,7 @@ class GradedHomomorphism:
     ordered product of its generators' images, which is
     prod_k s_k^u_k R_kk^C(u_k, 2) prod_(k<l) R_kl^(u_k u_l) e_f(u); nothing
     is cached per monomial.  When every s_k and every R_kl is 1 (as for every
-    Segre map), e_u goes to exactly e_f(u), and `image_of_basis` does no unit
+    Segre map), e_u goes to exactly e_f(u), and `apply` does no unit
     arithmetic.  No source cocycle parameter may be a target generator name,
     so that the images read back through `parse_element`.
     """
@@ -410,12 +426,16 @@ class GradedHomomorphism:
         self._all_ones = not any(self._image_units) and not any(map(any, self._ratio))
 
     @classmethod
-    def _from_pullback(cls, target, f, source_names):
-        """The bare-image map from the twist by the pulled-back target cocycle (R is all ones)."""
+    def _from_pullback(cls, source, target, f):
+        """The bare-image map from `source`, whose cocycle is the target's pulled back along f (R is all ones).
+
+        The generator images e_f(e_k) are built unchecked: their keys are f's
+        checked images, and their coefficient 1 has no parameter.
+        """
         phi = cls.__new__(cls)
-        phi.source = TwistedMonoidAlgebra(pullback(target.cocycle, f), source_names)
-        phi.target, phi.monoid_morphism = target, f
-        phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
+        phi.source, phi.target, phi.monoid_morphism = source, target, f
+        coeff = LaurentPolynomial.one()
+        phi.generator_images = tuple(AlgebraElement._trusted(target, {w: coeff}) for w in f.generator_images)
         one = (None,) * f.source_rank
         phi._image_units, phi._ratio, phi._all_ones = one, (one,) * f.source_rank, True
         return phi
@@ -427,28 +447,32 @@ class GradedHomomorphism:
 
     def _unit(self, u):
         """The unit c_u of phi(e_u) = c_u e_f(u), from the s_k and R; u must have the source's rank."""
-        return _ONE if self._all_ones else _quadratic_unit(self._ratio, u, self._image_units)
+        return _quadratic_unit(self._ratio, u, self._image_units)
 
     def apply(self, x):
         """Linear extension of the basis action; preserves grading along f.
 
         With phi(e_u) = c e_w, p e_u adds c*p to the coefficient of e_w; a
-        lone e_u with image unit 1 keeps its coefficient.
+        lone e_u with image unit 1 keeps its coefficient.  x's keys are
+        checked vectors of the source's rank, so they go through the
+        unchecked `MonoidMorphism._image`, and c is computed, in integer form
+        (None for 1), only when the map's units and ratio matrix are not all 1.
         """
         if x.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
+        image, all_ones = self.monoid_morphism._image, self._all_ones
         fibers = {}
         for u, p in x.terms.items():
-            c, w = self.image_of_basis(u)
-            fibers.setdefault(w, []).append((c, p))
+            c = None if all_ones else _integer_unit(self._unit(u))
+            fibers.setdefault(image(u), []).append((c, p))
         terms = {}
         for w, parts in fibers.items():
-            if len(parts) == 1 and parts[0][0].is_one():
+            if len(parts) == 1 and parts[0][0] is None:
                 terms[w] = parts[0][1]
                 continue
             acc = {}
             for c, p in parts:
-                _add_product(acc, _integer_unit(c), _integer_terms(p))
+                _add_product(acc, c, _integer_terms(p))
             p = _polynomial(acc)
             if p.terms:
                 terms[w] = p
@@ -541,17 +565,26 @@ def coboundary_isomorphism(algebra, mu, nu, samples=50, seed=0):
 
 def random_unit(rng, parameters=(), max_num=7, max_exp=2):
     """A random unit: nonzero rational with |num|, den <= max_num, small parameter exponents."""
+    num, den, exps = _random_integer_unit(rng, parameters, max_num, max_exp)
+    return UnitScalar._trusted(Fraction(num, den), exps)
+
+
+def _random_integer_unit(rng, parameters, max_num=7, max_exp=2):
+    """The draw of `random_unit` in integer form (numerator, denominator, exps), unreduced.
+
+    The parameters are drawn in the order given; only the exponents are sorted.
+    """
     num = 0
     while num == 0:
         num = rng.randint(-max_num, max_num)
-    coeff = Fraction(num, rng.randint(1, max_num))
+    den = rng.randint(1, max_num)
     exps = {}
     for name in parameters:
         if rng.random() < 0.5:
             e = rng.randint(-max_exp, max_exp)
             if e:
                 exps[name] = e
-    return UnitScalar._trusted(coeff, tuple(sorted(exps.items())))
+    return num, den, tuple(sorted(exps.items()))
 
 
 def random_vector(rng, rank, max_entry=4, max_support=3):
@@ -568,7 +601,7 @@ def random_element(algebra, rng, max_terms=3, max_entry=4, max_support=3):
     out = {}
     for _ in range(rng.randint(1, max_terms)):
         u = random_vector(rng, algebra.rank, max_entry, max_support)
-        _add_product(out.setdefault(u, {}), _integer_unit(random_unit(rng, params)))
+        _add_product(out.setdefault(u, {}), _random_integer_unit(rng, params))
     return _element(algebra, out)
 
 

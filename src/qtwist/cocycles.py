@@ -28,7 +28,10 @@ The exhaustive check of a table reads the triples whose first entry is a
 generator, which decide all the others; the sampled check of a
 bimultiplicative cocycle draws seeded random triples.
 A pullback entry mu(f e_k, f e_l) is one such product too, over the sparse
-generator images of f.
+generator images of f; along a coordinate injection the pullback is a block
+of mu's matrix, and `_block_pullback` takes it with mu's own entries.  The
+bilinear form reads its arguments' sparse forms (`monoids._nonzero`), so a
+caller that pairs one vector with many takes its sparse form once.
 
 Cohomology classes are identified with multiplicatively antisymmetric
 matrices (q_ii = 1, q_ij q_ji = 1) through the antisymmetrization map
@@ -47,9 +50,10 @@ from __future__ import annotations
 
 import operator
 import random
+from collections.abc import Mapping
 
 # vectors_up_to_degree stays importable from here.
-from .monoids import (ExponentVector, _int_arg, _rank_arg, _Record, _vector_arg, graded_count,
+from .monoids import (ExponentVector, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg, graded_count,
                       graded_pairs, graded_vectors, vectors_up_to_degree)
 from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_reader, parse_unit,
                       render_unit)
@@ -58,14 +62,16 @@ from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_read
 DEFAULT_DEGREE_BOUND = 8
 
 
-def _bilinear_pairs(matrix, u, v):
-    """The (entry, power) pairs of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix."""
-    right = [(j, vj) for j, vj in enumerate(v) if vj]
-    return ((row[j], ui * vj) for row, ui in zip(matrix, u) if ui for j, vj in right)
+def _bilinear_pairs(matrix, left, right):
+    """The (entry, power) pairs of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix.
+
+    `left` and `right` are the sparse forms (`monoids._nonzero`) of u and v.
+    """
+    return ((matrix[i][j], ui * vj) for i, ui in left for j, vj in right)
 
 
 def _bilinear_unit(matrix, u, v):
-    return _unit_power(_bilinear_pairs(matrix, u, v))
+    return _unit_power(_bilinear_pairs(matrix, _nonzero(u), _nonzero(v)))
 
 
 def _quadratic_unit(matrix, u, linear=()):
@@ -74,7 +80,7 @@ def _quadratic_unit(matrix, u, linear=()):
     The quadratic part is the coefficient picked up by collecting the ordered
     product prod_k w_k^(u_k) into one basis monomial, where M_kl = mu(w_k, w_l).
     """
-    sup = [(k, uk) for k, uk in enumerate(u) if uk]
+    sup = _nonzero(u)
     pairs = [(matrix[k][l], uk * (uk - 1) // 2 if k == l else uk * ul)
              for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:]]
     if linear:
@@ -216,13 +222,19 @@ class AntisymmetricMatrix(_UnitForm):
     def from_upper(cls, rank, upper):
         """Build from the strict upper triangle, a map (i, j) -> UnitScalar for i < j.
 
-        Each index must be an int and not a bool, and each value a UnitScalar
+        `upper` must be a mapping whose keys are pairs (tuples of length 2),
+        each index an int and not a bool, and each value a UnitScalar
         (TypeError naming it); an index pair outside the strict upper
         triangle raises ValueError.
         """
         one, rank = UnitScalar.one(), _rank_arg(rank, "from_upper rank")
+        if not isinstance(upper, Mapping):
+            raise TypeError(f"upper triangle must be a mapping (i, j) -> UnitScalar, got {type(upper).__name__}")
         rows = [[one] * rank for _ in range(rank)]
-        for (i, j), q in upper.items():
+        for key, q in upper.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise TypeError(f"upper-triangle key {key!r} is not an index pair (i, j)")
+            i, j = key
             if not 0 <= _int_arg(i, "upper-triangle index") < _int_arg(j, "upper-triangle index") < rank:
                 raise ValueError(f"upper-triangle index out of range: ({i},{j})")
             if not isinstance(q, UnitScalar):
@@ -323,6 +335,19 @@ def pullback(mu, f):
     return BimultiplicativeCocycle(
         [[_unit_power((matrix[i][j], a * b) for i, a in left for j, b in right) for right in images]
          for left in images])
+
+
+def _block_pullback(mu, block):
+    """The pullback of mu along the coordinate injection onto the indices of the slice `block`.
+
+    It is the block of mu's matrix, built unchecked from mu's own UnitScalar
+    entries and their integer form, with no unit arithmetic.
+    """
+    nu = object.__new__(BimultiplicativeCocycle)
+    nu.matrix, nu._integer = (tuple(row[block] for row in rows[block]) for rows in (mu.matrix, mu._integer))
+    nu.rank = len(nu.matrix)
+    nu._shape, nu._params = (nu.rank, nu.rank), None
+    return nu
 
 
 def _unit_values(table):
@@ -612,7 +637,7 @@ def sample_cocycle_equation(mu, samples=100, seed=0):
     rng, vec = random.Random(seed), ExponentVector._trusted
     for _ in range(_rank_arg(samples, "samples")):
         x, y, z = (vec([rng.randint(0, 5) for _ in range(mu.rank)]) for _ in range(3))
-        values = (_power(_bilinear_pairs(mu._integer, u, v))
+        values = (_power(_bilinear_pairs(mu._integer, _nonzero(u), _nonzero(v)))
                   for u, v in ((x, y + z), (y, z), (x, y), (x + y, z)))
         if not _triple_holds(*values):
             return CheckReport(False, counterexample=(x, y, z))

@@ -13,14 +13,16 @@ over it, and one closed-form count that every other count reduces to.
 
 The argument checks every module shares live here: `_int_arg` for a size
 or an index, `_rank_arg` for a rank, and `_vector_arg` for an exponent
-vector of a given rank.  So does `_Record`, the immutable slotted record
+vector of a given rank.  So does `_nonzero`, the one sparse form of a vector
+(its nonzero entries with their indices), which morphisms, bilinear forms
+and twisted products read.  So does `_Record`, the immutable slotted record
 base of `ProductSplit` and the library's other records: the standard
 library's generated records would load `inspect` and `ast` on import.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from math import comb
 from operator import add, sub
 
@@ -46,6 +48,11 @@ def _vector_arg(u, rank, what):
     if len(u) != rank:
         raise ValueError(f"rank mismatch: {what} must have rank {rank}, got {len(u)}")
     return u
+
+
+def _nonzero(u):
+    """The (index, entry) pairs of the nonzero entries of a vector: its sparse form."""
+    return [*compress(enumerate(u), u)]
 
 
 class _Record:
@@ -160,7 +167,11 @@ class ExponentVector(tuple):
 
 
 class MonoidMorphism:
-    """Morphism N^source_rank -> N^target_rank given by generator images."""
+    """Morphism N^source_rank -> N^target_rank given by generator images.
+
+    Calling it checks the argument; `_image` is the same map, unchecked, for
+    callers whose vectors an owner has already checked.
+    """
 
     __slots__ = ("source_rank", "target_rank", "generator_images", "_sparse")
 
@@ -175,14 +186,17 @@ class MonoidMorphism:
         self.source_rank = source_rank
         self.target_rank = target_rank
         self.generator_images = images
-        self._sparse = tuple(tuple((i, e) for i, e in enumerate(w) if e) for w in images)
+        self._sparse = tuple(map(_nonzero, images))
 
     @classmethod
     def identity(cls, rank):
         return cls(rank, rank, [ExponentVector.unit(rank, i) for i in range(rank)])
 
     def __call__(self, u):
-        _vector_arg(u, self.source_rank, "morphism argument")
+        return self._image(_vector_arg(u, self.source_rank, "morphism argument"))
+
+    def _image(self, u):
+        """Internal: f(u) for an ExponentVector u of the source rank, unchecked."""
         acc = [0] * self.target_rank
         for uk, image in zip(u, self._sparse):
             if uk:

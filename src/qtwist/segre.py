@@ -30,7 +30,7 @@ from .algebras import (  # the homomorphism names stay importable from here
     TwistedMonoidAlgebra,
     verify_homomorphism,
 )
-from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
+from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize, pullback
 # ProductSplit stays importable from here.
 from .monoids import ProductSplit, _int_arg, _Record, segre_morphism, vectors_of_degree
 from .scalars import LaurentPolynomial, _specialize_monomial
@@ -81,7 +81,8 @@ def build_quantum_segre(n, m, mu):
     source_names = [f"z{i}{j}" for i in range(n + 1) for j in range(m + 1)]
     target_names = [f"x{i}" for i in range(n + 1)] + [f"y{j}" for j in range(m + 1)]
     target = TwistedMonoidAlgebra(mu, target_names)
-    return SegreMap(n, m, mu, GradedHomomorphism._from_pullback(target, f, source_names))
+    source = TwistedMonoidAlgebra(pullback(mu, f), source_names)
+    return SegreMap(n, m, mu, GradedHomomorphism._from_pullback(source, target, f))
 
 
 def source_deformation_matrix(segre_map):

@@ -33,6 +33,7 @@ from qtwist import (
     random_vector,
     render_element,
     render_poly,
+    render_unit,
     segre_morphism,
     symmetric_trivializer,
     twist_by,
@@ -1033,21 +1034,36 @@ def test_coboundary_isomorphism_leaves_the_rank_to_twist_by():
 
 
 def test_random_element_is_the_sum_of_its_draws():
-    # one generator, no parameters and entries <= 1: repeated monomials, whose coefficients may cancel
-    A = polynomial_algebra(1)
-    cancelled = 0
-    for seed in range(200):
-        rng, replay = random.Random(seed), random.Random(seed)
-        x = random_element(A, rng, max_terms=4, max_entry=1)
-        total, drawn = A.zero(), set()
-        for _ in range(replay.randint(1, 4)):
-            u = random_vector(replay, 1, 1, 3)
-            total = total + A.basis_element(u, random_unit(replay, []))
-            drawn.add(u)
-        assert x == total and rng.random() == replay.random()
-        assert_canonical(x)
-        cancelled += set(x.terms) != drawn
-    assert cancelled  # some seeds draw a sum that cancels
+    # one generator and entries <= 1: repeated monomials, whose coefficients may cancel; the sampler's
+    # integer-form draws must equal random_unit's, on cocycle parameters too
+    for A in (polynomial_algebra(1), TwistedMonoidAlgebra(BimultiplicativeCocycle.from_json([["r*q^-1"]]))):
+        params = sorted(A.parameters())
+        cancelled = with_parameters = 0
+        for seed in range(200):
+            rng, replay = random.Random(seed), random.Random(seed)
+            x = random_element(A, rng, max_terms=4, max_entry=1)
+            total, drawn = A.zero(), set()
+            for _ in range(replay.randint(1, 4)):
+                u = random_vector(replay, 1, 1, 3)
+                total = total + A.basis_element(u, random_unit(replay, params))
+                drawn.add(u)
+            assert x == total and rng.random() == replay.random()
+            assert_canonical(x)
+            cancelled += set(x.terms) != drawn
+            with_parameters += any(p.parameters() for p in x.terms.values())
+        if params:
+            assert with_parameters  # the draws carry the cocycle's parameters
+        else:
+            assert cancelled and not with_parameters  # some seeds draw a sum that cancels
+
+
+def test_random_unit_stream_is_pinned():
+    # parameters out of order: they are drawn in the order given, and only the result is sorted
+    rng = random.Random(2027)
+    assert [render_unit(random_unit(rng, ["r", "q"])) for _ in range(10)] + [rng.randint(0, 10**9)] == [
+        "-3/2", "3/7*q^-1*r^-1", "-1", "-3*q^-1", "-5/6", "-r^-1", "-1/3", "-6/7*q^-2", "-1/2*q*r^-2",
+        "-1/5*q^-2*r^-1", 84401114,
+    ]
 
 
 def test_random_homogeneous_is_a_unit_times_one_monomial():

@@ -303,7 +303,7 @@ def test_sampled_cocycle_check_reports_a_failing_triple(monkeypatch, capsys):
     real = cocycles._bilinear_pairs
 
     def faulty(matrix, u, v):  # not a cocycle: the extra factor 2^u[0] depends on the first argument only
-        return [*real(matrix, u, v), ((2, 1, ()), u[0])]
+        return [*real(matrix, u, v), ((2, 1, ()), dict(u).get(0, 0))]  # u, v are sparse (index, entry) pairs
 
     monkeypatch.setattr(cocycles, "_bilinear_pairs", faulty)
     code, output = run_cli(argv_for("cocycle_check", ["cocycle", "check"]))

@@ -133,9 +133,16 @@ def test_cocycle_equation_random_triples():
      "upper-triangle index must be an int, got 1.0"),
     (lambda: AntisymmetricMatrix.from_upper(2, {(0, 1): "q"}), TypeError,
      "upper-triangle value 'q' at (0,1) is not a UnitScalar"),
+    (lambda: AntisymmetricMatrix.from_upper(2, {1: UnitScalar.param("q")}), TypeError,
+     "upper-triangle key 1 is not an index pair (i, j)"),
+    (lambda: AntisymmetricMatrix.from_upper(3, {(0, 1, 2): UnitScalar.param("q")}), TypeError,
+     "upper-triangle key (0, 1, 2) is not an index pair (i, j)"),
+    (lambda: AntisymmetricMatrix.from_upper(2, [((0, 1), UnitScalar.param("q"))]), TypeError,
+     "upper triangle must be a mapping (i, j) -> UnitScalar, got list"),
 ], ids=["trivial-negative", "from-upper-negative", "pairing-right-negative", "trivial-bool",
         "pairing-bool", "pairing-right-bool", "trivial-float", "from-upper-bool", "from-upper-bool-index",
-        "from-upper-float-index", "from-upper-str-value"])
+        "from-upper-float-index", "from-upper-str-value", "from-upper-int-key", "from-upper-triple-key",
+        "from-upper-list"])
 def test_unit_form_constructors_check_their_ranks(build, error, message):
     with pytest.raises(error) as exc:
         build()
@@ -495,8 +502,8 @@ def test_sampled_check_draws_seeded_triples_and_reports_the_first_failure(monkey
     assert cocycles.sample_cocycle_equation(mu, 40, 5) == cocycles.CheckReport(True)
     assert cocycles.sample_cocycle_equation(mu, 0) == cocycles.CheckReport(True)
     real = cocycles._bilinear_pairs
-    monkeypatch.setattr(cocycles, "_bilinear_pairs",  # not a cocycle: an extra factor 3^u[1]
-                        lambda matrix, u, v: [*real(matrix, u, v), ((3, 1, ()), u[1])])
+    monkeypatch.setattr(cocycles, "_bilinear_pairs",  # not a cocycle: an extra factor 3^u[1] (u is sparse)
+                        lambda matrix, u, v: [*real(matrix, u, v), ((3, 1, ()), dict(u).get(1, 0))])
     rng = random.Random(5)
     draws = [ExponentVector([rng.randint(0, 5) for _ in range(3)]) for _ in range(120)]
     first = next(k for k in range(0, 120, 3) if draws[k][1])  # the first x with x[1] != 0 fails

@@ -11,8 +11,11 @@ not.  Run from anywhere:
     python3 tools/bytecodes.py
 
 It prints one JSON line per workload: its name, the bytecodes executed, the
-Python frames entered (calls and generator resumptions) and the oracle's
-error, null when the results are right.  The counts are deterministic for a
+Python frames entered (calls and generator resumptions), the bytecodes split
+by the module whose code ran them (the six library layers, and "other" for
+the standard library, the benchmark's own code and qtwist/__init__) and the
+oracle's error, null when the results are right.  The split shows which
+layer gained or lost work.  The counts are deterministic for a
 given interpreter version, whatever PYTHONHASHSEED is, so two trees can be
 compared by one run each where wall time needs many alternating runs.  A
 count does not see the cost of a call into C.  It exits 1 if a job's
@@ -23,28 +26,43 @@ seconds for all four workloads on 2 cores and Python 3.11.
 import json
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+#: The library layers, bottom up; bytecodes run by any other code count as "other".
+MODULES = ("scalars", "monoids", "cocycles", "algebras", "segre", "cli")
 
 import inputs  # noqa: E402  (bench/inputs.py)
 import worker  # noqa: E402  (bench/worker.py)
 
 
-def traced_job(runner, job):
-    """(results, bytecodes, frames entered) of running every step of `job` under an opcode hook."""
-    counts = [0, 0]
+@cache
+def layer(filename):
+    """The library layer whose source file is `filename`, or "other"."""
+    path = Path(filename)
+    return path.stem if path.parent == ROOT / "src" / "qtwist" and path.stem in MODULES else "other"
 
-    def local(frame, event, arg):
-        if event == "opcode":
-            counts[0] += 1
+
+def traced_job(runner, job):
+    """(results, frames entered, bytecodes per layer) of running every step of `job` under an opcode hook."""
+    frames = [0]
+    split = dict.fromkeys(MODULES + ("other",), 0)
+
+    def counter(name):
+        def local(frame, event, arg):
+            if event == "opcode":
+                split[name] += 1
+            return local
         return local
+
+    count_into = {name: counter(name) for name in split}
 
     def hook(frame, event, arg):
-        counts[1] += 1
+        frames[0] += 1
         frame.f_trace_opcodes = True
-        return local
+        return count_into[layer(frame.f_code.co_filename)]
 
     results = []
     # Python 3.12 turns opcode events on at settrace only once a frame has asked for them.
@@ -55,7 +73,7 @@ def traced_job(runner, job):
             results.append(runner.step(job, i))
     finally:
         sys.settrace(None)
-    return results, counts[0], counts[1]
+    return results, frames[0], split
 
 
 def main():
@@ -69,10 +87,10 @@ def main():
             inputs.write_inputs(name, 1, directory)
             served = worker.Worker(name, directory, None)  # builds the runner and reads the jobs
             runner, job = served.runner, json.loads(served.jobs[0])
-            results, bytecodes, frames = traced_job(runner, job)
+            results, frames, split = traced_job(runner, job)
             error = runner.check(job, results)
-            print(json.dumps({"workload": name, "bytecodes": bytecodes, "frames": frames,
-                              "error": error}), flush=True)
+            print(json.dumps({"workload": name, "bytecodes": sum(split.values()), "frames": frames,
+                              "modules": split, "error": error}), flush=True)
             if error is not None:
                 status = 1
     return status
