@@ -50,7 +50,6 @@ from .cocycles import (
     antisymmetrize,
     canonical_from_antisym,
     _bilinear_pairs,
-    _block_pullback,
     _quadratic_unit,
     cohomologous,
     pullback,
@@ -336,7 +335,8 @@ def _embed(tensor_algebra, x, start):
     """
     rank, block = tensor_algebra.rank, slice(start, start + x.algebra.rank)
     f = MonoidMorphism(x.algebra.rank, rank, [ExponentVector.unit(rank, i) for i in range(start, block.stop)])
-    names, mu = tensor_algebra.generator_names[block], _block_pullback(tensor_algebra.cocycle, block)
+    names = tensor_algebra.generator_names[block]
+    mu = BimultiplicativeCocycle([row[block] for row in tensor_algebra.cocycle.matrix[block]])
     return GradedHomomorphism._from_pullback(TwistedMonoidAlgebra(mu, names), tensor_algebra, f).apply(x)
 
 
@@ -427,15 +427,10 @@ class GradedHomomorphism:
 
     @classmethod
     def _from_pullback(cls, source, target, f):
-        """The bare-image map from `source`, whose cocycle is the target's pulled back along f (R is all ones).
-
-        The generator images e_f(e_k) are built unchecked: their keys are f's
-        checked images, and their coefficient 1 has no parameter.
-        """
+        """The bare-image map from `source`, whose cocycle is the target's pulled back along f (R is all ones)."""
         phi = cls.__new__(cls)
         phi.source, phi.target, phi.monoid_morphism = source, target, f
-        coeff = LaurentPolynomial.one()
-        phi.generator_images = tuple(AlgebraElement._trusted(target, {w: coeff}) for w in f.generator_images)
+        phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
         one = (None,) * f.source_rank
         phi._image_units, phi._ratio, phi._all_ones = one, (one,) * f.source_rank, True
         return phi

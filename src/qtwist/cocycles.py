@@ -28,8 +28,7 @@ The exhaustive check of a table reads the triples whose first entry is a
 generator, which decide all the others; the sampled check of a
 bimultiplicative cocycle draws seeded random triples.
 A pullback entry mu(f e_k, f e_l) is one such product too, over the sparse
-generator images of f; along a coordinate injection the pullback is a block
-of mu's matrix, and `_block_pullback` takes it with mu's own entries.  The
+generator images of f.  The
 bilinear form reads its arguments' sparse forms (`monoids._nonzero`), so a
 caller that pairs one vector with many takes its sparse form once.
 
@@ -335,19 +334,6 @@ def pullback(mu, f):
     return BimultiplicativeCocycle(
         [[_unit_power((matrix[i][j], a * b) for i, a in left for j, b in right) for right in images]
          for left in images])
-
-
-def _block_pullback(mu, block):
-    """The pullback of mu along the coordinate injection onto the indices of the slice `block`.
-
-    It is the block of mu's matrix, built unchecked from mu's own UnitScalar
-    entries and their integer form, with no unit arithmetic.
-    """
-    nu = object.__new__(BimultiplicativeCocycle)
-    nu.matrix, nu._integer = (tuple(row[block] for row in rows[block]) for rows in (mu.matrix, mu._integer))
-    nu.rank = len(nu.matrix)
-    nu._shape, nu._params = (nu.rank, nu.rank), None
-    return nu
 
 
 def _unit_values(table):
