@@ -25,10 +25,13 @@ straight into its integer form.
 
 Every morphism here is a :class:`GradedHomomorphism`, the factor embeddings
 b |-> b (x) 1 and c |-> 1 (x) c of a tensor product included: it sends e_u
-to a unit times one basis monomial.  An embedding's source cocycle, the
-pullback along a coordinate injection, is a block of the target's matrix
-with the target's own entries.  Such a map with unit generator images is
-multiplicative exactly when its ratio matrix
+to a unit times one basis monomial.  So a map holds only its monoid
+morphism f and one unit per generator, in integer form; its generator
+images are derived from them when read, and the Segre maps and the
+embeddings build no element to define one.  An embedding's source cocycle,
+the pullback along a coordinate injection, is a block of the target's
+matrix with the target's own entries.  Such a map with unit generator
+images is multiplicative exactly when its ratio matrix
 R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, so
 :func:`verify_homomorphism`'s generator pairs decide it and its random pairs
 are a self-test of `multiply` and `apply`.  The scaling isomorphism
@@ -379,19 +382,22 @@ MultiplicativityReport = HomomorphismReport = CheckReport
 class GradedHomomorphism:
     """Algebra map e_k |-> s_k e_f(e_k), for units s_k and a monoid morphism f.
 
-    The map holds this defining data and its ratio matrix R, the quotient of
-    the pullback of the target cocycle along f by the source cocycle:
+    The map holds this defining data, f and the integer forms of the units
+    s_k, and its ratio matrix R, the quotient of the pullback of the target
+    cocycle along f by the source cocycle:
     R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l).  e_u goes to the
     ordered product of its generators' images, which is
     prod_k s_k^u_k R_kk^C(u_k, 2) prod_(k<l) R_kl^(u_k u_l) e_f(u); nothing
-    is cached per monomial.  When every s_k and every R_kl is 1 (as for every
-    Segre map), e_u goes to exactly e_f(u), and `apply` does no unit
-    arithmetic.  No source cocycle parameter may be a target generator name,
-    so that the images read back through `parse_element`.
+    is cached per monomial, and no element is stored: `generator_images`
+    is derived from f and the units on each read.  Two maps are equal, and
+    hash alike, when their algebras, f's generator images and the units
+    are.  When every s_k and every R_kl is 1 (as for every Segre map), e_u
+    goes to exactly e_f(u), and `apply` does no unit arithmetic.  No source
+    cocycle parameter may be a target generator name, so that the images
+    read back through `parse_element`.
     """
 
-    __slots__ = ("source", "target", "monoid_morphism", "generator_images",
-                 "_image_units", "_ratio", "_all_ones")
+    __slots__ = ("source", "target", "monoid_morphism", "_image_units", "_ratio", "_all_ones")
 
     def __init__(self, source, target, monoid_morphism, generator_images):
         f = monoid_morphism
@@ -420,7 +426,6 @@ class GradedHomomorphism:
         self.source = source
         self.target = target
         self.monoid_morphism = f
-        self.generator_images = images
         self._image_units = _integer_form(units)
         self._ratio = (pullback(target.cocycle, f) * source.cocycle.inverse())._integer
         self._all_ones = not any(self._image_units) and not any(map(any, self._ratio))
@@ -430,10 +435,14 @@ class GradedHomomorphism:
         """The bare-image map from `source`, whose cocycle is the target's pulled back along f (R is all ones)."""
         phi = cls.__new__(cls)
         phi.source, phi.target, phi.monoid_morphism = source, target, f
-        phi.generator_images = tuple(target.basis_element(w) for w in f.generator_images)
         one = (None,) * f.source_rank
         phi._image_units, phi._ratio, phi._all_ones = one, (one,) * f.source_rank, True
         return phi
+
+    @property
+    def generator_images(self):
+        """The images s_k e_f(e_k) of the source generators, as target elements, derived on each read."""
+        return tuple(self.apply(self.source.generator(k)) for k in range(self.source.rank))
 
     def image_of_basis(self, u):
         """(unit, degree) with phi(e_u) = unit * e_degree in the target."""
@@ -476,16 +485,17 @@ class GradedHomomorphism:
     def __call__(self, x):
         return self.apply(x)
 
+    def _key(self):
+        """The defining data: the algebras, f's generator images and the units' integer forms."""
+        return self.source, self.target, self.monoid_morphism.generator_images, self._image_units
+
     def __eq__(self, other):
         if not isinstance(other, GradedHomomorphism):
             return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.monoid_morphism == other.monoid_morphism
-                and self.generator_images == other.generator_images)
+        return self._key() == other._key()
 
     def __hash__(self):
-        # Elements and monoid morphisms are unhashable: hash the images' vectors and units instead.
-        return hash((self.source, self.target, self.monoid_morphism.generator_images, self._image_units))
+        return hash(self._key())
 
 
 def verify_homomorphism(phi, samples=100, seed=0):

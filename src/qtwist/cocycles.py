@@ -27,10 +27,10 @@ checks by comparing numerator with denominator, with no Fraction at all.
 The exhaustive check of a table reads the triples whose first entry is a
 generator, which decide all the others; the sampled check of a
 bimultiplicative cocycle draws seeded random triples.
-A pullback entry mu(f e_k, f e_l) is one such product too, over the sparse
-generator images of f.  The
-bilinear form reads its arguments' sparse forms (`monoids._nonzero`), so a
-caller that pairs one vector with many takes its sparse form once.
+The bilinear form reads its arguments' sparse forms (`monoids._nonzero`),
+so a caller that pairs one vector with many takes its sparse form once.  A
+pullback entry mu(f e_k, f e_l) is that form on the sparse generator images
+of f, which the morphism keeps in the same form.
 
 Cohomology classes are identified with multiplicatively antisymmetric
 matrices (q_ii = 1, q_ij q_ji = 1) through the antisymmetrization map
@@ -326,14 +326,14 @@ def pullback(mu, f):
 
     Entry (k, l) is mu(f e_k, f e_l) = prod_{i,j} A_ij^(a_i b_j) over the
     nonzero entries a_i of f e_k and b_j of f e_l: one integer-kernel product
-    over the integer form of A and the sparse generator images of f.
+    of `_bilinear_pairs` over the integer form of A and the sparse generator
+    images of f.
     """
     if mu.rank != f.target_rank:
         raise ValueError(f"cocycle rank {mu.rank} does not match morphism target rank {f.target_rank}")
     matrix, images = mu._integer, f._sparse
     return BimultiplicativeCocycle(
-        [[_unit_power((matrix[i][j], a * b) for i, a in left for j, b in right) for right in images]
-         for left in images])
+        [[_unit_power(_bilinear_pairs(matrix, left, right)) for right in images] for left in images])
 
 
 def _unit_values(table):

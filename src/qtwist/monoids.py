@@ -15,9 +15,10 @@ The argument checks every module shares live here: `_int_arg` for a size
 or an index, `_rank_arg` for a rank, and `_vector_arg` for an exponent
 vector of a given rank.  So does `_nonzero`, the sparse form of a vector
 (its nonzero entries with their indices) that bilinear forms and twisted
-products read.  So does `_Record`, the immutable slotted record
-base of `ProductSplit` and the library's other records: the standard
-library's generated records would load `inspect` and `ast` on import.
+products read, and that a morphism keeps of each generator image.  So does
+`_Record`, the immutable slotted record base of `ProductSplit` and the
+library's other records: the standard library's generated records would
+load `inspect` and `ast` on import.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ class MonoidMorphism:
         self.source_rank = source_rank
         self.target_rank = target_rank
         self.generator_images = images
-        self._sparse = tuple(tuple((i, e) for i, e in enumerate(w) if e) for w in images)
+        self._sparse = tuple(map(_nonzero, images))
 
     @classmethod
     def identity(cls, rank):

@@ -21,6 +21,8 @@ from qtwist import (
     build_quantum_segre,
     canonical_from_antisym,
     coboundary_isomorphism,
+    embed_left,
+    embed_right,
     kernel_basis,
     kronecker,
     parse_element,
@@ -29,6 +31,7 @@ from qtwist import (
     segre_morphism,
     source_deformation_matrix,
     symmetric_trivializer,
+    twisted_tensor_product,
     vectors_of_degree,
     vectors_up_to_degree,
     verify_homomorphism,
@@ -41,6 +44,7 @@ from helpers import (
     rand_antisym,
     rand_cocycle,
     rand_nonzero_rational,
+    rand_pairing,
     rand_symmetric_cocycle,
     rand_unit,
     rand_vector,
@@ -298,11 +302,15 @@ def test_unit_one_shortcut_agrees_with_the_general_path(n, m, seed, kind):
         if kind == "scaled":
             s = SegreMap(n, m, s.ambient_cocycle, scaled_images(s, rng))
     phi, f = s.homomorphism, s.morphism
-    general = GradedHomomorphism(s.source, s.target, f, phi.generator_images)
-    assert phi._all_ones == general._all_ones == (kind == "bare")
-    assert all(r.is_one() for row in ratio_matrix(general) for r in row) == (kind != "wide")
     gens = [s.source.generator(k) for k in range(s.source.rank)]
     images = [phi(x) for x in gens]
+    if kind == "bare":
+        assert images == [s.target.basis_element(w) for w in f.generator_images]
+    general = GradedHomomorphism(s.source, s.target, f, images)
+    # the images read back are the elements the public constructor was given
+    assert general.generator_images == phi.generator_images == tuple(images)
+    assert phi._all_ones == general._all_ones == (kind == "bare")
+    assert all(r.is_one() for row in ratio_matrix(general) for r in row) == (kind != "wide")
     for u in vectors_up_to_degree(s.source.rank, 3):
         c_u, v = ordered_product_unit(s.source, u, gens)
         c_image, w = ordered_product_unit(s.target, u, images)
@@ -564,9 +572,28 @@ def test_a_map_keeps_only_its_defining_data(kind, warm):
     values = {name: rand_nonzero_rational(rng) for name in PARAMS}
     assert [len(kernel_basis(smap, degree, values)) > 0 for degree in (1, 2, 3)] == [False, True, True]
     slots = [name for cls in type(phi).__mro__ for name in getattr(cls, "__slots__", ())]
-    assert "generator_images" in slots
+    assert "generator_images" not in slots and phi.generator_images == twin.homomorphism.generator_images
     for name in slots:
         assert getattr(phi, name) == getattr(twin.homomorphism, name), name
+
+
+def test_segre_builds_and_embeddings_build_no_basis_element(monkeypatch):
+    # a bare-image map is its monoid morphism and its units, so neither a
+    # Segre build nor an embedding makes an element for a generator image
+    rng = random.Random(137)
+    B = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["x0", "x1"])
+    C = TwistedMonoidAlgebra(rand_cocycle(rng, 1), ["y0"])
+    T = twisted_tensor_product(B, C, rand_pairing(rng, 2, 1))
+    x, y, mu = random_element(B, rng), random_element(C, rng), rand_cocycle(rng, 5)
+    expected = build_quantum_segre(2, 1, mu), embed_left(T, x), embed_right(T, y)
+
+    def refuse(*args):
+        raise AssertionError("basis_element called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TwistedMonoidAlgebra, "basis_element", refuse)
+        got = build_quantum_segre(2, 1, mu), embed_left(T, x), embed_right(T, y)
+    assert got == expected
 
 
 @pytest.mark.parametrize("kind", ["bare", "scaled", "wide"])
