@@ -33,8 +33,11 @@ the pullback along a coordinate injection, is a block of the target's
 matrix with the target's own entries.  Such a map with unit generator
 images is multiplicative exactly when its ratio matrix
 R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, so
-:func:`verify_homomorphism`'s generator pairs decide it and its random pairs
-are a self-test of `multiply` and `apply`.  The scaling isomorphism
+:func:`verify_homomorphism`'s generator pairs decide it.  Each pair is one
+integer `_power` product of the defining data (a source cocycle entry, the
+map's unit rule for c_(e_k+e_l), two units s_k and the target form on f's
+images), with no element built; its random pairs are a self-test of
+`multiply` and `apply`.  The scaling isomorphism
 (:class:`DiagonalScaling`) is the instance with bare images e_k |-> e_k and
 R = nu/mu, symmetric because mu and nu are cohomologous.
 """
@@ -53,7 +56,7 @@ from .cocycles import (
     antisymmetrize,
     canonical_from_antisym,
     _bilinear_pairs,
-    _quadratic_unit,
+    _quadratic_pairs,
     cohomologous,
     pullback,
     yamazaki_factorize,
@@ -75,6 +78,7 @@ from .scalars import (
     _power,
     _render_sum,
     _split_sign,
+    _unit_power,
     parse_poly,
     render_poly,
 )
@@ -451,7 +455,7 @@ class GradedHomomorphism:
 
     def _unit(self, u):
         """The unit c_u of phi(e_u) = c_u e_f(u), from the s_k and R; u must have the source's rank."""
-        return _quadratic_unit(self._ratio, u, self._image_units)
+        return _unit_power(_quadratic_pairs(self._ratio, _nonzero(u), self._image_units))
 
     def apply(self, x):
         """Linear extension of the basis action; preserves grading along f.
@@ -501,24 +505,36 @@ class GradedHomomorphism:
 def verify_homomorphism(phi, samples=100, seed=0):
     """Check phi(x*y) = phi(x)*phi(y) exactly on all generator pairs plus random pairs.
 
-    The generator pairs are a complete proof: pair (k, l) with l < k holds
-    exactly when R_kl = R_lk, the other pairs always hold, and a symmetric R
-    makes the map multiplicative everywhere.  The random pairs (<= 3-term
+    Generator pair (k, l) is the unit identity
+    mu_source(e_k, e_l) c_(e_k+e_l) = s_k s_l mu_target(f e_k, f e_l), with
+    c_u from the map's one rule (`cocycles._quadratic_pairs` over R and the
+    s_k).  It is decided from the integer forms by one `_power` product that
+    must come to 1, as `cocycles._triple_holds` decides a cocycle triple, and
+    no element is built.  The generator pairs are a complete proof: pair
+    (k, l) with l < k holds exactly when R_kl = R_lk, the other pairs always
+    hold, and a symmetric R makes the map multiplicative everywhere.  A map
+    built from a pullback takes R and its units as all ones, so there the
+    product checks the source cocycle against the pullback, entry by entry.
+    The random pairs (<= 3-term
     elements with sparse exponents <= 4, deterministic given the seed) are a
     self-test of `multiply` and `apply`.  Reports the first counterexample.
     `samples` must be an int >= 0 (not a bool).
     """
     samples = _rank_arg(samples, "samples")
-    source = phi.source
-    generators = [source.generator(k) for k in range(source.rank)]
-    images = [phi(x) for x in generators]
+    source, ratio, units = phi.source, phi._ratio, phi._image_units
+    mu, nu, images = source.cocycle._integer, phi.target.cocycle._integer, phi.monoid_morphism._sparse
     checked = 0
-    for i, xi in enumerate(generators):
-        for j, xj in enumerate(generators):
+    for k in range(source.rank):
+        for l in range(source.rank):
             checked += 1
-            if phi(xi * xj) != images[i] * images[j]:
+            both = ((k, 2),) if k == l else ((min(k, l), 1), (max(k, l), 1))  # e_k + e_l, sparse
+            pairs = _quadratic_pairs(ratio, both, units)
+            pairs += ((mu[k][l], 1), (units[k], -1), (units[l], -1))
+            pairs += ((a, -e) for a, e in _bilinear_pairs(nu, images[k], images[l]))
+            num, den, exps = _power(pairs)
+            if num != den or exps:
                 names = source.generator_names
-                return HomomorphismReport(False, checked, seed, (names[i], names[j]))
+                return HomomorphismReport(False, checked, seed, (names[k], names[l]))
     rng = random.Random(seed)
     for _ in range(samples):
         x = random_element(source, rng)

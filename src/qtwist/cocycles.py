@@ -73,18 +73,19 @@ def _bilinear_unit(matrix, u, v):
     return _unit_power(_bilinear_pairs(matrix, _nonzero(u), _nonzero(v)))
 
 
-def _quadratic_unit(matrix, u, linear=()):
-    """prod_k M_kk^C(u_k, 2) * prod_{k<l} M_kl^(u_k u_l) * prod_k linear_k^(u_k), all integer-form.
+def _quadratic_pairs(matrix, sup, linear=()):
+    """The (entry, power) pairs of prod_k M_kk^C(u_k, 2) * prod_{k<l} M_kl^(u_k u_l) * prod_k linear_k^(u_k).
 
-    The quadratic part is the coefficient picked up by collecting the ordered
-    product prod_k w_k^(u_k) into one basis monomial, where M_kl = mu(w_k, w_l).
+    `sup` is the sparse form (`monoids._nonzero`) of u, and the entries are
+    integer forms.  The quadratic part is the coefficient picked up by
+    collecting the ordered product prod_k w_k^(u_k) into one basis monomial,
+    where M_kl = mu(w_k, w_l).
     """
-    sup = _nonzero(u)
     pairs = [(matrix[k][l], uk * (uk - 1) // 2 if k == l else uk * ul)
              for pos, (k, uk) in enumerate(sup) for l, ul in sup[pos:]]
     if linear:
         pairs.extend((linear[k], uk) for k, uk in sup)
-    return _unit_power(pairs)
+    return pairs
 
 
 class _UnitForm:
@@ -718,6 +719,6 @@ def symmetric_trivializer(c):
     inverse = c.inverse()._integer
 
     def h(u):
-        return _quadratic_unit(inverse, u)
+        return _unit_power(_quadratic_pairs(inverse, _nonzero(u)))
 
     return ClosedFormFunction(n, h)

@@ -118,7 +118,7 @@ class ExponentVector(tuple):
 
     @classmethod
     def zero(cls, rank):
-        return cls((0,) * _rank_arg(rank, "zero vector rank"))
+        return cls._trusted((0,) * _rank_arg(rank, "zero vector rank"))
 
     @classmethod
     def unit(cls, rank, index):
@@ -129,7 +129,7 @@ class ExponentVector(tuple):
             raise ValueError(f"unit vectors of rank {rank} have an index in 0..{rank - 1}, got {index}")
         entries = [0] * rank
         entries[index] = 1
-        return cls(entries)
+        return cls._trusted(entries)
 
     @property
     def entries(self):

@@ -8,7 +8,9 @@ e_u to exactly e_f(u), f the grading morphism; the quantum content lives in
 the normal-form basis of each side.  When the ambient cocycle factorizes, the
 source deformation matrix is the Kronecker product of the two factor
 matrices.  :func:`verify_homomorphism` decides multiplicativity on the
-generator pairs; its random pairs are a self-test of `multiply` and `apply`.
+generator pairs, each by one integer product of the source cocycle entry and
+the target form on f's images, with no element built; its random pairs are a
+self-test of `multiply` and `apply`.
 
 The map sends every basis monomial to a unit times one basis monomial, so
 its degree-d kernel splits over the fibers of f: each fiber contributes the

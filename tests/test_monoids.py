@@ -52,6 +52,25 @@ def test_unit_vector_index_must_be_in_range(index):
     assert [ExponentVector.unit(3, k) for k in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
+def test_unit_and_zero_check_once_and_build_unchecked(monkeypatch):
+    # after their own rank and index checks, unit and zero make a vector of
+    # ints they built themselves, so they skip the checked constructor
+    expected = [ExponentVector.unit(3, k) for k in range(3)], ExponentVector.zero(2), ExponentVector.zero(0)
+
+    def refuse(cls, entries):
+        raise AssertionError("checked constructor called")
+
+    monkeypatch.setattr(ExponentVector, "__new__", refuse)
+    got = [ExponentVector.unit(3, k) for k in range(3)], ExponentVector.zero(2), ExponentVector.zero(0)
+    assert got == expected and all(type(u) is ExponentVector for u in (*got[0], got[1], got[2]))
+    for build, message in [(lambda: ExponentVector.unit(0, 0), "rank 0 has no unit vectors, got index 0"),
+                           (lambda: ExponentVector.unit(2, 2), "unit vectors of rank 2 have an index in 0..1, got 2"),
+                           (lambda: ExponentVector.zero(-1), "zero vector rank must be >= 0, got -1")]:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("build,message", [
     (lambda: ExponentVector.unit(3, True), "unit vector index must be an int, got True"),
     (lambda: ExponentVector.unit(3, 1.0), "unit vector index must be an int, got 1.0"),

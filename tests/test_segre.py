@@ -12,6 +12,7 @@ from qtwist import (
     DiagonalScaling,
     ExponentVector,
     GradedHomomorphism,
+    HomomorphismReport,
     LaurentPolynomial,
     MonoidMorphism,
     Pairing,
@@ -26,11 +27,13 @@ from qtwist import (
     kernel_basis,
     kronecker,
     parse_element,
+    pullback,
     random_element,
     render_element,
     segre_morphism,
     source_deformation_matrix,
     symmetric_trivializer,
+    twist_by,
     twisted_tensor_product,
     vectors_of_degree,
     vectors_up_to_degree,
@@ -270,6 +273,97 @@ def test_scaling_isomorphism_is_the_symmetric_trivializer():
         for u in vectors_up_to_degree(rank, 4):
             assert phi.scale(u) == h(u)
             assert phi.inverse().scale(u) == h(u).inv()
+
+
+def reference_generator_pairs(phi, seed=0):
+    """verify_homomorphism's report with no samples, from the element loop phi(x_i x_j) != phi(x_i) phi(x_j)."""
+    source = phi.source
+    generators = [source.generator(k) for k in range(source.rank)]
+    images = [phi(x) for x in generators]
+    checked = 0
+    for i, xi in enumerate(generators):
+        for j, xj in enumerate(generators):
+            checked += 1
+            if phi(xi * xj) != images[i] * images[j]:
+                names = source.generator_names
+                return HomomorphismReport(False, checked, seed, (names[i], names[j]))
+    return HomomorphismReport(True, checked, seed)
+
+
+def perturbed(cocycle, rng):
+    """`cocycle` with one random entry multiplied by a random unit."""
+    rows = [list(row) for row in cocycle.matrix]
+    k, l = rng.randrange(cocycle.rank), rng.randrange(cocycle.rank)
+    rows[k][l] = rows[k][l] * rand_unit(rng)
+    return BimultiplicativeCocycle(rows)
+
+
+def random_map(kind, rng):
+    """A map of one of four kinds; about half of each kind are multiplicative.
+
+    checked: the public constructor along the identity or a random f with
+    image entries 0..2, with random units; scaling: a DiagonalScaling;
+    pullback: a bare-image map along a random f whose source cocycle is the
+    pullback or a perturbed one; segre: a Segre map with the pullback or a
+    perturbed source cocycle.
+    """
+    good = rng.random() < 0.5
+    if kind == "segre":
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
+        mu = s.source.cocycle if good else perturbed(s.source.cocycle, rng)
+        return GradedHomomorphism._from_pullback(TwistedMonoidAlgebra(mu), s.target, s.morphism)
+    rank, target_rank = rng.randint(1, 3), rng.randint(1, 3)
+    target = TwistedMonoidAlgebra(rand_cocycle(rng, target_rank), [f"y{i}" for i in range(target_rank)])
+    if kind == "scaling":
+        mu = rand_cocycle(rng, target_rank)
+        nu = mu * rand_symmetric_cocycle(rng, target_rank) if good else rand_cocycle(rng, target_rank)
+        return DiagonalScaling(TwistedMonoidAlgebra(mu), TwistedMonoidAlgebra(nu))
+    if kind == "checked" and rng.random() < 0.5:
+        f = MonoidMorphism.identity(target_rank)
+    else:
+        f = MonoidMorphism(rank, target_rank, [rand_vector(rng, target_rank, max_entry=2) for _ in range(rank)])
+    mu = pullback(target.cocycle, f)
+    if kind == "pullback":
+        return GradedHomomorphism._from_pullback(
+            TwistedMonoidAlgebra(mu if good else perturbed(mu, rng)), target, f)
+    mu = mu * rand_symmetric_cocycle(rng, f.source_rank) if good else rand_cocycle(rng, f.source_rank)
+    images = [target.basis_element(w, rand_unit(rng)) for w in f.generator_images]
+    return GradedHomomorphism(TwistedMonoidAlgebra(mu), target, f, images)
+
+
+@pytest.mark.parametrize("kind", ["checked", "scaling", "pullback", "segre"])
+def test_generator_pairs_agree_with_the_element_loop(kind):
+    # each generator pair is one integer product; the element loop it replaced decides the same
+    rng = random.Random(f"generator pairs {kind}")
+    seen = Counter()
+    for trial in range(40):
+        phi = random_map(kind, rng)
+        report = verify_homomorphism(phi, 0, seed=trial)
+        assert report == reference_generator_pairs(phi, trial)
+        seen[report.passed] += 1
+    assert seen[True] >= 5 and seen[False] >= 5, seen
+
+
+def test_generator_pairs_build_no_element(monkeypatch):
+    # with no samples, verification multiplies and applies nothing, and reports as before
+    rng = random.Random(138)
+    s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 3))
+    mu = rand_cocycle(rng, 3)
+    maps = [s.homomorphism, DiagonalScaling(twist_by(A, mu), twist_by(A, mu * rand_symmetric_cocycle(rng, 3))),
+            scaled_images(s, rng), random_map("checked", random.Random(141))]
+    expected = [verify_homomorphism(phi, 0, seed=7) for phi in maps]
+    assert [report.passed for report in expected] == [True, True, True, False]
+
+    def refuse(*args):
+        raise AssertionError("an element was multiplied or applied")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TwistedMonoidAlgebra, "multiply", refuse)
+        patch.setattr(GradedHomomorphism, "apply", refuse)
+        assert [verify_homomorphism(phi, 0, seed=7) for phi in maps] == expected
+    assert expected == [reference_generator_pairs(phi, 7) for phi in maps]
 
 
 
