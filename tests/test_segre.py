@@ -314,11 +314,11 @@ def random_map(kind, rng):
         mu = s.source.cocycle if good else perturbed(s.source.cocycle, rng)
         return GradedHomomorphism._from_pullback(TwistedMonoidAlgebra(mu), s.target, s.morphism)
     rank, target_rank = rng.randint(1, 3), rng.randint(1, 3)
-    target = TwistedMonoidAlgebra(rand_cocycle(rng, target_rank), [f"y{i}" for i in range(target_rank)])
     if kind == "scaling":
-        mu = rand_cocycle(rng, target_rank)
-        nu = mu * rand_symmetric_cocycle(rng, target_rank) if good else rand_cocycle(rng, target_rank)
+        mu = rand_cocycle(rng, rank)
+        nu = mu * rand_symmetric_cocycle(rng, rank) if good else rand_cocycle(rng, rank)
         return DiagonalScaling(TwistedMonoidAlgebra(mu), TwistedMonoidAlgebra(nu))
+    target = TwistedMonoidAlgebra(rand_cocycle(rng, target_rank), [f"y{i}" for i in range(target_rank)])
     if kind == "checked" and rng.random() < 0.5:
         f = MonoidMorphism.identity(target_rank)
     else:
