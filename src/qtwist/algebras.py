@@ -19,23 +19,29 @@ coefficient given as a unit, an int or a ``Fraction`` is coerced by
 only through the owner's unchecked entries: a product takes each term's
 sparse form (``monoids._nonzero``) once and adds the exponent vectors, keys
 of checked elements, through ``ExponentVector._trusted``; an image maps
-each key through ``MonoidMorphism._image`` and computes no unit for a map
-whose units and ratio matrix are all 1; the sampler draws each coefficient
-straight into its integer form.
+each key through ``MonoidMorphism._image``; the sampler draws each
+coefficient straight into its integer form.  An image is the one trusted
+path into another algebra, so it refuses a coefficient parameter that is a
+generator name of the target, as the checked element constructor does for
+its own algebra.
 
 Every morphism here is a :class:`GradedHomomorphism`, the factor embeddings
 b |-> b (x) 1 and c |-> 1 (x) c of a tensor product included: it sends e_u
 to a unit times one basis monomial.  So a map holds only its monoid
 morphism f and one unit per generator, in integer form; its generator
 images are derived from them when read, and the Segre maps and the
-embeddings build no element to define one.  An embedding's source cocycle,
+embeddings build no element to define one.  The unit c_u of
+phi(e_u) = c_u e_f(u) has one rule, ``GradedHomomorphism._unit``, which
+every reader goes through (images, `image_of_basis`, the generator pairs
+and ``segre.kernel_basis``); it computes nothing for a map whose units and
+ratio matrix are all 1, as for every Segre map.  An embedding's source cocycle,
 the pullback along a coordinate injection, is a block of the target's
 matrix with the target's own entries.  Such a map with unit generator
 images is multiplicative exactly when its ratio matrix
 R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, so
 :func:`verify_homomorphism`'s generator pairs decide it.  Each pair is one
-integer `_power` product of the defining data (a source cocycle entry, the
-map's unit rule for c_(e_k+e_l), two units s_k and the target form on f's
+integer `_power` product of the defining data (a source cocycle entry,
+c_(e_k+e_l) from `_unit`, two units s_k and the target form on f's
 images), with no element built; its random pairs are a self-test of
 `multiply` and `apply`.  The scaling isomorphism
 (:class:`DiagonalScaling`) is the instance with bare images e_k |-> e_k and
@@ -71,7 +77,6 @@ from .scalars import (
     _coefficient,
     _integer_form,
     _integer_terms,
-    _integer_unit,
     _parse_product,
     _parse_sum,
     _polynomial,
@@ -396,7 +401,8 @@ class GradedHomomorphism:
     is derived from f and the units on each read.  Two maps are equal, and
     hash alike, when their algebras, f's generator images and the units
     are.  When every s_k and every R_kl is 1 (as for every Segre map), e_u
-    goes to exactly e_f(u), and `apply` does no unit arithmetic.  No source
+    goes to exactly e_f(u), and `_unit`, the one rule for c_u, returns None
+    for every u, so the map does no unit arithmetic.  No source
     cocycle parameter may be a target generator name, so that the images
     read back through `parse_element`.
     """
@@ -451,28 +457,44 @@ class GradedHomomorphism:
     def image_of_basis(self, u):
         """(unit, degree) with phi(e_u) = unit * e_degree in the target."""
         degree = self.monoid_morphism(u)  # checks the vector and its rank first
-        return self._unit(u), degree
+        return _unit_power(((self._unit(u), 1),)), degree
 
     def _unit(self, u):
-        """The unit c_u of phi(e_u) = c_u e_f(u), from the s_k and R; u must have the source's rank."""
-        return _unit_power(_quadratic_pairs(self._ratio, _nonzero(u), self._image_units))
+        """c_u of phi(e_u) = c_u e_f(u) in integer form, unreduced; u must have the source's rank.
+
+        The one rule for c_u, and the only reader of `_all_ones`: None when
+        every s_k and R_kl is 1 (as for every Segre map), so that such a map
+        does no unit arithmetic; otherwise the `_power` of
+        `cocycles._quadratic_pairs` over R and the s_k.  `apply`,
+        `image_of_basis`, the generator pairs of `verify_homomorphism` and
+        `segre.kernel_basis` all read c_u here.
+        """
+        if self._all_ones:
+            return None
+        return _power(_quadratic_pairs(self._ratio, _nonzero(u), self._image_units))
 
     def apply(self, x):
         """Linear extension of the basis action; preserves grading along f.
 
-        With phi(e_u) = c e_w, p e_u adds c*p to the coefficient of e_w; a
-        lone e_u with image unit 1 keeps its coefficient.  x's keys are
-        checked vectors of the source's rank, so they go through the
-        unchecked `MonoidMorphism._image`, and c is computed, in integer form
-        (None for 1), only when the map's units and ratio matrix are not all 1.
+        With phi(e_u) = c e_w, p e_u adds c*p to the coefficient of e_w, c in
+        the integer form of `_unit`; on a map whose units and ratio matrix
+        are all 1 (c is None), a lone e_u keeps its coefficient.  x's keys
+        are checked vectors of the source's rank, so they go through the
+        unchecked `MonoidMorphism._image`.  `apply` is the trusted path that
+        moves an element into another algebra, so it refuses a coefficient
+        parameter of x that is a generator name of the target: the image
+        would not read back through `parse_element`.
         """
         if x.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
-        image, all_ones = self.monoid_morphism._image, self._all_ones
+        params = {name for p in x.terms.values() for exps in p.terms for name, _ in exps}
+        if not params.isdisjoint(self.target.generator_names):
+            clash = min(params.intersection(self.target.generator_names))
+            raise ValueError(f"coefficient parameter {clash!r} is a generator name of the target algebra")
+        image, unit = self.monoid_morphism._image, self._unit
         fibers = {}
         for u, p in x.terms.items():
-            c = None if all_ones else _integer_unit(self._unit(u))
-            fibers.setdefault(image(u), []).append((c, p))
+            fibers.setdefault(image(u), []).append((unit(u), p))
         terms = {}
         for w, parts in fibers.items():
             if len(parts) == 1 and parts[0][0] is None:
@@ -507,8 +529,9 @@ def verify_homomorphism(phi, samples=100, seed=0):
 
     Generator pair (k, l) is the unit identity
     mu_source(e_k, e_l) c_(e_k+e_l) = s_k s_l mu_target(f e_k, f e_l), with
-    c_u from the map's one rule (`cocycles._quadratic_pairs` over R and the
-    s_k).  It is decided from the integer forms by one `_power` product that
+    c_(e_k+e_l) from the map's one rule, `GradedHomomorphism._unit` (None on
+    a map whose units and ratio matrix are all 1), so no R is read here.
+    It is decided from the integer forms by one `_power` product that
     must come to 1, as `cocycles._triple_holds` decides a cocycle triple, and
     no element is built.  The generator pairs are a complete proof: pair
     (k, l) with l < k holds exactly when R_kl = R_lk, the other pairs always
@@ -521,15 +544,14 @@ def verify_homomorphism(phi, samples=100, seed=0):
     `samples` must be an int >= 0 (not a bool).
     """
     samples = _rank_arg(samples, "samples")
-    source, ratio, units = phi.source, phi._ratio, phi._image_units
+    source, unit, units, vector = phi.source, phi._unit, phi._image_units, ExponentVector._trusted
     mu, nu, images = source.cocycle._integer, phi.target.cocycle._integer, phi.monoid_morphism._sparse
+    gens = [ExponentVector.unit(source.rank, k) for k in range(source.rank)]
     checked = 0
-    for k in range(source.rank):
-        for l in range(source.rank):
+    for k, ek in enumerate(gens):
+        for l, el in enumerate(gens):
             checked += 1
-            both = ((k, 2),) if k == l else ((min(k, l), 1), (max(k, l), 1))  # e_k + e_l, sparse
-            pairs = _quadratic_pairs(ratio, both, units)
-            pairs += ((mu[k][l], 1), (units[k], -1), (units[l], -1))
+            pairs = [(unit(vector(map(add, ek, el))), 1), (mu[k][l], 1), (units[k], -1), (units[l], -1)]
             pairs += ((a, -e) for a, e in _bilinear_pairs(nu, images[k], images[l]))
             num, den, exps = _power(pairs)
             if num != den or exps:

@@ -69,10 +69,6 @@ def _bilinear_pairs(matrix, left, right):
     return ((matrix[i][j], ui * vj) for i, ui in left for j, vj in right)
 
 
-def _bilinear_unit(matrix, u, v):
-    return _unit_power(_bilinear_pairs(matrix, _nonzero(u), _nonzero(v)))
-
-
 def _quadratic_pairs(matrix, sup, linear=()):
     """The (entry, power) pairs of prod_k M_kk^C(u_k, 2) * prod_{k<l} M_kl^(u_k u_l) * prod_k linear_k^(u_k).
 
@@ -143,8 +139,8 @@ class _UnitForm:
     def _evaluate(self, u, v):
         """M(u, v) = prod M_ij^(u_i v_j) for u, v of the form's row and column ranks; exact."""
         rows, columns = self._shape
-        return _bilinear_unit(self._integer, _vector_arg(u, rows, "left argument"),
-                              _vector_arg(v, columns, "right argument"))
+        return _unit_power(_bilinear_pairs(self._integer, _nonzero(_vector_arg(u, rows, "left argument")),
+                                           _nonzero(_vector_arg(v, columns, "right argument"))))
 
     def _opposite(self):
         """The opposite form (u, v) |-> M(v, u): the transpose."""

@@ -16,9 +16,10 @@ The map sends every basis monomial to a unit times one basis monomial, so
 its degree-d kernel splits over the fibers of f: each fiber contributes the
 binomials e_u - (c_u / c_u0) e_u0 against its first monomial u0, with no
 linear algebra and no specialization arithmetic.  The probe keys each fiber
-by f(u) packed into one int and keeps no memory of its own.  For a Segre
-map (every c_u is 1) it does no unit arithmetic at all; for any other map
-it computes c_u, and c_u / c_u0, once per monomial.
+by f(u) packed into one int and keeps no memory of its own.  It reads c_u
+from the map's one rule, `GradedHomomorphism._unit`: for a Segre map (every
+c_u is 1) that returns None and the probe does no unit arithmetic at all;
+for any other map it makes c_u / c_u0 as one integer product per binomial.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .algebras import (  # the homomorphism names stay importable from here
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize, pullback
 # ProductSplit stays importable from here.
 from .monoids import ProductSplit, _int_arg, _Record, segre_morphism, vectors_of_degree
-from .scalars import LaurentPolynomial, _specialize_monomial
+from .scalars import LaurentPolynomial, _specialize_monomial, _unit_power
 
 
 class SegreMap(_Record):
@@ -129,10 +130,11 @@ def kernel_basis(segre_map, degree, specialization):
     and the key of u is sum_k u_k code_k = sum_i f(u)_i B^i.  Each entry
     f(u)_i = sum_k u_k f(e_k)_i is at most |u| M = d M < B, so the key is
     f(u) written in base B with every digit below B, and two degree-d
-    monomials share a key exactly when they share f(u).  For the maps of
-    :func:`build_quantum_segre` every c_u is 1 and every ratio is the
-    constant 1; otherwise c_u is computed from the map's generator-image
-    units and ratio matrix once per monomial, and c_u / c_u0 once per binomial.
+    monomials share a key exactly when they share f(u).  c_u comes from
+    the map's one rule, `GradedHomomorphism._unit`, in integer form.  For
+    the maps of :func:`build_quantum_segre` it is None (every c_u is 1), and
+    every ratio is the constant 1; otherwise c_u / c_u0 is one `_unit_power`
+    of the two integer forms per binomial.
     """
     if _int_arg(degree, "kernel degree") < 1:
         raise ValueError("kernel degree must be >= 1")
@@ -143,7 +145,7 @@ def kernel_basis(segre_map, degree, specialization):
     images = phi.monoid_morphism._sparse
     base = degree * max((e for image in images for _, e in image), default=0) + 1
     codes = [sum(e * base ** i for i, e in image) for image in images]
-    unit = None if phi._all_ones else phi._unit
+    unit = phi._unit
     one = LaurentPolynomial.one()
     minus_one = -one
     first = {}
@@ -152,10 +154,10 @@ def kernel_basis(segre_map, degree, specialization):
         key = sum(map(mul, u, codes))
         found = first.get(key)
         if found is None:
-            first[key] = (u, None if unit is None else unit(u))
+            first[key] = (u, unit(u))
             continue
-        u0, c0 = found
-        ratio = minus_one if unit is None else -LaurentPolynomial.from_unit(unit(u) / c0)
+        u0, c0 = found  # c0 is None exactly when the map's c_u are all 1
+        ratio = minus_one if c0 is None else -LaurentPolynomial.from_unit(_unit_power(((unit(u), 1), (c0, -1))))
         # Canonical as it stands: u0 != u, both of the source's rank, and both coefficients nonzero.
         basis.append(AlgebraElement._trusted(phi.source, {u0: ratio, u: one}))
     return basis

@@ -558,6 +558,30 @@ def test_a_source_parameter_is_not_a_target_generator_name():
     assert render_element(x) == "q^-1*b^2" and parse_element(T, render_element(x)) == x
 
 
+def test_apply_refuses_a_coefficient_parameter_that_is_a_target_generator_name():
+    # X0*a on ["a"] would map to X0*X0 on ["X0"], which reads back as X0^2
+    S, T = polynomial_algebra(1, ["a"]), polynomial_algebra(1, ["X0"])
+    phi = GradedHomomorphism(S, T, MonoidMorphism.identity(1), [T.generator(0)])
+    e = ExponentVector((1,))
+    with pytest.raises(ValueError) as exc:
+        phi(S.basis_element(e, LaurentPolynomial.from_param("X0")))
+    assert str(exc.value) == "coefficient parameter 'X0' is a generator name of the target algebra"
+    x = phi(S.basis_element(e, LaurentPolynomial.from_param("q")))
+    assert render_element(x) == "q*X0" and parse_element(T, render_element(x)) == x
+
+
+def test_embeddings_refuse_a_coefficient_parameter_that_is_a_generator_of_the_other_factor():
+    # b*a of L would embed as b*a, whose b is R's generator, and the literal would read back as a*b
+    L, R = polynomial_algebra(1, ["a"]), polynomial_algebra(1, ["b"])
+    tensor = twisted_tensor_product(L, R, Pairing.trivial(1, 1))
+    e = ExponentVector((1,))
+    for embed, x, name in ((embed_left, L.basis_element(e, LaurentPolynomial.from_param("b")), "b"),
+                           (embed_right, R.basis_element(e, LaurentPolynomial.from_param("a")), "a")):
+        with pytest.raises(ValueError) as exc:
+            embed(tensor, x)
+        assert str(exc.value) == f"coefficient parameter {name!r} is a generator name of the target algebra"
+
+
 def test_elements_times_scalars_from_both_sides():
     A = polynomial_algebra(2)
     x = parse_element(A, "q*X0 - X1^2")

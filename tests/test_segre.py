@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtwist import algebras
 from qtwist import (
     AlgebraElement,
     AntisymmetricMatrix,
@@ -424,6 +425,24 @@ def test_scaling_between_distinct_cohomologous_cocycles_takes_the_general_path()
     scales = [phi.scale(u) for u in vectors_up_to_degree(3, 3)]
     assert scales == [h(u) for u in vectors_up_to_degree(3, 3)]
     assert not all(c.is_one() for c in scales)
+
+
+def test_all_ones_maps_take_their_unit_1_from_the_one_rule(monkeypatch):
+    # every s_k and R_kl of a Segre map, and of a scaling between equal cocycles, is 1, so `_unit`
+    # returns None before any c_u product: image_of_basis and scale build the unit 1 without it
+    def refuse(*args):
+        raise AssertionError("c_u computed on an all-ones map")
+
+    rng = random.Random(131)
+    s = build_quantum_segre(2, 2, rand_cocycle(rng, 6))
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 3))
+    scaling = DiagonalScaling(A, A)
+    monkeypatch.setattr(algebras, "_quadratic_pairs", refuse)
+    for u in vectors_up_to_degree(s.source.rank, 2):
+        c, w = s.homomorphism.image_of_basis(u)
+        assert c == UnitScalar.one() and w == s.morphism(u)
+    for u in vectors_up_to_degree(3, 2):
+        assert scaling.scale(u).is_one()
 
 # -- deformation matrices ------------------------------------------------------------
 
