@@ -32,17 +32,18 @@ morphism f and one unit per generator, in integer form; its generator
 images are derived from them when read, and the Segre maps and the
 embeddings build no element to define one.  The unit c_u of
 phi(e_u) = c_u e_f(u) has one rule, ``GradedHomomorphism._unit``, which
-every reader goes through (images, `image_of_basis`, the generator pairs
-and ``segre.kernel_basis``); it computes nothing for a map whose units and
-ratio matrix are all 1, as for every Segre map.  An embedding's source cocycle,
-the pullback along a coordinate injection, is a block of the target's
-matrix with the target's own entries.  Such a map with unit generator
-images is multiplicative exactly when its ratio matrix
-R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, so
-:func:`verify_homomorphism`'s generator pairs decide it.  Each pair is one
-integer `_power` product of the defining data (a source cocycle entry,
-c_(e_k+e_l) from `_unit`, two units s_k and the target form on f's
-images), with no element built; its random pairs are a self-test of
+every reader goes through (images, `image_of_basis` and
+``segre.kernel_basis``); it computes nothing for a map whose units and
+ratio matrix are all 1, as for every Segre map.  A map is multiplicative
+exactly when its ratio matrix
+R_kl = mu_target(f e_k, f e_l) / mu_source(e_k, e_l) is symmetric, and R
+is exact by construction: the public constructor divides the pullback by
+the source cocycle, and the bare-image maps (Segre maps and the
+embeddings) come from ``GradedHomomorphism._from_pullback``, which builds
+its source as the twist by the target cocycle pulled back along f, so
+their R is all ones.  So :func:`verify_homomorphism` decides each
+generator pair by comparing two canonical integer forms of R, with no
+product and no element built; its random pairs are a self-test of
 `multiply` and `apply`.  The scaling isomorphism
 (:class:`DiagonalScaling`) is the instance with bare images e_k |-> e_k and
 R = nu/mu, symmetric because mu and nu are cohomologous.
@@ -341,15 +342,15 @@ def embed_right(tensor_algebra, y):
 def _embed(tensor_algebra, x, start):
     """x under the bare-image map from the block of generators of the tensor algebra from index `start` on.
 
-    The pullback of the tensor cocycle along that coordinate injection is
-    the block of its matrix, so the source cocycle holds the target's own
-    UnitScalar entries, and `apply` compares identical entries.
+    The map is `GradedHomomorphism._from_pullback` along that coordinate
+    injection, named by the block's generator names, so its source is the
+    twist by the pulled-back tensor cocycle, and `apply` accepts x exactly
+    when x's algebra equals it.
     """
-    rank, block = tensor_algebra.rank, slice(start, start + x.algebra.rank)
-    f = MonoidMorphism(x.algebra.rank, rank, [ExponentVector.unit(rank, i) for i in range(start, block.stop)])
-    names = tensor_algebra.generator_names[block]
-    mu = BimultiplicativeCocycle([row[block] for row in tensor_algebra.cocycle.matrix[block]])
-    return GradedHomomorphism._from_pullback(TwistedMonoidAlgebra(mu, names), tensor_algebra, f).apply(x)
+    rank, stop = tensor_algebra.rank, start + x.algebra.rank
+    f = MonoidMorphism(x.algebra.rank, rank, [ExponentVector.unit(rank, i) for i in range(start, stop)])
+    names = tensor_algebra.generator_names[start:stop]
+    return GradedHomomorphism._from_pullback(tensor_algebra, f, names).apply(x)
 
 
 class FactorTwistReport(_Record):
@@ -400,9 +401,13 @@ class GradedHomomorphism:
     is cached per monomial, and no element is stored: `generator_images`
     is derived from f and the units on each read.  Two maps are equal, and
     hash alike, when their algebras, f's generator images and the units
-    are.  When every s_k and every R_kl is 1 (as for every Segre map), e_u
-    goes to exactly e_f(u), and `_unit`, the one rule for c_u, returns None
-    for every u, so the map does no unit arithmetic.  No source
+    are.  Each constructor makes R exact: the public one computes it from
+    the two cocycles, and `_from_pullback` builds the pulled-back source
+    itself, so its R is all ones.  `_unit` and the generator pairs of
+    `verify_homomorphism` are the two readers of R.  When every s_k and
+    every R_kl is 1 (as for every Segre map), e_u goes to exactly e_f(u),
+    and `_unit`, the one rule for c_u, returns None for every u, so the map
+    does no unit arithmetic.  No source
     cocycle parameter may be a target generator name, so that the images
     read back through `parse_element`.
     """
@@ -441,10 +446,15 @@ class GradedHomomorphism:
         self._all_ones = not any(self._image_units) and not any(map(any, self._ratio))
 
     @classmethod
-    def _from_pullback(cls, source, target, f):
-        """The bare-image map from `source`, whose cocycle is the target's pulled back along f (R is all ones)."""
+    def _from_pullback(cls, target, f, names):
+        """The bare-image map e_k |-> e_f(e_k) from the twist by the target cocycle pulled back along f.
+
+        The source, named by `names`, is built here, so R is all ones by
+        construction, not by a caller's promise; the units are all ones too.
+        """
         phi = cls.__new__(cls)
-        phi.source, phi.target, phi.monoid_morphism = source, target, f
+        phi.source = TwistedMonoidAlgebra(pullback(target.cocycle, f), names)
+        phi.target, phi.monoid_morphism = target, f
         one = (None,) * f.source_rank
         phi._image_units, phi._ratio, phi._all_ones = one, (one,) * f.source_rank, True
         return phi
@@ -528,35 +538,29 @@ def verify_homomorphism(phi, samples=100, seed=0):
     """Check phi(x*y) = phi(x)*phi(y) exactly on all generator pairs plus random pairs.
 
     Generator pair (k, l) is the unit identity
-    mu_source(e_k, e_l) c_(e_k+e_l) = s_k s_l mu_target(f e_k, f e_l), with
-    c_(e_k+e_l) from the map's one rule, `GradedHomomorphism._unit` (None on
-    a map whose units and ratio matrix are all 1), so no R is read here.
-    It is decided from the integer forms by one `_power` product that
-    must come to 1, as `cocycles._triple_holds` decides a cocycle triple, and
-    no element is built.  The generator pairs are a complete proof: pair
-    (k, l) with l < k holds exactly when R_kl = R_lk, the other pairs always
-    hold, and a symmetric R makes the map multiplicative everywhere.  A map
-    built from a pullback takes R and its units as all ones, so there the
-    product checks the source cocycle against the pullback, entry by entry.
-    The random pairs (<= 3-term
+    mu_source(e_k, e_l) c_(e_k+e_l) = s_k s_l mu_target(f e_k, f e_l).  With
+    c_(e_k+e_l) = s_k s_l R_(min, max) from the ordered product, the pair
+    with l < k holds exactly when R_kl = R_lk, and the pairs with l >= k
+    always hold; a symmetric R makes the map multiplicative everywhere, so
+    the generator pairs are a complete proof.  Both constructors make R
+    exact: the public one divides the pullback by the source cocycle, and
+    `_from_pullback` builds its source as the pullback, so R is all ones.
+    So each pair with l < k compares the canonical integer forms
+    `phi._ratio[k][l]` and `phi._ratio[l][k]`, with no product and no
+    element built, in the order (0, 0), (0, 1), ..., and `pairs_checked`
+    counts every pair up to the first failure.  The random pairs (<= 3-term
     elements with sparse exponents <= 4, deterministic given the seed) are a
     self-test of `multiply` and `apply`.  Reports the first counterexample.
     `samples` must be an int >= 0 (not a bool).
     """
     samples = _rank_arg(samples, "samples")
-    source, unit, units, vector = phi.source, phi._unit, phi._image_units, ExponentVector._trusted
-    mu, nu, images = source.cocycle._integer, phi.target.cocycle._integer, phi.monoid_morphism._sparse
-    gens = [ExponentVector.unit(source.rank, k) for k in range(source.rank)]
-    checked = 0
-    for k, ek in enumerate(gens):
-        for l, el in enumerate(gens):
-            checked += 1
-            pairs = [(unit(vector(map(add, ek, el))), 1), (mu[k][l], 1), (units[k], -1), (units[l], -1)]
-            pairs += ((a, -e) for a, e in _bilinear_pairs(nu, images[k], images[l]))
-            num, den, exps = _power(pairs)
-            if num != den or exps:
+    source, ratio = phi.source, phi._ratio
+    for k, row in enumerate(ratio):
+        for l in range(k):
+            if row[l] != ratio[l][k]:
                 names = source.generator_names
-                return HomomorphismReport(False, checked, seed, (names[k], names[l]))
+                return HomomorphismReport(False, k * len(ratio) + l + 1, seed, (names[k], names[l]))
+    checked = len(ratio) ** 2
     rng = random.Random(seed)
     for _ in range(samples):
         x = random_element(source, rng)

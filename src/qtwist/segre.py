@@ -2,15 +2,17 @@
 
 The quantum Segre map is the :class:`GradedHomomorphism` z_ij |-> x_i (x) y_j
 from a twist of the big polynomial algebra (by the pulled-back cocycle) to a
-twisted tensor product of two quantum projective spaces.  Its generator images
-are bare basis monomials and its ratio matrix is all ones, so it sends every
-e_u to exactly e_f(u), f the grading morphism; the quantum content lives in
-the normal-form basis of each side.  When the ambient cocycle factorizes, the
-source deformation matrix is the Kronecker product of the two factor
-matrices.  :func:`verify_homomorphism` decides multiplicativity on the
-generator pairs, each by one integer product of the source cocycle entry and
-the target form on f's images, with no element built; its random pairs are a
-self-test of `multiply` and `apply`.
+twisted tensor product of two quantum projective spaces.  It is built by
+`GradedHomomorphism._from_pullback`, which makes the source itself as the
+twist by the ambient cocycle pulled back along f, the grading morphism.  So
+its generator images are bare basis monomials and its ratio matrix is all
+ones by construction: it sends every e_u to exactly e_f(u), and the quantum
+content lives in the normal-form basis of each side.  When the ambient
+cocycle factorizes, the source deformation matrix is the Kronecker product
+of the two factor matrices.  :func:`verify_homomorphism` decides
+multiplicativity on the generator pairs, each by comparing the two
+symmetric entries of the ratio matrix, with no element built; its random
+pairs are a self-test of `multiply` and `apply`.
 
 The map sends every basis monomial to a unit times one basis monomial, so
 its degree-d kernel splits over the fibers of f: each fiber contributes the
@@ -33,7 +35,7 @@ from .algebras import (  # the homomorphism names stay importable from here
     TwistedMonoidAlgebra,
     verify_homomorphism,
 )
-from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize, pullback
+from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
 # ProductSplit stays importable from here.
 from .monoids import ProductSplit, _int_arg, _Record, segre_morphism, vectors_of_degree
 from .scalars import LaurentPolynomial, _specialize_monomial, _unit_power
@@ -74,9 +76,11 @@ def build_quantum_segre(n, m, mu):
     """Construct z_ij |-> x_i (x) y_j between the pulled-back twist and the mu-twist.
 
     Source: rank (n+1)(m+1) with cocycle mu^f (f the grading morphism),
-    generators z_ij ordered row-major.  Target: rank n+m+2 with cocycle mu,
-    generators x_0..x_n, y_0..y_m.  Generator images are the basis monomials
-    of degree (alpha_i, beta_j), so compatibility holds by construction.
+    generators z_ij ordered row-major, built by
+    `GradedHomomorphism._from_pullback` from the target, f and these names.
+    Target: rank n+m+2 with cocycle mu, generators x_0..x_n, y_0..y_m.
+    Generator images are the basis monomials of degree (alpha_i, beta_j),
+    so compatibility holds by construction.
     """
     f = segre_morphism(n, m)
     if mu.rank != n + m + 2:
@@ -84,8 +88,7 @@ def build_quantum_segre(n, m, mu):
     source_names = [f"z{i}{j}" for i in range(n + 1) for j in range(m + 1)]
     target_names = [f"x{i}" for i in range(n + 1)] + [f"y{j}" for j in range(m + 1)]
     target = TwistedMonoidAlgebra(mu, target_names)
-    source = TwistedMonoidAlgebra(pullback(mu, f), source_names)
-    return SegreMap(n, m, mu, GradedHomomorphism._from_pullback(source, target, f))
+    return SegreMap(n, m, mu, GradedHomomorphism._from_pullback(target, f, source_names))
 
 
 def source_deformation_matrix(segre_map):

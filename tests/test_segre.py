@@ -304,33 +304,37 @@ def random_map(kind, rng):
 
     checked: the public constructor along the identity or a random f with
     image entries 0..2, with random units; scaling: a DiagonalScaling;
-    pullback: a bare-image map along a random f whose source cocycle is the
-    pullback or a perturbed one; segre: a Segre map with the pullback or a
-    perturbed source cocycle.
+    pullback: a bare-image map along a random f; segre: a bare-image map
+    along a Segre morphism.  The good half of the last two is
+    `_from_pullback`, which builds its source as the pullback; the other
+    half is the public constructor with bare images, from a twist by the
+    pullback with one entry perturbed.
     """
     good = rng.random() < 0.5
     if kind == "segre":
         n, m = rng.randint(1, 2), rng.randint(1, 2)
         s = build_quantum_segre(n, m, rand_cocycle(rng, n + m + 2))
-        mu = s.source.cocycle if good else perturbed(s.source.cocycle, rng)
-        return GradedHomomorphism._from_pullback(TwistedMonoidAlgebra(mu), s.target, s.morphism)
-    rank, target_rank = rng.randint(1, 3), rng.randint(1, 3)
-    if kind == "scaling":
-        mu = rand_cocycle(rng, rank)
-        nu = mu * rand_symmetric_cocycle(rng, rank) if good else rand_cocycle(rng, rank)
-        return DiagonalScaling(TwistedMonoidAlgebra(mu), TwistedMonoidAlgebra(nu))
-    target = TwistedMonoidAlgebra(rand_cocycle(rng, target_rank), [f"y{i}" for i in range(target_rank)])
-    if kind == "checked" and rng.random() < 0.5:
-        f = MonoidMorphism.identity(target_rank)
+        target, f = s.target, s.morphism
     else:
-        f = MonoidMorphism(rank, target_rank, [rand_vector(rng, target_rank, max_entry=2) for _ in range(rank)])
+        rank, target_rank = rng.randint(1, 3), rng.randint(1, 3)
+        if kind == "scaling":
+            mu = rand_cocycle(rng, rank)
+            nu = mu * rand_symmetric_cocycle(rng, rank) if good else rand_cocycle(rng, rank)
+            return DiagonalScaling(TwistedMonoidAlgebra(mu), TwistedMonoidAlgebra(nu))
+        target = TwistedMonoidAlgebra(rand_cocycle(rng, target_rank), [f"y{i}" for i in range(target_rank)])
+        if kind == "checked" and rng.random() < 0.5:
+            f = MonoidMorphism.identity(target_rank)
+        else:
+            f = MonoidMorphism(rank, target_rank, [rand_vector(rng, target_rank, max_entry=2) for _ in range(rank)])
     mu = pullback(target.cocycle, f)
-    if kind == "pullback":
-        return GradedHomomorphism._from_pullback(
-            TwistedMonoidAlgebra(mu if good else perturbed(mu, rng)), target, f)
-    mu = mu * rand_symmetric_cocycle(rng, f.source_rank) if good else rand_cocycle(rng, f.source_rank)
-    images = [target.basis_element(w, rand_unit(rng)) for w in f.generator_images]
-    return GradedHomomorphism(TwistedMonoidAlgebra(mu), target, f, images)
+    if kind == "checked":
+        mu = mu * rand_symmetric_cocycle(rng, f.source_rank) if good else rand_cocycle(rng, f.source_rank)
+        images = [target.basis_element(w, rand_unit(rng)) for w in f.generator_images]
+        return GradedHomomorphism(TwistedMonoidAlgebra(mu), target, f, images)
+    if good:
+        return GradedHomomorphism._from_pullback(target, f, [f"X{k}" for k in range(f.source_rank)])
+    images = [target.basis_element(w) for w in f.generator_images]
+    return GradedHomomorphism(TwistedMonoidAlgebra(perturbed(mu, rng)), target, f, images)
 
 
 @pytest.mark.parametrize("kind", ["checked", "scaling", "pullback", "segre"])
@@ -365,6 +369,23 @@ def test_generator_pairs_build_no_element(monkeypatch):
         patch.setattr(GradedHomomorphism, "apply", refuse)
         assert [verify_homomorphism(phi, 0, seed=7) for phi in maps] == expected
     assert expected == [reference_generator_pairs(phi, 7) for phi in maps]
+
+
+def test_generator_pairs_read_only_the_ratio_matrix(monkeypatch):
+    # with no samples, each generator pair compares two entries of phi._ratio: no unit product is made
+    rng = random.Random(142)
+    s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
+    maps = [s.homomorphism, scaled_images(s, rng), random_map("checked", random.Random(141))]
+    expected = [reference_generator_pairs(phi, 7) for phi in maps]
+    assert [report.passed for report in expected] == [True, True, False]
+
+    def refuse(*args):
+        raise AssertionError("a unit product was made")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebras, "_power", refuse)
+        patch.setattr(algebras, "_bilinear_pairs", refuse)
+        assert [verify_homomorphism(phi, 0, seed=7) for phi in maps] == expected
 
 
 
