@@ -73,11 +73,11 @@ from .monoids import ExponentVector, MonoidMorphism, ProductSplit, _nonzero, _ra
 from .scalars import (
     LaurentPolynomial,
     UnitScalar,
-    _FACTOR_RE,
     _add_product,
     _coefficient,
     _integer_form,
     _integer_terms,
+    _name_arg,
     _parse_product,
     _parse_sum,
     _polynomial,
@@ -112,11 +112,7 @@ class TwistedMonoidAlgebra:
         if len(names) != self.rank:
             raise ValueError(f"expected {self.rank} generator names, got {len(names)}")
         for name in names:
-            if not isinstance(name, str):
-                raise TypeError(f"generator names must be strings, got {name!r}")
-            if not _FACTOR_RE.fullmatch(name) or "^" in name:  # a grammar factor with no exponent
-                raise ValueError(f"generator name {name!r} is not a name of the literal grammar")
-            if name in cocycle.parameters():
+            if _name_arg(name, "generator name") in cocycle.parameters():
                 raise ValueError(f"generator name {name!r} is a parameter of the cocycle")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
@@ -449,8 +445,8 @@ class GradedHomomorphism:
     def _from_pullback(cls, target, f, names):
         """The bare-image map e_k |-> e_f(e_k) from the twist by the target cocycle pulled back along f.
 
-        The source, named by `names`, is built here, so R is all ones by
-        construction, not by a caller's promise; the units are all ones too.
+        The source, named by `names`, is built here, so R and the units are
+        all ones by construction.
         """
         phi = cls.__new__(cls)
         phi.source = TwistedMonoidAlgebra(pullback(target.cocycle, f), names)

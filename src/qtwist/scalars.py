@@ -10,7 +10,9 @@ All arithmetic is exact and all values are canonical: sorted parameter names,
 no zero exponents, no zero terms, reduced rationals.  Structural equality
 therefore coincides with mathematical equality.  Coefficients are stored as
 ``fractions.Fraction``; the public constructors take only ``int`` and
-``Fraction`` values and integer exponents (no floats, no bools, no strings).
+``Fraction`` values and integer exponents (no floats, no bools, no strings),
+in (name, exponent) pairs whose names are names of the literal grammar, so
+that every rendered literal reads back as the same value.
 The integer kernel and the one coefficient-product routine live here:
 products of many units (``_power``: cocycle values and checks) and every
 coefficient product or sum (``_add_product``, a unit times one or two
@@ -49,10 +51,34 @@ def _exact(value, what):
     raise TypeError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
+def _name_arg(name, what):
+    """`name` if it is a name of the literal grammar, so that every literal naming it reads back.
+
+    A name is a `str` (else TypeError) matching the name part of
+    `_FACTOR_RE`, a letter and then letters, digits or `_`, with no
+    exponent (else ValueError naming it).  `what` is "parameter name" or
+    "generator name".
+    """
+    if not isinstance(name, str):
+        raise TypeError(f"{what}s must be strings, got {name!r}")
+    if not _FACTOR_RE.fullmatch(name) or "^" in name:  # a grammar factor with no exponent
+        raise ValueError(f"{what} {name!r} is not a name of the literal grammar")
+    return name
+
+
 def _canonical_exps(exps):
-    """Sorted (name, exponent) tuple of a map or pair list: repeated names add, zero exponents drop."""
+    """Sorted (name, exponent) tuple of a map or pair list: repeated names add, zero exponents drop.
+
+    The owner of parameter names: each pair must be a (name, exponent)
+    tuple or list (TypeError naming it), each name a grammar name
+    (`_name_arg`) and each exponent an int (TypeError).
+    """
     acc = {}
-    for name, e in (exps.items() if isinstance(exps, dict) else exps):
+    for pair in (exps.items() if isinstance(exps, dict) else exps):
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise TypeError(f"parameter exponents must be (name, exponent) pairs, got {pair!r}")
+        name, e = pair
+        _name_arg(name, "parameter name")
         if not isinstance(e, int) or isinstance(e, bool):
             raise TypeError(f"exponent of {name!r} must be an int, got {e!r}")
         acc[name] = acc.get(name, 0) + e

@@ -82,6 +82,32 @@ def test_repeated_parameter_names_add():
     assert LaurentPolynomial({(("q", 1), ("q", 1)): 1}) == LaurentPolynomial.from_param("q", 2)
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: UnitScalar(3, {"q^2": 1}), ValueError, "parameter name 'q^2' is not a name of the literal grammar"),
+    (lambda: UnitScalar(1, {"q q": 1}), ValueError, "parameter name 'q q' is not a name of the literal grammar"),
+    (lambda: UnitScalar(1, {"": 2}), ValueError, "parameter name '' is not a name of the literal grammar"),
+    (lambda: UnitScalar(1, {"2": 1}), ValueError, "parameter name '2' is not a name of the literal grammar"),
+    (lambda: UnitScalar(1, {1: 1}), TypeError, "parameter names must be strings, got 1"),
+    (lambda: LaurentPolynomial({(("a b", 1),): 1}), ValueError,
+     "parameter name 'a b' is not a name of the literal grammar"),
+    (lambda: UnitScalar.param("q^2"), ValueError, "parameter name 'q^2' is not a name of the literal grammar"),
+    (lambda: LaurentPolynomial.from_param("_q"), ValueError,
+     "parameter name '_q' is not a name of the literal grammar"),
+    (lambda: UnitScalar(1, [("q",)]), TypeError, "parameter exponents must be (name, exponent) pairs, got ('q',)"),
+    (lambda: UnitScalar(1, [("q", 1, 2)]), TypeError,
+     "parameter exponents must be (name, exponent) pairs, got ('q', 1, 2)"),
+    (lambda: UnitScalar(1, ["q1"]), TypeError, "parameter exponents must be (name, exponent) pairs, got 'q1'"),
+    (lambda: LaurentPolynomial({("q",): 1}), TypeError,
+     "parameter exponents must be (name, exponent) pairs, got 'q'"),
+], ids=["power", "space", "empty", "digit", "int", "poly-space", "param-power", "poly-underscore",
+        "short-pair", "long-pair", "string-pair", "poly-short-key"])
+def test_parameter_names_are_grammar_names_in_pairs(build, error, message):
+    # a unit or polynomial literal must read back as the same value, so its names are refused at construction
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 @given(units, units, units)
 def test_unit_group_laws(u, v, w):
     assert (u * v) * w == u * (v * w)

@@ -339,7 +339,7 @@ def random_map(kind, rng):
 
 @pytest.mark.parametrize("kind", ["checked", "scaling", "pullback", "segre"])
 def test_generator_pairs_agree_with_the_element_loop(kind):
-    # each generator pair is one integer product; the element loop it replaced decides the same
+    # each generator pair compares R_kl with R_lk; the element loop it replaced decides the same
     rng = random.Random(f"generator pairs {kind}")
     seen = Counter()
     for trial in range(40):
