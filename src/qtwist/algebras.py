@@ -23,7 +23,9 @@ each key through ``MonoidMorphism._image``; the sampler draws each
 coefficient straight into its integer form.  An image is the one trusted
 path into another algebra, so it refuses a coefficient parameter that is a
 generator name of the target, as the checked element constructor does for
-its own algebra.
+its own algebra and the map constructor for a source cocycle parameter.
+All three ask the algebra's one entry for that rule,
+``TwistedMonoidAlgebra._refuse_generator_names``, and none copies it.
 
 Every morphism here is a :class:`GradedHomomorphism`, the factor embeddings
 b |-> b (x) 1 and c |-> 1 (x) c of a tensor product included: it sends e_u
@@ -84,6 +86,7 @@ from .scalars import (
     _power,
     _render_sum,
     _split_sign,
+    _summed_exps,
     _unit_power,
     parse_poly,
     render_poly,
@@ -93,15 +96,20 @@ from .scalars import (
 class TwistedMonoidAlgebra:
     """N^rank-graded algebra with basis e_u and product e_u e_v = mu(u,v) e_{u+v}.
 
-    Its generator names are read back by `parse_element`, so each must be a
+    The cocycle must be a `BimultiplicativeCocycle` (TypeError).  Its
+    generator names are read back by `parse_element`, so each must be a
     name of the literal grammar (a letter, then letters, digits or `_`) that
     is not a parameter of the cocycle; the names must be distinct, and come
-    as a sequence of strings, never as one string.
+    as a sequence of strings, never as one string.  The converse rule, that
+    no parameter of an element or a map is a generator name, has its one
+    body here too: `_refuse_generator_names`.
     """
 
     __slots__ = ("rank", "cocycle", "generator_names")
 
     def __init__(self, cocycle, generator_names=None):
+        if not isinstance(cocycle, BimultiplicativeCocycle):
+            raise TypeError(f"cocycle must be a BimultiplicativeCocycle, got {cocycle!r}")
         self.rank = cocycle.rank
         self.cocycle = cocycle
         if generator_names is None:
@@ -120,6 +128,19 @@ class TwistedMonoidAlgebra:
 
     def parameters(self):
         return self.cocycle.parameters()
+
+    def _refuse_generator_names(self, params, what, algebra):
+        """Refuse a set of parameters that holds a generator name: ValueError naming the least such name.
+
+        The one body of the rule that no parameter of an element or a map
+        is a generator name, so that `parse_element` reads a rendered
+        element back.  `what` says whose parameters they are ("coefficient
+        parameter", "source cocycle parameter") and `algebra` which algebra
+        this is ("the algebra", "the target algebra").
+        """
+        if not params.isdisjoint(self.generator_names):
+            clash = min(params.intersection(self.generator_names))
+            raise ValueError(f"{what} {clash!r} is a generator name of {algebra}")
 
     def zero(self):
         return AlgebraElement(self, {})
@@ -193,9 +214,7 @@ class AlgebraElement:
         for u, p in terms.items():
             _vector_arg(u, algebra.rank, "term")
             p = _coefficient(p)
-            clash = p.parameters().intersection(algebra.generator_names)
-            if clash:
-                raise ValueError(f"coefficient parameter {min(clash)!r} is a generator name of the algebra")
+            algebra._refuse_generator_names(p.parameters(), "coefficient parameter", "the algebra")
             if p.terms:
                 clean[u] = p
         self.algebra = algebra
@@ -403,20 +422,25 @@ class GradedHomomorphism:
     `verify_homomorphism` are the two readers of R.  When every s_k and
     every R_kl is 1 (as for every Segre map), e_u goes to exactly e_f(u),
     and `_unit`, the one rule for c_u, returns None for every u, so the map
-    does no unit arithmetic.  No source
-    cocycle parameter may be a target generator name, so that the images
-    read back through `parse_element`.
+    does no unit arithmetic.  No source cocycle parameter may be a target
+    generator name (the target's `_refuse_generator_names` decides it), so
+    that the images read back through `parse_element`.  The public
+    constructor takes a source and a target that are `TwistedMonoidAlgebra`s
+    and a `MonoidMorphism` (TypeError naming the argument).
     """
 
     __slots__ = ("source", "target", "monoid_morphism", "_image_units", "_ratio", "_all_ones")
 
     def __init__(self, source, target, monoid_morphism, generator_images):
+        for arg, kind, name in ((source, TwistedMonoidAlgebra, "source"),
+                                (target, TwistedMonoidAlgebra, "target"),
+                                (monoid_morphism, MonoidMorphism, "monoid morphism")):
+            if not isinstance(arg, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {arg!r}")
         f = monoid_morphism
         if f.source_rank != source.rank or f.target_rank != target.rank:
             raise ValueError("monoid morphism ranks do not match the algebras")
-        clash = source.parameters().intersection(target.generator_names)
-        if clash:
-            raise ValueError(f"source cocycle parameter {min(clash)!r} is a generator name of the target algebra")
+        target._refuse_generator_names(source.parameters(), "source cocycle parameter", "the target algebra")
         images = tuple(generator_images)
         if len(images) != source.rank:
             raise ValueError(f"expected {source.rank} generator images, got {len(images)}")
@@ -487,16 +511,15 @@ class GradedHomomorphism:
         are all 1 (c is None), a lone e_u keeps its coefficient.  x's keys
         are checked vectors of the source's rank, so they go through the
         unchecked `MonoidMorphism._image`.  `apply` is the trusted path that
-        moves an element into another algebra, so it refuses a coefficient
-        parameter of x that is a generator name of the target: the image
-        would not read back through `parse_element`.
+        moves an element into another algebra, so it asks the target's
+        `_refuse_generator_names` to refuse a coefficient parameter of x
+        that is a generator name of the target: the image would not read
+        back through `parse_element`.
         """
         if x.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
         params = {name for p in x.terms.values() for exps in p.terms for name, _ in exps}
-        if not params.isdisjoint(self.target.generator_names):
-            clash = min(params.intersection(self.target.generator_names))
-            raise ValueError(f"coefficient parameter {clash!r} is a generator name of the target algebra")
+        self.target._refuse_generator_names(params, "coefficient parameter", "the target algebra")
         image, unit = self.monoid_morphism._image, self._unit
         fibers = {}
         for u, p in x.terms.items():
@@ -688,7 +711,7 @@ def _parse_term(algebra, token):
             entries[names.index(name)] += e
         else:
             params.append((name, e))
-    coeff = LaurentPolynomial.from_unit(UnitScalar(coeff, params))
+    coeff = LaurentPolynomial._trusted({_summed_exps(params): coeff})  # `_FACTOR_RE` matched each name
     if poly is not None:
         coeff = coeff * poly
     return AlgebraElement(algebra, {ExponentVector(entries): coeff})

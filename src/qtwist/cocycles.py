@@ -89,7 +89,8 @@ class _UnitForm:
 
     The body shared by cocycles, antisymmetric matrices and pairings:
     validation, the shape (rows, columns), evaluation with its one rank
-    check, the integer form the evaluators multiply, the parameters, JSON,
+    check, the integer form the evaluators multiply, the parameters (a
+    frozenset, built with the integer form at construction), JSON,
     entrywise products and inverses, and equality, hashing and repr by type
     and matrix.  The opposite form (u, v) |-> M(v, u) is the transpose, so
     one block layout serves its mirror image too: the twisted tensor
@@ -111,7 +112,7 @@ class _UnitForm:
         self.matrix = rows
         self._shape = (len(rows), len(rows[0]) if rows else 0)
         self._integer = tuple(_integer_form(row) for row in rows)
-        self._params = None
+        self._params = frozenset(name for row in rows for a in row for name in a.parameters())
 
     def _square_rank(self):
         """The rank of a square form (ValueError if the matrix is not square)."""
@@ -150,8 +151,6 @@ class _UnitForm:
         return all(a.is_one() for row in self.matrix for a in row)
 
     def parameters(self):
-        if self._params is None:
-            self._params = frozenset(name for row in self.matrix for a in row for name in a.parameters())
         return self._params
 
     def __mul__(self, other):

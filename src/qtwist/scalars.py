@@ -12,7 +12,11 @@ therefore coincides with mathematical equality.  Coefficients are stored as
 ``fractions.Fraction``; the public constructors take only ``int`` and
 ``Fraction`` values and integer exponents (no floats, no bools, no strings),
 in (name, exponent) pairs whose names are names of the literal grammar, so
-that every rendered literal reads back as the same value.
+that every rendered literal reads back as the same value.  Each name is
+checked once: ``_canonical_exps`` checks the names of Python objects, and
+the grammar (``_FACTOR_RE``) the names of literals, whose matched factors
+``parse_unit`` and the element-term parser sum through ``_summed_exps``, the
+summing half of ``_canonical_exps``, with no second check.
 The integer kernel and the one coefficient-product routine live here:
 products of many units (``_power``: cocycle values and checks) and every
 coefficient product or sum (``_add_product``, a unit times one or two
@@ -69,18 +73,31 @@ def _name_arg(name, what):
 def _canonical_exps(exps):
     """Sorted (name, exponent) tuple of a map or pair list: repeated names add, zero exponents drop.
 
-    The owner of parameter names: each pair must be a (name, exponent)
-    tuple or list (TypeError naming it), each name a grammar name
-    (`_name_arg`) and each exponent an int (TypeError).
+    The owner of parameter names in Python objects: each pair must be a
+    (name, exponent) tuple or list (TypeError naming it), each name a
+    grammar name (`_name_arg`) and each exponent an int (TypeError).  The
+    checked pairs are summed by `_summed_exps`.
     """
-    acc = {}
-    for pair in (exps.items() if isinstance(exps, dict) else exps):
+    pairs = tuple(exps.items() if isinstance(exps, dict) else exps)
+    for pair in pairs:
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise TypeError(f"parameter exponents must be (name, exponent) pairs, got {pair!r}")
-        name, e = pair
-        _name_arg(name, "parameter name")
+        name, e = _name_arg(pair[0], "parameter name"), pair[1]
         if not isinstance(e, int) or isinstance(e, bool):
             raise TypeError(f"exponent of {name!r} must be an int, got {e!r}")
+    return _summed_exps(pairs)
+
+
+def _summed_exps(pairs):
+    """The canonical exponent tuple of (name, exponent) pairs whose names and exponents are already checked.
+
+    The summing half of `_canonical_exps`: repeated names add, zero
+    exponents drop, names sort.  The literal parsers (`parse_unit` and the
+    element-term parser) pass it the factors that `_FACTOR_RE` has matched,
+    whose names the grammar has checked and whose exponents are ints.
+    """
+    acc = {}
+    for name, e in pairs:
         acc[name] = acc.get(name, 0) + e
     return tuple(sorted((n, e) for n, e in acc.items() if e))
 
@@ -493,7 +510,7 @@ def parse_unit(text):
     coeff, factors = _parse_product(body, text, sign)
     if coeff == 0:
         raise ValueError(f"unit literal must be nonzero: {text!r}")
-    return UnitScalar._trusted(coeff, _canonical_exps(factors))
+    return UnitScalar._trusted(coeff, _summed_exps(factors))
 
 
 def _unit_reader():

@@ -15,6 +15,7 @@ from qtwist import (
     MonoidMorphism,
     Pairing,
     ProductSplit,
+    SegreMap,
     TwistedMonoidAlgebra,
     UnitScalar,
     build_quantum_segre,
@@ -44,6 +45,7 @@ from qtwist import (
 )
 
 from helpers import (
+    PARAMS,
     rand_antisym,
     rand_cocycle,
     rand_pairing,
@@ -836,6 +838,27 @@ def test_generator_names_are_grammar_names_that_are_not_parameters(names, error,
     assert str(exc.value) == message
 
 
+def _object_argument_calls():
+    """(argument, call, expected type name) for each object argument of the value-type constructors."""
+    S, T = polynomial_algebra(1, ["a"]), polynomial_algebra(1, ["b"])
+    f = MonoidMorphism.identity(1)
+    return [
+        ("cocycle", lambda bad: TwistedMonoidAlgebra(bad), "BimultiplicativeCocycle"),
+        ("source", lambda bad: GradedHomomorphism(bad, T, f, [T.generator(0)]), "TwistedMonoidAlgebra"),
+        ("target", lambda bad: GradedHomomorphism(S, bad, f, [T.generator(0)]), "TwistedMonoidAlgebra"),
+        ("monoid morphism", lambda bad: GradedHomomorphism(S, T, bad, [T.generator(0)]), "MonoidMorphism"),
+    ]
+
+
+@pytest.mark.parametrize("bad", [None, True, 1.5, "q"], ids=["none", "bool", "float", "str"])
+@pytest.mark.parametrize("index", range(4), ids=["cocycle", "source", "target", "monoid-morphism"])
+def test_value_type_constructors_refuse_object_arguments_of_the_wrong_type(index, bad):
+    argument, call, kind = _object_argument_calls()[index]
+    with pytest.raises(TypeError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{argument} must be a {kind}, got {bad!r}"
+
+
 def test_a_coefficient_parameter_is_not_a_generator_name():
     A = polynomial_algebra(2)
     e0 = ExponentVector((1, 0))
@@ -1107,3 +1130,48 @@ def test_random_homogeneous_is_a_unit_times_one_monomial():
         (u, p), = x.terms.items()
         assert len(p.terms) == 1 and p.parameters() <= {"q", "r"}
         assert x.homogeneous_degree() == u
+
+
+def _trusted_outputs(seed):
+    """{producer: elements} for every producer that builds its result through `AlgebraElement._trusted`."""
+    rng = random.Random(seed)
+
+    def draw(algebra, count=25):
+        return [random_element(algebra, rng) for _ in range(count)]
+
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 3))
+    B = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["a", "b"])
+    f = MonoidMorphism(3, 2, [ExponentVector(w) for w in ((1, 0), (0, 1), (2, 1))])
+    checked = GradedHomomorphism(A, B, f, [B.basis_element(w, rand_unit(rng)) for w in f.generator_images])
+    P = polynomial_algebra(3)
+    mu = rand_cocycle(rng, 3)
+    scaling, _ = coboundary_isomorphism(P, mu, mu * rand_symmetric_cocycle(rng, 3), samples=0)
+    segre = build_quantum_segre(1, 2, rand_cocycle(rng, 5))
+    scaled = GradedHomomorphism(segre.source, segre.target, segre.morphism,
+                                [segre.target.basis_element(w, rand_unit(rng))
+                                 for w in segre.morphism.generator_images])
+    L = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["a0", "a1"])
+    R = TwistedMonoidAlgebra(rand_cocycle(rng, 2), ["b0", "b1"])
+    tensor = twisted_tensor_product(L, R, rand_pairing(rng, 2, 2))
+    values = {name: Fraction(k + 2, 3) for k, name in enumerate(PARAMS)}
+    scaled_segre = SegreMap(1, 2, segre.ambient_cocycle, scaled)
+    return {
+        "multiply": [x * y for x, y in zip(draw(A), draw(A))],
+        "checked apply": [checked(x) for x in draw(A)],
+        "DiagonalScaling": [scaling(x) for x in draw(scaling.source)],
+        "Segre map": [segre.homomorphism(x) for x in draw(segre.source)],
+        "scaled Segre map": [scaled(x) for x in draw(segre.source)],
+        "embed_left": [embed_left(tensor, x) for x in draw(L)],
+        "embed_right": [embed_right(tensor, x) for x in draw(R)],
+        "kernel_basis": kernel_basis(segre, 3, values) + kernel_basis(scaled_segre, 3, values),
+    }
+
+
+@pytest.mark.parametrize("seed", [141, 142, 143])
+def test_trusted_path_outputs_read_back(seed):
+    # these results skip the checked element constructor, so each must still render to a literal
+    # that parse_element reads back as the same element
+    for producer, outputs in _trusted_outputs(seed).items():
+        assert any(p.parameters() for z in outputs for p in z.terms.values()), producer
+        for z in outputs:
+            assert parse_element(z.algebra, render_element(z)) == z, (producer, render_element(z))

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -6,8 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtwist import (
+    BimultiplicativeCocycle,
     LaurentPolynomial,
+    TruncatedCocycle,
+    TwistedMonoidAlgebra,
     UnitScalar,
+    parse_element,
     parse_poly,
     parse_unit,
     render_poly,
@@ -16,6 +22,7 @@ from qtwist import (
 )
 
 import qtwist.algebras
+import qtwist.scalars
 from qtwist.scalars import _add_product, _integer_terms, _polynomial, _unit_reader
 
 from helpers import PARAMS, rand_poly, rand_unit
@@ -106,6 +113,53 @@ def test_parameter_names_are_grammar_names_in_pairs(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert str(exc.value) == message
+
+
+CONFIGS = pathlib.Path(__file__).parent / "configs"
+
+
+def _matrices(value):
+    """The unit matrices (lists of rows of literals) anywhere in a config value."""
+    if isinstance(value, dict):
+        return [m for v in value.values() for m in _matrices(v)]
+    if isinstance(value, list) and value and all(
+            isinstance(row, list) and all(isinstance(a, str) for a in row) for row in value):
+        return [value]
+    return []
+
+
+def _golden_literal_readers():
+    """One call per unit, polynomial, element, matrix and table literal of the golden configs."""
+    calls = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        config = json.loads(path.read_text())
+        for matrix in _matrices(config):
+            calls.append(lambda m=matrix: BimultiplicativeCocycle.from_json(m))
+            units = [a for row in matrix for a in row]
+            calls += [lambda a=a: parse_unit(a) for a in units] + [lambda a=a: parse_poly(a) for a in units]
+        if "table" in config:
+            calls.append(lambda c=config: TruncatedCocycle.from_json(c["rank"], c["degree_bound"], c["table"]))
+            calls += [lambda a=item["value"]: parse_unit(a) for item in config["table"]]
+        if "x" in config:
+            algebra = TwistedMonoidAlgebra(BimultiplicativeCocycle.trivial(2), config["algebra"]["generators"])
+            for text in (config["x"], config["y"]):
+                calls += [lambda t=text, A=algebra: parse_element(A, t), lambda t=text: parse_poly(t)]
+    return calls
+
+
+def test_literal_names_are_checked_once_by_the_grammar(monkeypatch):
+    # _FACTOR_RE has matched every name of a literal, so reading one makes no second name check
+    calls = _golden_literal_readers()
+    expected = [read() for read in calls]
+    assert any(isinstance(v, UnitScalar) and v.exps for v in expected)
+
+    def checked_again(name, what):
+        raise AssertionError(f"{what} {name!r} of a literal was checked again")
+
+    monkeypatch.setattr(qtwist.scalars, "_name_arg", checked_again)
+    assert [read() for read in calls] == expected
+    with pytest.raises(AssertionError):
+        UnitScalar(3, {"q^2": 1})  # a Python object's names still go through the check
 
 
 @given(units, units, units)
