@@ -25,7 +25,11 @@ path into another algebra, so it refuses a coefficient parameter that is a
 generator name of the target, as the checked element constructor does for
 its own algebra and the map constructor for a source cocycle parameter.
 All three ask the algebra's one entry for that rule,
-``TwistedMonoidAlgebra._refuse_generator_names``, and none copies it.
+``TwistedMonoidAlgebra._refuse_generator_names``, and none copies it.  The
+image's body, ``GradedHomomorphism._apply``, checks nothing; besides
+`apply`, only the random pairs of :func:`verify_homomorphism` run it, on
+elements drawn in the source, whose parameters the map's constructors have
+already kept apart from the target's generator names.
 
 Every morphism here is a :class:`GradedHomomorphism`, the factor embeddings
 b |-> b (x) 1 and c |-> 1 (x) c of a tensor product included: it sends e_u
@@ -46,7 +50,7 @@ its source as the twist by the target cocycle pulled back along f, so
 their R is all ones.  So :func:`verify_homomorphism` decides each
 generator pair by comparing two canonical integer forms of R, with no
 product and no element built; its random pairs are a self-test of
-`multiply` and `apply`.  The scaling isomorphism
+`multiply` and of `apply`'s body.  The scaling isomorphism
 (:class:`DiagonalScaling`) is the instance with bare images e_k |-> e_k and
 R = nu/mu, symmetric because mu and nu are cohomologous.
 """
@@ -108,9 +112,7 @@ class TwistedMonoidAlgebra:
     __slots__ = ("rank", "cocycle", "generator_names")
 
     def __init__(self, cocycle, generator_names=None):
-        if not isinstance(cocycle, BimultiplicativeCocycle):
-            raise TypeError(f"cocycle must be a BimultiplicativeCocycle, got {cocycle!r}")
-        self.rank = cocycle.rank
+        self.rank = _instance_arg(cocycle, BimultiplicativeCocycle, "cocycle").rank
         self.cocycle = cocycle
         if generator_names is None:
             generator_names = [f"X{i}" for i in range(self.rank)]
@@ -190,6 +192,13 @@ class TwistedMonoidAlgebra:
         return f"TwistedMonoidAlgebra(rank={self.rank}, generators={list(self.generator_names)})"
 
 
+def _instance_arg(arg, kind, what):
+    """`arg` if it is a `kind`, else TypeError naming it: the one body of the object-argument check."""
+    if not isinstance(arg, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, got {arg!r}")
+    return arg
+
+
 def _element(algebra, out):
     """The element of a {vector: accumulator} map, dropping the vectors whose polynomial is zero."""
     terms = {}
@@ -203,13 +212,15 @@ def _element(algebra, out):
 class AlgebraElement:
     """Sparse finite sum of Laurent-polynomial coefficients over basis monomials.
 
-    No coefficient parameter may be a generator name of the algebra, so that
+    The algebra must be a `TwistedMonoidAlgebra` (TypeError).  No
+    coefficient parameter may be a generator name of the algebra, so that
     `parse_element` reads `render_element`'s literal back as the same element.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
+        _instance_arg(algebra, TwistedMonoidAlgebra, "algebra")
         clean = {}
         for u, p in terms.items():
             _vector_arg(u, algebra.rank, "term")
@@ -432,12 +443,9 @@ class GradedHomomorphism:
     __slots__ = ("source", "target", "monoid_morphism", "_image_units", "_ratio", "_all_ones")
 
     def __init__(self, source, target, monoid_morphism, generator_images):
-        for arg, kind, name in ((source, TwistedMonoidAlgebra, "source"),
-                                (target, TwistedMonoidAlgebra, "target"),
-                                (monoid_morphism, MonoidMorphism, "monoid morphism")):
-            if not isinstance(arg, kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, got {arg!r}")
-        f = monoid_morphism
+        _instance_arg(source, TwistedMonoidAlgebra, "source")
+        _instance_arg(target, TwistedMonoidAlgebra, "target")
+        f = _instance_arg(monoid_morphism, MonoidMorphism, "monoid morphism")
         if f.source_rank != source.rank or f.target_rank != target.rank:
             raise ValueError("monoid morphism ranks do not match the algebras")
         target._refuse_generator_names(source.parameters(), "source cocycle parameter", "the target algebra")
@@ -506,20 +514,32 @@ class GradedHomomorphism:
     def apply(self, x):
         """Linear extension of the basis action; preserves grading along f.
 
-        With phi(e_u) = c e_w, p e_u adds c*p to the coefficient of e_w, c in
-        the integer form of `_unit`; on a map whose units and ratio matrix
-        are all 1 (c is None), a lone e_u keeps its coefficient.  x's keys
-        are checked vectors of the source's rank, so they go through the
-        unchecked `MonoidMorphism._image`.  `apply` is the trusted path that
-        moves an element into another algebra, so it asks the target's
-        `_refuse_generator_names` to refuse a coefficient parameter of x
-        that is a generator name of the target: the image would not read
-        back through `parse_element`.
+        x must be an element of the source (ValueError).  `apply` is the
+        trusted path that moves an element into another algebra, so it asks
+        the target's `_refuse_generator_names` to refuse a coefficient
+        parameter of x that is a generator name of the target: the image
+        would not read back through `parse_element`.  It then computes the
+        image through `_apply`, which repeats neither check.
         """
         if x.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
         params = {name for p in x.terms.values() for exps in p.terms for name, _ in exps}
         self.target._refuse_generator_names(params, "coefficient parameter", "the target algebra")
+        return self._apply(x)
+
+    def _apply(self, x):
+        """Internal: `apply` unchecked; x must be a source element with no parameter a target generator name.
+
+        With phi(e_u) = c e_w, p e_u adds c*p to the coefficient of e_w, c in
+        the integer form of `_unit`; on a map whose units and ratio matrix
+        are all 1 (c is None), a lone e_u keeps its coefficient.  x's keys
+        are checked vectors of the source's rank, so they go through the
+        unchecked `MonoidMorphism._image`.  Besides `apply`, only the random
+        pairs of `verify_homomorphism` call it: their elements are drawn in
+        the source, so their coefficient parameters are source cocycle
+        parameters, which both constructors keep apart from the target's
+        generator names.
+        """
         image, unit = self.monoid_morphism._image, self._unit
         fibers = {}
         for u, p in x.terms.items():
@@ -569,7 +589,11 @@ def verify_homomorphism(phi, samples=100, seed=0):
     element built, in the order (0, 0), (0, 1), ..., and `pairs_checked`
     counts every pair up to the first failure.  The random pairs (<= 3-term
     elements with sparse exponents <= 4, deterministic given the seed) are a
-    self-test of `multiply` and `apply`.  Reports the first counterexample.
+    self-test of `multiply` and of `apply`'s body: they map through the
+    unchecked `phi._apply`, because `random_element` draws them in the
+    source, so the two checks of `apply` hold already (the constructors keep
+    every source cocycle parameter apart from the target's generator
+    names).  Reports the first counterexample.
     `samples` must be an int >= 0 (not a bool).
     """
     samples = _rank_arg(samples, "samples")
@@ -585,7 +609,7 @@ def verify_homomorphism(phi, samples=100, seed=0):
         x = random_element(source, rng)
         y = random_element(source, rng)
         checked += 1
-        if phi(x * y) != phi(x) * phi(y):
+        if phi._apply(x * y) != phi._apply(x) * phi._apply(y):
             return HomomorphismReport(False, checked, seed,
                                       (render_element(x), render_element(y)))
     return HomomorphismReport(True, checked, seed)
@@ -595,11 +619,14 @@ class DiagonalScaling(GradedHomomorphism):
     """The map e_u |-> scale(u) e_u from A_mu to A_nu, with bare generator images e_k |-> e_k.
 
     Its ratio matrix is nu/mu, so it is multiplicative exactly when mu and nu are cohomologous.
+    The source and the target must be `TwistedMonoidAlgebra`s (TypeError naming the argument).
     """
 
     __slots__ = ()
 
     def __init__(self, source, target):
+        _instance_arg(source, TwistedMonoidAlgebra, "source")  # read below, before the checks of the base class
+        _instance_arg(target, TwistedMonoidAlgebra, "target")
         super().__init__(source, target, MonoidMorphism.identity(source.rank),
                          [target.generator(k) for k in range(target.rank)])
 

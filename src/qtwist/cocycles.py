@@ -65,8 +65,9 @@ def _bilinear_pairs(matrix, left, right):
     """The (entry, power) pairs of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix.
 
     `left` and `right` are the sparse forms (`monoids._nonzero`) of u and v.
+    A list, so that `_power` reads it with no generator frame.
     """
-    return ((matrix[i][j], ui * vj) for i, ui in left for j, vj in right)
+    return [(matrix[i][j], ui * vj) for i, ui in left for j, vj in right]
 
 
 def _quadratic_pairs(matrix, sup, linear=()):

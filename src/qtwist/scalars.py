@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 #: The exact base field is Q; parameters specialize into it.
 Rational = Fraction
@@ -145,10 +146,12 @@ def _power(pairs):
     The numerator and denominator are accumulated as ints and the exponents
     in one map; entries None (the unit 1) are skipped, and a zero power
     multiplies by 1.  The quotient is not reduced: callers make one Fraction
-    of it.
+    of it.  The map's `get` is bound once and its zero exponents are dropped
+    by `filter`, so the loop enters no Python frame but this one.
     """
     num = den = 1
     exps = {}
+    get = exps.get
     for a, e in pairs:
         if a is None:
             continue
@@ -160,8 +163,8 @@ def _power(pairs):
             num *= a_den ** -e
             den *= a_num ** -e
         for name, k in a_exps:
-            exps[name] = exps.get(name, 0) + k * e
-    return num, den, tuple(sorted(x for x in exps.items() if x[1]))
+            exps[name] = get(name, 0) + k * e
+    return num, den, tuple(sorted(filter(itemgetter(1), exps.items())))
 
 
 def _unit_power(pairs):
@@ -171,8 +174,12 @@ def _unit_power(pairs):
 
 
 def _integer_terms(p):
-    """(exps, numerator, denominator) of each term of a polynomial."""
-    return [(k, c.numerator, c.denominator) for k, c in p.terms.items()]
+    """(exps, numerator, denominator) of each term of a polynomial.
+
+    `Fraction.as_integer_ratio` reads both integers in one call, where the
+    `numerator` and `denominator` properties take one Python frame each.
+    """
+    return [(k, *c.as_integer_ratio()) for k, c in p.terms.items()]
 
 
 #: The `_integer_terms` of the polynomial 1.
@@ -398,14 +405,14 @@ class LaurentPolynomial:
         return LaurentPolynomial._trusted(out)
 
     def __eq__(self, other):
+        if isinstance(other, LaurentPolynomial):  # first: a Fraction test runs ABCMeta.__instancecheck__
+            return self.terms == other.terms
         if isinstance(other, UnitScalar):
-            other = LaurentPolynomial.from_unit(other)
+            return self.terms == LaurentPolynomial.from_unit(other).terms
         if isinstance(other, (int, Fraction)):
             # Compared, not converted: a bool equals the int it is, as for units and Fractions.
             return self.terms == ({(): other} if other else {})
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self):
         # Equal values hash equally: zero and constants like their Fraction, one term like its unit.

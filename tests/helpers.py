@@ -93,7 +93,7 @@ def rand_nonzero_rational(rng, max_coeff=9):
 
 
 def doubled_from_degree_3(apply):
-    """A faulty `apply` that doubles the image of any element with a term of degree >= 3.
+    """A faulty `GradedHomomorphism._apply` that doubles the image of any element with a term of degree >= 3.
 
     Generator pairs have degree 2, so they still pass; random samples do not.
     """

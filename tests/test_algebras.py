@@ -847,11 +847,16 @@ def _object_argument_calls():
         ("source", lambda bad: GradedHomomorphism(bad, T, f, [T.generator(0)]), "TwistedMonoidAlgebra"),
         ("target", lambda bad: GradedHomomorphism(S, bad, f, [T.generator(0)]), "TwistedMonoidAlgebra"),
         ("monoid morphism", lambda bad: GradedHomomorphism(S, T, bad, [T.generator(0)]), "MonoidMorphism"),
+        ("source", lambda bad: DiagonalScaling(bad, T), "TwistedMonoidAlgebra"),
+        ("target", lambda bad: DiagonalScaling(S, bad), "TwistedMonoidAlgebra"),
+        ("algebra", lambda bad: AlgebraElement(bad, {}), "TwistedMonoidAlgebra"),
+        ("algebra", lambda bad: AlgebraElement(bad, {ExponentVector((1,)): 1}), "TwistedMonoidAlgebra"),
     ]
 
 
 @pytest.mark.parametrize("bad", [None, True, 1.5, "q"], ids=["none", "bool", "float", "str"])
-@pytest.mark.parametrize("index", range(4), ids=["cocycle", "source", "target", "monoid-morphism"])
+@pytest.mark.parametrize("index", range(8), ids=["cocycle", "source", "target", "monoid-morphism", "scaling-source",
+                                                 "scaling-target", "element-algebra", "element-algebra-with-terms"])
 def test_value_type_constructors_refuse_object_arguments_of_the_wrong_type(index, bad):
     argument, call, kind = _object_argument_calls()[index]
     with pytest.raises(TypeError) as exc:

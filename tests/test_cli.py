@@ -326,7 +326,7 @@ def test_algebra_relations_report_the_first_failing_pair(monkeypatch, capsys):
 
 
 def test_segre_verify_reports_a_failing_random_pair(monkeypatch, capsys):
-    monkeypatch.setattr(GradedHomomorphism, "apply", doubled_from_degree_3(GradedHomomorphism.apply))
+    monkeypatch.setattr(GradedHomomorphism, "_apply", doubled_from_degree_3(GradedHomomorphism._apply))
     code, output = run_cli(argv_for("segre_verify", ["segre", "verify"]))
     report = json.loads(output)
     assert (code, report["status"], capsys.readouterr().err) == (1, "fail", "")

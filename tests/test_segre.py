@@ -215,8 +215,8 @@ def test_verify_detects_broken_map():
 def test_verify_reports_a_failing_random_pair(monkeypatch):
     rng = random.Random(121)
     phi = build_quantum_segre(1, 2, rand_cocycle(rng, 5)).homomorphism
-    real = GradedHomomorphism.apply
-    monkeypatch.setattr(GradedHomomorphism, "apply", doubled_from_degree_3(real))
+    real = GradedHomomorphism._apply
+    monkeypatch.setattr(GradedHomomorphism, "_apply", doubled_from_degree_3(real))
     report = verify_homomorphism(phi, samples=40, seed=9)
     assert not report.passed and report.seed == 9
     assert 36 < report.pairs_checked <= 36 + 40  # all 6 x 6 generator pairs passed
@@ -366,9 +366,33 @@ def test_generator_pairs_build_no_element(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(TwistedMonoidAlgebra, "multiply", refuse)
-        patch.setattr(GradedHomomorphism, "apply", refuse)
+        patch.setattr(GradedHomomorphism, "_apply", refuse)
         assert [verify_homomorphism(phi, 0, seed=7) for phi in maps] == expected
     assert expected == [reference_generator_pairs(phi, 7) for phi in maps]
+
+
+def test_the_sample_loop_repeats_no_check_of_apply(monkeypatch):
+    # the random pairs are drawn in the source, so they map through the unchecked _apply; apply still checks
+    rng = random.Random(144)
+    s = build_quantum_segre(2, 1, rand_cocycle(rng, 5))
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 3))
+    mu = rand_cocycle(rng, 3)
+    maps = [s.homomorphism, DiagonalScaling(twist_by(A, mu), twist_by(A, mu * rand_symmetric_cocycle(rng, 3))),
+            scaled_images(s, rng)]
+    expected = [verify_homomorphism(phi, 30, seed=5) for phi in maps]
+    assert expected == [HomomorphismReport(True, phi.source.rank ** 2 + 30, 5) for phi in maps]
+    elements = [random_element(phi.source, rng) for phi in maps]
+    assert all(x.algebra.parameters() for x in elements)
+
+    def refuse(*args):
+        raise AssertionError("a generator-name check was made")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TwistedMonoidAlgebra, "_refuse_generator_names", refuse)
+        assert [verify_homomorphism(phi, 30, seed=5) for phi in maps] == expected
+        for phi, x in zip(maps, elements):
+            with pytest.raises(AssertionError, match="a generator-name check was made"):
+                phi.apply(x)
 
 
 def test_generator_pairs_read_only_the_ratio_matrix(monkeypatch):
