@@ -19,7 +19,14 @@ delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
 functions h share one body: the domain is enumerated, checked (rank >= 1
 and bound >= 0) and counted by ``monoids``, once per call, every value a
 caller gives is checked to be a unit, and the public constructors also
-check the key types, the key count and each domain key.
+check the key types, the key count and each domain key.  A table's JSON
+is read through two per-call memos, ``monoids._vector_reader`` for its keys
+and ``scalars._unit_reader`` for its values, so each distinct key is
+checked, and each distinct literal parsed, once.  ``truncate`` takes each
+enumerated vector's sparse form once and builds every value as the
+evaluator's kernel product, with no rank check: the vectors have the
+cocycle's rank.  The coboundary and the exhaustive check look their sums
+up as plain tuples, which equal and hash like the stored vectors.
 Evaluation, coboundary values and both cocycle checks run on the integer
 kernel of ``scalars``: each value or triple is one product of (numerator,
 denominator, exponents) entries, and one helper decides a triple for both
@@ -52,8 +59,8 @@ import random
 from collections.abc import Mapping
 
 # vectors_up_to_degree stays importable from here.
-from .monoids import (ExponentVector, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg, graded_count,
-                      graded_pairs, graded_vectors, vectors_up_to_degree)
+from .monoids import (ExponentVector, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg, _vector_reader,
+                      graded_count, graded_pairs, graded_vectors, vectors_up_to_degree)
 from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_reader, parse_unit,
                       render_unit)
 
@@ -421,14 +428,23 @@ class TruncatedCocycle(_UnitTable):
 
     @classmethod
     def truncate(cls, mu, degree_bound):
-        return cls.from_function(mu.rank, degree_bound, mu.evaluate)
+        """The table of a bimultiplicative cocycle: each value is `evaluate`'s kernel product.
+
+        The domain vectors have mu's rank, so no value repeats `evaluate`'s
+        rank checks, and each vector's sparse form is taken once.
+        """
+        rank, matrix = mu.rank, mu._integer
+        vectors = graded_vectors(rank, degree_bound)
+        forms = [*zip(vectors, map(_nonzero, vectors))]
+        return cls._trusted(rank, degree_bound, {
+            (u, v): _unit_power(_bilinear_pairs(matrix, su, sv))
+            for u, su in forms for v, sv in forms[:graded_count(rank, degree_bound - sum(u))]})
 
     @classmethod
     def from_json(cls, rank, degree_bound, data):
-        read = _unit_reader()
-        table = {(ExponentVector(item["u"]), ExponentVector(item["v"])): read(item["value"])
-                 for item in data}
-        return cls(rank, degree_bound, table)
+        read, vector = _unit_reader(), _vector_reader()
+        return cls(rank, degree_bound, {(vector(item["u"]), vector(item["v"])): read(item["value"])
+                                        for item in data})
 
     def to_json(self):
         return [{"u": u.to_json(), "v": v.to_json(), "value": render_unit(val)}
@@ -510,8 +526,8 @@ class FunctionOnMonoid(_UnitTable):
 
     @classmethod
     def from_json(cls, rank, degree_bound, data):
-        read = _unit_reader()
-        return cls(rank, degree_bound, {ExponentVector(item["u"]): read(item["value"]) for item in data})
+        read, vector = _unit_reader(), _vector_reader()
+        return cls(rank, degree_bound, {vector(item["u"]): read(item["value"]) for item in data})
 
     def to_json(self):
         return [{"u": u.to_json(), "value": render_unit(val)}
@@ -530,9 +546,8 @@ def coboundary(h):
     Each value is one product over the integer forms of the three entries.
     """
     forms = dict(zip(h.table, _integer_form(h.table.values())))
-    vec = ExponentVector._trusted  # unchecked sums: u and v come from one enumeration of one rank
     return TruncatedCocycle._trusted(h.rank, h.degree_bound, {
-        (u, v): _unit_power(((forms[u], 1), (forms[v], 1), (forms[vec(map(operator.add, u, v))], -1)))
+        (u, v): _unit_power(((forms[u], 1), (forms[v], 1), (forms[tuple(map(operator.add, u, v))], -1)))
         for u, v in graded_pairs(h.rank, h.degree_bound)})
 
 
@@ -595,12 +610,11 @@ def verify_cocycle_equation(mu_t):
             return CheckReport(False, counterexample=("identity", u))
     forms = dict(zip(table, _integer_form(table.values())))
     rest = bound - 1  # the degree left for y and z once x is a generator
-    vec = ExponentVector._trusted  # unchecked sums: x, y and z all come from `vectors`
     for x in vectors[1:n + 1]:
         for y in vectors[:graded_count(n, rest)]:
-            xy, mu_xy = vec(map(operator.add, x, y)), forms[(x, y)]
+            xy, mu_xy = tuple(map(operator.add, x, y)), forms[(x, y)]
             for z in vectors[:graded_count(n, rest - sum(y))]:
-                if not _triple_holds(forms[(x, vec(map(operator.add, y, z)))], forms[(y, z)],
+                if not _triple_holds(forms[(x, tuple(map(operator.add, y, z)))], forms[(y, z)],
                                      mu_xy, forms[(xy, z)]):
                     return CheckReport(False, counterexample=(x, y, z))
     return CheckReport(True)

@@ -18,7 +18,8 @@ vector of a given rank.  So does `_nonzero`, the sparse form of a vector
 products read, and that a morphism keeps of each generator image.  So does
 `_Record`, the immutable slotted record base of `ProductSplit` and the
 library's other records: the standard library's generated records would
-load `inspect` and `ast` on import.
+load `inspect` and `ast` on import.  So does `_vector_reader`, the key memo
+through which a table's JSON is read: each distinct key is checked once.
 """
 
 from __future__ import annotations
@@ -165,6 +166,32 @@ class ExponentVector(tuple):
 
     def to_json(self):
         return list(self)
+
+
+_INT = frozenset((int,))
+
+
+def _vector_reader():
+    """An ExponentVector constructor for reading one input: each distinct key is checked once and its vector shared.
+
+    Vectors are immutable, so one vector may stand for every copy of its
+    key.  Only a key whose entries are all of type int is looked up or
+    stored: `True` and `1.0` equal and hash like 1, so any other key goes
+    through the constructor and raises, or reads, as it would alone.  The
+    memo lives as long as the returned function.
+    """
+    memo = {}
+
+    def read(entries):
+        entries = tuple(entries)
+        if {*map(type, entries)} <= _INT:
+            vector = memo.get(entries)
+            if vector is None:
+                vector = memo[entries] = ExponentVector(entries)
+            return vector
+        return ExponentVector(entries)
+
+    return read
 
 
 class MonoidMorphism:

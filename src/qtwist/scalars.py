@@ -32,8 +32,10 @@ polynomial.  The ``_trusted`` constructors (here, in ``monoids`` and in
 ``algebras``) are internal only: they wrap values that are already
 canonical and check nothing.  Equal values hash equally, across types too:
 a constant polynomial hashes like its ``Fraction`` and a one-term
-polynomial like its unit.  A table's JSON is read through ``_unit_reader``,
-one memo per call, so each distinct unit literal in it is parsed once.
+polynomial like its unit.  A table's JSON values are read through
+``_unit_reader`` and its keys through ``monoids._vector_reader``, one memo
+each per call, so each distinct unit literal in it is parsed once and each
+distinct key checked once.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ class UnitScalar:
         return cls(1, {name: exp})
 
     def is_one(self):
-        return self.coeff == 1 and not self.exps
+        return not self.exps and self.coeff == 1
 
     def parameters(self):
         return {name for name, _ in self.exps}

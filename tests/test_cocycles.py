@@ -1,5 +1,6 @@
 import importlib
 import random
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from qtwist import (
 from qtwist import cocycles, scalars
 from qtwist.algebras import GradedHomomorphism, TwistedMonoidAlgebra
 from qtwist.cocycles import _integer_form, _unit_power
-from qtwist.monoids import MonoidMorphism
+from qtwist.monoids import MonoidMorphism, graded_count, graded_pairs
 
 from helpers import (
     rand_antisym,
@@ -954,6 +955,19 @@ def test_truncated_json_roundtrip():
     assert TruncatedCocycle.from_json(2, 4, data) == mu_t
 
 
+def test_truncate_is_evaluate_on_the_domain():
+    rng = random.Random(34)
+    for rank in range(1, 5):
+        mu = rand_cocycle(rng, rank)
+        for bound in range(6):
+            expected = {(u, v): mu.evaluate(u, v) for u, v in graded_pairs(rank, bound)}
+            table = TruncatedCocycle.truncate(mu, bound).table
+            assert table == expected and list(table) == list(expected)
+            assert all(type(w) is ExponentVector for pair in table for w in pair)
+    h = rand_function(rng, 3, 3)
+    assert all(type(w) is ExponentVector for pair in coboundary(h).table for w in pair)
+
+
 # -- reading tables: each distinct literal is parsed once ----------------------
 
 #: Literals with repeats and with two spellings of one unit ("2/4*q", "1/2*q").
@@ -1011,6 +1025,51 @@ def test_from_json_names_the_first_bad_item(cls, arity):
         build({2: {"u": ["0", 1], "value": "q^"}})()
     with pytest.raises(ValueError, match="zero denominator"):
         build({2: {"value": "3/0"}, 3: {"u": ["0", 1]}})()
+
+
+# -- reading table keys: each distinct key is checked once ---------------------
+
+def rank1_data_with_key(arity, key):
+    """Rank-1, bound-2 JSON items whose last key holding [1] (or [2], for a function) is `key`.
+
+    An earlier item already holds [1], so a bad key comes after an equal or
+    equally hashing good one.
+    """
+    data = repeated_literal_data(1, 2, arity)
+    data[-2 if arity == 2 else -1]["u"] = key
+    return data
+
+
+@pytest.mark.parametrize("cls,arity", [(TruncatedCocycle, 2), (FunctionOnMonoid, 1)])
+@pytest.mark.parametrize("key,error,message", [
+    ([True], TypeError, "exponent vector entries must be ints, got True"),
+    ([1.0], TypeError, "exponent vector entries must be ints, got 1.0"),
+    ([-1], ValueError, "exponent vectors have nonnegative entries: (-1,)"),
+    ([[1]], TypeError, "exponent vector entries must be ints, got [1]"),
+    (5, TypeError, "'int' object is not iterable"),
+    (["1"], TypeError, "exponent vector entries must be ints, got '1'"),
+], ids=["bool", "float", "negative", "unhashable", "not-iterable", "string"])
+def test_from_json_checks_a_bad_key_after_a_good_one(cls, arity, key, error, message):
+    with pytest.raises(error) as exc:
+        cls.from_json(1, 2, rank1_data_with_key(arity, key))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls,arity", [(TruncatedCocycle, 2), (FunctionOnMonoid, 1)])
+def test_from_json_reads_int_subclass_entries_as_the_plain_vector(cls, arity):
+    exponent = IntEnum("Exponent", {"ONE": 1, "TWO": 2})
+    plain = cls.from_json(1, 2, repeated_literal_data(1, 2, arity))
+    enum = cls.from_json(1, 2, rank1_data_with_key(arity, [exponent(2 // arity)]))
+    assert enum == plain and list(enum.table) == list(plain.table)
+
+
+def test_from_json_shares_one_vector_per_distinct_key_within_a_call():
+    data = repeated_literal_data(2, 3, 2)
+    first, second = (TruncatedCocycle.from_json(2, 3, data).table for _ in range(2))
+    vectors = [w for pair in first for w in pair]
+    shared = {}
+    assert all(shared.setdefault(w, w) is w for w in vectors) and len(shared) == graded_count(2, 3)
+    assert not {*map(id, vectors)} & {id(w) for pair in second for w in pair}
 
 
 # -- the truncated layer's integer kernel against public unit arithmetic -------
