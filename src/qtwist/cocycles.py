@@ -358,7 +358,8 @@ class _UnitTable:
     table has as many keys as the domain and holds each of them; only when
     that fails does it walk the table to name the bad key (ValueError).
     `from_function` checks only the values; tables of kernel products
-    (`coboundary`, entrywise products, `perturbed`) are built trusted.
+    (`truncate`, `coboundary`, entrywise products, `perturbed`) are built
+    trusted.
     Tables of one type are equal, and hash equally, by rank, bound and values.
     """
 
