@@ -12,7 +12,9 @@ equal generator names are equal and hash alike, whatever built them.
 
 Products, monomial-map images, element sums and random elements add their
 coefficient products through ``scalars._add_product`` and make one
-``Fraction`` per result term, with no intermediate unit or polynomial;
+``Fraction`` per result term, with no intermediate unit or polynomial: a
+product's cocycle value mu(u, v) is one triple of the bilinear kernel,
+``cocycles._bilinear_power``, multiplied in as it stands;
 their results go through the unchecked ``AlgebraElement._trusted``.  A
 coefficient given as a unit, an int or a ``Fraction`` is coerced by
 ``scalars`` too.  These loops skip only checks that an owner has made, and
@@ -68,7 +70,7 @@ from .cocycles import (
     Pairing,
     antisymmetrize,
     canonical_from_antisym,
-    _bilinear_pairs,
+    _bilinear_power,
     _quadratic_pairs,
     cohomologous,
     pullback,
@@ -164,17 +166,22 @@ class TwistedMonoidAlgebra:
 
         Each term's sparse form is taken once per product, not once per term
         pair, and u + v is added unchecked: both are keys of checked elements.
+        mu(u, v) is one triple of the bilinear kernel
+        (`cocycles._bilinear_power`), which `_add_product` multiplies in as
+        it stands, with no unit made.
         """
         if x.algebra != self or y.algebra != self:
             raise ValueError("elements do not belong to this algebra")
         matrix, vector = self.cocycle._integer, ExponentVector._trusted
-        right = [(v, _nonzero(v), _integer_terms(q)) for v, q in y.terms.items()]
+        right = []
+        for v, q in y.terms.items():
+            right.append((v, _nonzero(v), _integer_terms(q)))
         out = {}
         for u, p in x.terms.items():
             su, left = _nonzero(u), _integer_terms(p)
             for v, sv, q in right:
                 w = vector(map(add, u, v))
-                _add_product(out.setdefault(w, {}), _power(_bilinear_pairs(matrix, su, sv)), left, q)
+                _add_product(out.setdefault(w, {}), _bilinear_power(matrix, su, sv), left, q)
         return _element(self, out)
 
     def __eq__(self, other):

@@ -140,6 +140,15 @@ def _split(key, value, parsed):
     return split
 
 
+def _segre(key, value, parsed):
+    """The Segre morphism of a pair [n, m], once its target rank is the cocycle's: nothing is built before."""
+    n, m = _int_pair(key, value)
+    rank = parsed["cocycle"].rank
+    if n + m + 2 != rank:
+        raise InputError(f'"{key}" target rank {n + m + 2} does not match cocycle rank {rank}')
+    return segre_morphism(n, m)
+
+
 def _morphism(key, value, parsed):
     if not isinstance(value, list) or not value:
         raise InputError(f'"{key}" must be a nonempty list of generator images')
@@ -208,7 +217,7 @@ _KEYS = {
     "qprime": _antisym,
     "table": _table,
     "split": _split,
-    "segre": lambda key, value, parsed: segre_morphism(*_int_pair(key, value)),
+    "segre": _segre,
     "morphism": _morphism,
     "algebra": _algebra,
     "x": _element,

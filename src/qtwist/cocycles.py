@@ -31,6 +31,11 @@ Evaluation, coboundary values and both cocycle checks run on the integer
 kernel of ``scalars``: each value or triple is one product of (numerator,
 denominator, exponents) entries, and one helper decides a triple for both
 checks by comparing numerator with denominator, with no Fraction at all.
+Every value of a bilinear form (evaluation, ``pullback``, ``truncate``, the
+sampled check, and the twisted product of ``algebras``) is one call of
+``_bilinear_power``, that kernel's body run over the pairs of two sparse
+forms with no pair list; ``scalars._power`` keeps the other products
+(quadratic forms, triples, coboundary values, unit ratios).
 The exhaustive check of a table reads the triples whose first entry is a
 generator, which decide all the others; the sampled check of a
 bimultiplicative cocycle draws seeded random triples.
@@ -61,20 +66,39 @@ from collections.abc import Mapping
 # vectors_up_to_degree stays importable from here.
 from .monoids import (ExponentVector, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg, _vector_reader,
                       graded_count, graded_pairs, graded_vectors, vectors_up_to_degree)
-from .scalars import (UnitScalar, _integer_form, _power, _unit_power, _unit_reader, parse_unit,
+from .scalars import (UnitScalar, _integer_form, _power, _unit_of, _unit_power, _unit_reader, parse_unit,
                       render_unit)
 
 #: Default truncation bound: exhaustive verification stays well under a second.
 DEFAULT_DEGREE_BOUND = 8
 
 
-def _bilinear_pairs(matrix, left, right):
-    """The (entry, power) pairs of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix.
+def _bilinear_power(matrix, left, right):
+    """(numerator, denominator, exps) of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix.
 
     `left` and `right` are the sparse forms (`monoids._nonzero`) of u and v.
-    A list, so that `_power` reads it with no generator frame.
+    The one kernel of every bilinear product: `scalars._power`'s body over
+    the pairs (M_ij, u_i v_j), with no pair list and no sign branch.
+    Entries None (the unit 1) are skipped, and every power u_i v_j is > 0,
+    since a sparse form holds only the nonzero entries of a vector in N^n.
+    The quotient is not reduced, as `_power`'s is not.
     """
-    return [(matrix[i][j], ui * vj) for i, ui in left for j, vj in right]
+    num = den = 1
+    exps = {}
+    get = exps.get
+    for i, ui in left:
+        row = matrix[i]
+        for j, vj in right:
+            a = row[j]
+            if a is None:
+                continue
+            e = ui * vj
+            a_num, a_den, a_exps = a
+            num *= a_num ** e
+            den *= a_den ** e
+            for name, k in a_exps:
+                exps[name] = get(name, 0) + k * e
+    return num, den, tuple(sorted(filter(operator.itemgetter(1), exps.items())))
 
 
 def _quadratic_pairs(matrix, sup, linear=()):
@@ -148,8 +172,8 @@ class _UnitForm:
     def _evaluate(self, u, v):
         """M(u, v) = prod M_ij^(u_i v_j) for u, v of the form's row and column ranks; exact."""
         rows, columns = self._shape
-        return _unit_power(_bilinear_pairs(self._integer, _nonzero(_vector_arg(u, rows, "left argument")),
-                                           _nonzero(_vector_arg(v, columns, "right argument"))))
+        return _unit_of(*_bilinear_power(self._integer, _nonzero(_vector_arg(u, rows, "left argument")),
+                                         _nonzero(_vector_arg(v, columns, "right argument"))))
 
     def _opposite(self):
         """The opposite form (u, v) |-> M(v, u): the transpose."""
@@ -329,15 +353,15 @@ def pullback(mu, f):
     """The cocycle mu(f(.), f(.)) along a monoid morphism f, again bimultiplicative.
 
     Entry (k, l) is mu(f e_k, f e_l) = prod_{i,j} A_ij^(a_i b_j) over the
-    nonzero entries a_i of f e_k and b_j of f e_l: one integer-kernel product
-    of `_bilinear_pairs` over the integer form of A and the sparse generator
-    images of f.
+    nonzero entries a_i of f e_k and b_j of f e_l: one product of the
+    bilinear kernel, `_bilinear_power`, over the integer form of A and the
+    sparse generator images of f.
     """
     if mu.rank != f.target_rank:
         raise ValueError(f"cocycle rank {mu.rank} does not match morphism target rank {f.target_rank}")
     matrix, images = mu._integer, f._sparse
     return BimultiplicativeCocycle(
-        [[_unit_power(_bilinear_pairs(matrix, left, right)) for right in images] for left in images])
+        [[_unit_of(*_bilinear_power(matrix, left, right)) for right in images] for left in images])
 
 
 def _unit_values(table):
@@ -431,14 +455,15 @@ class TruncatedCocycle(_UnitTable):
     def truncate(cls, mu, degree_bound):
         """The table of a bimultiplicative cocycle: each value is `evaluate`'s kernel product.
 
-        The domain vectors have mu's rank, so no value repeats `evaluate`'s
-        rank checks, and each vector's sparse form is taken once.
+        Each value is one `_bilinear_power` over mu's integer form, made a
+        unit.  The domain vectors have mu's rank, so no value repeats
+        `evaluate`'s rank checks, and each vector's sparse form is taken once.
         """
         rank, matrix = mu.rank, mu._integer
         vectors = graded_vectors(rank, degree_bound)
         forms = [*zip(vectors, map(_nonzero, vectors))]
         return cls._trusted(rank, degree_bound, {
-            (u, v): _unit_power(_bilinear_pairs(matrix, su, sv))
+            (u, v): _unit_of(*_bilinear_power(matrix, su, sv))
             for u, su in forms for v, sv in forms[:graded_count(rank, degree_bound - sum(u))]})
 
     @classmethod
@@ -635,7 +660,7 @@ def sample_cocycle_equation(mu, samples=100, seed=0):
     rng, vec = random.Random(seed), ExponentVector._trusted
     for _ in range(_rank_arg(samples, "samples")):
         x, y, z = (vec([rng.randint(0, 5) for _ in range(mu.rank)]) for _ in range(3))
-        values = (_power(_bilinear_pairs(mu._integer, _nonzero(u), _nonzero(v)))
+        values = (_bilinear_power(mu._integer, _nonzero(u), _nonzero(v))
                   for u, v in ((x, y + z), (y, z), (x, y), (x + y, z)))
         if not _triple_holds(*values):
             return CheckReport(False, counterexample=(x, y, z))

@@ -277,6 +277,13 @@ class ProductSplit(_Record):
                 ExponentVector._trusted(w[self.left_rank:]))
 
 
+def _segre_target_rank(n, m):
+    """(n + 1) + (m + 1), once n and m are ints (TypeError naming them) >= 1 (ValueError): a Segre shape."""
+    if min(_int_arg(n, "segre_morphism n"), _int_arg(m, "segre_morphism m")) < 1:
+        raise ValueError("segre_morphism requires n >= 1 and m >= 1")
+    return (n + 1) + (m + 1)
+
+
 def segre_morphism(n, m):
     """The grading morphism N^((n+1)(m+1)) -> N^(n+1) x N^(m+1).
 
@@ -284,9 +291,7 @@ def segre_morphism(n, m):
     j = 0..m inner; the generator at (i, j) maps to the 0/1 vector with ones
     at position i and at position (n+1)+j.
     """
-    if min(_int_arg(n, "segre_morphism n"), _int_arg(m, "segre_morphism m")) < 1:
-        raise ValueError("segre_morphism requires n >= 1 and m >= 1")
-    target_rank = (n + 1) + (m + 1)
+    target_rank = _segre_target_rank(n, m)
     images = []
     for i in range(n + 1):
         for j in range(m + 1):

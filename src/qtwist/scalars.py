@@ -18,7 +18,10 @@ the grammar (``_FACTOR_RE``) the names of literals, whose matched factors
 ``parse_unit`` and the element-term parser sum through ``_summed_exps``, the
 summing half of ``_canonical_exps``, with no second check.
 The integer kernel and the one coefficient-product routine live here:
-products of many units (``_power``: cocycle values and checks) and every
+products of many units (``_power``: quadratic forms, cocycle triples,
+coboundary values and unit ratios; ``cocycles._bilinear_power`` runs the
+same body over the pairs of a bilinear form, and ``_unit_of`` makes the
+unit of its triple) and every
 coefficient product or sum (``_add_product``, a unit times one or two
 polynomials added into one accumulator: polynomial sums and products,
 twisted products, monomial-map images, element sums, random elements) keep
@@ -169,6 +172,11 @@ def _power(pairs):
     return num, den, tuple(sorted(filter(itemgetter(1), exps.items())))
 
 
+def _unit_of(num, den, exps):
+    """The unit of a kernel product's (numerator, denominator, exps): one reduced Fraction."""
+    return UnitScalar._trusted(Fraction(num, den), exps)
+
+
 def _unit_power(pairs):
     """prod a^e over (integer-form entry a, integer e) pairs, as one unit with one reduced Fraction."""
     num, den, exps = _power(pairs)
@@ -179,9 +187,14 @@ def _integer_terms(p):
     """(exps, numerator, denominator) of each term of a polynomial.
 
     `Fraction.as_integer_ratio` reads both integers in one call, where the
-    `numerator` and `denominator` properties take one Python frame each.
+    `numerator` and `denominator` properties take one Python frame each.  A
+    plain loop, as in `_polynomial`: on Python 3.11 a comprehension runs in
+    a frame of its own, and a product calls this once per term.
     """
-    return [(k, *c.as_integer_ratio()) for k, c in p.terms.items()]
+    terms = []
+    for k, c in p.terms.items():
+        terms.append((k, *c.as_integer_ratio()))
+    return terms
 
 
 #: The `_integer_terms` of the polynomial 1.
@@ -215,7 +228,11 @@ def _add_product(acc, c, left=_ONE_TERMS, right=_ONE_TERMS):
 
 def _polynomial(acc):
     """The polynomial of an {exps: [numerator, denominator]} accumulator: one Fraction per nonzero term."""
-    return LaurentPolynomial._trusted({k: Fraction(num, den) for k, (num, den) in acc.items() if num})
+    terms = {}
+    for k, (num, den) in acc.items():
+        if num:
+            terms[k] = Fraction(num, den)
+    return LaurentPolynomial._trusted(terms)
 
 
 class UnitScalar:

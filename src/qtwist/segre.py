@@ -37,7 +37,7 @@ from .algebras import (  # the homomorphism names stay importable from here
 )
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
 # ProductSplit stays importable from here.
-from .monoids import ProductSplit, _int_arg, _Record, segre_morphism, vectors_of_degree
+from .monoids import ProductSplit, _int_arg, _Record, _segre_target_rank, segre_morphism, vectors_of_degree
 from .scalars import LaurentPolynomial, _specialize_monomial, _unit_power
 
 
@@ -80,11 +80,13 @@ def build_quantum_segre(n, m, mu):
     `GradedHomomorphism._from_pullback` from the target, f and these names.
     Target: rank n+m+2 with cocycle mu, generators x_0..x_n, y_0..y_m.
     Generator images are the basis monomials of degree (alpha_i, beta_j),
-    so compatibility holds by construction.
+    so compatibility holds by construction.  n and m are checked as
+    `segre_morphism` checks them, and then compared with mu's rank, before
+    anything of their size is allocated.
     """
-    f = segre_morphism(n, m)
-    if mu.rank != n + m + 2:
+    if mu.rank != _segre_target_rank(n, m):
         raise ValueError(f"ambient cocycle must have rank {n + m + 2}, got {mu.rank}")
+    f = segre_morphism(n, m)
     source_names = [f"z{i}{j}" for i in range(n + 1) for j in range(m + 1)]
     target_names = [f"x{i}" for i in range(n + 1)] + [f"y{j}" for j in range(m + 1)]
     target = TwistedMonoidAlgebra(mu, target_names)

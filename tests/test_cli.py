@@ -274,6 +274,35 @@ def run_config(tmp_path, tail, config, as_json=True):
     return run_cli(tail + ["--config", str(path)] + (["--json"] if as_json else []))
 
 
+HUGE = 10 ** 30
+#: The ambient-rank message of a Segre shape over the golden configs' rank-4 cocycle.
+HUGE_AMBIENT = f'bad "cocycle": ambient cocycle must have rank {HUGE + 3}, got 4'
+HUGE_SEGRE = f'"segre" target rank {HUGE + 3} does not match cocycle rank 4'
+
+
+@pytest.mark.parametrize("tail,name,changes,message", [
+    (["segre", "build"], "segre_build", {"n": HUGE}, HUGE_AMBIENT),
+    (["segre", "build"], "segre_build", {"m": HUGE}, HUGE_AMBIENT),
+    (["segre", "verify"], "segre_verify", {"n": HUGE}, HUGE_AMBIENT),
+    (["segre", "matrix"], "segre_matrix", {"m": HUGE}, HUGE_AMBIENT),
+    (["segre", "kernel", "--degree", "2"], "segre_kernel_quantum", {"n": HUGE}, HUGE_AMBIENT),
+    (["segre", "build"], "segre_build", {"n": 2}, 'bad "cocycle": ambient cocycle must have rank 5, got 4'),
+    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [HUGE, 1]}, HUGE_SEGRE),
+    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [1, HUGE]}, HUGE_SEGRE),
+    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [2, 1]},
+     '"segre" target rank 5 does not match cocycle rank 4'),
+    # the type and shape messages come first, whatever the size
+    (["segre", "build"], "segre_build", {"n": HUGE, "m": 0}, '"m" must be >= 1, got 0'),
+    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [HUGE, 0]},
+     '"segre" must be >= 1, got 0'),
+], ids=["build-n", "build-m", "verify-n", "matrix-m", "kernel-n", "build-n-2", "pullback-n", "pullback-m",
+        "pullback-2-1", "build-zero-m-first", "pullback-zero-m-first"])
+def test_segre_sizes_are_compared_before_anything_is_built(tmp_path, capsys, tail, name, changes, message):
+    # a 10**30 shape once died allocating its generator images (OverflowError) instead of exiting 2
+    code, output = run_config(tmp_path, tail, _config_with(name, **changes))
+    assert (code, output, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+
+
 def test_pullback_along_a_morphism_matches_the_segre_golden(tmp_path):
     code, output = run_config(tmp_path, ["cocycle", "pullback"], _morphism(*SEGRE_1_1))
     assert (code, output) == (0, (GOLDEN / "cocycle_pullback.json").read_text())
@@ -300,12 +329,13 @@ def test_table_off_normalization_fails_with_an_identity_violation(tmp_path):
 # -- failure reports, reached by injecting a fault ---------------------------------
 
 def test_sampled_cocycle_check_reports_a_failing_triple(monkeypatch, capsys):
-    real = cocycles._bilinear_pairs
+    real = cocycles._bilinear_power
 
     def faulty(matrix, u, v):  # not a cocycle: the extra factor 2^u[0] depends on the first argument only
-        return [*real(matrix, u, v), ((2, 1, ()), dict(u).get(0, 0))]  # u, v are sparse (index, entry) pairs
+        num, den, exps = real(matrix, u, v)
+        return num * 2 ** dict(u).get(0, 0), den, exps  # u, v are sparse (index, entry) pairs
 
-    monkeypatch.setattr(cocycles, "_bilinear_pairs", faulty)
+    monkeypatch.setattr(cocycles, "_bilinear_power", faulty)
     code, output = run_cli(argv_for("cocycle_check", ["cocycle", "check"]))
     assert (code, json.loads(output), capsys.readouterr().err) == (
         1, {"command": "cocycle.check", "status": "fail",

@@ -39,7 +39,7 @@ from qtwist import (
 from qtwist import cocycles, scalars
 from qtwist.algebras import GradedHomomorphism, TwistedMonoidAlgebra
 from qtwist.cocycles import _integer_form, _unit_power
-from qtwist.monoids import MonoidMorphism, graded_count, graded_pairs
+from qtwist.monoids import MonoidMorphism, _nonzero, graded_count, graded_pairs
 
 from helpers import (
     rand_antisym,
@@ -502,9 +502,13 @@ def test_sampled_check_draws_seeded_triples_and_reports_the_first_failure(monkey
     mu = rand_cocycle(random.Random(58), 3)
     assert cocycles.sample_cocycle_equation(mu, 40, 5) == cocycles.CheckReport(True)
     assert cocycles.sample_cocycle_equation(mu, 0) == cocycles.CheckReport(True)
-    real = cocycles._bilinear_pairs
-    monkeypatch.setattr(cocycles, "_bilinear_pairs",  # not a cocycle: an extra factor 3^u[1] (u is sparse)
-                        lambda matrix, u, v: [*real(matrix, u, v), ((3, 1, ()), dict(u).get(1, 0))])
+    real = cocycles._bilinear_power
+
+    def faulty(matrix, u, v):  # not a cocycle: an extra factor 3^u[1] (u is sparse)
+        num, den, exps = real(matrix, u, v)
+        return num * 3 ** dict(u).get(1, 0), den, exps
+
+    monkeypatch.setattr(cocycles, "_bilinear_power", faulty)
     rng = random.Random(5)
     draws = [ExponentVector([rng.randint(0, 5) for _ in range(3)]) for _ in range(120)]
     first = next(k for k in range(0, 120, 3) if draws[k][1])  # the first x with x[1] != 0 fails
@@ -701,6 +705,38 @@ def negative_unit(rng):
     """A unit with a negative coefficient and a denominator > 1 more often than not."""
     u = rand_unit(rng)
     return u if u.coeff < 0 else -u
+
+
+def test_bilinear_kernel_is_the_power_of_its_pairs():
+    # _bilinear_power(M, su, sv) is _power over the pairs (M_ij, u_i v_j) of the two sparse forms, triple for triple
+    rng = random.Random(35)
+    q, r = UnitScalar.param("q"), UnitScalar.param("r")
+
+    def units(rows, columns):  # about a third of the entries are 1, which the integer form holds as None
+        return [[ONE if rng.random() < 0.35 else rand_unit(rng) for _ in range(columns)] for _ in range(rows)]
+
+    # a square form whose parameter exponents cancel at u = v = (1, 1), with a 1 entry
+    cancel = BimultiplicativeCocycle([[UnitScalar(Fraction(-2, 3), {"q": 1}), q.inv() * r], [r.inv(), ONE]])
+    forms = [cancel] + [BimultiplicativeCocycle(units(rank, rank)) for rank in (1, 2, 3, 4)]
+    forms += [Pairing(units(rows, columns)) for rows, columns in ((1, 3), (3, 1), (2, 4), (4, 3))]
+    one = ExponentVector((1, 1))
+    assert cocycles._bilinear_power(cancel._integer, _nonzero(one), _nonzero(one)) == (-2, 3, ())
+    seen = {"none": 0, "empty": 0, "cancelled": 0}
+    for form in forms:
+        rows, columns = form._shape
+        matrix = form._integer
+        vectors = [(rand_vector(rng, rows, 3), rand_vector(rng, columns, 3)) for _ in range(25)]
+        vectors += [(ExponentVector.zero(rows), rand_vector(rng, columns)),
+                    (rand_vector(rng, rows), ExponentVector.zero(columns)), (one, one)][:3 if (rows, columns) == (2, 2) else 2]
+        for u, v in vectors:
+            su, sv = _nonzero(u), _nonzero(v)
+            got = cocycles._bilinear_power(matrix, su, sv)
+            assert got == scalars._power([(matrix[i][j], ui * vj) for i, ui in su for j, vj in sv])
+            assert UnitScalar._trusted(Fraction(got[0], got[1]), got[2]) == form.evaluate(u, v)
+            seen["none"] += any(matrix[i][j] is None for i, _ in su for j, _ in sv)
+            seen["empty"] += not su or not sv
+            seen["cancelled"] += bool(su and sv) and got[2] == () and form.parameters() != frozenset()
+    assert min(seen.values()) > 0, seen
 
 
 def test_integer_kernel_matches_unit_arithmetic():

@@ -408,7 +408,7 @@ def test_generator_pairs_read_only_the_ratio_matrix(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(algebras, "_power", refuse)
-        patch.setattr(algebras, "_bilinear_pairs", refuse)
+        patch.setattr(algebras, "_bilinear_power", refuse)
         assert [verify_homomorphism(phi, 0, seed=7) for phi in maps] == expected
 
 
