@@ -13,16 +13,20 @@ equal generator names are equal and hash alike, whatever built them.
 Products, monomial-map images, element sums and random elements add their
 coefficient products through ``scalars._add_product`` and make one
 ``Fraction`` per result term, with no intermediate unit or polynomial: a
-product's cocycle value mu(u, v) is one triple of the bilinear kernel,
-``cocycles._bilinear_power``, multiplied in as it stands;
-their results go through the unchecked ``AlgebraElement._trusted``.  A
+product's cocycle value mu(u, v) is one integer form from the bilinear
+kernel, ``scalars._bilinear_power``, multiplied in as it stands;
+their results go through the unchecked ``AlgebraElement._trusted``.  The
+integer form of a unit is ``scalars``' own: this module passes forms on,
+makes them with ``_integer_unit`` and units of them with ``_unit_of``, and
+reads no field of one.  A
 coefficient given as a unit, an int or a ``Fraction`` is coerced by
 ``scalars`` too.  These loops skip only checks that an owner has made, and
 only through the owner's unchecked entries: a product takes each term's
 sparse form (``monoids._nonzero``) once and adds the exponent vectors, keys
 of checked elements, through ``ExponentVector._trusted``; an image maps
 each key through ``MonoidMorphism._image``; the sampler draws each
-coefficient straight into its integer form.  An image is the one trusted
+coefficient straight into its integer form
+(``scalars._random_integer_unit``).  An image is the one trusted
 path into another algebra, so it refuses a coefficient parameter that is a
 generator name of the target, as the checked element constructor does for
 its own algebra and the map constructor for a source cocycle parameter.
@@ -70,7 +74,6 @@ from .cocycles import (
     Pairing,
     antisymmetrize,
     canonical_from_antisym,
-    _bilinear_power,
     _quadratic_pairs,
     cohomologous,
     pullback,
@@ -82,18 +85,20 @@ from .scalars import (
     LaurentPolynomial,
     UnitScalar,
     _add_product,
+    _bilinear_power,
     _coefficient,
-    _integer_form,
     _integer_terms,
+    _integer_unit,
     _name_arg,
     _parse_product,
     _parse_sum,
     _polynomial,
     _power,
+    _random_integer_unit,
     _render_sum,
     _split_sign,
     _summed_exps,
-    _unit_power,
+    _unit_of,
     parse_poly,
     render_poly,
 )
@@ -166,8 +171,8 @@ class TwistedMonoidAlgebra:
 
         Each term's sparse form is taken once per product, not once per term
         pair, and u + v is added unchecked: both are keys of checked elements.
-        mu(u, v) is one triple of the bilinear kernel
-        (`cocycles._bilinear_power`), which `_add_product` multiplies in as
+        mu(u, v) is one integer form from the bilinear kernel
+        (`scalars._bilinear_power`), which `_add_product` multiplies in as
         it stands, with no unit made.
         """
         if x.algebra != self or y.algebra != self:
@@ -476,7 +481,7 @@ class GradedHomomorphism:
         self.source = source
         self.target = target
         self.monoid_morphism = f
-        self._image_units = _integer_form(units)
+        self._image_units = tuple(map(_integer_unit, units))
         self._ratio = (pullback(target.cocycle, f) * source.cocycle.inverse())._integer
         self._all_ones = not any(self._image_units) and not any(map(any, self._ratio))
 
@@ -502,7 +507,7 @@ class GradedHomomorphism:
     def image_of_basis(self, u):
         """(unit, degree) with phi(e_u) = unit * e_degree in the target."""
         degree = self.monoid_morphism(u)  # checks the vector and its rank first
-        return _unit_power(((self._unit(u), 1),)), degree
+        return _unit_of(self._unit(u)), degree
 
     def _unit(self, u):
         """c_u of phi(e_u) = c_u e_f(u) in integer form, unreduced; u must have the source's rank.
@@ -664,27 +669,12 @@ def coboundary_isomorphism(algebra, mu, nu, samples=50, seed=0):
 
 
 def random_unit(rng, parameters=(), max_num=7, max_exp=2):
-    """A random unit: nonzero rational with |num|, den <= max_num, small parameter exponents."""
-    num, den, exps = _random_integer_unit(rng, parameters, max_num, max_exp)
-    return UnitScalar._trusted(Fraction(num, den), exps)
+    """A random unit: nonzero rational with |num|, den <= max_num, small parameter exponents.
 
-
-def _random_integer_unit(rng, parameters, max_num=7, max_exp=2):
-    """The draw of `random_unit` in integer form (numerator, denominator, exps), unreduced.
-
-    The parameters are drawn in the order given; only the exponents are sorted.
+    The unit of one `scalars._random_integer_unit` draw, the draw that
+    `random_element` adds to its accumulator as it stands.
     """
-    num = 0
-    while num == 0:
-        num = rng.randint(-max_num, max_num)
-    den = rng.randint(1, max_num)
-    exps = {}
-    for name in parameters:
-        if rng.random() < 0.5:
-            e = rng.randint(-max_exp, max_exp)
-            if e:
-                exps[name] = e
-    return num, den, tuple(sorted(exps.items()))
+    return _unit_of(_random_integer_unit(rng, parameters, max_num, max_exp))
 
 
 def random_vector(rng, rank, max_entry=4, max_support=3):

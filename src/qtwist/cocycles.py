@@ -19,7 +19,8 @@ delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
 functions h share one body: the domain is enumerated, checked (rank >= 1
 and bound >= 0) and counted by ``monoids``, once per call, every value a
 caller gives is checked to be a unit, and the public constructors also
-check the key types, the key count and each domain key.  A table's JSON
+check the key types, the key count and each domain key, counting the keys
+before they enumerate the domain.  A table's JSON
 is read through two per-call memos, ``monoids._vector_reader`` for its keys
 and ``scalars._unit_reader`` for its values, so each distinct key is
 checked, and each distinct literal parsed, once.  ``truncate`` takes each
@@ -28,14 +29,17 @@ evaluator's kernel product, with no rank check: the vectors have the
 cocycle's rank.  The coboundary and the exhaustive check look their sums
 up as plain tuples, which equal and hash like the stored vectors.
 Evaluation, coboundary values and both cocycle checks run on the integer
-kernel of ``scalars``: each value or triple is one product of (numerator,
-denominator, exponents) entries, and one helper decides a triple for both
-checks by comparing numerator with denominator, with no Fraction at all.
-Every value of a bilinear form (evaluation, ``pullback``, ``truncate``, the
-sampled check, and the twisted product of ``algebras``) is one call of
-``_bilinear_power``, that kernel's body run over the pairs of two sparse
-forms with no pair list; ``scalars._power`` keeps the other products
-(quadratic forms, triples, coboundary values, unit ratios).
+kernel of ``scalars``, which owns the integer form of a unit: this module
+passes it forms and (entry, power) pair lists and reads no field of a form.
+Each value or triple is one kernel product, and one helper,
+``scalars._triple_holds``, decides a triple for both checks, with no
+Fraction at all.  Every value of a bilinear form (evaluation, ``pullback``,
+``truncate``, the sampled check, and the twisted product of ``algebras``)
+is one call of ``scalars._bilinear_power``, that kernel's body run over the
+pairs of two sparse forms with no pair list; ``scalars._power`` keeps the
+other products (quadratic forms, triples, coboundary values, unit ratios),
+and ``_quadratic_pairs``, which lists the pairs of a quadratic form, stays
+here.
 The exhaustive check of a table reads the triples whose first entry is a
 generator, which decide all the others; the sampled check of a
 bimultiplicative cocycle draws seeded random triples.
@@ -64,41 +68,13 @@ import random
 from collections.abc import Mapping
 
 # vectors_up_to_degree stays importable from here.
-from .monoids import (ExponentVector, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg, _vector_reader,
-                      graded_count, graded_pairs, graded_vectors, vectors_up_to_degree)
-from .scalars import (UnitScalar, _integer_form, _power, _unit_of, _unit_power, _unit_reader, parse_unit,
-                      render_unit)
+from .monoids import (ExponentVector, _graded_args, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg,
+                      _vector_reader, graded_count, graded_pairs, graded_vectors, vectors_up_to_degree)
+from .scalars import (UnitScalar, _bilinear_power, _integer_unit, _power, _triple_holds, _unit_of, _unit_reader,
+                      parse_unit, render_unit)
 
 #: Default truncation bound: exhaustive verification stays well under a second.
 DEFAULT_DEGREE_BOUND = 8
-
-
-def _bilinear_power(matrix, left, right):
-    """(numerator, denominator, exps) of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix.
-
-    `left` and `right` are the sparse forms (`monoids._nonzero`) of u and v.
-    The one kernel of every bilinear product: `scalars._power`'s body over
-    the pairs (M_ij, u_i v_j), with no pair list and no sign branch.
-    Entries None (the unit 1) are skipped, and every power u_i v_j is > 0,
-    since a sparse form holds only the nonzero entries of a vector in N^n.
-    The quotient is not reduced, as `_power`'s is not.
-    """
-    num = den = 1
-    exps = {}
-    get = exps.get
-    for i, ui in left:
-        row = matrix[i]
-        for j, vj in right:
-            a = row[j]
-            if a is None:
-                continue
-            e = ui * vj
-            a_num, a_den, a_exps = a
-            num *= a_num ** e
-            den *= a_den ** e
-            for name, k in a_exps:
-                exps[name] = get(name, 0) + k * e
-    return num, den, tuple(sorted(filter(operator.itemgetter(1), exps.items())))
 
 
 def _quadratic_pairs(matrix, sup, linear=()):
@@ -143,7 +119,7 @@ class _UnitForm:
                     raise TypeError(f"matrix entries must be UnitScalar, got {a!r}")
         self.matrix = rows
         self._shape = (len(rows), len(rows[0]) if rows else 0)
-        self._integer = tuple(_integer_form(row) for row in rows)
+        self._integer = tuple(tuple(map(_integer_unit, row)) for row in rows)
         self._params = frozenset(name for row in rows for a in row for name in a.parameters())
 
     def _square_rank(self):
@@ -172,8 +148,8 @@ class _UnitForm:
     def _evaluate(self, u, v):
         """M(u, v) = prod M_ij^(u_i v_j) for u, v of the form's row and column ranks; exact."""
         rows, columns = self._shape
-        return _unit_of(*_bilinear_power(self._integer, _nonzero(_vector_arg(u, rows, "left argument")),
-                                         _nonzero(_vector_arg(v, columns, "right argument"))))
+        return _unit_of(_bilinear_power(self._integer, _nonzero(_vector_arg(u, rows, "left argument")),
+                                        _nonzero(_vector_arg(v, columns, "right argument"))))
 
     def _opposite(self):
         """The opposite form (u, v) |-> M(v, u): the transpose."""
@@ -361,7 +337,7 @@ def pullback(mu, f):
         raise ValueError(f"cocycle rank {mu.rank} does not match morphism target rank {f.target_rank}")
     matrix, images = mu._integer, f._sparse
     return BimultiplicativeCocycle(
-        [[_unit_of(*_bilinear_power(matrix, left, right)) for right in images] for left in images])
+        [[_unit_of(_bilinear_power(matrix, left, right)) for right in images] for left in images])
 
 
 def _unit_values(table):
@@ -376,11 +352,16 @@ class _UnitTable:
     """A unit table on a truncated domain of N^rank: the pairs |u| + |v| <= D, or the vectors |u| <= D.
 
     The body shared by truncated cocycles and functions on the monoid.  The
-    public constructor enumerates the domain, which needs rank >= 1 and
-    D >= 0 (ValueError).  It checks that every key has the key type and
-    every value is a UnitScalar (TypeError naming the key), then that the
-    table has as many keys as the domain and holds each of them; only when
-    that fails does it walk the table to name the bad key (ValueError).
+    public constructor checks the domain's rank >= 1 and D >= 0
+    (`monoids._graded_args`; ValueError) without enumerating it.  It checks
+    that every key has the key type and every value is a UnitScalar
+    (TypeError naming the key), then compares the key count with the
+    domain's `graded_count`, and only when the counts agree enumerates the
+    domain to test that the table holds each key.  When either test fails it
+    walks the table to name a key outside the domain, or else the domain,
+    lazily, to name the first missing key, which it meets within
+    len(table) + 1 keys (ValueError): so a domain too large to enumerate
+    is refused by its count.
     `from_function` checks only the values; tables of kernel products
     (`truncate`, `coboundary`, entrywise products, `perturbed`) are built
     trusted.
@@ -390,14 +371,14 @@ class _UnitTable:
     __slots__ = ("rank", "degree_bound", "table")
 
     def __init__(self, rank, degree_bound, table):
-        domain = self._domain(rank, degree_bound)
+        _graded_args(rank, degree_bound)
         table = dict(table)
         for key in table:
             if not self._is_key(key):
                 raise TypeError(f"table key {key!r} is not {self._key_kind}")
         _unit_values(table)
         if (len(table) != graded_count(self._arity * rank, degree_bound)
-                or not all(map(table.__contains__, domain))):
+                or not all(map(table.__contains__, self._domain(rank, degree_bound)))):
             self._name_bad_key(rank, degree_bound, table)
         self.rank, self.degree_bound, self.table = rank, degree_bound, table
 
@@ -442,9 +423,10 @@ class TruncatedCocycle(_UnitTable):
                 raise ValueError(f"table pair ({u!r}, {v!r}) does not have rank {rank}")
             if u.degree() + v.degree() > degree_bound:
                 raise ValueError(f"table pair ({u!r}, {v!r}) exceeds the degree bound {degree_bound}")
-        for (u, v) in graded_pairs(rank, degree_bound):
-            if (u, v) not in table:
-                raise ValueError(f"table is missing the pair ({u!r}, {v!r})")
+        for u in vectors_up_to_degree(rank, degree_bound):
+            for v in vectors_up_to_degree(rank, degree_bound - sum(u)):
+                if (u, v) not in table:
+                    raise ValueError(f"table is missing the pair ({u!r}, {v!r})")
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
@@ -463,7 +445,7 @@ class TruncatedCocycle(_UnitTable):
         vectors = graded_vectors(rank, degree_bound)
         forms = [*zip(vectors, map(_nonzero, vectors))]
         return cls._trusted(rank, degree_bound, {
-            (u, v): _unit_of(*_bilinear_power(matrix, su, sv))
+            (u, v): _unit_of(_bilinear_power(matrix, su, sv))
             for u, su in forms for v, sv in forms[:graded_count(rank, degree_bound - sum(u))]})
 
     @classmethod
@@ -536,7 +518,7 @@ class FunctionOnMonoid(_UnitTable):
         for u in table:
             if u.rank != rank or u.degree() > degree_bound:
                 raise ValueError(f"table entry {u!r} is outside the domain")
-        for u in graded_vectors(rank, degree_bound):
+        for u in vectors_up_to_degree(rank, degree_bound):
             if u not in table:
                 raise ValueError(f"table is missing {u!r}")
 
@@ -571,9 +553,9 @@ def coboundary(h):
 
     Each value is one product over the integer forms of the three entries.
     """
-    forms = dict(zip(h.table, _integer_form(h.table.values())))
+    forms = dict(zip(h.table, map(_integer_unit, h.table.values())))
     return TruncatedCocycle._trusted(h.rank, h.degree_bound, {
-        (u, v): _unit_power(((forms[u], 1), (forms[v], 1), (forms[tuple(map(operator.add, u, v))], -1)))
+        (u, v): _unit_of(_power(((forms[u], 1), (forms[v], 1), (forms[tuple(map(operator.add, u, v))], -1))))
         for u, v in graded_pairs(h.rank, h.degree_bound)})
 
 
@@ -601,16 +583,6 @@ class CheckReport(_Record):
 CocycleCheck = CheckReport
 
 
-def _triple_holds(a, b, c, d):
-    """The cocycle identity at one triple, mu(x, y+z) mu(y, z) = mu(x, y) mu(x+y, z).
-
-    a, b, c and d are those four values in integer form, in that order:
-    a*b / (c*d) is one `_power` product, and it must come to 1.
-    """
-    num, den, exps = _power(((a, 1), (b, 1), (c, -1), (d, -1)))
-    return num == den and not exps
-
-
 def verify_cocycle_equation(mu_t):
     """Decide the cocycle identity on the whole truncated domain |x|+|y|+|z| <= D.
 
@@ -634,7 +606,7 @@ def verify_cocycle_equation(mu_t):
     for u in vectors:
         if not table[(u, zero)].is_one() or not table[(zero, u)].is_one():
             return CheckReport(False, counterexample=("identity", u))
-    forms = dict(zip(table, _integer_form(table.values())))
+    forms = dict(zip(table, map(_integer_unit, table.values())))
     rest = bound - 1  # the degree left for y and z once x is a generator
     for x in vectors[1:n + 1]:
         for y in vectors[:graded_count(n, rest)]:
@@ -653,16 +625,18 @@ def sample_cocycle_equation(mu, samples=100, seed=0):
     entry uniform in 0..5, so the check is deterministic given the seed.  A
     bimultiplicative cocycle satisfies the identity everywhere, so this is a
     self-test of evaluation; on failure the report carries the first
-    offending (x, y, z).  Each value is one integer-kernel product, and each
-    triple is decided by `_triple_holds`.  `samples` must be an int >= 0
-    (not a bool).
+    offending (x, y, z).  Each value is one `_bilinear_power` over the sparse
+    forms of x, y, z, y+z and x+y, each taken once per triple; the two sums
+    are of one rank, so they are added through `ExponentVector._trusted`.
+    Each triple is decided by `_triple_holds`.  `samples` must be an int
+    >= 0 (not a bool).
     """
-    rng, vec = random.Random(seed), ExponentVector._trusted
+    rng, vec, matrix = random.Random(seed), ExponentVector._trusted, mu._integer
     for _ in range(_rank_arg(samples, "samples")):
         x, y, z = (vec([rng.randint(0, 5) for _ in range(mu.rank)]) for _ in range(3))
-        values = (_bilinear_power(mu._integer, _nonzero(u), _nonzero(v))
-                  for u, v in ((x, y + z), (y, z), (x, y), (x + y, z)))
-        if not _triple_holds(*values):
+        sx, sy, sz, syz, sxy = map(_nonzero, (x, y, z, vec(map(operator.add, y, z)), vec(map(operator.add, x, y))))
+        if not _triple_holds(_bilinear_power(matrix, sx, syz), _bilinear_power(matrix, sy, sz),
+                             _bilinear_power(matrix, sx, sy), _bilinear_power(matrix, sxy, sz)):
             return CheckReport(False, counterexample=(x, y, z))
     return CheckReport(True)
 
@@ -755,6 +729,6 @@ def symmetric_trivializer(c):
     inverse = c.inverse()._integer
 
     def h(u):
-        return _unit_power(_quadratic_pairs(inverse, _nonzero(u)))
+        return _unit_of(_power(_quadratic_pairs(inverse, _nonzero(u))))
 
     return ClosedFormFunction(n, h)

@@ -344,17 +344,28 @@ def graded_count(rank, bound):
     return comb(rank + bound, rank)
 
 
-def graded_vectors(rank, bound):
-    """The vectors of N^rank of degree <= bound as one tuple, by increasing degree.
+def _graded_args(rank, bound):
+    """Check the rank and the bound of a truncated domain, enumerating nothing.
 
-    Every truncated domain is enumerated here, so this is where it is
-    checked: a rank or bound that is not an int (or is a bool) raises
-    TypeError, and rank < 1 or bound < 0 raises ValueError.
+    A rank or bound that is not an int (or is a bool) raises TypeError, and
+    rank < 1 or bound < 0 raises ValueError.  `graded_vectors` checks every
+    domain it enumerates here, and `cocycles._UnitTable.__init__` checks
+    here before it counts a table's keys, so that a domain too large to
+    enumerate is refused by its count.
     """
     rank, bound = _int_arg(rank, "truncated domain rank"), _int_arg(bound, "degree bound")
     if rank < 1 or bound < 0:
         raise ValueError(f"truncated domains need rank >= 1 and degree bound >= 0, got {rank} and {bound}")
-    return tuple(vectors_up_to_degree(rank, bound))
+
+
+def graded_vectors(rank, bound):
+    """The vectors of N^rank of degree <= bound as one tuple, by increasing degree.
+
+    Every truncated domain is enumerated here, once `_graded_args` has
+    checked it, with no second check of the bound.
+    """
+    _graded_args(rank, bound)
+    return tuple(_vectors(rank, 0, bound))
 
 
 def graded_pairs(rank, bound):

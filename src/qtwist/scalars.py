@@ -19,9 +19,9 @@ the grammar (``_FACTOR_RE``) the names of literals, whose matched factors
 summing half of ``_canonical_exps``, with no second check.
 The integer kernel and the one coefficient-product routine live here:
 products of many units (``_power``: quadratic forms, cocycle triples,
-coboundary values and unit ratios; ``cocycles._bilinear_power`` runs the
-same body over the pairs of a bilinear form, and ``_unit_of`` makes the
-unit of its triple) and every
+coboundary values and unit ratios; ``_bilinear_power`` runs the same body
+over the pairs of a bilinear form, and ``_triple_holds`` decides a cocycle
+triple by one ``_power``) and every
 coefficient product or sum (``_add_product``, a unit times one or two
 polynomials added into one accumulator: polynomial sums and products,
 twisted products, monomial-map images, element sums, random elements) keep
@@ -29,8 +29,13 @@ Python int numerators and denominators and make one reduced ``Fraction``
 per result.  ``_add_product`` is the only writer of an accumulator: the
 checked polynomial constructor adds its checked terms through it, and a
 polynomial times a unit, int or ``Fraction`` multiplies there after
-coercion.  ``_integer_unit`` is the one integer form of a unit, and
-``_coefficient`` the one coercion of a unit, int or ``Fraction`` to a
+coercion.  A unit's integer form, (numerator, denominator, exps) with
+None for the unit 1, has one owner: ``_integer_unit`` makes it, ``_unit_of``
+makes its unit, a polynomial term's form (``_integer_terms``) has the same
+layout, and the sampler draws straight into it (``_random_integer_unit``).
+The other modules pass forms and (entry, power) pair lists here and test
+``is None``; none builds, unpacks or reduces a form.
+``_coefficient`` is the one coercion of a unit, int or ``Fraction`` to a
 polynomial.  The ``_trusted`` constructors (here, in ``monoids`` and in
 ``algebras``) are internal only: they wrap values that are already
 canonical and check nothing.  Equal values hash equally, across types too:
@@ -136,13 +141,25 @@ def _merge_exps(a, b):
 
 
 def _integer_unit(a):
-    """(numerator, denominator, exps) of a unit, None for the unit 1: its integer form."""
-    return None if a.is_one() else (a.coeff.numerator, a.coeff.denominator, a.exps)
+    """(numerator, denominator, exps) of a unit, None for the unit 1: its integer form.
+
+    The one way from a unit to its form; `_unit_of` is the one way back.
+    `Fraction.as_integer_ratio` reads both integers in one call, and a
+    reduced Fraction is 1 exactly when they are equal.
+    """
+    num, den = a.coeff.as_integer_ratio()
+    return None if num == den and not a.exps else (num, den, a.exps)
 
 
-def _integer_form(units):
-    """The integer form of each unit: the entries `_power` multiplies."""
-    return tuple(map(_integer_unit, units))
+def _unit_of(c):
+    """The unit of an integer form (numerator, denominator, exps): one reduced Fraction; None is the unit 1.
+
+    The one way from a form to its unit, the inverse of `_integer_unit`.
+    """
+    if c is None:
+        return UnitScalar.one()
+    num, den, exps = c
+    return UnitScalar._trusted(Fraction(num, den), exps)
 
 
 def _power(pairs):
@@ -150,9 +167,9 @@ def _power(pairs):
 
     The numerator and denominator are accumulated as ints and the exponents
     in one map; entries None (the unit 1) are skipped, and a zero power
-    multiplies by 1.  The quotient is not reduced: callers make one Fraction
-    of it.  The map's `get` is bound once and its zero exponents are dropped
-    by `filter`, so the loop enters no Python frame but this one.
+    multiplies by 1.  The quotient is not reduced: `_unit_of` makes one
+    Fraction of it.  The map's `get` is bound once and its zero exponents
+    are dropped by `filter`, so the loop enters no Python frame but this one.
     """
     num = den = 1
     exps = {}
@@ -172,19 +189,70 @@ def _power(pairs):
     return num, den, tuple(sorted(filter(itemgetter(1), exps.items())))
 
 
-def _unit_of(num, den, exps):
-    """The unit of a kernel product's (numerator, denominator, exps): one reduced Fraction."""
-    return UnitScalar._trusted(Fraction(num, den), exps)
+def _bilinear_power(matrix, left, right):
+    """(numerator, denominator, exps) of the bilinear form prod_{i,j} M_ij^(u_i v_j) of an integer-form matrix.
+
+    `left` and `right` are the sparse forms (`monoids._nonzero`) of u and v.
+    The one kernel of every bilinear product: `_power`'s body over the pairs
+    (M_ij, u_i v_j), with no pair list and no sign branch.  Entries None
+    (the unit 1) are skipped, and every power u_i v_j is > 0, since a
+    sparse form holds only the nonzero entries of a vector in N^n.  The
+    quotient is not reduced, as `_power`'s is not.
+    """
+    num = den = 1
+    exps = {}
+    get = exps.get
+    for i, ui in left:
+        row = matrix[i]
+        for j, vj in right:
+            a = row[j]
+            if a is None:
+                continue
+            e = ui * vj
+            a_num, a_den, a_exps = a
+            num *= a_num ** e
+            den *= a_den ** e
+            for name, k in a_exps:
+                exps[name] = get(name, 0) + k * e
+    return num, den, tuple(sorted(filter(itemgetter(1), exps.items())))
 
 
-def _unit_power(pairs):
-    """prod a^e over (integer-form entry a, integer e) pairs, as one unit with one reduced Fraction."""
-    num, den, exps = _power(pairs)
-    return UnitScalar._trusted(Fraction(num, den), exps)
+def _triple_holds(a, b, c, d):
+    """Whether a*b = c*d for four integer forms: the cocycle identity at one triple.
+
+    `cocycles` passes mu(x, y+z), mu(y, z), mu(x, y) and mu(x+y, z), in that
+    order, for both of its checks.  a*b / (c*d) is one `_power` product,
+    and it must come to 1: an equal numerator and denominator and no
+    exponent, with no Fraction made.
+    """
+    num, den, exps = _power(((a, 1), (b, 1), (c, -1), (d, -1)))
+    return num == den and not exps
+
+
+def _random_integer_unit(rng, parameters, max_num=7, max_exp=2):
+    """A seeded random unit in integer form (numerator, denominator, exps), unreduced.
+
+    A nonzero numerator with |num| <= max_num, a denominator in
+    1..max_num, and each parameter, in the order given, with probability
+    1/2 an exponent in -max_exp..max_exp (zero dropped); only the exponents
+    are sorted.  `algebras.random_unit` makes its unit and `random_element`
+    adds it to an accumulator as it stands.
+    """
+    num = 0
+    while num == 0:
+        num = rng.randint(-max_num, max_num)
+    den = rng.randint(1, max_num)
+    exps = {}
+    for name in parameters:
+        if rng.random() < 0.5:
+            e = rng.randint(-max_exp, max_exp)
+            if e:
+                exps[name] = e
+    return num, den, tuple(sorted(exps.items()))
 
 
 def _integer_terms(p):
-    """(exps, numerator, denominator) of each term of a polynomial.
+    """(numerator, denominator, exps) of each term of a polynomial: a unit's integer form, term by term.
 
     `Fraction.as_integer_ratio` reads both integers in one call, where the
     `numerator` and `denominator` properties take one Python frame each.  A
@@ -193,12 +261,12 @@ def _integer_terms(p):
     """
     terms = []
     for k, c in p.terms.items():
-        terms.append((k, *c.as_integer_ratio()))
+        terms.append((*c.as_integer_ratio(), k))
     return terms
 
 
 #: The `_integer_terms` of the polynomial 1.
-_ONE_TERMS = (((), 1, 1),)
+_ONE_TERMS = ((1, 1, ()),)
 
 
 def _add_product(acc, c, left=_ONE_TERMS, right=_ONE_TERMS):
@@ -213,10 +281,10 @@ def _add_product(acc, c, left=_ONE_TERMS, right=_ONE_TERMS):
     of ints, left unreduced until `_polynomial` makes its Fraction.
     """
     c_num, c_den, c_exps = (1, 1, ()) if c is None else c
-    for ka, a_num, a_den in left:
+    for a_num, a_den, ka in left:
         kc = _merge_exps(ka, c_exps)
         ac_num, ac_den = a_num * c_num, a_den * c_den
-        for kb, b_num, b_den in right:
+        for b_num, b_den, kb in right:
             key, num, den = _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den
             pair = acc.get(key)
             if pair is None:
@@ -342,7 +410,7 @@ class LaurentPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        checked = [(_canonical_exps(exps), c.numerator, c.denominator)
+        checked = [(c.numerator, c.denominator, _canonical_exps(exps))
                    for exps, c in (terms.items() if isinstance(terms, dict) else terms)
                    if _exact(c, "polynomial coefficient")]
         acc = {}

@@ -38,7 +38,7 @@ from .algebras import (  # the homomorphism names stay importable from here
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
 # ProductSplit stays importable from here.
 from .monoids import ProductSplit, _int_arg, _Record, _segre_target_rank, segre_morphism, vectors_of_degree
-from .scalars import LaurentPolynomial, _specialize_monomial, _unit_power
+from .scalars import LaurentPolynomial, _power, _specialize_monomial, _unit_of
 
 
 class SegreMap(_Record):
@@ -138,8 +138,8 @@ def kernel_basis(segre_map, degree, specialization):
     monomials share a key exactly when they share f(u).  c_u comes from
     the map's one rule, `GradedHomomorphism._unit`, in integer form.  For
     the maps of :func:`build_quantum_segre` it is None (every c_u is 1), and
-    every ratio is the constant 1; otherwise c_u / c_u0 is one `_unit_power`
-    of the two integer forms per binomial.
+    every ratio is the constant 1; otherwise c_u / c_u0 is the unit of one
+    `_power` of the two integer forms per binomial.
     """
     if _int_arg(degree, "kernel degree") < 1:
         raise ValueError("kernel degree must be >= 1")
@@ -162,7 +162,7 @@ def kernel_basis(segre_map, degree, specialization):
             first[key] = (u, unit(u))
             continue
         u0, c0 = found  # c0 is None exactly when the map's c_u are all 1
-        ratio = minus_one if c0 is None else -LaurentPolynomial.from_unit(_unit_power(((unit(u), 1), (c0, -1))))
+        ratio = minus_one if c0 is None else -LaurentPolynomial.from_unit(_unit_of(_power(((unit(u), 1), (c0, -1)))))
         # Canonical as it stands: u0 != u, both of the source's rank, and both coefficients nonzero.
         basis.append(AlgebraElement._trusted(phi.source, {u0: ratio, u: one}))
     return basis

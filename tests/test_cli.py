@@ -295,10 +295,16 @@ HUGE_SEGRE = f'"segre" target rank {HUGE + 3} does not match cocycle rank 4'
     (["segre", "build"], "segre_build", {"n": HUGE, "m": 0}, '"m" must be >= 1, got 0'),
     (["cocycle", "pullback"], "cocycle_pullback", {"segre": [HUGE, 0]},
      '"segre" must be >= 1, got 0'),
+    # a table is counted before its domain is enumerated, and a missing key is found by a lazy walk
+    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE},
+     f'bad "table": table pair (ExponentVector([0]), ExponentVector([0])) does not have rank {HUGE}'),
+    (["cocycle", "check"], "cocycle_check_table", {"degree_bound": HUGE},
+     'bad "table": table is missing the pair (ExponentVector([0]), ExponentVector([4]))'),
 ], ids=["build-n", "build-m", "verify-n", "matrix-m", "kernel-n", "build-n-2", "pullback-n", "pullback-m",
-        "pullback-2-1", "build-zero-m-first", "pullback-zero-m-first"])
+        "pullback-2-1", "build-zero-m-first", "pullback-zero-m-first", "table-rank", "table-degree-bound"])
 def test_segre_sizes_are_compared_before_anything_is_built(tmp_path, capsys, tail, name, changes, message):
-    # a 10**30 shape once died allocating its generator images (OverflowError) instead of exiting 2
+    # a 10**30 shape once died allocating its generator images (OverflowError) instead of exiting 2,
+    # and a 10**30 table rank (OverflowError) or degree bound (no end) once died enumerating the domain
     code, output = run_config(tmp_path, tail, _config_with(name, **changes))
     assert (code, output, capsys.readouterr().err) == (2, "", f"error: {message}\n")
 

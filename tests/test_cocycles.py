@@ -38,7 +38,7 @@ from qtwist import (
 )
 from qtwist import cocycles, scalars
 from qtwist.algebras import GradedHomomorphism, TwistedMonoidAlgebra
-from qtwist.cocycles import _integer_form, _unit_power
+from qtwist.scalars import _integer_unit, _unit_of
 from qtwist.monoids import MonoidMorphism, _nonzero, graded_count, graded_pairs
 
 from helpers import (
@@ -517,6 +517,34 @@ def test_sampled_check_draws_seeded_triples_and_reports_the_first_failure(monkey
     assert cocycles.sample_cocycle_equation(mu, first // 3, 5) == cocycles.CheckReport(True)
 
 
+def test_sampled_check_takes_one_sparse_form_per_vector_and_adds_unchecked(monkeypatch):
+    # each triple reads the sparse forms of x, y, z, y+z and x+y once, and adds the two sums
+    # through ExponentVector._trusted: the reports stay those of the checked sums
+    mu = rand_cocycle(random.Random(84), 3)
+    real = cocycles._bilinear_power
+
+    def faulty(matrix, u, v):  # not a cocycle: an extra factor 2^u[2] (u is sparse)
+        num, den, exps = real(matrix, u, v)
+        return num * 2 ** dict(u).get(2, 0), den, exps
+
+    passing = cocycles.sample_cocycle_equation(mu, 100, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(cocycles, "_bilinear_power", faulty)
+        failing = cocycles.sample_cocycle_equation(mu, 100, 3)
+    assert passing and not failing and failing.counterexample is not None
+    calls = []
+    monkeypatch.setattr(cocycles, "_nonzero", lambda u: calls.append(u) or _nonzero(u))
+
+    def refuse(self, other):
+        raise AssertionError("the sampled check added through the checked ExponentVector.__add__")
+
+    monkeypatch.setattr(ExponentVector, "__add__", refuse)
+    assert cocycles.sample_cocycle_equation(mu, 100, 3) == passing
+    assert len(calls) == 500
+    monkeypatch.setattr(cocycles, "_bilinear_power", faulty)
+    assert cocycles.sample_cocycle_equation(mu, 100, 3) == failing
+
+
 @pytest.mark.parametrize("samples,error,message", [
     (-1, ValueError, "samples must be >= 0, got -1"),
     (True, TypeError, "samples must be an int, got True"),
@@ -777,9 +805,10 @@ def test_integer_kernel_matches_unit_arithmetic():
                     + [(ratio[k][k], u[k] * (u[k] - 1) // 2) for k in range(rank)]
                     + [(ratio[k][l], u[k] * u[l]) for k in range(rank) for l in range(k + 1, rank)])
             # negative exponents: the sign of a negative coefficient moves out of the denominator
-            entries = _integer_form(mu.matrix[0])
+            entries = [*map(_integer_unit, mu.matrix[0])]
             exponents = [rng.randint(-4, 4) for _ in range(rank)]
-            assert _unit_power(zip(entries, exponents)) == reference_power(zip(mu.matrix[0], exponents))
+            assert (_unit_of(scalars._power(zip(entries, exponents)))
+                    == reference_power(zip(mu.matrix[0], exponents)))
             bigger = ExponentVector((1,) * (rank + 1))
             with pytest.raises(ValueError):
                 mu.evaluate(bigger, bigger)
@@ -789,7 +818,7 @@ def test_integer_kernel_matches_unit_arithmetic():
                 h(bigger)
             with pytest.raises(ValueError):
                 phi.image_of_basis(bigger)
-    assert _unit_power([((-2, 3, ()), -3)]).coeff == Fraction(-27, 8)
+    assert _unit_of(scalars._power([((-2, 3, ()), -3)])).coeff == Fraction(-27, 8)
     for _ in range(200):
         a, b = rand_unit(rng), rand_unit(rng)
         exps = dict(a.exps)

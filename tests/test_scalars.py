@@ -23,7 +23,7 @@ from qtwist import (
 
 import qtwist.algebras
 import qtwist.scalars
-from qtwist.scalars import _add_product, _integer_terms, _polynomial, _unit_reader
+from qtwist.scalars import _add_product, _integer_terms, _integer_unit, _polynomial, _unit_of, _unit_reader
 
 from helpers import PARAMS, rand_poly, rand_unit
 
@@ -300,6 +300,26 @@ def test_add_product_is_the_sum_of_its_term_products():
     assert zeros > 10
     # the twisted product, map images and element sums merge exponents only through it
     assert "_merge_exps" not in vars(qtwist.algebras)
+
+
+def test_integer_unit_and_unit_of_are_inverse():
+    # a unit's integer form is (numerator, denominator, exps) of its reduced coefficient, None exactly for
+    # the unit 1, and _unit_of makes the unit back, None included
+    rng = random.Random(36)
+    q = UnitScalar.param("q")
+    units = [UnitScalar.one(), UnitScalar(Fraction(4, 4)), UnitScalar(1, {"q": 0}), UnitScalar(-1), UnitScalar(2),
+             q, -q, q.inv(), UnitScalar(Fraction(-3, 2), {"q": 2, "r": -1})]
+    units += [rand_unit(rng) for _ in range(300)]
+    for a in units:
+        form = _integer_unit(a)
+        assert (form is None) == (a.coeff == 1 and not a.exps)
+        if form is not None:
+            assert form == (a.coeff.numerator, a.coeff.denominator, a.exps)
+        back = _unit_of(form)
+        assert back == a and type(back.coeff) is Fraction and back.exps == a.exps
+    assert _unit_of(None) == UnitScalar.one()
+    # a kernel product's form is unreduced, and its denominator may be negative
+    assert _unit_of((-4, -6, (("q", 1),))) == UnitScalar(Fraction(2, 3), {"q": 1})
 
 
 # -- specialize --------------------------------------------------------------
