@@ -16,11 +16,14 @@ A *truncated* cocycle is a value table on all pairs with |u| + |v| <= D.
 It represents general cocycles and coboundaries and is the form on which the
 constructive trivialization procedures run: building an explicit h with
 delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
-functions h share one body: the domain is enumerated, checked (rank >= 1
-and bound >= 0) and counted by ``monoids``, once per call, every value a
-caller gives is checked to be a unit, and the public constructors also
-check the key types, the key count and each domain key, counting the keys
-before they enumerate the domain.  A table's JSON
+functions h share one body and one checked constructor, which every table
+of a caller's values goes through (``from_json``, ``from_function``,
+``trivialize_rank1``): it checks the domain's rank >= 1 and bound >= 0
+(``monoids._graded_args``), then each listed item once (its key's type,
+rank and degree, and its value a unit), refuses a key listed twice, and
+compares the key count with the domain's ``graded_count``.  Distinct keys
+of the domain, as many as the domain has, are the domain, so an accepted
+table enumerates nothing.  A table's JSON
 is read through two per-call memos, ``monoids._vector_reader`` for its keys
 and ``scalars._unit_reader`` for its values, so each distinct key is
 checked, and each distinct literal parsed, once.  ``truncate`` takes each
@@ -340,31 +343,25 @@ def pullback(mu, f):
         [[_unit_of(_bilinear_power(matrix, left, right)) for right in images] for left in images])
 
 
-def _unit_values(table):
-    """`table`, once each of its values is checked to be a UnitScalar (TypeError naming the key)."""
-    for key, value in table.items():
-        if not isinstance(value, UnitScalar):
-            raise TypeError(f"table value {value!r} at {key!r} is not a UnitScalar")
-    return table
-
-
 class _UnitTable:
     """A unit table on a truncated domain of N^rank: the pairs |u| + |v| <= D, or the vectors |u| <= D.
 
     The body shared by truncated cocycles and functions on the monoid.  The
-    public constructor checks the domain's rank >= 1 and D >= 0
-    (`monoids._graded_args`; ValueError) without enumerating it.  It checks
-    that every key has the key type and every value is a UnitScalar
-    (TypeError naming the key), then compares the key count with the
-    domain's `graded_count`, and only when the counts agree enumerates the
-    domain to test that the table holds each key.  When either test fails it
-    walks the table to name a key outside the domain, or else the domain,
-    lazily, to name the first missing key, which it meets within
-    len(table) + 1 keys (ValueError): so a domain too large to enumerate
-    is refused by its count.
-    `from_function` checks only the values; tables of kernel products
-    (`truncate`, `coboundary`, entrywise products, `perturbed`) are built
-    trusted.
+    one checked constructor takes a mapping or an iterable of (key, value)
+    items.  It checks the domain's rank >= 1 and D >= 0
+    (`monoids._graded_args`; ValueError) and builds one dict.  Then it
+    checks each item once, in listed order: the key's type (TypeError), its
+    rank and degree by `len` and `sum` (ValueError naming it), h(e) = 1 on
+    `FunctionOnMonoid` (ValueError), and the value a UnitScalar (TypeError
+    naming the key).  A key listed twice is a ValueError naming it.
+    Distinct keys of the domain, as many as its `graded_count`, are the
+    domain, so an accepted table enumerates nothing; when the count falls
+    short, the domain is walked lazily to name the first missing key, which
+    it meets within len(table) + 1 keys, so a domain too large to enumerate
+    is refused by a key (though no missing vector of a rank beyond the
+    index range can be built to be named: OverflowError).  Tables of kernel
+    products (`truncate`, `coboundary`, entrywise products, `perturbed`) are
+    built trusted.
     Tables of one type are equal, and hash equally, by rank, bound and values.
     """
 
@@ -372,14 +369,18 @@ class _UnitTable:
 
     def __init__(self, rank, degree_bound, table):
         _graded_args(rank, degree_bound)
-        table = dict(table)
-        for key in table:
-            if not self._is_key(key):
-                raise TypeError(f"table key {key!r} is not {self._key_kind}")
-        _unit_values(table)
-        if (len(table) != graded_count(self._arity * rank, degree_bound)
-                or not all(map(table.__contains__, self._domain(rank, degree_bound)))):
-            self._name_bad_key(rank, degree_bound, table)
+        items = table.items() if isinstance(table, Mapping) else [*table]
+        table, check = dict(items), self._check_item
+        for key, value in items:
+            check(key, value, rank, degree_bound)
+            if not isinstance(value, UnitScalar):
+                raise TypeError(f"table value {value!r} at {key!r} is not a UnitScalar")
+        if len(table) < len(items):
+            seen = set()
+            repeated = next(key for key, _ in items if key in seen or seen.add(key))
+            raise ValueError(f"table key {repeated!r} is listed more than once")
+        if len(table) < graded_count(self._arity * rank, degree_bound):
+            self._name_missing_key(rank, degree_bound, table)
         self.rank, self.degree_bound, self.table = rank, degree_bound, table
 
     @classmethod
@@ -406,23 +407,23 @@ class TruncatedCocycle(_UnitTable):
     """Cocycle value table on all pairs (u, v) with |u| + |v| <= degree_bound."""
 
     __slots__ = ()
-    _arity, _key_kind = 2, "a pair of exponent vectors"
-    _domain = staticmethod(graded_pairs)
+    _arity = 2
     # bench/spans.py wraps a traced method through its class's own __dict__.
     __init__, __eq__, __hash__ = _UnitTable.__init__, _UnitTable.__eq__, _UnitTable.__hash__
 
     @staticmethod
-    def _is_key(key):
-        return (type(key) is tuple and len(key) == 2
-                and isinstance(key[0], ExponentVector) and isinstance(key[1], ExponentVector))
+    def _check_item(key, value, rank, degree_bound):
+        if not (type(key) is tuple and len(key) == 2
+                and isinstance(key[0], ExponentVector) and isinstance(key[1], ExponentVector)):
+            raise TypeError(f"table key {key!r} is not a pair of exponent vectors")
+        u, v = key
+        if len(u) != rank or len(v) != rank:
+            raise ValueError(f"table pair ({u!r}, {v!r}) does not have rank {rank}")
+        if sum(u) + sum(v) > degree_bound:
+            raise ValueError(f"table pair ({u!r}, {v!r}) exceeds the degree bound {degree_bound}")
 
     @staticmethod
-    def _name_bad_key(rank, degree_bound, table):
-        for (u, v) in table:
-            if u.rank != rank or v.rank != rank:
-                raise ValueError(f"table pair ({u!r}, {v!r}) does not have rank {rank}")
-            if u.degree() + v.degree() > degree_bound:
-                raise ValueError(f"table pair ({u!r}, {v!r}) exceeds the degree bound {degree_bound}")
+    def _name_missing_key(rank, degree_bound, table):
         for u in vectors_up_to_degree(rank, degree_bound):
             for v in vectors_up_to_degree(rank, degree_bound - sum(u)):
                 if (u, v) not in table:
@@ -430,8 +431,7 @@ class TruncatedCocycle(_UnitTable):
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
-        table = {(u, v): fn(u, v) for u, v in graded_pairs(rank, degree_bound)}
-        return cls._trusted(rank, degree_bound, _unit_values(table))
+        return cls(rank, degree_bound, {(u, v): fn(u, v) for u, v in graded_pairs(rank, degree_bound)})
 
     @classmethod
     def truncate(cls, mu, degree_bound):
@@ -451,8 +451,8 @@ class TruncatedCocycle(_UnitTable):
     @classmethod
     def from_json(cls, rank, degree_bound, data):
         read, vector = _unit_reader(), _vector_reader()
-        return cls(rank, degree_bound, {(vector(item["u"]), vector(item["v"])): read(item["value"])
-                                        for item in data})
+        return cls(rank, degree_bound, [((vector(item["u"]), vector(item["v"])), read(item["value"]))
+                                        for item in data])
 
     def to_json(self):
         return [{"u": u.to_json(), "v": v.to_json(), "value": render_unit(val)}
@@ -495,37 +495,26 @@ class FunctionOnMonoid(_UnitTable):
     """Normalized function h on N^rank (h(e) = 1), tabulated up to |u| <= degree_bound."""
 
     __slots__ = ()
-    _arity, _key_kind = 1, "an exponent vector"
-    _domain = staticmethod(graded_vectors)
-
-    def __init__(self, rank, degree_bound, table):
-        _UnitTable.__init__(self, rank, degree_bound, self._normalized(rank, dict(table)))
+    _arity = 1
 
     @staticmethod
-    def _normalized(rank, table):
-        """The dict `table`, once h(e) = 1 is checked (ValueError)."""
-        zero = ExponentVector.zero(rank)
-        if zero not in table or table[zero] != UnitScalar.one():  # a non-unit is not 1 either
+    def _check_item(u, value, rank, degree_bound):
+        if not isinstance(u, ExponentVector):
+            raise TypeError(f"table key {u!r} is not an exponent vector")
+        if len(u) != rank or sum(u) > degree_bound:
+            raise ValueError(f"table entry {u!r} is outside the domain")
+        if not any(u) and value != UnitScalar.one():  # a non-unit is not 1 either
             raise ValueError("functions on the monoid must satisfy h(e) = 1")
-        return table
 
     @staticmethod
-    def _is_key(key):
-        return isinstance(key, ExponentVector)
-
-    @staticmethod
-    def _name_bad_key(rank, degree_bound, table):
-        for u in table:
-            if u.rank != rank or u.degree() > degree_bound:
-                raise ValueError(f"table entry {u!r} is outside the domain")
+    def _name_missing_key(rank, degree_bound, table):
         for u in vectors_up_to_degree(rank, degree_bound):
             if u not in table:
-                raise ValueError(f"table is missing {u!r}")
+                raise ValueError(f"table is missing {u!r}" if any(u) else "functions on the monoid must satisfy h(e) = 1")
 
     @classmethod
     def from_function(cls, rank, degree_bound, fn):
-        table = {u: fn(u) for u in graded_vectors(rank, degree_bound)}
-        return cls._trusted(rank, degree_bound, _unit_values(cls._normalized(rank, table)))
+        return cls(rank, degree_bound, {u: fn(u) for u in graded_vectors(rank, degree_bound)})
 
     @classmethod
     def constant_one(cls, rank, degree_bound):
@@ -535,7 +524,7 @@ class FunctionOnMonoid(_UnitTable):
     @classmethod
     def from_json(cls, rank, degree_bound, data):
         read, vector = _unit_reader(), _vector_reader()
-        return cls(rank, degree_bound, {vector(item["u"]): read(item["value"]) for item in data})
+        return cls(rank, degree_bound, [(vector(item["u"]), read(item["value"])) for item in data])
 
     def to_json(self):
         return [{"u": u.to_json(), "value": render_unit(val)}
@@ -657,7 +646,7 @@ def trivialize_rank1(mu_t):
     table = {powers[0]: UnitScalar.one()}
     for power, next_power in zip(powers, powers[1:]):
         table[next_power] = table[power] / mu_t.value(powers[1], power)
-    return FunctionOnMonoid.from_function(1, mu_t.degree_bound, table.__getitem__)
+    return FunctionOnMonoid(1, mu_t.degree_bound, table)
 
 
 def yamazaki_trivialize(mu_t, split):

@@ -350,8 +350,9 @@ def _graded_args(rank, bound):
     A rank or bound that is not an int (or is a bool) raises TypeError, and
     rank < 1 or bound < 0 raises ValueError.  `graded_vectors` checks every
     domain it enumerates here, and `cocycles._UnitTable.__init__` checks
-    here before it counts a table's keys, so that a domain too large to
-    enumerate is refused by its count.
+    here before it checks and counts a table's keys, which it does with
+    nothing enumerated, so that a domain too large to enumerate is refused
+    by a key.
     """
     rank, bound = _int_arg(rank, "truncated domain rank"), _int_arg(bound, "degree bound")
     if rank < 1 or bound < 0:

@@ -300,13 +300,26 @@ HUGE_SEGRE = f'"segre" target rank {HUGE + 3} does not match cocycle rank 4'
      f'bad "table": table pair (ExponentVector([0]), ExponentVector([0])) does not have rank {HUGE}'),
     (["cocycle", "check"], "cocycle_check_table", {"degree_bound": HUGE},
      'bad "table": table is missing the pair (ExponentVector([0]), ExponentVector([4]))'),
+    # each key is checked before the domain is counted, so a count too large for math.comb is never taken
+    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE, "degree_bound": HUGE},
+     f'bad "table": table pair (ExponentVector([0]), ExponentVector([0])) does not have rank {HUGE}'),
 ], ids=["build-n", "build-m", "verify-n", "matrix-m", "kernel-n", "build-n-2", "pullback-n", "pullback-m",
-        "pullback-2-1", "build-zero-m-first", "pullback-zero-m-first", "table-rank", "table-degree-bound"])
+        "pullback-2-1", "build-zero-m-first", "pullback-zero-m-first", "table-rank", "table-degree-bound",
+        "table-rank-and-bound"])
 def test_segre_sizes_are_compared_before_anything_is_built(tmp_path, capsys, tail, name, changes, message):
     # a 10**30 shape once died allocating its generator images (OverflowError) instead of exiting 2,
     # and a 10**30 table rank (OverflowError) or degree bound (no end) once died enumerating the domain
     code, output = run_config(tmp_path, tail, _config_with(name, **changes))
     assert (code, output, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+
+
+def test_a_table_key_listed_twice_exits_2(tmp_path, capsys):
+    # the repeat once replaced the first value, and the check failed on it with exit 1
+    config = _config_with("cocycle_check_table")
+    config["table"].append({"u": [0], "v": [1], "value": "7"})
+    code, output = run_config(tmp_path, ["cocycle", "check"], config)
+    assert (code, output, capsys.readouterr().err) == (
+        2, "", 'error: bad "table": table key (ExponentVector([0]), ExponentVector([1])) is listed more than once\n')
 
 
 def test_pullback_along_a_morphism_matches_the_segre_golden(tmp_path):

@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -36,7 +37,7 @@ from qtwist import (
     yamazaki_reconstruct,
     yamazaki_trivialize,
 )
-from qtwist import cocycles, scalars
+from qtwist import cocycles, monoids, scalars
 from qtwist.algebras import GradedHomomorphism, TwistedMonoidAlgebra
 from qtwist.scalars import _integer_unit, _unit_of
 from qtwist.monoids import MonoidMorphism, _nonzero, graded_count, graded_pairs
@@ -1342,6 +1343,55 @@ def test_truncated_domains_need_rank_and_bound(rank, bound):
             build()
         assert str(exc.value) == (
             f"truncated domains need rank >= 1 and degree bound >= 0, got {rank} and {bound}")
+
+
+def test_function_tables_check_each_key_before_building_any_vector():
+    # a rank of 10**30 once built the zero vector for h(e) = 1 first (OverflowError)
+    for build, message in [
+            (lambda: FunctionOnMonoid(10 ** 30, 2, {ExponentVector((0,)): ONE}),
+             "table entry ExponentVector([0]) is outside the domain"),
+            (lambda: FunctionOnMonoid(-1, 2, {}),
+             "truncated domains need rank >= 1 and degree bound >= 0, got -1 and 2")]:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_a_key_listed_twice_is_refused():
+    e, g = ExponentVector((0,)), ExponentVector((1,))
+    # the last value once won silently: h(g) = 2 here
+    with pytest.raises(ValueError) as exc:
+        FunctionOnMonoid(1, 1, [(e, ONE), (g, ONE), (g, UnitScalar(2))])
+    assert str(exc.value) == "table key ExponentVector([1]) is listed more than once"
+    with pytest.raises(ValueError) as exc:
+        FunctionOnMonoid.from_json(1, 1, [{"u": [0], "value": "1"}, {"u": [1], "value": "q"},
+                                          {"u": [1], "value": "q"}])
+    assert str(exc.value) == "table key ExponentVector([1]) is listed more than once"
+    items = [((e, e), ONE), ((e, g), ONE), ((g, e), ONE), ((e, g), UnitScalar(7))]
+    with pytest.raises(ValueError) as exc:
+        TruncatedCocycle(1, 1, items)
+    assert str(exc.value) == "table key (ExponentVector([0]), ExponentVector([1])) is listed more than once"
+    data = [{"u": list(u), "v": list(v), "value": str(val)} for (u, v), val in items]
+    with pytest.raises(ValueError) as exc:
+        TruncatedCocycle.from_json(1, 1, data)
+    assert str(exc.value) == "table key (ExponentVector([0]), ExponentVector([1])) is listed more than once"
+    assert TruncatedCocycle(1, 1, items[:3]) == TruncatedCocycle.from_function(1, 1, lambda u, v: ONE)
+
+
+def test_an_accepted_table_enumerates_nothing(monkeypatch):
+    data = json.loads((Path(__file__).parent / "configs" / "cocycle_check_table.json").read_text())
+    full = function_table(2, 3)
+    expected = (TruncatedCocycle.from_json(data["rank"], data["degree_bound"], data["table"]),
+                FunctionOnMonoid(2, 3, full))
+
+    def walk(*args):
+        raise AssertionError("an accepted table enumerated its domain")
+
+    monkeypatch.setattr(monoids, "_vectors", walk)
+    for name in ("graded_pairs", "graded_vectors", "vectors_up_to_degree"):
+        monkeypatch.setattr(cocycles, name, walk)
+    assert (TruncatedCocycle.from_json(data["rank"], data["degree_bound"], data["table"]),
+            FunctionOnMonoid(2, 3, full)) == expected
 
 
 def test_yamazaki_trivialize_reports_the_first_fault_in_table_order():
