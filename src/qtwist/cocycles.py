@@ -19,8 +19,9 @@ delta(h) = mu whenever mu is a coboundary.  Truncated cocycles and tabulated
 functions h share one body and one checked constructor, which every table
 of a caller's values goes through (``from_json``, ``from_function``,
 ``trivialize_rank1``): it checks the domain's rank >= 1 and bound >= 0
-(``monoids._graded_args``), then each listed item once (its key's type,
-rank and degree, and its value a unit), refuses a key listed twice, and
+(``monoids._graded_args``), then checks each listed item once, in order,
+before it stores it (its key's type, rank and degree, its value a unit,
+and its key not listed before), refuses a table that stores no key, and
 compares the key count with the domain's ``graded_count``.  Distinct keys
 of the domain, as many as the domain has, are the domain, so an accepted
 table enumerates nothing.  A table's JSON
@@ -349,19 +350,20 @@ class _UnitTable:
     The body shared by truncated cocycles and functions on the monoid.  The
     one checked constructor takes a mapping or an iterable of (key, value)
     items.  It checks the domain's rank >= 1 and D >= 0
-    (`monoids._graded_args`; ValueError) and builds one dict.  Then it
-    checks each item once, in listed order: the key's type (TypeError), its
-    rank and degree by `len` and `sum` (ValueError naming it), h(e) = 1 on
-    `FunctionOnMonoid` (ValueError), and the value a UnitScalar (TypeError
-    naming the key).  A key listed twice is a ValueError naming it.
-    Distinct keys of the domain, as many as its `graded_count`, are the
-    domain, so an accepted table enumerates nothing; when the count falls
-    short, the domain is walked lazily to name the first missing key, which
-    it meets within len(table) + 1 keys, so a domain too large to enumerate
-    is refused by a key (though no missing vector of a rank beyond the
-    index range can be built to be named: OverflowError).  Tables of kernel
-    products (`truncate`, `coboundary`, entrywise products, `perturbed`) are
-    built trusted.
+    (`monoids._graded_args`; ValueError), then makes one pass over the
+    listed items, checking each before it stores it: the key's type
+    (TypeError), its rank and degree by `len` and `sum` (ValueError naming
+    it), h(e) = 1 on `FunctionOnMonoid` (ValueError), the value a
+    UnitScalar (TypeError naming the key), and the key not stored already
+    (ValueError naming it).  So a table is refused at its first faulty
+    item in listed order.  A table that stores no key is missing every key
+    of its domain (ValueError), whatever the domain's size.  Distinct keys
+    of the domain, as many as its `graded_count`, are the domain, so an
+    accepted table enumerates nothing; when the count falls short, the
+    domain is walked lazily to name the first missing key, which it meets
+    within len(table) + 1 keys, so a domain too large to enumerate is
+    refused by a key.  Tables of kernel products (`truncate`, `coboundary`,
+    entrywise products, `perturbed`) are built trusted.
     Tables of one type are equal, and hash equally, by rank, bound and values.
     """
 
@@ -369,19 +371,19 @@ class _UnitTable:
 
     def __init__(self, rank, degree_bound, table):
         _graded_args(rank, degree_bound)
-        items = table.items() if isinstance(table, Mapping) else [*table]
-        table, check = dict(items), self._check_item
-        for key, value in items:
+        stored, check = {}, self._check_item
+        for key, value in table.items() if isinstance(table, Mapping) else table:
             check(key, value, rank, degree_bound)
             if not isinstance(value, UnitScalar):
                 raise TypeError(f"table value {value!r} at {key!r} is not a UnitScalar")
-        if len(table) < len(items):
-            seen = set()
-            repeated = next(key for key, _ in items if key in seen or seen.add(key))
-            raise ValueError(f"table key {repeated!r} is listed more than once")
-        if len(table) < graded_count(self._arity * rank, degree_bound):
-            self._name_missing_key(rank, degree_bound, table)
-        self.rank, self.degree_bound, self.table = rank, degree_bound, table
+            if key in stored:
+                raise ValueError(f"table key {key!r} is listed more than once")
+            stored[key] = value
+        if not stored:
+            raise ValueError("table is missing every key of its domain")
+        if len(stored) < graded_count(self._arity * rank, degree_bound):
+            self._name_missing_key(rank, degree_bound, stored)
+        self.rank, self.degree_bound, self.table = rank, degree_bound, stored
 
     @classmethod
     def _trusted(cls, rank, degree_bound, table):

@@ -303,9 +303,14 @@ HUGE_SEGRE = f'"segre" target rank {HUGE + 3} does not match cocycle rank 4'
     # each key is checked before the domain is counted, so a count too large for math.comb is never taken
     (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE, "degree_bound": HUGE},
      f'bad "table": table pair (ExponentVector([0]), ExponentVector([0])) does not have rank {HUGE}'),
+    # an empty table has no key to refuse, and is refused before its domain is counted or walked
+    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE, "table": []},
+     'bad "table": table is missing every key of its domain'),
+    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE, "degree_bound": HUGE, "table": []},
+     'bad "table": table is missing every key of its domain'),
 ], ids=["build-n", "build-m", "verify-n", "matrix-m", "kernel-n", "build-n-2", "pullback-n", "pullback-m",
         "pullback-2-1", "build-zero-m-first", "pullback-zero-m-first", "table-rank", "table-degree-bound",
-        "table-rank-and-bound"])
+        "table-rank-and-bound", "empty-table-rank", "empty-table-rank-and-bound"])
 def test_segre_sizes_are_compared_before_anything_is_built(tmp_path, capsys, tail, name, changes, message):
     # a 10**30 shape once died allocating its generator images (OverflowError) instead of exiting 2,
     # and a 10**30 table rank (OverflowError) or degree bound (no end) once died enumerating the domain

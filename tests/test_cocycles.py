@@ -1378,6 +1378,61 @@ def test_a_key_listed_twice_is_refused():
     assert TruncatedCocycle(1, 1, items[:3]) == TruncatedCocycle.from_function(1, 1, lambda u, v: ONE)
 
 
+def test_a_key_is_checked_before_it_is_stored():
+    # a list key once failed in the dict of every item, before its check ("unhashable type: 'list'")
+    for build, message in [
+            (lambda: TruncatedCocycle(1, 0, [([[0], [0]], ONE)]),
+             "table key [[0], [0]] is not a pair of exponent vectors"),
+            (lambda: FunctionOnMonoid(1, 0, [([0], ONE)]), "table key [0] is not an exponent vector")]:
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_a_repeat_is_refused_before_a_later_fault():
+    # a repeat was once named only after every later item passed its checks
+    e, g, g2 = (ExponentVector((k,)) for k in range(3))
+    items = [(e, ONE), (g, ONE), (g, ONE), (g2, ONE)]
+    for build in (lambda: FunctionOnMonoid(1, 1, items),
+                  lambda: FunctionOnMonoid.from_json(1, 1, [{"u": list(u), "value": "1"} for u, _ in items])):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "table key ExponentVector([1]) is listed more than once"
+    pairs = [((e, e), ONE), ((e, g), ONE), ((e, g), ONE), ((g, g), ONE)]
+    for build in (lambda: TruncatedCocycle(1, 1, pairs),
+                  lambda: TruncatedCocycle(1, 1, pairs[:3] + [((g, e), 5)]),
+                  lambda: TruncatedCocycle.from_json(
+                      1, 1, [{"u": list(u), "v": list(v), "value": "1"} for (u, v), _ in pairs])):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "table key (ExponentVector([0]), ExponentVector([1])) is listed more than once"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TruncatedCocycle(10 ** 30, 2, []),
+    lambda: TruncatedCocycle(10 ** 30, 10 ** 30, []),
+    lambda: FunctionOnMonoid(10 ** 30, 2, {}),
+    lambda: TruncatedCocycle.from_json(10 ** 30, 2, []),
+], ids=["rank", "rank-and-bound", "function-rank", "from-json-rank"])
+def test_an_empty_table_is_missing_its_whole_domain(build):
+    # with no key to refuse, a rank of 10**30 once failed building a missing vector (OverflowError),
+    # and a bound of 10**30 beside it failed counting the domain in math.comb (OverflowError)
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == "table is missing every key of its domain"
+
+
+def test_trusted_tables_are_tables_the_checked_constructor_accepts():
+    rng = random.Random(38)
+    mu_t, nu_t = TruncatedCocycle.truncate(rand_cocycle(rng, 2), 3), TruncatedCocycle.truncate(rand_cocycle(rng, 2), 2)
+    g = ExponentVector((1, 0))
+    trusted = [mu_t, coboundary(rand_function(rng, 2, 3)), mu_t * nu_t, mu_t.quotient(nu_t),
+               mu_t.perturbed(g, g, UnitScalar.param("q"))]
+    for table in trusted:
+        rebuilt = type(table)(table.rank, table.degree_bound, table.table.items())
+        assert rebuilt == table and list(rebuilt.table) == list(table.table)
+
+
 def test_an_accepted_table_enumerates_nothing(monkeypatch):
     data = json.loads((Path(__file__).parent / "configs" / "cocycle_check_table.json").read_text())
     full = function_table(2, 3)
