@@ -24,14 +24,20 @@ before it stores it (its key's type, rank and degree, its value a unit,
 and its key not listed before), refuses a table that stores no key, and
 compares the key count with the domain's ``graded_count``.  Distinct keys
 of the domain, as many as the domain has, are the domain, so an accepted
-table enumerates nothing.  A table's JSON
-is read through two per-call memos, ``monoids._vector_reader`` for its keys
+table enumerates nothing.  A table's JSON is a list of objects, handed to
+the checked constructor one item at a time (``_json_items``), so it too is
+refused at its first faulty item, and an item that is not an object with
+the table's fields is named by its index.  Its fields
+are read through two per-call memos, ``monoids._vector_reader`` for its keys
 and ``scalars._unit_reader`` for its values, so each distinct key is
 checked, and each distinct literal parsed, once.  ``truncate`` takes each
 enumerated vector's sparse form once and builds every value as the
 evaluator's kernel product, with no rank check: the vectors have the
-cocycle's rank.  The coboundary and the exhaustive check look their sums
-up as plain tuples, which equal and hash like the stored vectors.
+cocycle's rank.  ``coboundary`` walks the domain as ``truncate`` does,
+takes the forms of h(u) and 1/h(u) once per vector, and builds every value
+as one ``scalars._product_unit`` of three forms.  The coboundary and the
+exhaustive check look their sums up as plain tuples, which equal and hash
+like the stored vectors.
 Evaluation, coboundary values and both cocycle checks run on the integer
 kernel of ``scalars``, which owns the integer form of a unit: this module
 passes it forms and (entry, power) pair lists and reads no field of a form.
@@ -41,8 +47,8 @@ Fraction at all.  Every value of a bilinear form (evaluation, ``pullback``,
 ``truncate``, the sampled check, and the twisted product of ``algebras``)
 is one call of ``scalars._bilinear_power``, that kernel's body run over the
 pairs of two sparse forms with no pair list; ``scalars._power`` keeps the
-other products (quadratic forms, triples, coboundary values, unit ratios),
-and ``_quadratic_pairs``, which lists the pairs of a quadratic form, stays
+other products (quadratic forms, triples, unit ratios), and
+``_quadratic_pairs``, which lists the pairs of a quadratic form, stays
 here.
 The exhaustive check of a table reads the triples whose first entry is a
 generator, which decide all the others; the sampled check of a
@@ -74,8 +80,8 @@ from collections.abc import Mapping
 # vectors_up_to_degree stays importable from here.
 from .monoids import (ExponentVector, _graded_args, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg,
                       _vector_reader, graded_count, graded_pairs, graded_vectors, vectors_up_to_degree)
-from .scalars import (UnitScalar, _bilinear_power, _integer_unit, _power, _triple_holds, _unit_of, _unit_reader,
-                      parse_unit, render_unit)
+from .scalars import (UnitScalar, _bilinear_power, _integer_and_inverse, _integer_unit, _power, _product_unit,
+                      _triple_holds, _unit_of, _unit_reader, parse_unit, render_unit)
 
 #: Default truncation bound: exhaustive verification stays well under a second.
 DEFAULT_DEGREE_BOUND = 8
@@ -344,6 +350,27 @@ def pullback(mu, f):
         [[_unit_of(_bilinear_power(matrix, left, right)) for right in images] for left in images])
 
 
+def _json_items(data, fields):
+    """The `fields` of each item of a table's JSON list, yielded one item at a time, in listed order.
+
+    `data` must be a list (TypeError naming its type), and each item an
+    object holding every field (TypeError naming the item by its index).
+    Only the subscripts are guarded, so the readers of the fields give
+    their own messages.  A generator, so that the checked constructor
+    refuses a table at its first faulty item, a shape fault included.
+    """
+    if not isinstance(data, list):
+        raise TypeError(f"table must be a list of items, got {type(data).__name__}")
+    get = operator.itemgetter(*fields)
+    for index, item in enumerate(data):
+        try:
+            values = get(item)
+        except (TypeError, KeyError):
+            names = ", ".join(f'"{name}"' for name in fields)
+            raise TypeError(f"table item {index} is not an object with the fields {names}") from None
+        yield values
+
+
 class _UnitTable:
     """A unit table on a truncated domain of N^rank: the pairs |u| + |v| <= D, or the vectors |u| <= D.
 
@@ -453,8 +480,8 @@ class TruncatedCocycle(_UnitTable):
     @classmethod
     def from_json(cls, rank, degree_bound, data):
         read, vector = _unit_reader(), _vector_reader()
-        return cls(rank, degree_bound, [((vector(item["u"]), vector(item["v"])), read(item["value"]))
-                                        for item in data])
+        return cls(rank, degree_bound, (((vector(u), vector(v)), read(value))
+                                        for u, v, value in _json_items(data, ("u", "v", "value"))))
 
     def to_json(self):
         return [{"u": u.to_json(), "v": v.to_json(), "value": render_unit(val)}
@@ -526,7 +553,7 @@ class FunctionOnMonoid(_UnitTable):
     @classmethod
     def from_json(cls, rank, degree_bound, data):
         read, vector = _unit_reader(), _vector_reader()
-        return cls(rank, degree_bound, [(vector(item["u"]), read(item["value"])) for item in data])
+        return cls(rank, degree_bound, ((vector(u), read(value)) for u, value in _json_items(data, ("u", "value"))))
 
     def to_json(self):
         return [{"u": u.to_json(), "value": render_unit(val)}
@@ -542,12 +569,17 @@ class FunctionOnMonoid(_UnitTable):
 def coboundary(h):
     """delta(h)(u, v) = h(u) h(v) / h(u+v), a (truncated) cocycle for any normalized h.
 
-    Each value is one product over the integer forms of the three entries.
+    The domain is walked as `TruncatedCocycle.truncate` walks it, and the
+    forms of h(u) and 1/h(u) are taken once per vector
+    (`scalars._integer_and_inverse`).  Each value is one
+    `scalars._product_unit` of h(u), h(v) and 1/h(u+v).
     """
-    forms = dict(zip(h.table, map(_integer_unit, h.table.values())))
-    return TruncatedCocycle._trusted(h.rank, h.degree_bound, {
-        (u, v): _unit_of(_power(((forms[u], 1), (forms[v], 1), (forms[tuple(map(operator.add, u, v))], -1))))
-        for u, v in graded_pairs(h.rank, h.degree_bound)})
+    rank, bound, table = h.rank, h.degree_bound, h.table
+    forms = [(u, *_integer_and_inverse(table[u])) for u in graded_vectors(rank, bound)]
+    inverse = {u: inv for u, _, inv in forms}
+    return TruncatedCocycle._trusted(rank, bound, {
+        (u, v): _product_unit(hu, hv, inverse[tuple(map(operator.add, u, v))])
+        for u, hu, _ in forms for v, hv, _ in forms[:graded_count(rank, bound - sum(u))]})
 
 
 class CheckReport(_Record):

@@ -18,10 +18,11 @@ the grammar (``_FACTOR_RE``) the names of literals, whose matched factors
 ``parse_unit`` and the element-term parser sum through ``_summed_exps``, the
 summing half of ``_canonical_exps``, with no second check.
 The integer kernel and the one coefficient-product routine live here:
-products of many units (``_power``: quadratic forms, cocycle triples,
-coboundary values and unit ratios; ``_bilinear_power`` runs the same body
-over the pairs of a bilinear form, and ``_triple_holds`` decides a cocycle
-triple by one ``_power``) and every
+products of many units (``_power``: quadratic forms, cocycle triples and
+unit ratios; ``_bilinear_power`` runs the same body over the pairs of a
+bilinear form, ``_triple_holds`` decides a cocycle triple by one
+``_power``, and ``_product_unit`` makes a coboundary value h(u) h(v) /
+h(u+v) from three forms with no pair list, exponent map or sort) and every
 coefficient product or sum (``_add_product``, a unit times one or two
 polynomials added into one accumulator: polynomial sums and products,
 twisted products, monomial-map images, element sums, random elements) keep
@@ -33,6 +34,8 @@ coercion.  A unit's integer form, (numerator, denominator, exps) with
 None for the unit 1, has one owner: ``_integer_unit`` makes it, ``_unit_of``
 makes its unit, a polynomial term's form (``_integer_terms``) has the same
 layout, and the sampler draws straight into it (``_random_integer_unit``).
+``_integer_and_inverse`` makes the forms of a unit and of its inverse in
+one step, with (1, 1, ()) for the unit 1, the forms ``_product_unit`` takes.
 The other modules pass forms and (entry, power) pair lists here and test
 ``is None``; none builds, unpacks or reduces a form.
 ``_coefficient`` is the one coercion of a unit, int or ``Fraction`` to a
@@ -143,7 +146,8 @@ def _merge_exps(a, b):
 def _integer_unit(a):
     """(numerator, denominator, exps) of a unit, None for the unit 1: its integer form.
 
-    The one way from a unit to its form; `_unit_of` is the one way back.
+    The one way from a unit to its form, but for `_integer_and_inverse`,
+    which never gives None; `_unit_of` is the one way back.
     `Fraction.as_integer_ratio` reads both integers in one call, and a
     reduced Fraction is 1 exactly when they are equal.
     """
@@ -160,6 +164,32 @@ def _unit_of(c):
         return UnitScalar.one()
     num, den, exps = c
     return UnitScalar._trusted(Fraction(num, den), exps)
+
+
+def _integer_and_inverse(a):
+    """(integer form of a, integer form of 1/a) in one step, with (1, 1, ()) and not None for the unit 1.
+
+    The forms `_product_unit` multiplies, read with one
+    `Fraction.as_integer_ratio`.  The inverse's denominator is a's
+    numerator, so it may be negative: the one Fraction made of a product
+    takes the sign to its numerator.
+    """
+    num, den = a.coeff.as_integer_ratio()
+    exps = a.exps
+    return (num, den, exps), (den, num, tuple((name, -e) for name, e in exps))
+
+
+def _product_unit(a, b, c):
+    """The unit a*b*c of three integer forms, none of them None: a coboundary value h(u) h(v) / h(u+v).
+
+    Two int products and two `_merge_exps` sorted merges, made one reduced
+    Fraction: no pair list, no exponent map and no sort.
+    """
+    a_num, a_den, a_exps = a
+    b_num, b_den, b_exps = b
+    c_num, c_den, c_exps = c
+    return UnitScalar._trusted(Fraction(a_num * b_num * c_num, a_den * b_den * c_den),
+                               _merge_exps(_merge_exps(a_exps, b_exps), c_exps))
 
 
 def _power(pairs):

@@ -327,6 +327,24 @@ def test_a_table_key_listed_twice_exits_2(tmp_path, capsys):
         2, "", 'error: bad "table": table key (ExponentVector([0]), ExponentVector([1])) is listed more than once\n')
 
 
+#: The golden table's first item, an over-bound pair, and an item missing "u".
+FIRST_ITEM, OVER_BOUND, NO_U = ({"u": [0], "v": [0], "value": "1"}, {"u": [9], "v": [0], "value": "1"},
+                                {"v": [0], "value": "1"})
+
+
+@pytest.mark.parametrize("table,message", [
+    ([FIRST_ITEM, OVER_BOUND, NO_U], "table pair (ExponentVector([9]), ExponentVector([0])) exceeds the degree bound 3"),
+    ([5], 'table item 0 is not an object with the fields "u", "v", "value"'),
+    (FIRST_ITEM, "table must be a list of items, got dict"),
+    ("table", "table must be a list of items, got str"),
+], ids=["over-bound-before-missing-u", "item-5", "object-table", "string-table"])
+def test_a_table_is_refused_at_its_first_faulty_item_by_its_index(tmp_path, capsys, table, message):
+    # items were once all read before any was checked, and named by Python's own text:
+    # 'u', 'int' object is not subscriptable, string indices must be integers
+    code, output = run_config(tmp_path, ["cocycle", "check"], _config_with("cocycle_check_table", table=table))
+    assert (code, output, capsys.readouterr().err) == (2, "", f'error: bad "table": {message}\n')
+
+
 def test_pullback_along_a_morphism_matches_the_segre_golden(tmp_path):
     code, output = run_config(tmp_path, ["cocycle", "pullback"], _morphism(*SEGRE_1_1))
     assert (code, output) == (0, (GOLDEN / "cocycle_pullback.json").read_text())

@@ -1219,6 +1219,58 @@ def test_coboundary_matches_public_arithmetic():
             assert val == h.value(u) * h.value(v) / h.value(u + v)
 
 
+def cancelling_function(rng, rank, bound, split=None):
+    """A seeded h with values 1, -c*q^|u| and c*q^|u| times a random unit, so q often cancels in delta(h).
+
+    With a `split` (a, b), h is 1 on both factors: on every u whose first a
+    or last b entries are all 0.
+    """
+    def value(u):
+        kind = rng.randrange(3)
+        if kind == 0 or not any(u) or (split and not (any(u[:split[0]]) and any(u[split[0]:]))):
+            return ONE
+        c = UnitScalar(-rng.randint(1, 7), {"q": sum(u)})
+        return c if kind == 1 else c * rand_unit(rng, ("r", "s"))
+
+    return FunctionOnMonoid.from_function(rank, bound, value)
+
+
+def test_coboundary_values_are_the_unit_arithmetic_of_h():
+    # each value is h(u) h(v) / h(u+v), by == and by its literal: h = 1 values, negative
+    # coefficients, q exponents that cancel, and a rank-3, D = 6 h that is 1 on both factors
+    rng = random.Random(39)
+    shapes = [(1, 6, None), (2, 5, None), (3, 4, None), (3, 6, (1, 2))]
+    seen = {"one": 0, "negative": 0, "cancelled": 0}
+    for rank, bound, split in shapes:
+        h = cancelling_function(rng, rank, bound, split)
+        delta = coboundary(h)
+        assert list(delta.table) == reference_pairs(rank, bound)
+        for (u, v), val in delta.table.items():
+            hu, hv, huv = h.value(u), h.value(v), h.value(u + v)
+            expected = hu * hv / huv
+            assert (val, str(val)) == (expected, str(expected))
+            # the checked constructor sums the exponents with no _merge_exps, and drops the zeros itself
+            assert val == UnitScalar(hu.coeff * hv.coeff / huv.coeff,
+                                     [*hu.exps, *hv.exps, *((name, -e) for name, e in huv.exps)])
+            seen["one"] += val.is_one()
+            seen["negative"] += val.coeff < 0
+            seen["cancelled"] += "q" in (hu * hv).parameters() and "q" not in val.parameters()
+    assert min(seen.values()) >= 50, seen
+
+
+def test_coboundary_makes_no_power_product(monkeypatch):
+    # coboundary values come from the three-form kernel; _power keeps the other products
+    h = cancelling_function(random.Random(40), 3, 6, (1, 2))
+    expected = TruncatedCocycle.from_function(3, 6, lambda u, v: h.value(u) * h.value(v) / h.value(u + v))
+
+    def faulty(pairs):
+        raise AssertionError("coboundary called _power")
+
+    monkeypatch.setattr(cocycles, "_power", faulty)
+    monkeypatch.setattr(scalars, "_power", faulty)
+    assert coboundary(h) == expected
+
+
 # -- table validation ----------------------------------------------------------
 
 def test_table_keys_must_be_exponent_vectors():
@@ -1406,6 +1458,37 @@ def test_a_repeat_is_refused_before_a_later_fault():
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == "table key (ExponentVector([0]), ExponentVector([1])) is listed more than once"
+
+
+def test_a_json_table_is_refused_at_its_first_faulty_item():
+    # from_json once read every item into a list first, so a later item missing "u" was named
+    # before an earlier over-bound pair, and by Python's own KeyError text
+    first, over, no_u = ({"u": [0], "v": [0], "value": "1"}, {"u": [9], "v": [0], "value": "1"},
+                         {"v": [0], "value": "1"})
+    fields = 'is not an object with the fields "u", "v", "value"'
+    cases = [
+        ([first, over, no_u], ValueError,
+         "table pair (ExponentVector([9]), ExponentVector([0])) exceeds the degree bound 3"),
+        ([first, no_u, over], TypeError, f"table item 1 {fields}"),
+        ([5], TypeError, f"table item 0 {fields}"),
+        ([first, [[0], [1], "1"]], TypeError, f"table item 1 {fields}"),
+        ([first, {"u": [0], "v": [1]}], TypeError, f"table item 1 {fields}"),
+        (first, TypeError, "table must be a list of items, got dict"),
+        ("[]", TypeError, "table must be a list of items, got str"),
+        # the readers of the fields keep their own messages
+        ([first, {"u": [True], "v": [0], "value": "1"}], TypeError, "exponent vector entries must be ints, got True"),
+        ([first, {"u": [1], "v": [0], "value": 1}], TypeError, "unit literal must be a string, got 1"),
+    ]
+    for data, error, message in cases:
+        with pytest.raises(error) as exc:
+            TruncatedCocycle.from_json(1, 3, data)
+        assert str(exc.value) == message
+    for data, message in [([{"u": [0], "value": "1"}, {"value": "q"}],
+                           'table item 1 is not an object with the fields "u", "value"'),
+                          ("[]", "table must be a list of items, got str")]:
+        with pytest.raises(TypeError) as exc:
+            FunctionOnMonoid.from_json(1, 3, data)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("build", [
