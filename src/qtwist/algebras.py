@@ -668,13 +668,13 @@ def coboundary_isomorphism(algebra, mu, nu, samples=50, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def random_unit(rng, parameters=(), max_num=7, max_exp=2):
-    """A random unit: nonzero rational with |num|, den <= max_num, small parameter exponents.
+def random_unit(rng, parameters=()):
+    """A random unit: nonzero rational with |num|, den <= 7, parameter exponents in -2..2.
 
     The unit of one `scalars._random_integer_unit` draw, the draw that
     `random_element` adds to its accumulator as it stands.
     """
-    return _unit_of(_random_integer_unit(rng, parameters, max_num, max_exp))
+    return _unit_of(_random_integer_unit(rng, parameters))
 
 
 def random_vector(rng, rank, max_entry=4, max_support=3):
@@ -685,20 +685,20 @@ def random_vector(rng, rank, max_entry=4, max_support=3):
     return ExponentVector._trusted(entries)
 
 
-def random_element(algebra, rng, max_terms=3, max_entry=4, max_support=3):
-    """A random element with <= max_terms terms and sparse monomials."""
+def random_element(algebra, rng, max_terms=3, max_entry=4):
+    """A random element with <= max_terms terms, each on a sparse `random_vector` monomial."""
     params = sorted(algebra.parameters())
     out = {}
     for _ in range(rng.randint(1, max_terms)):
-        u = random_vector(rng, algebra.rank, max_entry, max_support)
+        u = random_vector(rng, algebra.rank, max_entry)
         _add_product(out.setdefault(u, {}), _random_integer_unit(rng, params))
     return _element(algebra, out)
 
 
-def random_homogeneous(algebra, rng, max_entry=4, max_support=3):
-    """A random scalar multiple of a single basis monomial."""
+def random_homogeneous(algebra, rng):
+    """A random scalar multiple of a single basis monomial, drawn by `random_vector` and `random_unit`."""
     params = sorted(algebra.parameters())
-    u = random_vector(rng, algebra.rank, max_entry, max_support)
+    u = random_vector(rng, algebra.rank)
     return algebra.basis_element(u, random_unit(rng, params))
 
 
@@ -708,8 +708,8 @@ def random_homogeneous(algebra, rng, max_entry=4, max_support=3):
 
 
 def parse_element(algebra, text):
-    """Parse an element literal; names that are not generators are coefficient parameters."""
-    return _parse_sum(text, lambda token: _parse_term(algebra, token), algebra.zero())
+    """Parse an element literal (TypeError on a non-string); names that are not generators are parameters."""
+    return _parse_sum(text, "element literal", lambda token: _parse_term(algebra, token), algebra.zero())
 
 
 def _parse_term(algebra, token):

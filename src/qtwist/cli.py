@@ -105,12 +105,14 @@ def _names(key, value):
 
 
 def _unit_matrix(cls):
-    """Parser of a nonempty 2-D array of unit literals into `cls`, over declared parameters."""
+    """Parser of a nonempty 2-D array of unit literals into `cls`, over declared parameters.
+
+    `cls.from_json` owns the array's shape and its literals; the CLI adds only
+    that the key is nonempty, since the library allows a rank-0 form.
+    """
 
     def parse(key, value, parsed):
-        if not isinstance(value, list) or not value or not all(
-                isinstance(row, list) and row and all(isinstance(e, str) for e in row)
-                for row in value):
+        if not value:
             raise InputError(f'"{key}" must be a nonempty 2-D array of unit literal strings')
         with _rejected_as(f'"{key}" matrix', (ValueError, TypeError)):
             matrix = cls.from_json(value)
@@ -174,9 +176,7 @@ def _algebra(key, value, parsed):
 
 
 def _element(key, value, parsed):
-    if not isinstance(value, str):
-        raise InputError(f'"{key}" must be an element literal string, got {value!r}')
-    with _rejected_as(f'element "{key}"'):
+    with _rejected_as(f'element "{key}"', (ValueError, TypeError)):
         x = algebras.parse_element(parsed["algebra"], value)
     _check_declared({name for p in x.terms.values() for name in p.parameters()},
                     parsed["parameters"], f'element "{key}"')

@@ -147,6 +147,9 @@ class _UnitForm:
 
     @classmethod
     def from_json(cls, data):
+        """The form of a JSON list of rows, each a list of unit literals; any other shape is refused before a parse."""
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise TypeError("a unit matrix must be a list of rows, each a list of unit literals")
         return cls([[parse_unit(s) for s in row] for row in data])
 
     def to_json(self):
@@ -350,14 +353,16 @@ def pullback(mu, f):
         [[_unit_of(_bilinear_power(matrix, left, right)) for right in images] for left in images])
 
 
-def _json_items(data, fields):
-    """The `fields` of each item of a table's JSON list, yielded one item at a time, in listed order.
+def _json_items(data, fields, what="table item {}"):
+    """The `fields` of each item of a JSON list, yielded one item at a time, in listed order.
 
     `data` must be a list (TypeError naming its type), and each item an
-    object holding every field (TypeError naming the item by its index).
-    Only the subscripts are guarded, so the readers of the fields give
-    their own messages.  A generator, so that the checked constructor
-    refuses a table at its first faulty item, a shape fault included.
+    object holding every field (TypeError naming the item as
+    `what.format(index)`).  Only the subscripts are guarded, so the readers
+    of the fields give their own messages.  A generator, so that the
+    checked constructor refuses a table at its first faulty item, a shape
+    fault included.  `SegreMap.from_json` reads its one object here too, as
+    the list `[data]`, with a `what` that names no index.
     """
     if not isinstance(data, list):
         raise TypeError(f"table must be a list of items, got {type(data).__name__}")
@@ -367,7 +372,7 @@ def _json_items(data, fields):
             values = get(item)
         except (TypeError, KeyError):
             names = ", ".join(f'"{name}"' for name in fields)
-            raise TypeError(f"table item {index} is not an object with the fields {names}") from None
+            raise TypeError(f"{what.format(index)} is not an object with the fields {names}") from None
         yield values
 
 

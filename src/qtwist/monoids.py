@@ -13,13 +13,14 @@ over it, and one closed-form count that every other count reduces to.
 
 The argument checks every module shares live here: `_int_arg` for a size
 or an index, `_rank_arg` for a rank, and `_vector_arg` for an exponent
-vector of a given rank.  So does `_nonzero`, the sparse form of a vector
-(its nonzero entries with their indices) that bilinear forms and twisted
-products read, and that a morphism keeps of each generator image.  So does
-`_Record`, the immutable slotted record base of `ProductSplit` and the
-library's other records: the standard library's generated records would
-load `inspect` and `ast` on import.  So does `_vector_reader`, the key memo
-through which a table's JSON is read: each distinct key is checked once.
+vector of a given rank, the addend of `+` included.  So does `_nonzero`,
+the sparse form of a vector (its nonzero entries with their indices) that
+bilinear forms and twisted products read, and that a morphism keeps of
+each generator image.  So does `_Record`, the immutable slotted record
+base of `ProductSplit` and the library's other records: the standard
+library's generated records would load `inspect` and `ast` on import.  So
+does `_vector_reader`, the key memo through which a table's JSON is read:
+each distinct key is checked once.
 """
 
 from __future__ import annotations
@@ -99,12 +100,20 @@ class _Record:
 
 
 class ExponentVector(tuple):
-    """Element of N^n: a tuple of nonnegative ints; `+` and `*` raise rather than concatenate or repeat."""
+    """Element of N^n: a tuple of nonnegative ints; `+` and `*` raise rather than concatenate or repeat.
+
+    Built from an iterable of ints: a non-iterable, or an entry that is not
+    an int (or is a bool), raises TypeError; a negative entry ValueError.
+    """
 
     __slots__ = ()
 
     def __new__(cls, entries):
-        entries = tuple(entries)
+        try:
+            iterator = iter(entries)
+        except TypeError:
+            raise TypeError(f"exponent vector must be an iterable of ints, got {entries!r}") from None
+        entries = tuple(iterator)  # outside the try: an iterable may raise its own TypeError
         for e in entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError(f"exponent vector entries must be ints, got {e!r}")
@@ -148,11 +157,7 @@ class ExponentVector(tuple):
         return tuple(i for i, e in enumerate(self) if e)
 
     def __add__(self, other):
-        if not isinstance(other, ExponentVector):
-            raise TypeError(f"an exponent vector adds only to an exponent vector, not {type(other).__name__}")
-        if len(self) != len(other):
-            raise ValueError("rank mismatch in exponent vector addition")
-        return tuple.__new__(ExponentVector, map(add, self, other))
+        return tuple.__new__(ExponentVector, map(add, self, _vector_arg(other, len(self), "addend")))
 
     __radd__ = __add__
 
@@ -176,20 +181,25 @@ def _vector_reader():
 
     Vectors are immutable, so one vector may stand for every copy of its
     key.  Only a key whose entries are all of type int is looked up or
-    stored: `True` and `1.0` equal and hash like 1, so any other key goes
-    through the constructor and raises, or reads, as it would alone.  The
-    memo lives as long as the returned function.
+    stored: `True` and `1.0` equal and hash like 1, so any other key, and
+    a key that is not iterable, goes through the constructor and raises, or
+    reads, as it would alone.  The memo lives as long as the returned
+    function.
     """
     memo = {}
 
     def read(entries):
-        entries = tuple(entries)
-        if {*map(type, entries)} <= _INT:
-            vector = memo.get(entries)
-            if vector is None:
-                vector = memo[entries] = ExponentVector(entries)
-            return vector
-        return ExponentVector(entries)
+        try:
+            entries = tuple(entries)
+        except TypeError:  # not iterable: the constructor names it
+            return ExponentVector(entries)
+        else:  # the memo path runs outside the try, with no jump past the handler
+            if {*map(type, entries)} <= _INT:
+                vector = memo.get(entries)
+                if vector is None:
+                    vector = memo[entries] = ExponentVector(entries)
+                return vector
+            return ExponentVector(entries)
 
     return read
 

@@ -16,7 +16,9 @@ that every rendered literal reads back as the same value.  Each name is
 checked once: ``_canonical_exps`` checks the names of Python objects, and
 the grammar (``_FACTOR_RE``) the names of literals, whose matched factors
 ``parse_unit`` and the element-term parser sum through ``_summed_exps``, the
-summing half of ``_canonical_exps``, with no second check.
+summing half of ``_canonical_exps``, with no second check.  That a literal
+is a string is one rule, ``_literal_arg``, for ``parse_unit``,
+``parse_poly`` and ``algebras.parse_element`` alike.
 The integer kernel and the one coefficient-product routine live here:
 products of many units (``_power``: quadratic forms, cocycle triples and
 unit ratios; ``_bilinear_power`` runs the same body over the pairs of a
@@ -259,23 +261,23 @@ def _triple_holds(a, b, c, d):
     return num == den and not exps
 
 
-def _random_integer_unit(rng, parameters, max_num=7, max_exp=2):
+def _random_integer_unit(rng, parameters):
     """A seeded random unit in integer form (numerator, denominator, exps), unreduced.
 
-    A nonzero numerator with |num| <= max_num, a denominator in
-    1..max_num, and each parameter, in the order given, with probability
-    1/2 an exponent in -max_exp..max_exp (zero dropped); only the exponents
-    are sorted.  `algebras.random_unit` makes its unit and `random_element`
-    adds it to an accumulator as it stands.
+    A nonzero numerator with |num| <= 7, a denominator in 1..7, and each
+    parameter, in the order given, with probability 1/2 an exponent in
+    -2..2 (zero dropped); only the exponents are sorted.
+    `algebras.random_unit` makes its unit and `random_element` adds it to an
+    accumulator as it stands.
     """
     num = 0
     while num == 0:
-        num = rng.randint(-max_num, max_num)
-    den = rng.randint(1, max_num)
+        num = rng.randint(-7, 7)
+    den = rng.randint(1, 7)
     exps = {}
     for name in parameters:
         if rng.random() < 0.5:
-            e = rng.randint(-max_exp, max_exp)
+            e = rng.randint(-2, 2)
             if e:
                 exps[name] = e
     return num, den, tuple(sorted(exps.items()))
@@ -626,11 +628,21 @@ def _parse_product(body, text, sign):
     return (Fraction(sign) if coeff is None else coeff), factors
 
 
+def _literal_arg(text, what="unit literal"):
+    """`text` if it is a string; else TypeError naming `what`: the one body of the rule that a literal is a string.
+
+    `what` is "unit literal" for `parse_unit`, and "polynomial literal"
+    (`parse_poly`) or "element literal" (`algebras.parse_element`) for a
+    sum, which asks through `_parse_sum`.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"{what} must be a string, got {text!r}")
+    return text
+
+
 def parse_unit(text):
     """Parse a unit literal; raises TypeError on a non-string, ValueError on malformed or zero literals."""
-    if not isinstance(text, str):
-        raise TypeError(f"unit literal must be a string, got {text!r}")
-    sign, body = _split_sign(text)
+    sign, body = _split_sign(_literal_arg(text))
     coeff, factors = _parse_product(body, text, sign)
     if coeff == 0:
         raise ValueError(f"unit literal must be nonzero: {text!r}")
@@ -703,17 +715,20 @@ def split_terms(text):
     return [t.strip() for t in tokens]
 
 
-def _parse_sum(text, parse_term, total):
-    """Add the parsed terms of a sum literal to `total`, skipping terms that are "0" after their sign."""
-    for token in split_terms(text):
+def _parse_sum(text, what, parse_term, total):
+    """Add the parsed terms of a sum literal to `total`, skipping terms that are "0" after their sign.
+
+    A literal that is not a string is refused as `what` (`_literal_arg`).
+    """
+    for token in split_terms(_literal_arg(text, what)):
         if _split_sign(token)[1] != "0":
             total = total + parse_term(token)
     return total
 
 
 def parse_poly(text):
-    """Parse a '+'/'-' separated sum of unit literals; "0" is the zero polynomial."""
-    return _parse_sum(text, lambda token: LaurentPolynomial.from_unit(parse_unit(token)),
+    """Parse a '+'/'-' separated sum of unit literals; "0" is the zero polynomial; TypeError on a non-string."""
+    return _parse_sum(text, "polynomial literal", lambda token: LaurentPolynomial.from_unit(parse_unit(token)),
                       LaurentPolynomial.zero())
 
 

@@ -35,7 +35,7 @@ from .algebras import (  # the homomorphism names stay importable from here
     TwistedMonoidAlgebra,
     verify_homomorphism,
 )
-from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, antisymmetrize
+from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, _json_items, antisymmetrize
 # ProductSplit stays importable from here.
 from .monoids import ProductSplit, _int_arg, _Record, _segre_target_rank, segre_morphism, vectors_of_degree
 from .scalars import LaurentPolynomial, _power, _specialize_monomial, _unit_of
@@ -65,8 +65,8 @@ class SegreMap(_Record):
 
     @classmethod
     def from_json(cls, data):
-        smap = build_quantum_segre(data["n"], data["m"],
-                                   BimultiplicativeCocycle.from_json(data["cocycle"]))
+        n, m, cocycle = next(_json_items([data], ("n", "m", "cocycle"), "Segre map JSON"))
+        smap = build_quantum_segre(n, m, BimultiplicativeCocycle.from_json(cocycle))
         if "split" in data and list(data["split"]) != [smap.n + 1, smap.m + 1]:
             raise ValueError(f"split {data['split']} does not match n={smap.n}, m={smap.m}")
         return smap

@@ -738,6 +738,15 @@ def test_parse_element_errors():
             parse_element(A, bad)
 
 
+def test_parse_element_refuses_a_non_string_by_the_literal_rule():
+    # a non-string once reached the sum splitter: 'int' object is not iterable
+    A = polynomial_algebra(2)
+    for value in (5, None, ["X0"]):
+        with pytest.raises(TypeError) as exc:
+            parse_element(A, value)
+        assert str(exc.value) == f"element literal must be a string, got {value!r}"
+
+
 def test_a_coefficient_ends_at_its_first_closing_parenthesis():
     # the coefficient grammar has no parentheses, so a nested one is an unbalanced coefficient
     A = polynomial_algebra(2)

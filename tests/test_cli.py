@@ -237,6 +237,15 @@ BAD_INPUTS = [
      'undeclared parameters in element "y": s, t'),
     (["algebra", "mul"], _config_with("algebra_mul", x="(X1)*X0"),
      """bad element "x": coefficient parameter 'X1' is a generator name of the algebra"""),
+    # the CLI once tested a matrix's shape itself; the library's from_json owns it now
+    (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=["1qr", "11r", "111"]),
+     'bad "cocycle" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
+    (["cocycle", "reconstruct"], _config_with("cocycle_reconstruct", pairing="ab"),
+     'bad "pairing" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
+    (["segre", "kronecker"], _config_with("segre_kronecker", q={"1": 0}),
+     'bad "q" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
+    (["segre", "kronecker"], _config_with("segre_kronecker", qprime=[["1"], "1"]),
+     'bad "qprime" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
 ]
 
 
@@ -259,7 +268,8 @@ BAD_INPUTS = [
                               "short-morphism-image", "rank-2-table-without-split",
                               "list-table-value", "numeric-one-table-value", "undeclared-specialization",
                               "undeclared-element-parameter", "undeclared-parenthesized-parameters",
-                              "generator-named-parameter"])
+                              "generator-named-parameter", "string-rows", "string-pairing", "object-matrix",
+                              "string-row"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -337,10 +347,13 @@ FIRST_ITEM, OVER_BOUND, NO_U = ({"u": [0], "v": [0], "value": "1"}, {"u": [9], "
     ([5], 'table item 0 is not an object with the fields "u", "v", "value"'),
     (FIRST_ITEM, "table must be a list of items, got dict"),
     ("table", "table must be a list of items, got str"),
-], ids=["over-bound-before-missing-u", "item-5", "object-table", "string-table"])
+    (_table_with(5, u=5)["table"], "exponent vector must be an iterable of ints, got 5"),
+    (_table_with(5, u=None)["table"], "exponent vector must be an iterable of ints, got None"),
+], ids=["over-bound-before-missing-u", "item-5", "object-table", "string-table", "int-key", "null-key"])
 def test_a_table_is_refused_at_its_first_faulty_item_by_its_index(tmp_path, capsys, table, message):
     # items were once all read before any was checked, and named by Python's own text:
-    # 'u', 'int' object is not subscriptable, string indices must be integers
+    # 'u', 'int' object is not subscriptable, string indices must be integers; a key that is not
+    # iterable was once made a tuple before the vector constructor saw it: 'int' object is not iterable
     code, output = run_config(tmp_path, ["cocycle", "check"], _config_with("cocycle_check_table", table=table))
     assert (code, output, capsys.readouterr().err) == (2, "", f'error: bad "table": {message}\n')
 

@@ -841,6 +841,22 @@ def test_cocycle_json_roundtrip():
     assert AntisymmetricMatrix.from_json(q.to_json()) == q
     alpha = rand_pairing(rng, 2, 3)
     assert Pairing.from_json(alpha.to_json()) == alpha
+    assert BimultiplicativeCocycle.from_json([]) == BimultiplicativeCocycle([])  # rank 0 is no shape fault
+
+
+@pytest.mark.parametrize("cls,data", [
+    (BimultiplicativeCocycle, ["qr", "rq"]),
+    (Pairing, "ab"),
+    (AntisymmetricMatrix, {"1": 0}),
+    (Pairing, [["q"], "r"]),
+    (BimultiplicativeCocycle, 5),
+    (BimultiplicativeCocycle, [["3/0"], "1"]),
+], ids=["string-rows", "string", "object", "string-row", "int", "bad-literal-before-string-row"])
+def test_from_json_refuses_a_matrix_that_is_not_a_list_of_lists(cls, data):
+    # the first four once built a matrix of one-character literals; the shape is checked before any literal
+    with pytest.raises(TypeError) as exc:
+        cls.from_json(data)
+    assert str(exc.value) == "a unit matrix must be a list of rows, each a list of unit literals"
 
 
 # -- the body shared by cocycles, antisymmetric matrices and pairings ----------
@@ -1112,9 +1128,10 @@ def rank1_data_with_key(arity, key):
     ([1.0], TypeError, "exponent vector entries must be ints, got 1.0"),
     ([-1], ValueError, "exponent vectors have nonnegative entries: (-1,)"),
     ([[1]], TypeError, "exponent vector entries must be ints, got [1]"),
-    (5, TypeError, "'int' object is not iterable"),
+    (5, TypeError, "exponent vector must be an iterable of ints, got 5"),
+    (None, TypeError, "exponent vector must be an iterable of ints, got None"),
     (["1"], TypeError, "exponent vector entries must be ints, got '1'"),
-], ids=["bool", "float", "negative", "unhashable", "not-iterable", "string"])
+], ids=["bool", "float", "negative", "unhashable", "not-iterable", "null", "string"])
 def test_from_json_checks_a_bad_key_after_a_good_one(cls, arity, key, error, message):
     with pytest.raises(error) as exc:
         cls.from_json(1, 2, rank1_data_with_key(arity, key))

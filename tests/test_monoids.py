@@ -122,8 +122,9 @@ def test_ranks_must_not_be_negative(build, message):
 
 
 def test_rank_mismatch_in_addition():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         ExponentVector((1,)) + ExponentVector((1, 2))
+    assert str(exc.value) == "rank mismatch: addend must have rank 1, got 2"
 
 
 
@@ -137,10 +138,10 @@ def test_addition_is_element_wise():
 @pytest.mark.parametrize("other", [(1, 2), [1, 2], 0], ids=["tuple", "list", "int"])
 def test_addition_needs_two_vectors(other):
     u = ExponentVector((1, 2))
-    with pytest.raises(TypeError):
-        u + other
-    with pytest.raises(TypeError):
-        other + u
+    for add in (lambda: u + other, lambda: other + u):
+        with pytest.raises(TypeError) as exc:
+            add()
+        assert str(exc.value) == f"addend must be an ExponentVector, got {other!r}"
 
 
 def test_vectors_do_not_repeat():

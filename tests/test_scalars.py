@@ -387,11 +387,12 @@ def test_parse_unit_errors():
 def test_parse_unit_refuses_non_strings():
     reader = _unit_reader()
     for value in (["1"], 1, None, Fraction(1, 2), {"q": 1}):
-        for parse in (parse_unit, reader):
-            # the reader's memo never sees a non-string, so no "unhashable type"
+        # the reader's memo never sees a non-string, so no "unhashable type"; parse_poly, whose sum
+        # splitter once took a non-string ('int' object is not iterable), refuses it by the same rule
+        for parse, what in ((parse_unit, "unit"), (reader, "unit"), (parse_poly, "polynomial")):
             with pytest.raises(TypeError) as exc:
                 parse(value)
-            assert str(exc.value) == f"unit literal must be a string, got {value!r}"
+            assert str(exc.value) == f"{what} literal must be a string, got {value!r}"
 
 
 def test_parse_unit_folds_the_sign_into_the_rational():

@@ -798,6 +798,18 @@ def test_segre_map_json_roundtrip():
         SegreMap.from_json({**data, "split": [2, 3]})
 
 
+def test_segre_map_from_json_refuses_a_bad_shape():
+    data = build_quantum_segre(1, 1, BimultiplicativeCocycle.trivial(4)).to_json()
+    # string rows were once read as rows of one-character literals, and built a trivial map
+    with pytest.raises(TypeError, match="a unit matrix must be a list of rows"):
+        SegreMap.from_json({**data, "cocycle": ["1111"] * 4})
+    # a missing field was once a KeyError naming it alone
+    for bad in ({"n": 1, "m": 1}, {"m": 1, "cocycle": data["cocycle"]}, [1, 1, data["cocycle"]], "nm", None):
+        with pytest.raises(TypeError) as exc:
+            SegreMap.from_json(bad)
+        assert str(exc.value) == 'Segre map JSON is not an object with the fields "n", "m", "cocycle"'
+
+
 def test_kernel_reads_only_the_parameters_of_the_map():
     s = classical_segre(1, 1)
     expected = kernel_basis(s, 2, {})
