@@ -748,5 +748,5 @@ def render_element(x):
     for u in sorted(x.terms, key=lambda u: (u.degree(), u)):
         gens = tuple((names[i], u[i]) for i in u.support())
         coeff = x.terms[u].terms
-        terms += [(coeff[key], key + gens) for key in sorted(coeff)]
+        terms += [(*coeff[key].as_integer_ratio(), key + gens) for key in sorted(coeff)]
     return _render_sum(terms)

@@ -34,13 +34,14 @@ checked, and each distinct literal parsed, once.  ``truncate`` takes each
 enumerated vector's sparse form once and builds every value as the
 evaluator's kernel product, with no rank check: the vectors have the
 cocycle's rank.  ``coboundary`` walks the domain as ``truncate`` does,
-takes the forms of h(u) and 1/h(u) once per vector, and builds every value
-as one ``scalars._product_unit`` of three forms.  The coboundary and the
+takes 1/h(u) once per vector, and builds every value as one
+``scalars._product_unit`` of three units.  The coboundary and the
 exhaustive check look their sums up as plain tuples, which equal and hash
 like the stored vectors.
 Evaluation, coboundary values and both cocycle checks run on the integer
 kernel of ``scalars``, which owns the integer form of a unit: this module
-passes it forms and (entry, power) pair lists and reads no field of a form.
+passes it forms, units and (entry, power) pair lists and reads no field of
+a form.
 Each value or triple is one kernel product, and one helper,
 ``scalars._triple_holds``, decides a triple for both checks, with no
 Fraction at all.  Every value of a bilinear form (evaluation, ``pullback``,
@@ -80,8 +81,8 @@ from collections.abc import Mapping
 # vectors_up_to_degree stays importable from here.
 from .monoids import (ExponentVector, _graded_args, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg,
                       _vector_reader, graded_count, graded_pairs, graded_vectors, vectors_up_to_degree)
-from .scalars import (UnitScalar, _bilinear_power, _integer_and_inverse, _integer_unit, _power, _product_unit,
-                      _triple_holds, _unit_of, _unit_reader, parse_unit, render_unit)
+from .scalars import (UnitScalar, _bilinear_power, _integer_unit, _power, _product_unit, _triple_holds, _unit_of,
+                      _unit_reader, parse_unit, render_unit)
 
 #: Default truncation bound: exhaustive verification stays well under a second.
 DEFAULT_DEGREE_BOUND = 8
@@ -574,17 +575,16 @@ class FunctionOnMonoid(_UnitTable):
 def coboundary(h):
     """delta(h)(u, v) = h(u) h(v) / h(u+v), a (truncated) cocycle for any normalized h.
 
-    The domain is walked as `TruncatedCocycle.truncate` walks it, and the
-    forms of h(u) and 1/h(u) are taken once per vector
-    (`scalars._integer_and_inverse`).  Each value is one
+    The domain is walked as `TruncatedCocycle.truncate` walks it, and
+    1/h(u) is taken once per vector.  Each value is one
     `scalars._product_unit` of h(u), h(v) and 1/h(u+v).
     """
     rank, bound, table = h.rank, h.degree_bound, h.table
-    forms = [(u, *_integer_and_inverse(table[u])) for u in graded_vectors(rank, bound)]
-    inverse = {u: inv for u, _, inv in forms}
+    values = [(u, table[u]) for u in graded_vectors(rank, bound)]
+    inverse = {u: hu.inv() for u, hu in values}
     return TruncatedCocycle._trusted(rank, bound, {
         (u, v): _product_unit(hu, hv, inverse[tuple(map(operator.add, u, v))])
-        for u, hu, _ in forms for v, hv, _ in forms[:graded_count(rank, bound - sum(u))]})
+        for u, hu in values for v, hv in values[:graded_count(rank, bound - sum(u))]})
 
 
 class CheckReport(_Record):

@@ -8,8 +8,9 @@ finite sum of such terms and is what algebra elements carry as coefficients.
 
 All arithmetic is exact and all values are canonical: sorted parameter names,
 no zero exponents, no zero terms, reduced rationals.  Structural equality
-therefore coincides with mathematical equality.  Coefficients are stored as
-``fractions.Fraction``; the public constructors take only ``int`` and
+therefore coincides with mathematical equality.  A unit is stored as its
+integer form, and a polynomial's coefficients as ``fractions.Fraction``;
+the public constructors take only ``int`` and
 ``Fraction`` values and integer exponents (no floats, no bools, no strings),
 in (name, exponent) pairs whose names are names of the literal grammar, so
 that every rendered literal reads back as the same value.  Each name is
@@ -24,22 +25,25 @@ products of many units (``_power``: quadratic forms, cocycle triples and
 unit ratios; ``_bilinear_power`` runs the same body over the pairs of a
 bilinear form, ``_triple_holds`` decides a cocycle triple by one
 ``_power``, and ``_product_unit`` makes a coboundary value h(u) h(v) /
-h(u+v) from three forms with no pair list, exponent map or sort) and every
+h(u+v) from three units with no pair list, exponent map or sort) and every
 coefficient product or sum (``_add_product``, a unit times one or two
 polynomials added into one accumulator: polynomial sums and products,
 twisted products, monomial-map images, element sums, random elements) keep
-Python int numerators and denominators and make one reduced ``Fraction``
-per result.  ``_add_product`` is the only writer of an accumulator: the
+Python int numerators and denominators, reduced once per result: into a
+unit by ``_unit_of``, into a polynomial term by one ``Fraction``.
+``_add_product`` is the only writer of an accumulator: the
 checked polynomial constructor adds its checked terms through it, and a
 polynomial times a unit, int or ``Fraction`` multiplies there after
 coercion.  A unit's integer form, (numerator, denominator, exps) with
-None for the unit 1, has one owner: ``_integer_unit`` makes it, ``_unit_of``
-makes its unit, a polynomial term's form (``_integer_terms``) has the same
-layout, and the sampler draws straight into it (``_random_integer_unit``).
-``_integer_and_inverse`` makes the forms of a unit and of its inverse in
-one step, with (1, 1, ()) for the unit 1, the forms ``_product_unit`` takes.
-The other modules pass forms and (entry, power) pair lists here and test
-``is None``; none builds, unpacks or reduces a form.
+None for the unit 1, has one owner: a unit stores it (``num``, ``den``,
+``exps``), reduced with ``den`` > 0, so units compare field by field with no
+``Fraction``; ``_integer_unit`` reads it off the fields, and ``_unit_of``
+makes its unit through the one body of the reduction rule, which every
+unit operation and kernel result goes through.  A polynomial term's form
+(``_integer_terms``) has the same layout, and the sampler draws straight
+into it (``_random_integer_unit``).  The other modules pass forms, units
+and (entry, power) pair lists here and test ``is None``; none builds,
+unpacks or reduces a form.
 ``_coefficient`` is the one coercion of a unit, int or ``Fraction`` to a
 polynomial.  The ``_trusted`` constructors (here, in ``monoids`` and in
 ``algebras``) are internal only: they wrap values that are already
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 
 #: The exact base field is Q; parameters specialize into it.
@@ -146,52 +151,41 @@ def _merge_exps(a, b):
 
 
 def _integer_unit(a):
-    """(numerator, denominator, exps) of a unit, None for the unit 1: its integer form.
+    """(numerator, denominator, exps) of a unit, None for the unit 1: its integer form, read off its fields.
 
-    The one way from a unit to its form, but for `_integer_and_inverse`,
-    which never gives None; `_unit_of` is the one way back.
-    `Fraction.as_integer_ratio` reads both integers in one call, and a
-    reduced Fraction is 1 exactly when they are equal.
+    The one way from a unit to its form; `_unit_of` is the one way back.
     """
-    num, den = a.coeff.as_integer_ratio()
-    return None if num == den and not a.exps else (num, den, a.exps)
+    return None if a.is_one() else (a.num, a.den, a.exps)
 
 
 def _unit_of(c):
-    """The unit of an integer form (numerator, denominator, exps): one reduced Fraction; None is the unit 1.
+    """The unit of an integer form (numerator, denominator, exps), reduced here; None is the unit 1.
 
-    The one way from a form to its unit, the inverse of `_integer_unit`.
+    The one way from a form to its unit, the inverse of `_integer_unit`,
+    and the one body of the reduction rule: both integers are divided by
+    their gcd, taken with the denominator's sign, so that the stored
+    denominator is > 0.  Every unit but those of the checked constructor
+    is made here.
     """
     if c is None:
         return UnitScalar.one()
     num, den, exps = c
-    return UnitScalar._trusted(Fraction(num, den), exps)
-
-
-def _integer_and_inverse(a):
-    """(integer form of a, integer form of 1/a) in one step, with (1, 1, ()) and not None for the unit 1.
-
-    The forms `_product_unit` multiplies, read with one
-    `Fraction.as_integer_ratio`.  The inverse's denominator is a's
-    numerator, so it may be negative: the one Fraction made of a product
-    takes the sign to its numerator.
-    """
-    num, den = a.coeff.as_integer_ratio()
-    exps = a.exps
-    return (num, den, exps), (den, num, tuple((name, -e) for name, e in exps))
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    u = object.__new__(UnitScalar)
+    u.num, u.den, u.exps = num // g, den // g, exps
+    return u
 
 
 def _product_unit(a, b, c):
-    """The unit a*b*c of three integer forms, none of them None: a coboundary value h(u) h(v) / h(u+v).
+    """The unit a*b*c of three units: a coboundary value h(u) h(v) / h(u+v), with c = 1/h(u+v).
 
-    Two int products and two `_merge_exps` sorted merges, made one reduced
-    Fraction: no pair list, no exponent map and no sort.
+    Two int products and two `_merge_exps` sorted merges of the three
+    units' fields, reduced once by `_unit_of`: no pair list, no exponent
+    map and no sort.
     """
-    a_num, a_den, a_exps = a
-    b_num, b_den, b_exps = b
-    c_num, c_den, c_exps = c
-    return UnitScalar._trusted(Fraction(a_num * b_num * c_num, a_den * b_den * c_den),
-                               _merge_exps(_merge_exps(a_exps, b_exps), c_exps))
+    return _unit_of((a.num * b.num * c.num, a.den * b.den * c.den, _merge_exps(_merge_exps(a.exps, b.exps), c.exps)))
 
 
 def _power(pairs):
@@ -199,8 +193,8 @@ def _power(pairs):
 
     The numerator and denominator are accumulated as ints and the exponents
     in one map; entries None (the unit 1) are skipped, and a zero power
-    multiplies by 1.  The quotient is not reduced: `_unit_of` makes one
-    Fraction of it.  The map's `get` is bound once and its zero exponents
+    multiplies by 1.  The quotient is not reduced: `_unit_of` reduces it.
+    The map's `get` is bound once and its zero exponents
     are dropped by `filter`, so the loop enters no Python frame but this one.
     """
     num = den = 1
@@ -338,29 +332,31 @@ def _polynomial(acc):
 class UnitScalar:
     """An invertible scalar: nonzero rational times a Laurent monomial.
 
+    Stored as its integer form: `num` and `den`, reduced with `den` > 0,
+    and the canonical exponent tuple `exps`.  `coeff` is the rational as a
+    Fraction, made on each read.
+
     >>> u = UnitScalar(Fraction(-3, 2), {"q": 2, "r": -1})
     >>> str(u)
     '-3/2*q^2*r^-1'
     >>> str(u * u.inv())
     '1'
+    >>> v = UnitScalar(Fraction(4, -6))
+    >>> v.num, v.den, v.coeff
+    (-2, 3, Fraction(-2, 3))
     """
 
-    __slots__ = ("coeff", "exps")
+    __slots__ = ("num", "den", "exps")
 
     def __init__(self, coeff, exps=()):
-        coeff = Fraction(_exact(coeff, "unit coefficient"))
-        if coeff == 0:
+        num, den = _exact(coeff, "unit coefficient").as_integer_ratio()
+        if num == 0:
             raise ValueError("unit scalars must be invertible; got zero coefficient")
-        self.coeff = coeff
-        self.exps = _canonical_exps(exps)
+        self.num, self.den, self.exps = num, den, _canonical_exps(exps)
 
-    @classmethod
-    def _trusted(cls, coeff, exps):
-        """Internal: the unit of a nonzero Fraction and a canonical exponent tuple, unchecked."""
-        u = object.__new__(cls)
-        u.coeff = coeff
-        u.exps = exps
-        return u
+    @property
+    def coeff(self):
+        return Fraction(self.num, self.den)
 
     @classmethod
     def one(cls):
@@ -371,7 +367,8 @@ class UnitScalar:
         return cls(1, {name: exp})
 
     def is_one(self):
-        return not self.exps and self.coeff == 1
+        # A reduced form with den > 0 is 1 exactly when its two integers are equal.
+        return self.num == self.den and not self.exps
 
     def parameters(self):
         return {name for name, _ in self.exps}
@@ -379,7 +376,7 @@ class UnitScalar:
     def __mul__(self, other):
         if not isinstance(other, UnitScalar):
             return NotImplemented
-        return UnitScalar._trusted(self.coeff * other.coeff, _merge_exps(self.exps, other.exps))
+        return _unit_of((self.num * other.num, self.den * other.den, _merge_exps(self.exps, other.exps)))
 
     def __truediv__(self, other):
         if not isinstance(other, UnitScalar):
@@ -387,28 +384,28 @@ class UnitScalar:
         return self * other.inv()
 
     def inv(self):
-        return UnitScalar._trusted(1 / self.coeff, tuple((n, -e) for n, e in self.exps))
+        return _unit_of((self.den, self.num, tuple((n, -e) for n, e in self.exps)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
-        if k == 0:
-            return UnitScalar(1)
-        return UnitScalar._trusted(self.coeff ** k, tuple((n, e * k) for n, e in self.exps))
+        num, den = (self.num, self.den) if k >= 0 else (self.den, self.num)
+        return _unit_of((num ** abs(k), den ** abs(k), tuple((n, e * k) for n, e in self.exps) if k else ()))
 
     def __neg__(self):
-        return UnitScalar._trusted(-self.coeff, self.exps)
+        return _unit_of((-self.num, self.den, self.exps))
 
     def __eq__(self, other):
         if isinstance(other, UnitScalar):
-            return self.coeff == other.coeff and self.exps == other.exps
+            return self.num == other.num and self.den == other.den and self.exps == other.exps
         if isinstance(other, (int, Fraction)):
-            return not self.exps and self.coeff == other
+            return not self.exps and self.num == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        # A constant unit equals and hashes like its Fraction, as the equal constant polynomial does.
-        return hash((self.coeff, self.exps)) if self.exps else hash(self.coeff)
+        # Equal values hash equally: a constant unit like its Fraction, and so like the equal constant
+        # polynomial; a unit with parameters like the equal one-term polynomial, with no Fraction made.
+        return hash((self.num, self.den, self.exps)) if self.exps else hash(self.coeff)
 
     def specialize(self, assignment):
         return _specialize_monomial(self.coeff, self.exps, assignment)
@@ -484,7 +481,7 @@ class LaurentPolynomial:
 
     def units(self):
         """The terms as unit scalars, in canonical order."""
-        return [UnitScalar._trusted(self.terms[k], k) for k in sorted(self.terms)]
+        return [_unit_of((*self.terms[k].as_integer_ratio(), k)) for k in sorted(self.terms)]
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -538,7 +535,7 @@ class LaurentPolynomial:
         if len(self.terms) != 1:
             return hash(tuple(sorted(self.terms.items()))) if self.terms else hash(0)
         (key, c), = self.terms.items()
-        return hash((c, key)) if key else hash(c)
+        return hash((*c.as_integer_ratio(), key)) if key else hash(c)
 
     def specialize(self, assignment):
         total = Fraction(0)
@@ -646,7 +643,7 @@ def parse_unit(text):
     coeff, factors = _parse_product(body, text, sign)
     if coeff == 0:
         raise ValueError(f"unit literal must be nonzero: {text!r}")
-    return UnitScalar._trusted(coeff, _summed_exps(factors))
+    return _unit_of((*coeff.as_integer_ratio(), _summed_exps(factors)))
 
 
 def _unit_reader():
@@ -668,15 +665,15 @@ def _unit_reader():
 
 
 def _render_sum(terms):
-    """Canonical signed sum of (rational, ((name, exponent), ...)) terms; no terms is "0"."""
+    """Canonical signed sum of (numerator, denominator, ((name, exponent), ...)) reduced terms; no terms is "0"."""
     out = []
-    for c, pairs in terms:
-        mag = str(c)
-        if mag[0] == "-":
-            mag = mag[1:]
+    for num, den, pairs in terms:
+        if num < 0:
+            num = -num
             out.append(" - " if out else "-")
         elif out:
             out.append(" + ")
+        mag = str(num) if den == 1 else f"{num}/{den}"
         factors = [name if e == 1 else f"{name}^{e}" for name, e in pairs]
         out.append("*".join(factors) if factors and mag == "1" else "*".join([mag] + factors))
     return "".join(out) or "0"
@@ -684,7 +681,7 @@ def _render_sum(terms):
 
 def render_unit(u):
     """Canonical unit literal: reduced rational, sorted names, no ^1."""
-    return _render_sum([(u.coeff, u.exps)])
+    return _render_sum([(u.num, u.den, u.exps)])
 
 
 def split_terms(text):
@@ -734,4 +731,4 @@ def parse_poly(text):
 
 def render_poly(p):
     """Canonical sum literal, terms ordered by exponent key; zero renders as "0"."""
-    return _render_sum((p.terms[key], key) for key in sorted(p.terms))
+    return _render_sum(sorted(_integer_terms(p), key=itemgetter(2)))

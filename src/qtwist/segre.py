@@ -67,8 +67,9 @@ class SegreMap(_Record):
     def from_json(cls, data):
         n, m, cocycle = next(_json_items([data], ("n", "m", "cocycle"), "Segre map JSON"))
         smap = build_quantum_segre(n, m, BimultiplicativeCocycle.from_json(cocycle))
-        if "split" in data and list(data["split"]) != [smap.n + 1, smap.m + 1]:
-            raise ValueError(f"split {data['split']} does not match n={smap.n}, m={smap.m}")
+        split = [smap.n + 1, smap.m + 1]
+        if data.get("split", split) != split:  # an optional field, refused unless it is this list
+            raise ValueError(f"split {data['split']!r} does not match n={smap.n}, m={smap.m}")
         return smap
 
 

@@ -761,7 +761,8 @@ def test_bilinear_kernel_is_the_power_of_its_pairs():
             su, sv = _nonzero(u), _nonzero(v)
             got = cocycles._bilinear_power(matrix, su, sv)
             assert got == scalars._power([(matrix[i][j], ui * vj) for i, ui in su for j, vj in sv])
-            assert UnitScalar._trusted(Fraction(got[0], got[1]), got[2]) == form.evaluate(u, v)
+            value = form.evaluate(u, v)
+            assert _unit_of(got) == value and (Fraction(got[0], got[1]), got[2]) == (value.coeff, value.exps)
             seen["none"] += any(matrix[i][j] is None for i, _ in su for j, _ in sv)
             seen["empty"] += not su or not sv
             seen["cancelled"] += bool(su and sv) and got[2] == () and form.parameters() != frozenset()
@@ -829,6 +830,15 @@ def test_integer_kernel_matches_unit_arithmetic():
         assert (a * b).exps == tuple(sorted((n, e) for n, e in exps.items() if e))
         assert a * b == product and hash(a * b) == hash(product)
         assert hash(a * b * b.inv()) == hash(UnitScalar(a.coeff, dict(a.exps)))
+        # equal values hash equally: a constant unit like its Fraction and its constant polynomial, a unit
+        # with parameters like its one-term polynomial, and an unreduced form like its reduced unit
+        for u in (a, a * b, (a * b).inv(), -a, UnitScalar(a.coeff), -UnitScalar(b.coeff)):
+            p = scalars.LaurentPolynomial.from_unit(u)
+            assert u == p and hash(u) == hash(p)
+            assert (u == u.coeff and hash(u) == hash(u.coeff)) == (not u.exps)
+        k = rng.randint(2, 5)
+        assert _unit_of((-k * a.num, -k * a.den, a.exps)) == a
+        assert hash(_unit_of((-k * a.num, -k * a.den, a.exps))) == hash(a)
 
 
 # -- serialization ------------------------------------------------------------
@@ -1286,6 +1296,32 @@ def test_coboundary_makes_no_power_product(monkeypatch):
     monkeypatch.setattr(cocycles, "_power", faulty)
     monkeypatch.setattr(scalars, "_power", faulty)
     assert coboundary(h) == expected
+
+
+def test_the_table_path_makes_no_fraction(monkeypatch):
+    # a unit stores its reduced integer form, so truncation, coboundaries, the exhaustive check and table
+    # == read and reduce ints only, the negative coefficients and failing checks included
+    rng = random.Random(41)
+    sym = BimultiplicativeCocycle([[negative_unit(rng) for _ in range(2)] for _ in range(2)])
+    sym = BimultiplicativeCocycle([[sym.entry(min(i, j), max(i, j)) for j in range(2)] for i in range(2)])
+    other = rand_cocycle(rng, 2)
+    h = symmetric_trivializer(sym).truncate(4)
+    broken = dict(TruncatedCocycle.truncate(sym, 4).table)
+    broken[ExponentVector((1, 0)), ExponentVector((0, 1))] = -ONE
+    broken = TruncatedCocycle(2, 4, broken)
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"Fraction{args} made on the table path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", refuse)
+        table, delta = TruncatedCocycle.truncate(sym, 4), coboundary(h)
+        assert verify_cocycle_equation(table) and verify_cocycle_equation(delta)
+        assert not verify_cocycle_equation(broken)
+        assert delta == table and table == delta
+        assert table != TruncatedCocycle.truncate(other, 4) and table != broken
+    assert any(val.coeff < 0 for val in table.table.values())
+    assert any(val.den > 1 for val in delta.table.values())
 
 
 # -- table validation ----------------------------------------------------------

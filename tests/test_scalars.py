@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -320,6 +321,32 @@ def test_integer_unit_and_unit_of_are_inverse():
     assert _unit_of(None) == UnitScalar.one()
     # a kernel product's form is unreduced, and its denominator may be negative
     assert _unit_of((-4, -6, (("q", 1),))) == UnitScalar(Fraction(2, 3), {"q": 1})
+    # the one reduction against the standard library's: every unit stores its Fraction's integer ratio, so
+    # den > 0 and gcd(num, den) == 1, whichever operation made it; coeff is that Fraction, and read-only
+    def assert_reduced(u, value):
+        assert (u.num, u.den) == value.as_integer_ratio() and u.den > 0 and gcd(u.num, u.den) == 1
+        assert type(u.coeff) is Fraction and u.coeff == value
+
+    nonzero = [n for n in range(-9, 10) if n]
+    seen = {"common factor": 0, "negative denominator": 0}
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        num, den, other = k * rng.choice(nonzero), k * rng.choice(nonzero), rng.choice(units)
+        seen["common factor"] += gcd(num, den) > 1
+        seen["negative denominator"] += den < 0
+        a, value = _unit_of((num, den, rand_unit(rng).exps)), Fraction(num, den)
+        assert_reduced(a, value)
+        assert_reduced(a * other, value * other.coeff)
+        assert_reduced(a / other, value / other.coeff)
+        assert_reduced(a.inv(), 1 / value)
+        for e in (-3, -1, 0, 1, 2):
+            assert_reduced(a ** e, value ** e)
+        assert_reduced(-a, -value)
+        assert_reduced(parse_unit(f"{num * (den // abs(den))}/{abs(den)}*q"), value)
+        assert_reduced(UnitScalar(value, a.exps), value)
+        with pytest.raises(AttributeError):
+            a.coeff = value
+    assert min(seen.values()) > 50, seen
 
 
 # -- specialize --------------------------------------------------------------

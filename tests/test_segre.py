@@ -794,8 +794,12 @@ def test_segre_map_json_roundtrip():
     assert data["split"] == [3, 2]
     back = SegreMap.from_json(data)
     assert back == s and hash(back) == hash(s) and back.homomorphism is not s.homomorphism
-    with pytest.raises(ValueError, match="split"):
-        SegreMap.from_json({**data, "split": [2, 3]})
+    for split in ([2, 3], [3], [3, 2, 1], "32", 5, None, {"n": 3, "m": 2}):
+        with pytest.raises(ValueError) as exc:
+            SegreMap.from_json({**data, "split": split})
+        assert str(exc.value) == f"split {split!r} does not match n=2, m=1"
+    assert SegreMap.from_json({**data, "split": [3, 2]}) == s
+    assert SegreMap.from_json({key: value for key, value in data.items() if key != "split"}) == s
 
 
 def test_segre_map_from_json_refuses_a_bad_shape():
