@@ -11,8 +11,9 @@ all exact matrix/unit computations.  Two algebras with equal cocycles and
 equal generator names are equal and hash alike, whatever built them.
 
 Products, monomial-map images, element sums and random elements add their
-coefficient products through ``scalars._add_product`` and make one
-``Fraction`` per result term, with no intermediate unit or polynomial: a
+coefficient products through ``scalars._add_product`` and reduce each
+result term to its stored int pair, with no ``Fraction`` and no
+intermediate unit or polynomial: a
 product's cocycle value mu(u, v) is one integer form from the bilinear
 kernel, ``scalars._bilinear_power``, multiplied in as it stands;
 their results go through the unchecked ``AlgebraElement._trusted``.  The
@@ -87,7 +88,6 @@ from .scalars import (
     _add_product,
     _bilinear_power,
     _coefficient,
-    _integer_terms,
     _integer_unit,
     _name_arg,
     _parse_product,
@@ -180,10 +180,10 @@ class TwistedMonoidAlgebra:
         matrix, vector = self.cocycle._integer, ExponentVector._trusted
         right = []
         for v, q in y.terms.items():
-            right.append((v, _nonzero(v), _integer_terms(q)))
+            right.append((v, _nonzero(v), q.forms.items()))
         out = {}
         for u, p in x.terms.items():
-            su, left = _nonzero(u), _integer_terms(p)
+            su, left = _nonzero(u), p.forms.items()
             for v, sv, q in right:
                 w = vector(map(add, u, v))
                 _add_product(out.setdefault(w, {}), _bilinear_power(matrix, su, sv), left, q)
@@ -216,7 +216,7 @@ def _element(algebra, out):
     terms = {}
     for w, acc in out.items():
         p = _polynomial(acc)
-        if p.terms:
+        if p.forms:
             terms[w] = p
     return AlgebraElement._trusted(algebra, terms)
 
@@ -238,7 +238,7 @@ class AlgebraElement:
             _vector_arg(u, algebra.rank, "term")
             p = _coefficient(p)
             algebra._refuse_generator_names(p.parameters(), "coefficient parameter", "the algebra")
-            if p.terms:
+            if p.forms:
                 clean[u] = p
         self.algebra = algebra
         self.terms = clean
@@ -272,7 +272,7 @@ class AlgebraElement:
         out = {}
         for x in (self, other):
             for u, p in x.terms.items():
-                _add_product(out.setdefault(u, {}), None, _integer_terms(p))
+                _add_product(out.setdefault(u, {}), None, p.forms.items())
         return _element(self.algebra, out)
 
     def __neg__(self):
@@ -535,7 +535,7 @@ class GradedHomomorphism:
         """
         if x.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
-        params = {name for p in x.terms.values() for exps in p.terms for name, _ in exps}
+        params = {name for p in x.terms.values() for name in p.parameters()}
         self.target._refuse_generator_names(params, "coefficient parameter", "the target algebra")
         return self._apply(x)
 
@@ -563,9 +563,9 @@ class GradedHomomorphism:
                 continue
             acc = {}
             for c, p in parts:
-                _add_product(acc, c, _integer_terms(p))
+                _add_product(acc, c, p.forms.items())
             p = _polynomial(acc)
-            if p.terms:
+            if p.forms:
                 terms[w] = p
         return AlgebraElement._trusted(self.target, terms)
 
@@ -735,7 +735,8 @@ def _parse_term(algebra, token):
             entries[names.index(name)] += e
         else:
             params.append((name, e))
-    coeff = LaurentPolynomial._trusted({_summed_exps(params): coeff})  # `_FACTOR_RE` matched each name
+    # `_FACTOR_RE` matched each name, and the coefficient is a nonzero Fraction, so reduced.
+    coeff = LaurentPolynomial._trusted({_summed_exps(params): coeff.as_integer_ratio()})
     if poly is not None:
         coeff = coeff * poly
     return AlgebraElement(algebra, {ExponentVector(entries): coeff})
@@ -747,6 +748,6 @@ def render_element(x):
     terms = []
     for u in sorted(x.terms, key=lambda u: (u.degree(), u)):
         gens = tuple((names[i], u[i]) for i in u.support())
-        coeff = x.terms[u].terms
-        terms += [(*coeff[key].as_integer_ratio(), key + gens) for key in sorted(coeff)]
+        forms = x.terms[u].forms
+        terms += [(key + gens, forms[key]) for key in sorted(forms)]
     return _render_sum(terms)

@@ -9,8 +9,8 @@ finite sum of such terms and is what algebra elements carry as coefficients.
 All arithmetic is exact and all values are canonical: sorted parameter names,
 no zero exponents, no zero terms, reduced rationals.  Structural equality
 therefore coincides with mathematical equality.  A unit is stored as its
-integer form, and a polynomial's coefficients as ``fractions.Fraction``;
-the public constructors take only ``int`` and
+integer form, and a polynomial as one reduced (numerator, denominator)
+pair per term; the public constructors take only ``int`` and
 ``Fraction`` values and integer exponents (no floats, no bools, no strings),
 in (name, exponent) pairs whose names are names of the literal grammar, so
 that every rendered literal reads back as the same value.  Each name is
@@ -29,8 +29,9 @@ h(u+v) from three units with no pair list, exponent map or sort) and every
 coefficient product or sum (``_add_product``, a unit times one or two
 polynomials added into one accumulator: polynomial sums and products,
 twisted products, monomial-map images, element sums, random elements) keep
-Python int numerators and denominators, reduced once per result: into a
-unit by ``_unit_of``, into a polynomial term by one ``Fraction``.
+Python int numerators and denominators, reduced once per result by the one
+body of the reduction rule, ``_reduced``: into a unit by ``_unit_of``, into
+a polynomial term by ``_polynomial``.
 ``_add_product`` is the only writer of an accumulator: the
 checked polynomial constructor adds its checked terms through it, and a
 polynomial times a unit, int or ``Fraction`` multiplies there after
@@ -38,12 +39,16 @@ coercion.  A unit's integer form, (numerator, denominator, exps) with
 None for the unit 1, has one owner: a unit stores it (``num``, ``den``,
 ``exps``), reduced with ``den`` > 0, so units compare field by field with no
 ``Fraction``; ``_integer_unit`` reads it off the fields, and ``_unit_of``
-makes its unit through the one body of the reduction rule, which every
-unit operation and kernel result goes through.  A polynomial term's form
-(``_integer_terms``) has the same layout, and the sampler draws straight
-into it (``_random_integer_unit``).  The other modules pass forms, units
+makes its unit through ``_reduced``, which every unit operation and kernel
+result goes through.  A polynomial stores each term's (numerator,
+denominator) pair, reduced with the denominator > 0, in ``forms``, keyed by
+its exponents: polynomials compare as dicts of int pairs, and
+``_add_product`` reads their items as they stand, with no ``Fraction``
+(``terms`` makes the ``Fraction`` map on each read, for callers).  The
+sampler draws straight into a unit's form (``_random_integer_unit``).
+The other modules pass forms, units
 and (entry, power) pair lists here and test ``is None``; none builds,
-unpacks or reduces a form.
+unpacks or reduces a unit's form.
 ``_coefficient`` is the one coercion of a unit, int or ``Fraction`` to a
 polynomial.  The ``_trusted`` constructors (here, in ``monoids`` and in
 ``algebras``) are internal only: they wrap values that are already
@@ -158,23 +163,31 @@ def _integer_unit(a):
     return None if a.is_one() else (a.num, a.den, a.exps)
 
 
+def _reduced(num, den):
+    """(numerator, denominator) of num/den divided by their gcd, taken with den's sign: the reduction rule.
+
+    The one body of the rule, so that every stored denominator is > 0:
+    `_unit_of` reduces a unit's form here, and `_polynomial` each term's.
+    """
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def _unit_of(c):
     """The unit of an integer form (numerator, denominator, exps), reduced here; None is the unit 1.
 
-    The one way from a form to its unit, the inverse of `_integer_unit`,
-    and the one body of the reduction rule: both integers are divided by
-    their gcd, taken with the denominator's sign, so that the stored
-    denominator is > 0.  Every unit but those of the checked constructor
-    is made here.
+    The one way from a form to its unit, the inverse of `_integer_unit`.
+    Both integers go through `_reduced`.  Every unit but those of the
+    checked constructor is made here.
     """
     if c is None:
         return UnitScalar.one()
     num, den, exps = c
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
     u = object.__new__(UnitScalar)
-    u.num, u.den, u.exps = num // g, den // g, exps
+    u.num, u.den = _reduced(num, den)
+    u.exps = exps
     return u
 
 
@@ -277,40 +290,28 @@ def _random_integer_unit(rng, parameters):
     return num, den, tuple(sorted(exps.items()))
 
 
-def _integer_terms(p):
-    """(numerator, denominator, exps) of each term of a polynomial: a unit's integer form, term by term.
-
-    `Fraction.as_integer_ratio` reads both integers in one call, where the
-    `numerator` and `denominator` properties take one Python frame each.  A
-    plain loop, as in `_polynomial`: on Python 3.11 a comprehension runs in
-    a frame of its own, and a product calls this once per term.
-    """
-    terms = []
-    for k, c in p.terms.items():
-        terms.append((*c.as_integer_ratio(), k))
-    return terms
-
-
-#: The `_integer_terms` of the polynomial 1.
-_ONE_TERMS = ((1, 1, ()),)
+#: The stored items of the polynomial 1.
+_ONE_TERMS = (((), (1, 1)),)
 
 
 def _add_product(acc, c, left=_ONE_TERMS, right=_ONE_TERMS):
     """Add c*p*q to an {exps: [numerator, denominator]} accumulator, one product per term pair.
 
-    c is the integer form of a unit d*M (None for 1); p and q are
-    `_integer_terms` lists, each the polynomial 1 by default.  The term a*K
-    of p and the term b*L of q add adb to the coefficient of K*M*L.
-    Polynomial sums and products, twisted products, map images, element
-    sums and random elements all add their terms here, and nothing else
-    writes to an accumulator: each value is a [numerator, denominator] pair
-    of ints, left unreduced until `_polynomial` makes its Fraction.
+    c is the integer form of a unit d*M (None for 1), possibly unreduced;
+    p and q are iterables of (exps, (numerator, denominator)) items, as a
+    polynomial stores them (`forms.items()`), each the polynomial 1 by
+    default.  The term a*K of p and the term b*L of q add adb to the
+    coefficient of K*M*L.  Polynomial sums and products, twisted products,
+    map images, element sums and random elements all add their terms here,
+    and nothing else writes to an accumulator: each value is a
+    [numerator, denominator] pair of ints, left unreduced until
+    `_polynomial` reduces it.
     """
     c_num, c_den, c_exps = (1, 1, ()) if c is None else c
-    for a_num, a_den, ka in left:
+    for ka, (a_num, a_den) in left:
         kc = _merge_exps(ka, c_exps)
         ac_num, ac_den = a_num * c_num, a_den * c_den
-        for b_num, b_den, kb in right:
+        for kb, (b_num, b_den) in right:
             key, num, den = _merge_exps(kc, kb), ac_num * b_num, ac_den * b_den
             pair = acc.get(key)
             if pair is None:
@@ -321,12 +322,16 @@ def _add_product(acc, c, left=_ONE_TERMS, right=_ONE_TERMS):
 
 
 def _polynomial(acc):
-    """The polynomial of an {exps: [numerator, denominator]} accumulator: one Fraction per nonzero term."""
-    terms = {}
+    """The polynomial of an {exps: [numerator, denominator]} accumulator: each nonzero pair `_reduced`.
+
+    The pairs are unreduced, since `_add_product` multiplies in unreduced
+    unit forms; `_reduced` is the rule a unit's form goes through too.
+    """
+    forms = {}
     for k, (num, den) in acc.items():
         if num:
-            terms[k] = Fraction(num, den)
-    return LaurentPolynomial._trusted(terms)
+            forms[k] = _reduced(num, den)
+    return LaurentPolynomial._trusted(forms)
 
 
 class UnitScalar:
@@ -432,26 +437,36 @@ def _specialize_monomial(coeff, exps, assignment):
 class LaurentPolynomial:
     """Finite sum of Laurent monomials with rational coefficients.
 
-    Stored sparsely as a map from canonical exponent tuples to nonzero
-    rationals; the zero polynomial is the empty map.
+    Stored sparsely as `forms`, a map from canonical exponent tuples to
+    (numerator, denominator) pairs, reduced with the denominator > 0 and
+    the numerator nonzero; the zero polynomial is the empty map.  `terms`
+    is the map to the coefficients as Fractions, made on each read.
+
+    >>> p = LaurentPolynomial({(("q", 1),): Fraction(4, -6), (): 3})
+    >>> p.forms == {(("q", 1),): (-2, 3), (): (3, 1)}, p.terms[(("q", 1),)]
+    (True, Fraction(-2, 3))
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("forms",)
 
     def __init__(self, terms=()):
-        checked = [(c.numerator, c.denominator, _canonical_exps(exps))
+        checked = [(_canonical_exps(exps), c.as_integer_ratio())
                    for exps, c in (terms.items() if isinstance(terms, dict) else terms)
                    if _exact(c, "polynomial coefficient")]
         acc = {}
         _add_product(acc, None, checked)
-        self.terms = _polynomial(acc).terms
+        self.forms = _polynomial(acc).forms
 
     @classmethod
-    def _trusted(cls, terms):
-        """Internal: the polynomial of a {canonical exps: nonzero Fraction} map, unchecked."""
+    def _trusted(cls, forms):
+        """Internal: the polynomial of a {canonical exps: reduced (numerator, denominator)} map, unchecked."""
         p = object.__new__(cls)
-        p.terms = terms
+        p.forms = forms
         return p
+
+    @property
+    def terms(self):
+        return {k: Fraction(num, den) for k, (num, den) in self.forms.items()}
 
     @classmethod
     def zero(cls):
@@ -459,11 +474,11 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def from_unit(cls, u):
-        return cls._trusted({u.exps: u.coeff})
+        return cls._trusted({u.exps: (u.num, u.den)})
 
     @classmethod
     def from_rational(cls, c):
@@ -471,28 +486,28 @@ class LaurentPolynomial:
 
     @classmethod
     def from_param(cls, name, exp=1):
-        return cls({((name, exp),): Fraction(1)})
+        return cls({((name, exp),): 1})
 
     def is_zero(self):
-        return not self.terms
+        return not self.forms
 
     def parameters(self):
-        return {name for exps in self.terms for name, _ in exps}
+        return {name for exps in self.forms for name, _ in exps}
 
     def units(self):
         """The terms as unit scalars, in canonical order."""
-        return [_unit_of((*self.terms[k].as_integer_ratio(), k)) for k in sorted(self.terms)]
+        return [_unit_of((*self.forms[k], k)) for k in sorted(self.forms)]
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         acc = {}
         for p in (self, other):
-            _add_product(acc, None, _integer_terms(p))
+            _add_product(acc, None, p.forms.items())
         return _polynomial(acc)
 
     def __neg__(self):
-        return LaurentPolynomial._trusted({k: -c for k, c in self.terms.items()})
+        return LaurentPolynomial._trusted({k: (-num, den) for k, (num, den) in self.forms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -505,7 +520,7 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         acc = {}
-        _add_product(acc, None, _integer_terms(self), _integer_terms(other))
+        _add_product(acc, None, self.forms.items(), other.forms.items())
         return _polynomial(acc)
 
     __rmul__ = __mul__
@@ -513,34 +528,36 @@ class LaurentPolynomial:
     def scaled(self, u):
         """Multiply by a unit scalar; invertible (scale by ``u.inv()`` undoes it).
 
-        The same polynomial as ``self * u``, by its own loop and with no
-        accumulator; the library multiplies through ``*``.
+        The same polynomial as ``self * u``, by its own loop of `Fraction`
+        products and with no accumulator; the library multiplies through
+        ``*``.
         """
         exps, coeff = u.exps, u.coeff
-        out = {_merge_exps(key, exps): c * coeff for key, c in self.terms.items()}
+        out = {_merge_exps(key, exps): (c * coeff).as_integer_ratio() for key, c in self.terms.items()}
         return LaurentPolynomial._trusted(out)
 
     def __eq__(self, other):
+        # Stored pairs compare as tuples of ints, with no Fraction made.
         if isinstance(other, LaurentPolynomial):  # first: a Fraction test runs ABCMeta.__instancecheck__
-            return self.terms == other.terms
+            return self.forms == other.forms
         if isinstance(other, UnitScalar):
-            return self.terms == LaurentPolynomial.from_unit(other).terms
+            return self.forms == {other.exps: (other.num, other.den)}
         if isinstance(other, (int, Fraction)):
             # Compared, not converted: a bool equals the int it is, as for units and Fractions.
-            return self.terms == ({(): other} if other else {})
+            return self.forms == ({(): (other.numerator, other.denominator)} if other else {})
         return NotImplemented
 
     def __hash__(self):
         # Equal values hash equally: zero and constants like their Fraction, one term like its unit.
-        if len(self.terms) != 1:
-            return hash(tuple(sorted(self.terms.items()))) if self.terms else hash(0)
-        (key, c), = self.terms.items()
-        return hash((*c.as_integer_ratio(), key)) if key else hash(c)
+        if len(self.forms) != 1:
+            return hash(tuple(sorted(self.forms.items()))) if self.forms else hash(0)
+        (key, (num, den)), = self.forms.items()
+        return hash((num, den, key)) if key else hash(Fraction(num, den))
 
     def specialize(self, assignment):
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            total += _specialize_monomial(c, exps, assignment)
+        for exps, (num, den) in self.forms.items():
+            total += _specialize_monomial(Fraction(num, den), exps, assignment)
         return total
 
     def __str__(self):
@@ -665,9 +682,9 @@ def _unit_reader():
 
 
 def _render_sum(terms):
-    """Canonical signed sum of (numerator, denominator, ((name, exponent), ...)) reduced terms; no terms is "0"."""
+    """Canonical signed sum of (((name, exponent), ...), (numerator, denominator)) reduced terms; none is "0"."""
     out = []
-    for num, den, pairs in terms:
+    for pairs, (num, den) in terms:
         if num < 0:
             num = -num
             out.append(" - " if out else "-")
@@ -681,7 +698,7 @@ def _render_sum(terms):
 
 def render_unit(u):
     """Canonical unit literal: reduced rational, sorted names, no ^1."""
-    return _render_sum([(u.num, u.den, u.exps)])
+    return _render_sum([(u.exps, (u.num, u.den))])
 
 
 def split_terms(text):
@@ -731,4 +748,4 @@ def parse_poly(text):
 
 def render_poly(p):
     """Canonical sum literal, terms ordered by exponent key; zero renders as "0"."""
-    return _render_sum(sorted(_integer_terms(p), key=itemgetter(2)))
+    return _render_sum(sorted(p.forms.items()))  # keys are distinct: sorted by exponent key alone

@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -514,6 +515,85 @@ def test_apply_cancels_within_a_fiber():
     assert phi(x).terms == {} == reference_image(phi, x)
     y = x + A.generator(0) * A.generator(1)
     assert phi(y).terms == reference_image(phi, y) != {}
+
+
+def negative_unit_segre(rng):
+    """A (1, 2) Segre map whose generator images carry the units -2/3 and 5*q^-1 in turn.
+
+    Its source is the pulled-back twist, so the map stays multiplicative;
+    a monomial with an odd number of -2/3 factors has a negative c_u, so a
+    kernel ratio c_u / c_u0 is a `_power` form whose denominator is < 0.
+    """
+    segre = build_quantum_segre(1, 2, rand_cocycle(rng, 5))
+    units = [UnitScalar(Fraction(-2, 3)), UnitScalar(5, {"q": -1})]
+    phi = GradedHomomorphism(segre.source, segre.target, segre.morphism,
+                             [segre.target.basis_element(w, units[k % 2])
+                              for k, w in enumerate(segre.morphism.generator_images)])
+    return SegreMap(1, 2, segre.ambient_cocycle, phi)
+
+
+def assert_canonical_forms(*polys):
+    for p in polys:
+        for key, (num, den) in p.forms.items():
+            assert num != 0 and den > 0 and gcd(num, den) == 1, (key, num, den)
+            assert key == tuple(sorted(key)) and all(e for _, e in key)
+
+
+def test_stored_forms_are_canonical_after_every_producer():
+    # every producer stores reduced (num, den) pairs with den > 0 and num != 0, the kernel ratios of units
+    # with negative numerators included
+    rng = random.Random(842)
+    values = {name: Fraction(k + 2, 3) for k, name in enumerate(PARAMS)}
+    checked = [LaurentPolynomial({(("q", 1),): Fraction(4, -6), (): 6, (("r", -2),): Fraction(-9, 12)}),
+               LaurentPolynomial([((("q", 1),), 2), ((("q", 1), ("r", 0)), Fraction(-5, 10))])]
+    assert checked[0].terms == {(("q", 1),): Fraction(-2, 3), (): 6, (("r", -2),): Fraction(-3, 4)}
+    with pytest.raises(AttributeError):  # `terms` is made from the stored pairs on each read
+        checked[0].terms = {}
+    polys = [rand_poly(rng) for _ in range(30)] + checked
+    for p, q in zip(polys, polys[1:]):
+        assert_canonical_forms(p, p + q, p - q, p * q, -p, p * UnitScalar(Fraction(-3, 9), {"r": 1}), p * -4)
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 3))
+    segre = negative_unit_segre(rng)
+    phi = segre.homomorphism
+    drawn = [random_element(A, rng) for _ in range(30)]
+    sources = [random_element(segre.source, rng) for _ in range(30)] + [poly_element(rng, segre.source)]
+    elements = drawn + [A.multiply(x, y) for x, y in zip(drawn, drawn[1:])] + sources + [phi.apply(x) for x in sources]
+    kernel = kernel_basis(segre, 2, values) + kernel_basis(segre, 3, values)
+    elements += kernel
+    elements.append(parse_element(A, "-4/6*q^-1*X0 + (6/4 - 2/8*r)*X1 - 12/18*X0"))
+    for x in elements:
+        assert_canonical_forms(*x.terms.values())
+    for x in elements:
+        assert_canonical_forms(*parse_element(x.algebra, render_element(x)).terms.values())
+    # some fibers start at a c_u0 < 0, so their ratio's `_power` form has a negative denominator
+    assert any(phi._unit(min(x.terms))[0] < 0 for x in kernel)
+
+
+def test_the_element_path_makes_no_fraction(monkeypatch):
+    # a polynomial stores reduced int pairs, so sampling, products, images through a map with negative and
+    # parameter units, element == and !=, rendering and a whole Segre verification with samples make no Fraction
+    rng = random.Random(843)
+    A = TwistedMonoidAlgebra(rand_cocycle(rng, 3))
+    phi = negative_unit_segre(rng).homomorphism
+    square = build_quantum_segre(2, 2, rand_cocycle(rng, 6)).homomorphism
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"Fraction{args} made on the element path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", refuse)
+        xs = [random_element(A, rng) for _ in range(12)]
+        products = [A.multiply(x, y) for x, y in zip(xs, xs[1:])]
+        assert products == [A.multiply(x, y) for x, y in zip(xs, xs[1:])]
+        assert all(z != w for z, w in zip(products, products[1:]))
+        sources = [random_element(phi.source, rng) for _ in range(12)]
+        for x, y in zip(sources, sources[1:]):
+            assert phi._apply(x * y) == phi.target.multiply(phi._apply(x), phi._apply(y)) != phi._apply(x)
+        literals = [render_element(z) for z in xs + products + sources]
+        report = verify_homomorphism(square, samples=20, seed=7)
+    assert report and report.pairs_checked == 9 ** 2 + 20  # nine source generators
+    assert all(parse_element(z.algebra, text) == z for z, text in zip(xs + products + sources, literals))
+    assert any(c.den > 1 or c.num < 0 for z in products for p in z.terms.values() for c in p.units())
 
 
 def test_rank_rules_are_reported_by_the_callee():

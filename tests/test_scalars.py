@@ -24,7 +24,7 @@ from qtwist import (
 
 import qtwist.algebras
 import qtwist.scalars
-from qtwist.scalars import _add_product, _integer_terms, _integer_unit, _polynomial, _unit_of, _unit_reader
+from qtwist.scalars import _add_product, _integer_unit, _polynomial, _unit_of, _unit_reader
 
 from helpers import PARAMS, rand_poly, rand_unit
 
@@ -290,7 +290,7 @@ def test_add_product_is_the_sum_of_its_term_products():
             factors = {side: rand_poly(rng, ("q", "r")) for side in ("left", "right") if rng.random() < 0.7}
             for d in ([c, -c] if rng.random() < 0.3 else [c]):
                 form = None if d.is_one() else (d.coeff.numerator, d.coeff.denominator, d.exps)
-                _add_product(acc, form, **{side: _integer_terms(p) for side, p in factors.items()})
+                _add_product(acc, form, **{side: p.forms.items() for side, p in factors.items()})
                 left, right = (factors.get(side, one).terms.items() for side in ("left", "right"))
                 items += [(list(ka) + list(d.exps) + list(kb), a * d.coeff * b)
                           for ka, a in left for kb, b in right]
@@ -531,6 +531,17 @@ def test_equal_values_hash_equally():
         p = LaurentPolynomial.from_unit(UnitScalar(c))
         assert p == c and p == UnitScalar(c)
         assert hash(p) == hash(c) == hash(UnitScalar(c))
+    # a polynomial stores int pairs: constants still equal and hash like their int, Fraction and unit
+    for c, same in [(Fraction(-3, 4), [Fraction(-3, 4), UnitScalar(Fraction(-3, 4))]),
+                    (5, [5, Fraction(5), UnitScalar(5)])]:
+        p = LaurentPolynomial.from_rational(c)
+        for value in same:
+            assert p == value and value == p and hash(p) == hash(value), value
+        assert {Fraction(c): "c"}.get(p) == "c" and {p: "p"}.get(Fraction(c)) == "p"
+    u = UnitScalar(Fraction(-3, 4), {"q": 2, "r": -1})
+    p = parse_poly("-3/4*q^2*r^-1")
+    assert p == u and u == p and hash(p) == hash(u) and p != UnitScalar(Fraction(3, 4), {"q": 2, "r": -1})
+    assert LaurentPolynomial.one() == True  # noqa: E712
     rng = random.Random(14)
     for _ in range(50):
         u = rand_unit(rng)

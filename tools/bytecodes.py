@@ -12,10 +12,12 @@ not.  Run from anywhere:
 
 It prints one JSON line per workload: its name, the bytecodes executed, the
 Python frames entered (calls and generator resumptions), the bytecodes split
-by the module whose code ran them (the six library layers, and "other" for
-the standard library, the benchmark's own code and qtwist/__init__) and the
-oracle's error, null when the results are right.  The split shows which
-layer gained or lost work.  The counts are deterministic for a
+by the module whose code ran them (the six library layers, "fractions" for
+the standard library's fractions.py and numbers.py, so that the work of
+`Fraction` shows apart, and "other" for the rest of the standard library,
+the benchmark's own code and qtwist/__init__) and the oracle's error, null
+when the results are right.  The split shows which layer gained or lost
+work.  The counts are deterministic for a
 given interpreter version, whatever PYTHONHASHSEED is, so two trees can be
 compared by one run each where wall time needs many alternating runs.  A
 count does not see the cost of a call into C.  It exits 1 if a job's
@@ -23,7 +25,9 @@ results miss their oracle, and 0 otherwise.  The traced run takes about 6
 seconds for all four workloads on 2 cores and Python 3.11.
 """
 
+import fractions
 import json
+import numbers
 import sys
 import tempfile
 from functools import cache
@@ -31,8 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-#: The library layers, bottom up; bytecodes run by any other code count as "other".
+#: The library layers, bottom up; bytecodes run by any other code count as "fractions" or "other".
 MODULES = ("scalars", "monoids", "cocycles", "algebras", "segre", "cli")
+#: The standard library files of `Fraction` and the numeric ABCs its type checks run.
+FRACTIONS = {Path(fractions.__file__), Path(numbers.__file__)}
 
 import inputs  # noqa: E402  (bench/inputs.py)
 import worker  # noqa: E402  (bench/worker.py)
@@ -40,15 +46,17 @@ import worker  # noqa: E402  (bench/worker.py)
 
 @cache
 def layer(filename):
-    """The library layer whose source file is `filename`, or "other"."""
+    """The library layer whose source file is `filename`, "fractions", or "other"."""
     path = Path(filename)
+    if path in FRACTIONS:
+        return "fractions"
     return path.stem if path.parent == ROOT / "src" / "qtwist" and path.stem in MODULES else "other"
 
 
 def traced_job(runner, job):
     """(results, frames entered, bytecodes per layer) of running every step of `job` under an opcode hook."""
     frames = [0]
-    split = dict.fromkeys(MODULES + ("other",), 0)
+    split = dict.fromkeys(MODULES + ("fractions", "other"), 0)
 
     def counter(name):
         def local(frame, event, arg):
