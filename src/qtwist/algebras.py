@@ -95,6 +95,7 @@ from .scalars import (
     _polynomial,
     _power,
     _random_integer_unit,
+    _render_int,
     _render_sum,
     _split_sign,
     _summed_exps,
@@ -722,8 +723,8 @@ def _parse_term(algebra, token):
         if body and not body.startswith("*"):
             raise ValueError(f"expected '*' after parenthesized coefficient in {token!r}")
         body = body[1:].strip() if body else "1"  # "(p)*" is an empty product
-    coeff, factors = _parse_product(body, token, sign)
-    if coeff == 0:
+    (num, den), factors = _parse_product(body, token, sign)
+    if num == 0:
         return algebra.zero()
     names = algebra.generator_names
     entries = [0] * algebra.rank
@@ -731,12 +732,11 @@ def _parse_term(algebra, token):
     for name, e in factors:
         if name in names:
             if e < 1:
-                raise ValueError(f"generator exponents must be positive: {name}^{e} in {token!r}")
+                raise ValueError(f"generator exponents must be positive: {name}^{_render_int(e)} in {token!r}")
             entries[names.index(name)] += e
         else:
             params.append((name, e))
-    # `_FACTOR_RE` matched each name, and the coefficient is a nonzero Fraction, so reduced.
-    coeff = LaurentPolynomial._trusted({_summed_exps(params): coeff.as_integer_ratio()})
+    coeff = _polynomial({_summed_exps(params): (num, den)})  # `_FACTOR_RE` matched each name
     if poly is not None:
         coeff = coeff * poly
     return AlgebraElement(algebra, {ExponentVector(entries): coeff})

@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
 from functools import cache, partial
 
 from . import algebras, cocycles, segre
@@ -26,7 +25,7 @@ from .cocycles import (
     TruncatedCocycle,
 )
 from .monoids import ExponentVector, MonoidMorphism, ProductSplit, segre_morphism
-from .scalars import _rational, render_unit
+from .scalars import _fraction, _parameters_of, _render_rational, render_unit
 
 
 class InputError(Exception):
@@ -129,8 +128,7 @@ _antisym = _unit_matrix(AntisymmetricMatrix)
 def _table(key, value, parsed):
     with _rejected_as(f'"{key}"', (ValueError, TypeError)):
         table = TruncatedCocycle.from_json(parsed["rank"], parsed["degree_bound"], value)
-    _check_declared({name for entry in table.table.values() for name in entry.parameters()},
-                    parsed["parameters"], f'"{key}"')
+    _check_declared(_parameters_of(table.table.values()), parsed["parameters"], f'"{key}"')
     return table
 
 
@@ -189,7 +187,7 @@ def _specialization(key, value, parsed):
     values = {}
     for name, v in value.items():
         with _rejected_as(f'rational in "{key}"'):
-            rational = _rational(v) if isinstance(v, str) else Fraction(v) if type(v) is int else None
+            rational = _fraction(v)
         if rational is None:
             raise InputError(f'"{key}" values must be integers or rational literals like "-3/2", got {v!r}')
         values[name] = rational
@@ -403,7 +401,7 @@ def cmd_segre_kernel(config):
         "n": smap.n,
         "m": smap.m,
         "degree": config["degree"],
-        "specialization": {name: str(v) for name, v in sorted(values.items())},
+        "specialization": {name: _render_rational(v) for name, v in sorted(values.items())},
         "dimension": len(basis),
         "basis": [algebras.render_element(x) for x in basis],
     }

@@ -77,12 +77,13 @@ from __future__ import annotations
 import operator
 import random
 from collections.abc import Mapping
+from itertools import chain
 
 # vectors_up_to_degree stays importable from here.
 from .monoids import (ExponentVector, _graded_args, _int_arg, _nonzero, _rank_arg, _Record, _vector_arg,
                       _vector_reader, graded_count, graded_pairs, graded_vectors, vectors_up_to_degree)
-from .scalars import (UnitScalar, _bilinear_power, _integer_unit, _power, _product_unit, _triple_holds, _unit_of,
-                      _unit_reader, parse_unit, render_unit)
+from .scalars import (UnitScalar, _bilinear_power, _integer_unit, _parameters_of, _power, _product_unit, _triple_holds,
+                      _unit_of, _unit_reader, parse_unit, render_unit)
 
 #: Default truncation bound: exhaustive verification stays well under a second.
 DEFAULT_DEGREE_BOUND = 8
@@ -131,7 +132,7 @@ class _UnitForm:
         self.matrix = rows
         self._shape = (len(rows), len(rows[0]) if rows else 0)
         self._integer = tuple(tuple(map(_integer_unit, row)) for row in rows)
-        self._params = frozenset(name for row in rows for a in row for name in a.parameters())
+        self._params = _parameters_of(chain.from_iterable(rows))
 
     def _square_rank(self):
         """The rank of a square form (ValueError if the matrix is not square)."""

@@ -58,14 +58,29 @@ polynomial like its unit.  A table's JSON values are read through
 ``_unit_reader`` and its keys through ``monoids._vector_reader``, one memo
 each per call, so each distinct unit literal in it is parsed once and each
 distinct key checked once.
+
+A literal is read with no ``Fraction``: ``_rational`` and ``_parse_product``
+give a rational literal as an int (numerator, denominator) pair, unreduced
+((sign, 1) for a product with no rational), and ``parse_unit`` and the
+element-term parser hand it to ``_unit_of`` and ``_polynomial``, so each
+literal is reduced once.  ``_fraction`` is the one reader of a bare
+rational from outside (a specialization value), and ``_render_rational``
+its writer.  Every integer of a literal, numerator, denominator or
+exponent, is read by ``_parse_int`` and written by ``_render_int``: plain
+``int`` and ``str`` first, and, for one longer than the interpreter's
+int-string limit, in halves, so integers may have any length.  The
+specialization value rule (a value is given, is an int or a ``Fraction``,
+and is nonzero) has one check-only body, ``_check_value``, and the
+parameter names of many units one helper, ``_parameters_of``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 #: The exact base field is Q; parameters specialize into it.
 Rational = Fraction
@@ -125,7 +140,12 @@ def _summed_exps(pairs):
     acc = {}
     for name, e in pairs:
         acc[name] = acc.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in acc.items() if e))
+    return tuple(sorted(filter(itemgetter(1), acc.items())))
+
+
+def _parameters_of(units):
+    """The parameter names of many units, one frozenset: no set built per unit and no Python frame per name."""
+    return frozenset(map(itemgetter(0), chain.from_iterable(map(attrgetter("exps"), units))))
 
 
 def _merge_exps(a, b):
@@ -422,15 +442,24 @@ class UnitScalar:
         return f"UnitScalar({render_unit(self)!r})"
 
 
+def _check_value(name, assignment):
+    """The specialization value rule: `name` has a value in `assignment`, an int or a Fraction (`_exact`), nonzero.
+
+    Its one body, and it only checks: `_specialize_monomial` calls it for each
+    name before multiplying by that name's power, and `segre.kernel_basis`
+    over its map's parameter names in sorted order.
+    """
+    if name not in assignment:
+        raise ValueError(f"no value assigned to parameter {name!r}")
+    if not _exact(assignment[name], f"value of parameter {name!r}"):
+        raise ValueError(f"parameter {name!r} must specialize to a nonzero rational")
+
+
 def _specialize_monomial(coeff, exps, assignment):
     value = coeff
     for name, e in exps:
-        if name not in assignment:
-            raise ValueError(f"no value assigned to parameter {name!r}")
-        a = Fraction(_exact(assignment[name], f"value of parameter {name!r}"))
-        if a == 0:
-            raise ValueError(f"parameter {name!r} must specialize to a nonzero rational")
-        value *= a ** e
+        _check_value(name, assignment)
+        value *= Fraction(assignment[name]) ** e
     return value
 
 
@@ -586,7 +615,7 @@ def specialize(p, assignment):
 #
 #   unit       := [sign] product                    nonzero
 #   product    := rational ('*' factor)*  |  factor ('*' factor)*
-#   rational   := integer ['/' positive-integer]    integer = ['-'] digits
+#   rational   := integer ['/' positive-integer]    integer = ['-'] digits, of any length
 #   factor     := name ['^' integer]                name = [A-Za-z][A-Za-z0-9_]*
 #   polynomial := [sign] product (sign product)*    a "0" term adds nothing
 #   element    := [sign] term (sign term)*          a "0" term adds nothing
@@ -597,6 +626,8 @@ def specialize(p, assignment):
 # in the element term "(1 + q)*-3*X0".
 # In an element term, factors named after the algebra's generators build the
 # basis monomial (exponents >= 1); the other names are coefficient parameters.
+# A rational reads as an unreduced int (numerator, denominator) pair, reduced
+# once with the unit or term it belongs to.
 # A specialization value is a bare rational.  Examples: "1", "q",
 # "-3/2*q^2*r^-1", "q^2 - 1", "(1 + q)*X0^2*X1".  Rendering is canonical and
 # expands a polynomial coefficient into one term per unit, so output always
@@ -604,15 +635,67 @@ def specialize(p, assignment):
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(digits):
+    """The int of an optionally signed decimal digit string of any length: the one text-to-int conversion.
+
+    Plain `int` first.  A string longer than the interpreter's int-string
+    limit (`sys.get_int_max_str_digits`, never changed here) is converted in
+    halves, each again in halves until it converts: at the latest below 640
+    digits, the least limit the interpreter accepts.
+    """
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        if digits[:1] == "-":
+            return -_parse_int(digits[1:])
+        low = len(digits) // 2
+        return _parse_int(digits[:-low]) * 10 ** low + _parse_int(digits[-low:])
+
+
+def _render_int(n):
+    """The decimal digits of an int of any size: the one int-to-text conversion, the inverse of `_parse_int`.
+
+    Plain `str` first.  An int longer than the interpreter's int-string
+    limit is split by a power of ten into two ints of about half its digits,
+    each rendered the same way, the low one padded with zeros to its length.
+    """
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        if n < 0:
+            return "-" + _render_int(-n)
+        low = n.bit_length() * 3 // 20  # under half its digits, as 3/10 < log10(2): the high part is >= 1
+        high, rest = divmod(n, 10 ** low)
+        return _render_int(high) + _render_int(rest).zfill(low)
+
+
 def _rational(text, sign=1):
-    """`sign` times the rational `text` spells, or None if it is not a rational literal."""
+    """(`sign` times the numerator, the denominator) of the rational `text` spells, unreduced; None if it is not one."""
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         return None
-    den = int(m.group(2) or 1)
+    num, den = m.groups()
+    den = 1 if den is None else _parse_int(den)
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(sign * int(m.group(1)), den)
+    return sign * _parse_int(num), den
+
+
+def _fraction(value):
+    """The Fraction of a specialization value from outside: an int, or a string that is a rational literal.
+
+    None for any other value (a bool, a float, a malformed string);
+    ValueError for a zero denominator.  The one reader of a bare rational.
+    """
+    if type(value) is int:
+        return Fraction(value)
+    pair = _rational(value) if isinstance(value, str) else None
+    return None if pair is None else Fraction(*pair)
+
+
+def _render_rational(value):
+    """The canonical literal of an int or a Fraction: "-3/2", "4", "0"."""
+    return _render_sum([((), value.as_integer_ratio())])
 
 
 def _split_sign(text):
@@ -627,10 +710,16 @@ def _split_sign(text):
 
 
 def _parse_product(body, text, sign):
-    """(`sign` times its rational, [(name, exponent), ...]) of a product after its sign, factors in order."""
+    """((numerator, denominator), [(name, exponent), ...]) of a product after its sign, factors in order.
+
+    The pair is `sign` times the leading rational, unreduced, or (`sign`, 1)
+    if there is none.
+    """
     parts = [part.strip() for part in body.split("*")]
     coeff = _rational(parts[0], sign)
-    if coeff is not None:
+    if coeff is None:
+        coeff = sign, 1
+    else:
         del parts[0]
     factors = []
     for part in parts:
@@ -638,8 +727,8 @@ def _parse_product(body, text, sign):
         if m is None:
             what = "numeric factor must come first" if _RATIONAL_RE.fullmatch(part) else "malformed factor"
             raise ValueError(f"{what}: {part!r} in {text!r}")
-        factors.append((m.group(1), int(m.group(2) or 1)))
-    return (Fraction(sign) if coeff is None else coeff), factors
+        factors.append((m.group(1), _parse_int(m.group(2) or "1")))
+    return coeff, factors
 
 
 def _literal_arg(text, what="unit literal"):
@@ -657,10 +746,10 @@ def _literal_arg(text, what="unit literal"):
 def parse_unit(text):
     """Parse a unit literal; raises TypeError on a non-string, ValueError on malformed or zero literals."""
     sign, body = _split_sign(_literal_arg(text))
-    coeff, factors = _parse_product(body, text, sign)
-    if coeff == 0:
+    (num, den), factors = _parse_product(body, text, sign)
+    if num == 0:
         raise ValueError(f"unit literal must be nonzero: {text!r}")
-    return _unit_of((*coeff.as_integer_ratio(), _summed_exps(factors)))
+    return _unit_of((num, den, _summed_exps(factors)))
 
 
 def _unit_reader():
@@ -690,8 +779,8 @@ def _render_sum(terms):
             out.append(" - " if out else "-")
         elif out:
             out.append(" + ")
-        mag = str(num) if den == 1 else f"{num}/{den}"
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in pairs]
+        mag = _render_int(num) if den == 1 else f"{_render_int(num)}/{_render_int(den)}"
+        factors = [name if e == 1 else f"{name}^{_render_int(e)}" for name, e in pairs]
         out.append("*".join(factors) if factors and mag == "1" else "*".join([mag] + factors))
     return "".join(out) or "0"
 

@@ -38,7 +38,7 @@ from .algebras import (  # the homomorphism names stay importable from here
 from .cocycles import AntisymmetricMatrix, BimultiplicativeCocycle, _json_items, antisymmetrize
 # ProductSplit stays importable from here.
 from .monoids import ProductSplit, _int_arg, _Record, _segre_target_rank, segre_morphism, vectors_of_degree
-from .scalars import LaurentPolynomial, _power, _specialize_monomial, _unit_of
+from .scalars import LaurentPolynomial, _check_value, _power, _unit_of
 
 
 class SegreMap(_Record):
@@ -145,8 +145,8 @@ def kernel_basis(segre_map, degree, specialization):
     if _int_arg(degree, "kernel degree") < 1:
         raise ValueError("kernel degree must be >= 1")
     phi = segre_map.homomorphism
-    needed = phi.source.parameters() | phi.target.parameters()
-    _specialize_monomial(1, [(name, 1) for name in sorted(needed)], specialization)  # checks each value
+    for name in sorted(phi.source.parameters() | phi.target.parameters()):
+        _check_value(name, specialization)
 
     images = phi.monoid_morphism._sparse
     base = degree * max((e for image in images for _, e in image), default=0) + 1

@@ -807,6 +807,11 @@ def test_parse_element_reads_other_names_as_parameters():
     assert parse_element(A, "X0*Y1") == A.basis_element(ExponentVector((1, 0)), UnitScalar.param("Y1"))
     with pytest.raises(ValueError, match="positive"):
         parse_element(A, "X0^0")
+    # an exponent longer than the interpreter's 4,300-digit int-string limit is named in full
+    long = "9" * 5001
+    with pytest.raises(ValueError) as exc:
+        parse_element(A, f"X0^-{long}")
+    assert str(exc.value) == f"generator exponents must be positive: X0^-{long} in 'X0^-{long}'"
 
 
 def test_parse_element_errors():

@@ -363,6 +363,37 @@ def test_pullback_along_a_morphism_matches_the_segre_golden(tmp_path):
     assert (code, output) == (0, (GOLDEN / "cocycle_pullback.json").read_text())
 
 
+#: A literal integer longer than the interpreter's 4,300-digit int-string limit.
+LONG = "7" * 5001
+#: algebra mul configs whose literals or exact product are longer than that limit.
+LONG_PRODUCTS = [
+    # the product's coefficient is 2^40000, 12,042 digits
+    {"parameters": [], "algebra": {"antisym": [["1", "2"], ["1/2", "1"]], "generators": ["X0", "X1"]},
+     "x": "X0^200", "y": "X1^200"},
+    {"parameters": ["q"], "algebra": {"antisym": [["1", "q"], ["q^-1", "1"]], "generators": ["X0", "X1"]},
+     "x": f"-{LONG}/{LONG[:-1]}3*q^{LONG}*X0", "y": f"(q^-{LONG} + {LONG}*q)*X1"},
+]
+
+
+@pytest.mark.parametrize("config", LONG_PRODUCTS, ids=["long-product", "long-literals"])
+def test_a_product_longer_than_the_int_string_limit_reads_back(tmp_path, config):
+    code, output = run_config(tmp_path, ["algebra", "mul"], config)
+    assert code == 0
+    algebra = algebras.TwistedMonoidAlgebra(
+        cocycles.canonical_from_antisym(AntisymmetricMatrix.from_json(config["algebra"]["antisym"])),
+        config["algebra"]["generators"])
+    x, y = (algebras.parse_element(algebra, config[key]) for key in "xy")
+    assert algebras.parse_element(algebra, json.loads(output)["payload"]["product"]) == x * y
+
+
+@pytest.mark.parametrize("value,echoed", [(2, "2"), ("-6/4", "-3/2"), (f"-{LONG}/2", f"-{LONG}/2")],
+                         ids=["int", "unreduced", "longer-than-the-int-string-limit"])
+def test_a_specialization_value_is_echoed_as_its_canonical_literal(tmp_path, value, echoed):
+    code, output = run_config(tmp_path, ["segre", "kernel", "--degree", "2"], _specialization(value))
+    assert code == 0
+    assert json.loads(output)["payload"]["specialization"] == {"q": echoed, "r": "1"}
+
+
 def test_trivialize_reads_a_rank_1_table(tmp_path):
     code, output = run_config(tmp_path, ["cocycle", "trivialize"], _config_with("cocycle_check_table"))
     report = json.loads(output)

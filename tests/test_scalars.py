@@ -397,6 +397,21 @@ def test_render_parse_identity_on_canonical():
         assert render_unit(parse_unit(text)) == text
 
 
+def test_integers_longer_than_the_int_string_limit_read_back():
+    # 4,300 digits is the interpreter's default limit; longer integers convert in halves, each exactly
+    for k in (4300, 4301, 20001):
+        sevens, nines = "7" * k, "9" * k
+        assert qtwist.scalars._parse_int(sevens) == 7 * (10 ** k - 1) // 9
+        assert qtwist.scalars._render_int(-(10 ** k - 1)) == "-" + nines
+        assert qtwist.scalars._render_int(10 ** k) == "1" + "0" * k
+        u = parse_unit(f"-{sevens}/{nines[:-1]}8*q^{nines}*r^-{sevens}")
+        assert (u.num, u.den, u.exps) == (-(7 * (10 ** k - 1) // 9), 10 ** k - 2,
+                                          (("q", 10 ** k - 1), ("r", -(7 * (10 ** k - 1) // 9))))
+        assert render_unit(u) == f"-{sevens}/{nines[:-1]}8*q^{nines}*r^-{sevens}"
+        p = parse_poly(f"{nines}*q - 1/{sevens}")
+        assert render_poly(p) == f"-1/{sevens} + {nines}*q"
+
+
 def test_parse_canonicalizes():
     assert render_unit(parse_unit("q*q")) == "q^2"
     assert render_unit(parse_unit("+2/4*q^0")) == "1/2"
@@ -404,11 +419,28 @@ def test_parse_canonicalizes():
 
 
 def test_parse_unit_errors():
-    bad_literals = ["", "  ", "q**2", "2q", "q^", "3/0*q", "0", "0/5",
-                    "*q", "q*", "q^2.5", "2*3", "--1", "+-2*q", "3/00*q"]
-    for bad in bad_literals:
-        with pytest.raises(ValueError):
+    # each refusal's exact message, so that a rewrite of the parser keeps them
+    bad_literals = {
+        "": "malformed factor: '' in ''",
+        "  ": "malformed factor: '' in '  '",
+        "q**2": "malformed factor: '' in 'q**2'",
+        "2q": "malformed factor: '2q' in '2q'",
+        "q^": "malformed factor: 'q^' in 'q^'",
+        "3/0*q": "zero denominator in '3/0'",
+        "0": "unit literal must be nonzero: '0'",
+        "0/5": "unit literal must be nonzero: '0/5'",
+        "*q": "malformed factor: '' in '*q'",
+        "q*": "malformed factor: '' in 'q*'",
+        "q^2.5": "malformed factor: 'q^2.5' in 'q^2.5'",
+        "2*3": "numeric factor must come first: '3' in '2*3'",
+        "--1": "double sign in '--1'",
+        "+-2*q": "double sign in '+-2*q'",
+        "3/00*q": "zero denominator in '3/00'",
+    }
+    for bad, message in bad_literals.items():
+        with pytest.raises(ValueError) as exc:
             parse_unit(bad)
+        assert str(exc.value) == message
 
 
 def test_parse_unit_refuses_non_strings():

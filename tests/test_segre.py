@@ -18,6 +18,7 @@ from qtwist import (
     MonoidMorphism,
     Pairing,
     SegreMap,
+    TruncatedCocycle,
     TwistedMonoidAlgebra,
     UnitScalar,
     build_quantum_segre,
@@ -28,6 +29,7 @@ from qtwist import (
     kernel_basis,
     kronecker,
     parse_element,
+    parse_unit,
     pullback,
     random_element,
     render_element,
@@ -826,6 +828,51 @@ def test_kernel_reads_only_the_parameters_of_the_map():
         kernel_basis(squant, 2, values)
     assert str(exc.value) == f"no value assigned to parameter {params[-1]!r}"
     assert len(kernel_basis(squant, 2, {**values, params[-1]: -1, "t": 0})) == 1
+
+
+def test_kernel_refuses_the_first_bad_value_in_name_order():
+    # the map's parameters are checked in sorted name order, each for a value, its type and nonzero
+    s = build_quantum_segre(1, 1, BimultiplicativeCocycle.from_json(
+        [["1", "q", "1", "1"], ["1", "1", "r", "1"], ["1"] * 4, ["1"] * 4]))
+    cases = [
+        ({}, ValueError, "no value assigned to parameter 'q'"),
+        ({"r": 0}, ValueError, "no value assigned to parameter 'q'"),
+        ({"q": 2}, ValueError, "no value assigned to parameter 'r'"),
+        ({"q": 0, "r": "1"}, ValueError, "parameter 'q' must specialize to a nonzero rational"),
+        ({"q": Fraction(1, 2), "r": Fraction(0)}, ValueError, "parameter 'r' must specialize to a nonzero rational"),
+        ({"q": True, "r": 0}, TypeError, "value of parameter 'q' must be an int or a Fraction, got True"),
+        ({"q": "2", "r": 1}, TypeError, "value of parameter 'q' must be an int or a Fraction, got '2'"),
+        ({"q": -1, "r": "1/2"}, TypeError, "value of parameter 'r' must be an int or a Fraction, got '1/2'"),
+    ]
+    for values, error, message in cases:
+        with pytest.raises(error) as exc:
+            kernel_basis(s, 2, values)
+        assert str(exc.value) == message
+    assert len(kernel_basis(s, 2, {"q": -1, "r": Fraction(1, 2)})) == 1
+
+
+def test_the_input_path_makes_no_fraction(monkeypatch):
+    # unit literals are read as int pairs, and a specialization is checked without arithmetic, so
+    # from a config's literals to a Segre kernel no Fraction is made
+    mu = rand_cocycle(random.Random(43), 6)
+    rows = mu.to_json()
+    table = TruncatedCocycle.truncate(mu, 2)
+    names = sorted(mu.parameters())
+    halves = {name: Fraction(-1, 2) for name in names}
+    units = [UnitScalar(Fraction(-1, 2), {"q": 2, "r": -1}), UnitScalar(Fraction(1, 2)), UnitScalar(7)]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"Fraction{args} made on the input path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", refuse)
+        assert [parse_unit(text) for text in ("-3/6*q^2*r^-1", "+2/4", "7")] == units
+        assert BimultiplicativeCocycle.from_json(rows) == mu
+        assert TruncatedCocycle.from_json(6, 2, table.to_json()) == table
+        smap = build_quantum_segre(2, 2, BimultiplicativeCocycle.from_json(rows))
+        by_ints = [kernel_basis(smap, d, {name: -2 for name in names}) for d in (2, 3)]
+        by_fractions = [kernel_basis(smap, d, halves) for d in (2, 3)]
+    assert by_ints == by_fractions and [len(basis) for basis in by_ints] == [45 - 36, 165 - 100]
 
 
 def test_kernel_input_validation():
