@@ -25,7 +25,7 @@ from .cocycles import (
     TruncatedCocycle,
 )
 from .monoids import ExponentVector, MonoidMorphism, ProductSplit, segre_morphism
-from .scalars import _fraction, _parameters_of, _render_rational, render_unit
+from .scalars import _check_value, _fraction, _parameters_of, _render_rational, render_unit
 
 
 class InputError(Exception):
@@ -45,19 +45,20 @@ def _load_config(path):
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}") from None
+    kind, loads = "JSON", json.loads
     if path.endswith(".toml"):
         try:
             import tomllib
         except ImportError:
             raise InputError("TOML configs need Python 3.11+; use JSON instead") from None
-        try:
-            return tomllib.loads(raw.decode())
-        except tomllib.TOMLDecodeError as exc:
-            raise InputError(f"malformed TOML config: {exc}") from None
+        kind, loads = "TOML", tomllib.loads
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON config: {exc}") from None
+        return loads(raw.decode())
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError and TOMLDecodeError are ValueErrors
+        reason = exc
+        if type(exc) is ValueError:  # int()'s refusal past the digit limit; its advice to raise it is not for users
+            reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        raise InputError(f"malformed {kind} config: {reason}") from None
 
 
 class _Config(dict):
@@ -192,6 +193,9 @@ def _specialization(key, value, parsed):
             raise InputError(f'"{key}" values must be integers or rational literals like "-3/2", got {v!r}')
         values[name] = rational
     _check_declared(set(values), parsed["parameters"], f'"{key}"')
+    with _rejected_as(f'"{key}"'):  # every given value, also of a name the map does not use
+        for name in sorted(values):
+            _check_value(name, values)
     return values
 
 

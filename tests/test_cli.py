@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtwist import (AntisymmetricMatrix, BimultiplicativeCocycle, ExponentVector, GradedHomomorphism,
-                    TruncatedCocycle, algebras, cocycles)
+from qtwist import (AntisymmetricMatrix, BimultiplicativeCocycle, ExponentVector, GradedHomomorphism, algebras,
+                    cocycles)
 from qtwist.cli import _KEYS, main
 
 from helpers import doubled_from_degree_3
@@ -81,66 +81,16 @@ def test_human_output_runs():
     assert output.startswith("cocycle.check: pass")
 
 
-def test_missing_config_is_input_error():
-    code, _ = run_cli(["cocycle", "check", "--json"])
-    assert code == 2
+#: The refusal corpus and its one argv body, from tools/refusals.py (stdlib only), which runs the same
+#: rows as processes.
+REFUSALS = runpy.run_path(str(HERE.parent / "tools" / "refusals.py"))
+REFUSAL_ROWS = REFUSALS["rows"]()
 
 
-def test_nonexistent_config_is_input_error():
-    code, _ = run_cli(["cocycle", "check", "--config", "/nonexistent.json"])
-    assert code == 2
-
-
-def test_malformed_json_is_input_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _ = run_cli(["cocycle", "check", "--config", str(bad)])
-    assert code == 2
-
-
-def test_undeclared_parameter_is_input_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"parameters": [], "cocycle": [["q"]]}))
-    code, _ = run_cli(["cocycle", "antisym", "--config", str(cfg)])
-    assert code == 2
-
-
-def test_bad_matrix_shape_is_input_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"parameters": [], "cocycle": [["1", "1"], ["1"]]}))
-    code, _ = run_cli(["cocycle", "antisym", "--config", str(cfg)])
-    assert code == 2
-
-
-def test_non_string_matrix_entry_is_input_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"parameters": [], "cocycle": [[1]]}))
-    code, _ = run_cli(["cocycle", "antisym", "--config", str(cfg)])
-    assert code == 2
-
-
-def test_kernel_needs_degree(tmp_path):
-    cfg = json.loads((CONFIGS / "segre_kernel.json").read_text())
-    cfg.pop("degree", None)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, _ = run_cli(["segre", "kernel", "--config", str(path),
-                       "--set", "q=1", "--set", "r=1"])
-    assert code == 2
-
-
-def test_kernel_zero_specialization_is_input_error():
-    code, _ = run_cli(["segre", "kernel", "--config", str(CONFIGS / "segre_kernel.json"),
-                       "--degree", "2", "--set", "q=0", "--set", "r=1"])
-    assert code == 2
-
-
-def test_nested_parenthesized_coefficient_exits_2(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_config_with("algebra_mul", x="((q))*X0")))
-    code, output = run_cli(["algebra", "mul", "--config", str(path), "--json"])
-    assert (code, output) == (2, "")
-    assert "unbalanced parentheses in '(q'" in capsys.readouterr().err
+@pytest.mark.parametrize("row", REFUSAL_ROWS, ids=[row["name"] for row in REFUSAL_ROWS])
+def test_refusal_row_exits_2_with_its_one_line(tmp_path, capsys, row):
+    code, output = run_cli(REFUSALS["row_argv"](row, tmp_path))
+    assert (code, output, capsys.readouterr().err) == (2, "", row["stderr"] + "\n")
 
 
 def _config_with(name, drop=(), **changes):
@@ -171,191 +121,10 @@ def _morphism(*images):
 SEGRE_1_1 = ([1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1])
 
 
-# (argv tail, config, text the error message must contain)
-BAD_INPUTS = [
-    (["cocycle", "check"], [], "object"),
-    (["cocycle", "check"], _config_with("cocycle_check", seed="abc"), '"seed"'),
-    (["cocycle", "trivialize"], {"parameters": [], "cocycle": [["2"]], "degree_bound": "x"},
-     '"degree_bound"'),
-    (["cocycle", "trivialize"], {"parameters": [], "cocycle": [["2"]], "degree_bound": -1},
-     '"degree_bound"'),
-    (["segre", "kernel", "--degree", "2"], _config_with("segre_kernel", specialization=[1]),
-     '"specialization"'),
-    (["cocycle", "check"], _config_with("cocycle_check", samples=-5), '"samples"'),
-    (["cocycle", "check", "--samples", "-5"], _config_with("cocycle_check"), '"samples"'),
-    (["segre", "kernel"], _config_with("segre_kernel_quantum", degree=2.7), '"degree"'),
-    (["cocycle", "check"], _config_with("cocycle_check", samples=True), '"samples"'),
-    (["cocycle", "check"], _config_with("cocycle_check", seed=1.9), '"seed"'),
-    (["segre", "build"], _config_with("segre_build", n=True), '"n"'),
-    (["segre", "build"], _config_with("segre_build", m=0), '"m"'),
-    (["cocycle", "check"], _config_with("cocycle_check_table", rank=True), '"rank"'),
-    (["cocycle", "check"], _config_with("cocycle_check_table", rank=0), '"rank"'),
-    (["cocycle", "trivialize"], _config_with("cocycle_trivialize_split", split=[True, 1]),
-     '"split"'),
-    (["cocycle", "pullback"], _config_with("cocycle_pullback", segre=["a", 1]), '"segre"'),
-    (["algebra", "mul"], _config_with("algebra_mul", x=5), '"x"'),
-    (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=[]), '"cocycle"'),
-    (["algebra", "relations"],
-     _config_with("algebra_relations",
-                  algebra=dict(_config_with("algebra_relations")["algebra"], generators="abc")),
-     '"generators"'),
-    (["cocycle", "trivialize"], _config_with("cocycle_trivialize_split", split=[1, 2]), '"split"'),
-    (["cocycle", "antisym"], _config_with("cocycle_antisym", seed=1), '"seed"'),
-    (["segre", "kernel", "--degree", "2"], _specialization(0.5), '"specialization"'),
-    (["segre", "kernel", "--degree", "2"], _specialization(True), '"specialization"'),
-    (["segre", "kernel", "--degree", "2"], _specialization("0.5"), '"specialization"'),
-    (["segre", "kernel", "--degree", "2"], _specialization("1e-2"), '"specialization"'),
-    (["segre", "kernel", "--degree", "2"], _specialization("1_0"), '"specialization"'),
-    (["segre", "kernel", "--degree", "2", "--set", "q=0.5", "--set", "r=1"],
-     _config_with("segre_kernel"), '"specialization"'),
-    (["cocycle", "check"], _table_with(0, u=["0"]), '"table"'),
-    (["cocycle", "check"], _table_with(0, v=[0.5]), '"table"'),
-    (["cocycle", "check"], _table_with(4, u=[True]), '"table"'),
-    (["cocycle", "check"], _table_with(0, u=[9]), '"table"'),
-    (["cocycle", "check"], _config_with("cocycle_check_table", table=_table_with(0)["table"][1:]),
-     '"table"'),
-    (["cocycle", "check"], _table_with(2, value=5), '"table"'),
-    (["cocycle", "check"], _config_with("cocycle_check_table", table=[5]), '"table"'),
-    (["cocycle", "pullback"], _config_with("cocycle_pullback", drop=["segre"], morphism=[]),
-     '"morphism"'),
-    (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=[["3/00"]]), '"cocycle"'),
-    (["cocycle", "pullback"], _morphism([1, 0, 1, 0], [1, 0, "1", 1]), '"morphism"'),
-    (["cocycle", "pullback"], _morphism([1, 0, 1, 0], [1, -1, 0, 1]), '"morphism"'),
-    (["cocycle", "pullback"], _morphism([1, 0, 1]), '"morphism"'),
-    (["cocycle", "trivialize"],
-     {"parameters": [], "rank": 2, "degree_bound": 1,
-      "table": TruncatedCocycle.truncate(BimultiplicativeCocycle.trivial(2), 1).to_json()},
-     '"split"'),
-    (["cocycle", "check"], _table_with(2, value=["1"]),
-     """bad "table": unit literal must be a string, got ['1']"""),
-    (["cocycle", "check"], _table_with(0, value=1), 'bad "table": unit literal must be a string, got 1'),
-    # the kernel ignores values of names its map does not use; the CLI refuses undeclared names first
-    (["segre", "kernel", "--degree", "2", "--set", "t=2"], _specialization("1"),
-     'undeclared parameters in "specialization": t'),
-    (["algebra", "mul"], _config_with("algebra_mul", x="t*X0"), 'undeclared parameters in element "x": t'),
-    (["algebra", "mul"], _config_with("algebra_mul", y="(s + t)*X0"),
-     'undeclared parameters in element "y": s, t'),
-    (["algebra", "mul"], _config_with("algebra_mul", x="(X1)*X0"),
-     """bad element "x": coefficient parameter 'X1' is a generator name of the algebra"""),
-    # the CLI once tested a matrix's shape itself; the library's from_json owns it now
-    (["cocycle", "antisym"], _config_with("cocycle_antisym", cocycle=["1qr", "11r", "111"]),
-     'bad "cocycle" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
-    (["cocycle", "reconstruct"], _config_with("cocycle_reconstruct", pairing="ab"),
-     'bad "pairing" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
-    (["segre", "kronecker"], _config_with("segre_kronecker", q={"1": 0}),
-     'bad "q" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
-    (["segre", "kronecker"], _config_with("segre_kronecker", qprime=[["1"], "1"]),
-     'bad "qprime" matrix: a unit matrix must be a list of rows, each a list of unit literals'),
-]
-
-
-@pytest.mark.parametrize("tail,config,message", BAD_INPUTS,
-                         ids=["list-config", "seed", "degree-bound", "negative-degree-bound",
-                              "specialization",
-                              "samples-key", "samples-flag",
-                              "float-degree", "bool-samples", "float-seed", "bool-n", "zero-m",
-                              "bool-rank", "zero-rank", "bool-split", "string-segre",
-                              "non-string-element", "empty-cocycle", "string-generators",
-                              "split-rank-mismatch", "unread-key",
-                              "float-specialization", "bool-specialization",
-                              "decimal-specialization", "exponent-specialization",
-                              "underscore-specialization", "decimal-set",
-                              "string-table-u", "float-table-v", "bool-table-u",
-                              "table-pair-over-bound", "missing-table-pair",
-                              "numeric-table-value", "non-object-table-item",
-                              "empty-morphism", "zero-denominator",
-                              "string-morphism-entry", "negative-morphism-entry",
-                              "short-morphism-image", "rank-2-table-without-split",
-                              "list-table-value", "numeric-one-table-value", "undeclared-specialization",
-                              "undeclared-element-parameter", "undeclared-parenthesized-parameters",
-                              "generator-named-parameter", "string-rows", "string-pairing", "object-matrix",
-                              "string-row"])
-def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, tail, config, message):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    code, output = run_cli(tail + ["--config", str(path), "--json"])
-    assert (code, output) == (2, "")
-    assert message in capsys.readouterr().err
-
-
 def run_config(tmp_path, tail, config, as_json=True):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     return run_cli(tail + ["--config", str(path)] + (["--json"] if as_json else []))
-
-
-HUGE = 10 ** 30
-#: The ambient-rank message of a Segre shape over the golden configs' rank-4 cocycle.
-HUGE_AMBIENT = f'bad "cocycle": ambient cocycle must have rank {HUGE + 3}, got 4'
-HUGE_SEGRE = f'"segre" target rank {HUGE + 3} does not match cocycle rank 4'
-
-
-@pytest.mark.parametrize("tail,name,changes,message", [
-    (["segre", "build"], "segre_build", {"n": HUGE}, HUGE_AMBIENT),
-    (["segre", "build"], "segre_build", {"m": HUGE}, HUGE_AMBIENT),
-    (["segre", "verify"], "segre_verify", {"n": HUGE}, HUGE_AMBIENT),
-    (["segre", "matrix"], "segre_matrix", {"m": HUGE}, HUGE_AMBIENT),
-    (["segre", "kernel", "--degree", "2"], "segre_kernel_quantum", {"n": HUGE}, HUGE_AMBIENT),
-    (["segre", "build"], "segre_build", {"n": 2}, 'bad "cocycle": ambient cocycle must have rank 5, got 4'),
-    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [HUGE, 1]}, HUGE_SEGRE),
-    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [1, HUGE]}, HUGE_SEGRE),
-    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [2, 1]},
-     '"segre" target rank 5 does not match cocycle rank 4'),
-    # the type and shape messages come first, whatever the size
-    (["segre", "build"], "segre_build", {"n": HUGE, "m": 0}, '"m" must be >= 1, got 0'),
-    (["cocycle", "pullback"], "cocycle_pullback", {"segre": [HUGE, 0]},
-     '"segre" must be >= 1, got 0'),
-    # a table is counted before its domain is enumerated, and a missing key is found by a lazy walk
-    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE},
-     f'bad "table": table pair (ExponentVector([0]), ExponentVector([0])) does not have rank {HUGE}'),
-    (["cocycle", "check"], "cocycle_check_table", {"degree_bound": HUGE},
-     'bad "table": table is missing the pair (ExponentVector([0]), ExponentVector([4]))'),
-    # each key is checked before the domain is counted, so a count too large for math.comb is never taken
-    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE, "degree_bound": HUGE},
-     f'bad "table": table pair (ExponentVector([0]), ExponentVector([0])) does not have rank {HUGE}'),
-    # an empty table has no key to refuse, and is refused before its domain is counted or walked
-    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE, "table": []},
-     'bad "table": table is missing every key of its domain'),
-    (["cocycle", "check"], "cocycle_check_table", {"rank": HUGE, "degree_bound": HUGE, "table": []},
-     'bad "table": table is missing every key of its domain'),
-], ids=["build-n", "build-m", "verify-n", "matrix-m", "kernel-n", "build-n-2", "pullback-n", "pullback-m",
-        "pullback-2-1", "build-zero-m-first", "pullback-zero-m-first", "table-rank", "table-degree-bound",
-        "table-rank-and-bound", "empty-table-rank", "empty-table-rank-and-bound"])
-def test_segre_sizes_are_compared_before_anything_is_built(tmp_path, capsys, tail, name, changes, message):
-    # a 10**30 shape once died allocating its generator images (OverflowError) instead of exiting 2,
-    # and a 10**30 table rank (OverflowError) or degree bound (no end) once died enumerating the domain
-    code, output = run_config(tmp_path, tail, _config_with(name, **changes))
-    assert (code, output, capsys.readouterr().err) == (2, "", f"error: {message}\n")
-
-
-def test_a_table_key_listed_twice_exits_2(tmp_path, capsys):
-    # the repeat once replaced the first value, and the check failed on it with exit 1
-    config = _config_with("cocycle_check_table")
-    config["table"].append({"u": [0], "v": [1], "value": "7"})
-    code, output = run_config(tmp_path, ["cocycle", "check"], config)
-    assert (code, output, capsys.readouterr().err) == (
-        2, "", 'error: bad "table": table key (ExponentVector([0]), ExponentVector([1])) is listed more than once\n')
-
-
-#: The golden table's first item, an over-bound pair, and an item missing "u".
-FIRST_ITEM, OVER_BOUND, NO_U = ({"u": [0], "v": [0], "value": "1"}, {"u": [9], "v": [0], "value": "1"},
-                                {"v": [0], "value": "1"})
-
-
-@pytest.mark.parametrize("table,message", [
-    ([FIRST_ITEM, OVER_BOUND, NO_U], "table pair (ExponentVector([9]), ExponentVector([0])) exceeds the degree bound 3"),
-    ([5], 'table item 0 is not an object with the fields "u", "v", "value"'),
-    (FIRST_ITEM, "table must be a list of items, got dict"),
-    ("table", "table must be a list of items, got str"),
-    (_table_with(5, u=5)["table"], "exponent vector must be an iterable of ints, got 5"),
-    (_table_with(5, u=None)["table"], "exponent vector must be an iterable of ints, got None"),
-], ids=["over-bound-before-missing-u", "item-5", "object-table", "string-table", "int-key", "null-key"])
-def test_a_table_is_refused_at_its_first_faulty_item_by_its_index(tmp_path, capsys, table, message):
-    # items were once all read before any was checked, and named by Python's own text:
-    # 'u', 'int' object is not subscriptable, string indices must be integers; a key that is not
-    # iterable was once made a tuple before the vector constructor saw it: 'int' object is not iterable
-    code, output = run_config(tmp_path, ["cocycle", "check"], _config_with("cocycle_check_table", table=table))
-    assert (code, output, capsys.readouterr().err) == (2, "", f'error: bad "table": {message}\n')
 
 
 def test_pullback_along_a_morphism_matches_the_segre_golden(tmp_path):
@@ -491,12 +260,20 @@ def test_toml_config_matches_json_golden(tmp_path):
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML configs need tomllib (Python 3.11+)")
-def test_malformed_toml_config_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("raw,reason", [
+    (b"n = [1,\n", None),  # tomllib's own text, which is not the same on every interpreter
+    # these two once ended in a traceback: the bytes were decoded outside the try, and int() refused the seed
+    (b'parameters = ["\xff"]\n', "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+    (b"seed = " + b"7" * 5000 + b"\n", f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+], ids=["unclosed-array", "not-utf-8", "integer-past-the-digit-limit"])
+def test_malformed_toml_config_is_input_error(tmp_path, capsys, raw, reason):
     path = tmp_path / "bad.toml"
-    path.write_text("n = [1,\n")
+    path.write_bytes(raw)
     code, output = run_cli(["segre", "verify", "--config", str(path)])
+    err = capsys.readouterr().err
     assert (code, output) == (2, "")
-    assert capsys.readouterr().err.startswith("error: malformed TOML config: ")
+    assert err.startswith("error: malformed TOML config: ") and err.count("\n") == 1
+    assert reason is None or err == f"error: malformed TOML config: {reason}\n"
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 11), reason="Python 3.11+ reads TOML configs")
